@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .harmonic import QuadratureGrid, gram_matrix
+from .harmonic import QuadratureGrid, gram_matrix, orbit_symbol
 from .laplacian import (LatticeFunction, apply_free, apply_free_closed,
                         apply_koornwinder, apply_macdonald_ruijsenaars,
                         operator_matrix)
@@ -29,7 +29,7 @@ from .orthopoly import (KoornwinderParams, MacdonaldParams, ParameterError,
 from .qfun import unit_spec
 from .rootsys import BudgetExceededError, build_root_system
 from .scattering import (ScatteringContext, WaveTable, convergence_report,
-                         orbit_symbol, smatrix_factor)
+                         smatrix_factor)
 from .evolution import PacketError, run_scattering_diagnostic
 
 EXIT_OK = 0
@@ -96,6 +96,14 @@ def tolerances(cfg: dict) -> dict:
            "norms": 1e-8, "smatrix": 1e-13, "free": 0.0}
     out.update(cfg.get("tolerances", {}))
     return out
+
+
+def grid_m(cfg: dict, default: int) -> int:
+    """grid.M of the configuration, or default when it is not given."""
+    m = int(cfg.get("grid", {}).get("M", default))
+    if m < 2:
+        raise ConfigError(f"grid.M must be at least 2, got {m}")
+    return m
 
 
 def _report(out_path, payload, cfg):
@@ -224,8 +232,7 @@ def _suite_free_laplacian(rs, params, spec, cfg, tol):
 
 
 def _suite_smatrix(rs, params, spec, cfg, tol):
-    m = int(cfg.get("grid", {}).get("M", 48))
-    grid = QuadratureGrid(rs, m)
+    grid = QuadratureGrid(rs, grid_m(cfg, 48))
     checks = []
     worst = 0.0
     for w in rs.weyl_group():
@@ -274,12 +281,13 @@ def cmd_scatter(args) -> int:
         ray = task.get("ray", {})
         direction = tuple(int(x) for x in ray.get("direction", (1,) * rs.rank))
         steps = int(ray.get("steps", 6))
+        if steps < 1:
+            raise ConfigError(f"task.ray.steps must be at least 1, got {steps}")
         lambdas = [tuple(l * d for d in direction) for l in range(1, steps + 1)]
         tops = [lambdas[-1], lambdas[-2]] if steps > 1 else [lambdas[-1]]
         system = gram_schmidt(rs, spec, tops)
-        m = int(cfg.get("grid", {}).get("M", 0)) or None
         from .scattering import _kernel_bandwidth
-        m = m or 2 * _kernel_bandwidth(system) + 32
+        m = grid_m(cfg, 2 * _kernel_bandwidth(system) + 32)
         rep = convergence_report(WaveTable(system, QuadratureGrid(rs, m)), lambdas)
         if args.out:
             with open(args.out, "w", newline="") as fh:
@@ -292,10 +300,14 @@ def cmd_scatter(args) -> int:
     if args.evolve:
         ev = task.get("evolve", {})
         times = [float(t) for t in ev.get("times", [4, 8, 16, 32])]
+        if not times:
+            raise ConfigError("task.evolve.times must not be empty")
         pi = tuple(int(x) for x in ev.get("orbit", ())) or \
             tuple(1 if j == 0 else 0 for j in range(rs.rank))
         sym = orbit_symbol(rs, pi)
         radius = float(ev.get("radius", 1.0))
+        if radius <= 0:
+            raise ConfigError(f"task.evolve.radius must be positive, got {radius}")
         lmax = int(ev.get("lattice_depth", 0)) or \
             int(3.2 * max(times) + 90.0 / radius) + 8
         tops = [(lmax,) * rs.rank]
@@ -361,8 +373,7 @@ def cmd_export(args) -> int:
                                      repr(float(mat[i, j].imag))])
         return EXIT_OK
     if what == "smatrix":
-        m = int(cfg.get("grid", {}).get("M", 48))
-        grid = QuadratureGrid(rs, m)
+        grid = QuadratureGrid(rs, grid_m(cfg, 48))
         system = gram_schmidt(rs, spec, tops)
         sym = orbit_symbol(rs, rs.quasi_minuscule_weight())
         ctx = ScatteringContext(WaveTable(system, grid), sym)
@@ -399,7 +410,6 @@ def main(argv=None) -> int:
     p_verify.add_argument("--config", help="JSON configuration file")
     p_verify.add_argument("--out", help="write the JSON report here")
     p_verify.add_argument("--tol", help="JSON dict overriding tolerances")
-    p_verify.add_argument("--workers", type=int, default=1)
 
     p_scatter = sub.add_parser("scatter", help="convergence/evolution diagnostics")
     p_scatter.add_argument("--ray", action="store_true")
@@ -412,7 +422,6 @@ def main(argv=None) -> int:
     p_export.add_argument("what", choices=["polynomials", "operator", "smatrix"])
     p_export.add_argument("--config")
     p_export.add_argument("--out")
-    p_export.add_argument("--workers", type=int, default=1)
 
     args = parser.parse_args(argv)
     try:

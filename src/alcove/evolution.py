@@ -23,7 +23,7 @@ from .harmonic import LaurentPoly, QuadratureGrid
 from .laplacian import LatticeFunction
 from .orthopoly import OrthoPolySystem
 from .scattering import (ScatteringContext, SpectralFunction, WaveTable,
-                         asymptotic_wave_values, spectral_norm)
+                         _linear_fit, asymptotic_wave_values, spectral_norm)
 
 
 class PacketError(RuntimeError):
@@ -283,8 +283,8 @@ class EvolutionReport:
             if good.sum() < 2:
                 continue
             lt, ly = np.log(t[good]), np.log(y[good])
-            p_slope, p_res = _fit1(lt, ly)
-            e_slope, e_res = _fit1(t[good], ly)
+            p_slope, _, p_res = _linear_fit(lt, ly)
+            e_slope, _, e_res = _linear_fit(t[good], ly)
             self.fits[name] = {
                 "power_exponent": p_slope, "power_rss": p_res,
                 "exp_rate": e_slope, "exp_rss": e_res,
@@ -303,13 +303,6 @@ class EvolutionReport:
                    "leakages": self.leakages, "fits": self.fits,
                    "meta": self.meta, "success": self.success}
         return json.dumps(payload, indent=2, sort_keys=True)
-
-
-def _fit1(x, y):
-    a = np.vstack([x, np.ones_like(x)]).T
-    coef, *_ = np.linalg.lstsq(a, y, rcond=None)
-    rss = float(np.sum((y - a @ coef) ** 2))
-    return float(coef[0]), rss
 
 
 def suggest_subdivision(symbol: LaurentPoly, tmax: float, kernel_bandwidth: int,

@@ -95,14 +95,6 @@ class LaurentPoly:
     def support(self):
         return set(self.terms)
 
-    def is_weyl_invariant(self, sample=5) -> bool:
-        for i in range(self.rs.rank):
-            for mu, c in list(self.terms.items())[:64]:
-                img = self.rs.simple_reflection_coords(i, mu)
-                if not _close(self.terms.get(img, 0), c):
-                    return False
-        return True
-
     def eval_grid(self, grid: "QuadratureGrid") -> np.ndarray:
         return grid.eval_terms(self.terms)
 
@@ -126,9 +118,6 @@ class LaurentPoly:
             total += complex(c) * np.exp(1j * np.dot(v, xi) - s * np.dot(v, sh))
         return total
 
-    def map_coeffs(self, fn) -> "LaurentPoly":
-        return LaurentPoly(self.rs, {mu: fn(c) for mu, c in self.terms.items()})
-
     def prune(self, tol: float) -> "LaurentPoly":
         return LaurentPoly(self.rs, {mu: c for mu, c in self.terms.items()
                                      if abs(complex(c)) > tol})
@@ -140,16 +129,19 @@ class LaurentPoly:
         return f"LaurentPoly({self.rs._name()}, {len(self.terms)} terms)"
 
 
-def _close(a, b, tol=1e-9) -> bool:
-    return abs(complex(a) - complex(b)) <= tol * (1 + abs(complex(a)))
-
-
 def monomial_symmetric(rs: RootSystem, lam) -> LaurentPoly:
     """m_lambda: coefficient one on each weight of the Weyl orbit of lambda."""
     lam = tuple(lam)
     if not rs.is_dominant(lam):
         raise ValueError(f"{lam} is not dominant")
     return LaurentPoly(rs, {mu: 1 for mu in rs.weyl_orbit(lam)})
+
+
+def orbit_symbol(rs: RootSystem, pi) -> LaurentPoly:
+    """Multiplication symbol: the exponential sum over W(pi) and W(-pi)."""
+    orbit = set(rs.weyl_orbit(tuple(pi)))
+    orbit |= {tuple(-c for c in nu) for nu in orbit}
+    return LaurentPoly(rs, {nu: 1 for nu in orbit})
 
 
 def alternating_sum(rs: RootSystem, mu) -> LaurentPoly:
@@ -363,30 +355,28 @@ def bandwidth_bound(rs: RootSystem, supports) -> int:
 
 
 def inner_product(f: LaurentPoly, g: LaurentPoly, spec: CFunctionSpec,
-                  grid: QuadratureGrid | None = None, tol: float = 1e-10,
-                  max_m: int = 4096) -> complex:
+                  tol: float = 1e-10, max_m: int = 4096) -> complex:
     """(f, g) with respect to the weight Delta |delta|^2, alcove-normalized.
 
     Equals the cell average of f conj(g) Delta |delta|^2 divided by |W|.
-    Without an explicit grid the subdivision doubles until two successive
-    values agree within tol (exact at the first step for unit weights).
+    The subdivision doubles until two successive values agree within tol
+    (exact at the first step for unit weights); no grid above max_m is built.
     """
     rs = f.rs
-    if grid is not None:
-        return _ip_on_grid(f, g, spec, grid)
     dsup = weyl_denominator(rs).support()
     band = bandwidth_bound(rs, [f.support(), g.support(), dsup, dsup])
     m = 2 * band + 2
-    if spec.is_unit:
-        return _ip_on_grid(f, g, spec, QuadratureGrid(rs, m))
     prev = _ip_on_grid(f, g, spec, QuadratureGrid(rs, m))
-    while m <= max_m:
+    if spec.is_unit:
+        return prev
+    while True:
         m *= 2
+        if m > max_m:
+            raise QuadratureError(f"inner product did not stabilize below M={max_m}")
         cur = _ip_on_grid(f, g, spec, QuadratureGrid(rs, m))
         if abs(cur - prev) <= tol * (1.0 + abs(cur)):
             return cur
         prev = cur
-    raise QuadratureError(f"inner product did not stabilize below M={max_m}")
 
 
 def _ip_on_grid(f, g, spec, grid) -> complex:

@@ -15,6 +15,7 @@ import math
 
 import numpy as np
 
+from .harmonic import orbit_symbol
 from .orthopoly import (KoornwinderParams, MacdonaldParams, PolyParams,
                         hopping_coefficient, functional_relation_residual)
 from .rootsys import RootSystem
@@ -90,9 +91,8 @@ def localization_support(rs: RootSystem, lam, r: int) -> set:
 
 
 def orbit_with_negatives(rs: RootSystem, pi) -> list:
-    orbit = set(rs.weyl_orbit(tuple(pi)))
-    orbit |= {tuple(-c for c in nu) for nu in orbit}
-    return sorted(orbit)
+    """W(pi) and W(-pi) in sorted order: the exponents of orbit_symbol."""
+    return sorted(orbit_symbol(rs, pi).terms)
 
 
 # ---------------------------------------------------------------------------
@@ -186,12 +186,6 @@ def apply_free_closed(rs: RootSystem, pi, phi: LatticeFunction) -> LatticeFuncti
 
 # ---------------------------------------------------------------------------
 # deformed hopping Laplacians
-
-
-def V_coeff(params: PolyParams, nu_vec, x_vec) -> float:
-    """Hopping coefficient V_nu(x); see orthopoly.hopping_coefficient."""
-    return hopping_coefficient(params, np.asarray(nu_vec, float),
-                               np.asarray(x_vec, float))
 
 
 def diagonal_shift(params: PolyParams, pi) -> float:
@@ -346,7 +340,7 @@ def interior_sites(rs: RootSystem, sites, orbit) -> list:
 __all__ = [
     "LatticeFunction", "localization_support", "orbit_with_negatives",
     "apply_free", "apply_free_closed", "short_simple_perp_count",
-    "V_coeff", "functional_relation_residual", "diagonal_shift",
+    "functional_relation_residual", "diagonal_shift",
     "apply_macdonald_ruijsenaars", "apply_koornwinder",
     "apply_fourier_conjugated", "commutator_residual",
     "operator_matrix", "interior_sites",

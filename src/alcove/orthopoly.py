@@ -293,17 +293,14 @@ class OrthoPolySystem:
         return float(self.coeff[i, i].real)
 
     def poly(self, lam) -> LaurentPoly:
-        i = self.index[tuple(lam)]
-        out = LaurentPoly.zero(self.rs)
-        for j in range(i + 1):
-            c = self.coeff[i, j]
-            if c != 0:
-                out = out + self._monomials[j] * complex(c)
-        return out
+        return self._combination(self.index[tuple(lam)], 1.0)
 
     def monic(self, lam) -> LaurentPoly:
         i = self.index[tuple(lam)]
-        scale = 1.0 / self.coeff[i, i]
+        return self._combination(i, 1.0 / self.coeff[i, i])
+
+    def _combination(self, i: int, scale) -> LaurentPoly:
+        """Row i of coeff, times scale, as a sum of monomials."""
         out = LaurentPoly.zero(self.rs)
         for j in range(i + 1):
             c = self.coeff[i, j] * scale
@@ -420,11 +417,6 @@ def _exact_unit_factorization(gram: np.ndarray, worder: int) -> np.ndarray:
         for j in range(i + 1):
             out[i, j] = float(inv[i][j]) * scale
     return out
-
-
-def macdonald_monic(system: OrthoPolySystem, lam) -> LaurentPoly:
-    """The monic polynomial p_lam (orthogonal to all lower monomials)."""
-    return system.monic(lam)
 
 
 # ---------------------------------------------------------------------------
@@ -667,7 +659,3 @@ def asymptotic_polynomial(spec: CFunctionSpec, rs: RootSystem, lam,
         dsum = dsum + cw * expw
     dsum = dsum.prune(1e-14)
     return laurent_divide(dsum, weyl_denominator(rs), tol=1e-13)
-
-
-def taylor_truncated_asymptotic(spec: CFunctionSpec, rs: RootSystem, lam) -> LaurentPoly:
-    return asymptotic_polynomial(spec, rs, lam, degree=None)

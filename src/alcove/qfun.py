@@ -47,14 +47,6 @@ def _truncation_index(zmax: float, q: float, tol: float) -> int:
     return max(1, int(math.ceil(math.log(bound) / math.log(q))) + 1)
 
 
-def qpochhammer(a, q: float, n: int):
-    """Finite q-shifted factorial (a; q)_n."""
-    out = 1.0 + 0j if isinstance(a, complex) else 1.0
-    for k in range(n):
-        out = out * (1 - a * q**k)
-    return out
-
-
 class CFunctionError(ValueError):
     pass
 
@@ -188,10 +180,6 @@ def _certified_radius(c: CFunction) -> float:
             return rho
         rho = 1.0 + 0.9 * (rho - 1.0)
     raise CFunctionError(f"zero-freeness certification failed for {c}")
-
-
-def cfun_eval(c: CFunction, z):
-    return c.eval(z)
 
 
 def cfun_taylor(c: CFunction, degree: int) -> np.ndarray:

@@ -44,10 +44,6 @@ def dot(x: Vec, y: Vec) -> Fraction:
     return sum(a * b for a, b in zip(x, y))
 
 
-def _vec(entries) -> Vec:
-    return tuple(Fraction(e) for e in entries)
-
-
 def _unit(n: int, i: int, scale=1) -> Vec:
     v = [Fraction(0)] * n
     v[i] = Fraction(scale)
@@ -324,9 +320,6 @@ class RootSystem:
             out.append(int(c))
         return tuple(out)
 
-    def vector_coords_rational(self, v: Vec) -> tuple[Fraction, ...]:
-        return tuple(dot(v, bv) for bv in self.basis_coroots)
-
     def root_coords(self, alpha: Vec) -> Coords:
         return self.vector_coords(alpha)
 
@@ -354,10 +347,6 @@ class RootSystem:
         diff = tuple(a - b for a, b in zip(lam, mu))
         exp = self.qplus_expansion(diff)
         return exp is not None and all(c >= 0 for c in exp)
-
-    def height(self, mu: Coords) -> int:
-        """Sum of fundamental-weight coordinates (test-set grading)."""
-        return sum(mu)
 
     def min_coroot_pairing(self, lam: Coords):
         """m(lambda): minimal pairing of lam with the positive coroots."""

@@ -25,16 +25,8 @@ from .harmonic import (LaurentPoly, QuadratureGrid, alternating_sum,
                        chat_values, delta_values)
 from .laplacian import LatticeFunction
 from .orthopoly import OrthoPolySystem
-from .qfun import CFunctionSpec, shat, shat_sqrt
+from .qfun import CFunctionSpec, shat_sqrt
 from .rootsys import RootSystem, WeylElement, coroot, dot
-
-
-def orbit_symbol(rs: RootSystem, pi, include_negative: bool = True) -> LaurentPoly:
-    """Multiplication symbol: the exponential sum over W(pi) (and W(-pi))."""
-    orbit = set(rs.weyl_orbit(tuple(pi)))
-    if include_negative:
-        orbit |= {tuple(-c for c in nu) for nu in orbit}
-    return LaurentPoly(rs, {nu: 1 for nu in orbit})
 
 
 def symbol_is_real(sym: LaurentPoly) -> bool:
@@ -139,8 +131,7 @@ class WaveTable:
     def psi0(self, lam) -> np.ndarray:
         lam = tuple(lam)
         if lam not in self._psi0:
-            shifted = tuple(a + b for a, b in zip(self.rs.rho_coords, lam))
-            self._psi0[lam] = alternating_sum(self.rs, shifted).eval_grid(self.grid)
+            self._psi0[lam] = plane_wave_values(self.rs, lam, self.grid)
         return self._psi0[lam]
 
     # -- Fourier pairings ------------------------------------------------
@@ -177,24 +168,26 @@ class WaveTable:
     def inverse_free(self, fhat: SpectralFunction, window) -> LatticeFunction:
         return self._invert(fhat, self.psi0, window)
 
-    def window(self, tops=None) -> list:
+    def window(self) -> list:
         """Default inversion window: every weight of the polynomial table."""
         return list(self.system.weights)
 
 
 def _kernel_bandwidth(system: OrthoPolySystem) -> int:
-    """Largest coordinate reached by any W-image of rho + lam over the table."""
+    """Largest |coordinate| of any W-image of rho + lam over the table.
+
+    Psi_lam is a combination of e^{i<w(rho+mu), xi>} for mu <= lam, so this
+    bounds every kernel frequency.  Two facts make it closed form:
+
+    * for dominant x the largest |basis-coroot coordinate| over W x is
+      <x, theta^vee>, theta^vee the highest coroot of R0, which is the
+      largest <x, alpha^vee> over alpha in R0+;
+    * a weight mu <= lam has rho + mu in the convex hull of W(rho + lam),
+      so it never raises the maximum.
+    """
     rs = system.rs
-    rho = rs.rho_coords
-    best = 0
-    maximal = [lam for lam in system.weights
-               if not any(lam != mu and rs.dominance_leq(lam, mu)
-                          for mu in system.weights)]
-    for lam in maximal:
-        shifted = tuple(a + b for a, b in zip(lam, rho))
-        for nu in rs.weyl_orbit(shifted):
-            best = max(best, max(abs(c) for c in nu))
-    return best
+    shifted = [tuple(a + b for a, b in zip(lam, rs.rho_coords)) for lam in system.weights]
+    return max(int(rs.pairing(x, alpha)) for x in shifted for alpha in rs.positive_roots_0)
 
 
 def plane_wave_values(rs: RootSystem, lam, grid: QuadratureGrid) -> np.ndarray:
@@ -267,19 +260,20 @@ def convergence_report(table: WaveTable, lambdas) -> dict:
             "covariant")
         ms.append(float(table.rs.min_coroot_pairing(tuple(lam))))
         norms.append(spectral_norm(diff))
-    slope, intercept, r2 = _linear_fit(np.array(ms), np.log(np.maximum(norms, 1e-300)))
+    y = np.log(np.maximum(norms, 1e-300))
+    slope, intercept, ss_res = _linear_fit(np.array(ms), y)
+    ss_tot = float(np.sum((y - np.mean(y)) ** 2))
+    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
     return {"lambdas": [tuple(l) for l in lambdas], "m": ms, "norms": norms,
             "slope": slope, "intercept": intercept, "r_squared": r2}
 
 
 def _linear_fit(x: np.ndarray, y: np.ndarray):
+    """Least-squares line y ~ slope x + intercept; returns it with its RSS."""
     a = np.vstack([x, np.ones_like(x)]).T
     coef, *_ = np.linalg.lstsq(a, y, rcond=None)
-    pred = a @ coef
-    ss_res = float(np.sum((y - pred) ** 2))
-    ss_tot = float(np.sum((y - np.mean(y)) ** 2))
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    return float(coef[0]), float(coef[1]), r2
+    rss = float(np.sum((y - a @ coef) ** 2))
+    return float(coef[0]), float(coef[1]), rss
 
 
 # -- regular sector and the scattering matrix ------------------------------

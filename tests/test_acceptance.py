@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from alcove.harmonic import (QuadratureGrid, gram_matrix, monomial_symmetric,
-                             weyl_character)
+                             orbit_symbol, weyl_character)
 from alcove.laplacian import (LatticeFunction, apply_fourier_conjugated,
                               apply_free, apply_free_closed, apply_koornwinder,
                               apply_macdonald_ruijsenaars, commutator_residual,
@@ -26,8 +26,7 @@ from alcove.qfun import unit_spec
 from alcove.rank1 import (Rank1Params, askey_wilson, rank1_laplacian,
                           rank1_smatrix, rank1_wave)
 from alcove.rootsys import build_root_system
-from alcove.scattering import (ScatteringContext, WaveTable,
-                               convergence_report, orbit_symbol)
+from alcove.scattering import ScatteringContext, WaveTable, convergence_report
 from alcove.evolution import run_scattering_diagnostic
 
 RESULTS = []

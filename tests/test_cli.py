@@ -136,3 +136,50 @@ def test_unknown_suite(tmp_path):
     with pytest.raises(SystemExit) as err:
         main(["verify", "--suite", "nope", "--config", cfg])
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize("argv,patch", [
+    (["scatter", "--ray"], {"task": {"ray": {"steps": 0}}}),
+    (["scatter", "--evolve"], {"task": {"evolve": {"times": []}}}),
+    (["scatter", "--evolve"], {"task": {"evolve": {"radius": 0}}}),
+    (["scatter", "--ray"], {"grid": {"M": 1}}),
+    (["export", "smatrix"], {"grid": {"M": 1}}),
+])
+def test_bad_task_values_are_config_errors(tmp_path, argv, patch):
+    cfg = _cfg(tmp_path, "bad.json", {
+        "root_system": {"label": "A", "rank": 1},
+        "cfunctions": {"family": "macdonald", "g": 2.0, "q": 0.5}, **patch})
+    assert main(argv + ["--config", cfg, "--out", str(tmp_path / "out")]) == 2
+
+
+@pytest.mark.parametrize("verb", [["verify"], ["export", "polynomials"]])
+def test_workers_only_on_scatter(tmp_path, verb):
+    cfg = _cfg(tmp_path, "a2.json", A2_MACDONALD)
+    with pytest.raises(SystemExit) as err:
+        main(verb + ["--config", cfg, "--workers", "2"])
+    assert err.value.code == 2
+
+
+BC1_EVOLVE = {
+    "root_system": {"label": "BC", "rank": 1},
+    "cfunctions": {"family": "koornwinder", "ghat": 1.0,
+                   "g0123": [0.9, 0.7, 0.6, 0.8], "q": 0.45},
+    "task": {"evolve": {"times": [4, 8, 16, 32], "lattice_depth": 150}},
+}
+
+
+def test_scatter_evolve(tmp_path):
+    cfg = _cfg(tmp_path, "bc1.json", BC1_EVOLVE)
+    reports = []
+    for workers in ("1", "2"):
+        out = tmp_path / f"evolve{workers}.json"
+        assert main(["scatter", "--evolve", "--config", cfg, "--out", str(out),
+                     "--workers", workers]) == 0
+        reports.append(out.read_bytes())
+    assert json.loads(reports[0])["evolution"]["success"] is True
+    assert reports[0] == reports[1]
+    shallow = json.loads(json.dumps(BC1_EVOLVE))
+    shallow["task"]["evolve"]["lattice_depth"] = 40
+    cfg = _cfg(tmp_path, "shallow.json", shallow)
+    assert main(["scatter", "--evolve", "--config", cfg,
+                 "--out", str(tmp_path / "shallow_out.json")]) == 5

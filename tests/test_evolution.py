@@ -7,10 +7,10 @@ from alcove.evolution import (PacketError, WavePacket,
                               free_packet, interacting_packet, leakage,
                               run_scattering_diagnostic, smoothstep,
                               window_sites)
-from alcove.harmonic import QuadratureGrid
+from alcove.harmonic import QuadratureGrid, orbit_symbol
 from alcove.orthopoly import MacdonaldParams, gram_schmidt
 from alcove.qfun import unit_spec
-from alcove.scattering import ScatteringContext, WaveTable, orbit_symbol
+from alcove.scattering import ScatteringContext, WaveTable
 
 
 @pytest.fixture(scope="module")

@@ -122,6 +122,24 @@ def test_inner_product_hermitian_positive(a2):
     assert inner_product(real, real, spec).real >= 0
 
 
+def test_inner_product_builds_no_grid_above_max_m(a2, monkeypatch):
+    # tol = 0 never stabilizes: the ladder must stop before exceeding max_m
+    import alcove.harmonic as harmonic
+    built = []
+
+    class RecordingGrid(QuadratureGrid):
+        def __init__(self, rs, M):
+            built.append(M)
+            super().__init__(rs, M)
+
+    monkeypatch.setattr(harmonic, "QuadratureGrid", RecordingGrid)
+    spec = macdonald_spec(a2, 1.3, 0.5)
+    one = LaurentPoly.one(a2)
+    with pytest.raises(harmonic.QuadratureError):
+        inner_product(one, one, spec, tol=0.0, max_m=48)
+    assert built == [10, 20, 40]
+
+
 def test_rank1_constant_term_oracle(a1):
     """(m_0, m_0) on A1 against an independent truncated-Taylor constant term.
 

@@ -4,17 +4,19 @@ import math
 import numpy as np
 import pytest
 
-from alcove.harmonic import LaurentPoly, QuadratureGrid, monomial_symmetric
-from alcove.laplacian import (LatticeFunction, V_coeff, apply_fourier_conjugated,
+from alcove.harmonic import (LaurentPoly, QuadratureGrid, monomial_symmetric,
+                             orbit_symbol)
+from alcove.laplacian import (LatticeFunction, apply_fourier_conjugated,
                               apply_free, apply_free_closed, apply_koornwinder,
                               apply_macdonald_ruijsenaars, commutator_residual,
                               diagonal_shift, interior_sites,
                               localization_support, operator_matrix,
                               orbit_with_negatives)
-from alcove.orthopoly import KoornwinderParams, MacdonaldParams, gram_schmidt
+from alcove.orthopoly import (KoornwinderParams, MacdonaldParams, gram_schmidt,
+                              hopping_coefficient)
 from alcove.qfun import unit_spec
 from alcove.rootsys import build_root_system
-from alcove.scattering import WaveTable, orbit_symbol
+from alcove.scattering import WaveTable
 
 
 def _fvec(rs, mu):
@@ -96,7 +98,7 @@ def test_v_coefficient_limits(a2):
     par0 = MacdonaldParams.create(a2, 1e-14, 0.5)
     x = _fvec(a2, (2, 1)) + par0.rho_g()
     for nu in a2.weyl_orbit((1, 0)):
-        assert abs(V_coeff(par0, _fvec(a2, nu), x) - 1.0) < 1e-12
+        assert abs(hopping_coefficient(par0, _fvec(a2, nu), x) - 1.0) < 1e-12
 
 
 def test_v_sum_is_diagonal_shift(a2, b2):
@@ -110,7 +112,7 @@ def test_v_sum_is_diagonal_shift(a2, b2):
         for _ in range(5):
             x = sum(rng.uniform(1.0, 3.0) * _fvec(rs, tuple(int(j == r) for j in range(rs.rank)))
                     for r in range(rs.rank))
-            total = sum(V_coeff(par, _fvec(rs, nu), x)
+            total = sum(hopping_coefficient(par, _fvec(rs, nu), x)
                         for nu in orbit_with_negatives(rs, pi))
             assert abs(total - shift) < 1e-9 * abs(shift)
 
@@ -252,3 +254,9 @@ def test_operator_norm_bound(a2, a2_macdonald):
                                for lam in interior})
     out = apply_macdonald_ruijsenaars(a2_macdonald, pi, phi)
     assert out.norm() <= bound * phi.norm() * (1 + 1e-12)
+
+
+def test_all_names_resolve():
+    import alcove.laplacian as laplacian
+    missing = [name for name in laplacian.__all__ if not hasattr(laplacian, name)]
+    assert not missing

@@ -150,7 +150,8 @@ def test_cross_validation_laplacian(bc1, bc1_koornwinder, params):
 
 
 def test_cross_validation_smatrix(bc1, bc1_koornwinder, bc1_table, params):
-    from alcove.scattering import ScatteringContext, orbit_symbol
+    from alcove.harmonic import orbit_symbol
+    from alcove.scattering import ScatteringContext
     ctx = ScatteringContext(bc1_table, orbit_symbol(bc1, (1,)))
     ks = np.nonzero(ctx.regular_mask)[0][3:200:11]
     for k in ks:

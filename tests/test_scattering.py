@@ -1,15 +1,18 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from alcove.harmonic import QuadratureGrid, eval_delta, weyl_character
+from alcove.harmonic import (QuadratureGrid, eval_delta, orbit_symbol,
+                             weyl_character)
 from alcove.laplacian import LatticeFunction, apply_fourier_conjugated, operator_matrix
 from alcove.orthopoly import MacdonaldParams, gram_schmidt
 from alcove.qfun import unit_spec
-from alcove.rootsys import dot
+from alcove.rootsys import build_root_system, dot
 from alcove.scattering import (RegularSectorError, ScatteringContext,
-                               SpectralFunction, WaveTable,
+                               SpectralFunction, WaveTable, _kernel_bandwidth,
                                asymptotic_wave_values, convergence_report,
-                               orbit_symbol, plane_wave_values,
+                               plane_wave_values,
                                smatrix_factor, smatrix_factor_direct,
                                smatrix_factor_half, spectral_inner,
                                spectral_norm)
@@ -59,6 +62,22 @@ def test_plane_wave_identities(a2, bc1):
     chi = weyl_character(a2, (2, 1)).eval_grid(grid2)
     dv = np.array([eval_delta(a2, xi) for xi in grid2.xi])
     assert np.max(np.abs(plane_wave_values(a2, (2, 1), grid2) - dv * chi)) < 1e-10
+
+
+@pytest.mark.parametrize("label,rank,tops", [
+    ("A", 1, [(9,), (8,)]), ("A", 2, [(4, 4), (6, 0)]), ("B", 2, [(3, 3)]),
+    ("G", 2, [(2, 3)]), ("BC", 1, [(12,), (11,)]), ("BC", 2, [(3, 2)]),
+    ("A", 3, [(2, 1, 2)])])
+def test_kernel_bandwidth_closed_form(label, rank, tops):
+    # brute force: the largest |coordinate| over W(rho + lam), every table weight
+    rs = build_root_system(label, rank)
+    weights = rs.saturated_weights(tops)
+    brute = max(abs(c)
+                for lam in weights
+                for nu in rs.weyl_orbit(tuple(a + b for a, b in zip(lam, rs.rho_coords)))
+                for c in nu)
+    table = SimpleNamespace(rs=rs, weights=weights)
+    assert _kernel_bandwidth(table) == brute
 
 
 def test_smatrix_factor_structure(a2, a2_macdonald):
