@@ -28,8 +28,8 @@ from .orthopoly import (KoornwinderParams, MacdonaldParams, ParameterError,
                         symmetry_residual)
 from .qfun import unit_spec
 from .rootsys import BudgetExceededError, build_root_system
-from .scattering import (ScatteringContext, WaveTable, convergence_report,
-                         smatrix_factor)
+from .scattering import (ScatteringContext, WaveTable, _kernel_bandwidth,
+                         convergence_report, smatrix_factor)
 from .evolution import PacketError, run_scattering_diagnostic
 
 EXIT_OK = 0
@@ -106,6 +106,19 @@ def grid_m(cfg: dict, default: int) -> int:
     return m
 
 
+def table_grid_m(cfg: dict, system, default: int | None = None) -> int:
+    """grid.M for a wave table of system: at least 2 * bandwidth + 2, so that
+    the inverse transforms do not alias.  Without a default it defaults to
+    2 * bandwidth + 32."""
+    band = _kernel_bandwidth(system)
+    m = grid_m(cfg, 2 * band + 32 if default is None else default)
+    if m < 2 * band + 2:
+        raise ConfigError(
+            f"grid.M={m} cannot resolve the kernel frequencies up to {band} of "
+            f"the polynomial table; the smallest M that works is {2 * band + 2}")
+    return m
+
+
 def _report(out_path, payload, cfg):
     payload = {"version": __version__, "config": cfg, **payload}
     text = json.dumps(payload, indent=2, sort_keys=True, default=str)
@@ -177,8 +190,8 @@ def _suite_appendix_a(rs, params, spec, cfg, tol):
 def _regular_point(rs, rng, tries: int = 64):
     for _ in range(tries):
         xi = rng.uniform(0.2, 2.2, size=rs.dim)
-        ok = all(abs(np.sin(0.5 * float(np.dot(
-            [float(x) for x in a], xi)))) > 0.08 for a in rs.roots)
+        ok = all(abs(np.sin(0.5 * float(np.dot(av, xi)))) > 0.08
+                 for av in rs.roots_f)
         if ok:
             return xi
     raise RuntimeError("could not sample a point away from the singular set")
@@ -280,14 +293,17 @@ def cmd_scatter(args) -> int:
     if args.ray:
         ray = task.get("ray", {})
         direction = tuple(int(x) for x in ray.get("direction", (1,) * rs.rank))
+        if len(direction) != rs.rank or not rs.is_dominant(direction) \
+                or not any(direction):
+            raise ConfigError("task.ray.direction must be a nonzero dominant "
+                              f"weight of rank {rs.rank}, got {list(direction)}")
         steps = int(ray.get("steps", 6))
         if steps < 1:
             raise ConfigError(f"task.ray.steps must be at least 1, got {steps}")
         lambdas = [tuple(l * d for d in direction) for l in range(1, steps + 1)]
         tops = [lambdas[-1], lambdas[-2]] if steps > 1 else [lambdas[-1]]
         system = gram_schmidt(rs, spec, tops)
-        from .scattering import _kernel_bandwidth
-        m = grid_m(cfg, 2 * _kernel_bandwidth(system) + 32)
+        m = table_grid_m(cfg, system)
         rep = convergence_report(WaveTable(system, QuadratureGrid(rs, m)), lambdas)
         if args.out:
             with open(args.out, "w", newline="") as fh:
@@ -302,6 +318,8 @@ def cmd_scatter(args) -> int:
         times = [float(t) for t in ev.get("times", [4, 8, 16, 32])]
         if not times:
             raise ConfigError("task.evolve.times must not be empty")
+        if 0.0 in times:
+            raise ConfigError(f"task.evolve.times must be nonzero, got {times}")
         pi = tuple(int(x) for x in ev.get("orbit", ())) or \
             tuple(1 if j == 0 else 0 for j in range(rs.rank))
         sym = orbit_symbol(rs, pi)
@@ -373,8 +391,8 @@ def cmd_export(args) -> int:
                                      repr(float(mat[i, j].imag))])
         return EXIT_OK
     if what == "smatrix":
-        grid = QuadratureGrid(rs, grid_m(cfg, 48))
         system = gram_schmidt(rs, spec, tops)
+        grid = QuadratureGrid(rs, table_grid_m(cfg, system, default=48))
         sym = orbit_symbol(rs, rs.quasi_minuscule_weight())
         ctx = ScatteringContext(WaveTable(system, grid), sym)
         ks = np.nonzero(ctx.regular_mask)[0]

@@ -111,11 +111,8 @@ class WavePacket:
         corners = itertools.product(*zip(self.v_lo, self.v_hi))
         eps = math.inf
         for corner in corners:
-            v = self.what.act(tuple(map(float, corner)))
-            v = np.array([float(x) for x in v])
-            for a in self.rs.positive_roots:
-                av = np.array([float(x) for x in a])
-                aa = float(np.dot(av, av))
+            v = np.array(self.what.act_float(corner))
+            for av, aa in zip(self.rs.positive_roots_f, self.rs.positive_len2.tolist()):
                 eps = min(eps, 2.0 * float(np.dot(v, av)) / aa)
         return eps
 
@@ -146,9 +143,8 @@ def _coord_bounds(packet: WavePacket, t: float, inflation: float, margin: int):
     cmin = np.full(rs.rank, math.inf)
     cmax = np.full(rs.rank, -math.inf)
     for corner in corners:
-        wv = np.array([float(x) for x in w.act(tuple(map(float, corner)))])
-        coords = np.array([float(np.dot(wv, np.array([float(y) for y in bv])))
-                           for bv in rs.basis_coroots])
+        wv = np.array(w.act_float(corner))
+        coords = np.array([float(np.dot(wv, bv)) for bv in rs.basis_coroots_f])
         coords = t * coords
         cmin = np.minimum(cmin, coords)
         cmax = np.maximum(cmax, coords)
@@ -180,10 +176,8 @@ def classical_support(packet: WavePacket, t: float) -> list:
     winv = w.inverse()
     out = []
     for lam in window_sites(packet, t, inflation=1.0, margin=2):
-        vec = np.array([float(x) for x in
-                        rs.weight_vector(tuple(a + b for a, b in
-                                               zip(lam, rs.rho_coords)))])
-        u = np.array([float(x) for x in winv.act(tuple(vec))]) / t
+        vec = rs.float_weight(tuple(a + b for a, b in zip(lam, rs.rho_coords)))
+        u = np.array(winv.act_float(vec)) / t
         if np.all(u >= packet.v_lo - 1e-12) and np.all(u <= packet.v_hi + 1e-12):
             out.append(lam)
     return sorted(out)
@@ -221,15 +215,9 @@ def asymptotic_packet(packet: WavePacket, sign: int, t: float,
     scattered = packet.ctx.smatrix_apply(packet.spectral(), -0.5 * sign)
     vals = scattered.values * np.exp(-1j * t * packet.ctx.symbol_values)
     vals = np.where(packet.grid.alcove_mask, vals, 0.0)
-    spec = packet.ctx.table.spec
-    cache = packet.ctx._factor_cache
+    kernels = asymptotic_wave_values(packet.ctx.table.spec, window, packet.grid)
     out = {}
-    for lam in window:
-        key = ("asymp", tuple(lam))
-        kern = cache.get(key)
-        if kern is None:
-            kern = asymptotic_wave_values(spec, lam, packet.grid)
-            cache[key] = kern
+    for lam, kern in zip(window, kernels):
         c = complex(np.mean(vals * kern))
         if c != 0:
             out[tuple(lam)] = c
@@ -363,7 +351,7 @@ def run_scattering_diagnostic(system: OrthoPolySystem, symbol: LaurentPoly,
     names = ["interacting_vs_free", "free_vs_classical",
              "asymptotic_vs_classical", "interacting_vs_asymptotic",
              "projected_interacting_vs_asymptotic"]
-    meta = {"sign": sign, "center": list(map(float, center)), "radius": radius,
+    meta = {"sign": sign, "center": [float(c) for c in center], "radius": radius,
             "times": list(times)}
     from .scattering import _kernel_bandwidth
     fmax = _kernel_bandwidth(system)

@@ -102,9 +102,8 @@ class LaurentPoly:
         """Evaluate at one point; xi is an ambient vector (may be complex)."""
         xi = np.asarray(xi, dtype=complex)
         total = 0j
-        rs = self.rs
-        for mu, c in self.terms.items():
-            v = np.array([float(x) for x in rs.weight_vector(mu)])
+        vecs = self.rs.float_weights(list(self.terms))
+        for c, v in zip(self.terms.values(), vecs):
             total += complex(c) * np.exp(1j * np.dot(v, xi))
         return total
 
@@ -113,8 +112,8 @@ class LaurentPoly:
         xi = np.asarray(xi_real, dtype=float)
         sh = np.asarray(shift, dtype=float)
         total = 0j
-        for mu, c in self.terms.items():
-            v = np.array([float(x) for x in self.rs.weight_vector(mu)])
+        vecs = self.rs.float_weights(list(self.terms))
+        for c, v in zip(self.terms.values(), vecs):
             total += complex(c) * np.exp(1j * np.dot(v, xi) - s * np.dot(v, sh))
         return total
 
@@ -162,8 +161,8 @@ def eval_delta(rs: RootSystem, xi) -> complex:
     """delta(xi) as the product over R0+ of (e^{i<a,xi>/2} - e^{-i<a,xi>/2})."""
     xi = np.asarray(xi, dtype=float)
     out = 1.0 + 0j
-    for a in rs.positive_roots_0:
-        th = float(np.dot([float(x) for x in a], xi))
+    for av in rs.positive_roots_0_f:
+        th = float(np.dot(av, xi))
         out *= 2j * np.sin(th / 2.0)
     return out
 
@@ -276,9 +275,7 @@ class QuadratureGrid:
     def xi(self) -> np.ndarray:
         """Grid points as ambient vectors, shape (size, dim)."""
         if self._xi is None:
-            beta = np.array([[float(x) for x in b]
-                             for b in self.rs.basis_coroots])
-            self._xi = (2.0 * np.pi / self.M) * (self.index @ beta)
+            self._xi = (2.0 * np.pi / self.M) * (self.index @ self.rs.basis_coroots_f)
         return self._xi
 
     @property
@@ -320,8 +317,8 @@ def weight_function_eval(spec: CFunctionSpec, xi) -> float:
     rs = spec.rs
     xi = np.asarray(xi, dtype=float)
     c = 1.0 + 0j
-    for a in rs.positive_roots_1:
-        th = float(np.dot([float(x) for x in a], xi))
+    for a, av in zip(rs.positive_roots_1, rs.positive_roots_1_f):
+        th = float(np.dot(av, xi))
         c *= complex(spec.for_root(a)._eval_raw(np.exp(-1j * th)))
     return 1.0 / abs(c) ** 2
 

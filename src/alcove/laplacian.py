@@ -144,13 +144,8 @@ def apply_free(rs: RootSystem, pi, phi: LatticeFunction) -> LatticeFunction:
 def short_simple_perp_count(rs: RootSystem, lam) -> int:
     """Number of short simple roots orthogonal to lam (all count as short
     when the system is simply laced)."""
-    lens = {float(sum(x * x for x in a)) for a in rs.simple_roots}
-    shortest = min(lens)
-    count = 0
-    for i, a in enumerate(rs.simple_roots):
-        if float(sum(x * x for x in a)) == shortest and lam[i] == 0:
-            count += 1
-    return count
+    shortest = rs.simple_len2.min()
+    return sum(1 for l, c in zip(rs.simple_len2, lam) if l == shortest and c == 0)
 
 
 def apply_free_closed(rs: RootSystem, pi, phi: LatticeFunction) -> LatticeFunction:
@@ -197,15 +192,12 @@ def diagonal_shift(params: PolyParams, pi) -> float:
     else:
         orbit = orbit_with_negatives(rs, pi)
     s = params.s
-    return float(sum(math.exp(s * float(np.dot(
-        np.array([float(x) for x in rs.weight_vector(nu)]), rho_gv)))
-        for nu in orbit))
+    return float(sum(math.exp(s * float(np.dot(nu_vec, rho_gv)))
+                     for nu_vec in rs.float_weights(orbit)))
 
 
-def _hop_pair(params, rs, lam, nu, rho_g):
+def _hop_pair(params, lam, nu, lam_vec, nu_vec, rho_g):
     """sqrt(V_nu(rho_g+lam) V_{-nu}(rho_g+lam+nu)) with positivity check."""
-    lam_vec = np.array([float(x) for x in rs.weight_vector(lam)])
-    nu_vec = np.array([float(x) for x in rs.weight_vector(nu)])
     v1 = hopping_coefficient(params, nu_vec, rho_g + lam_vec)
     v2 = hopping_coefficient(params, -nu_vec, rho_g + lam_vec + nu_vec)
     if v1 < 0 or v2 < 0:
@@ -250,16 +242,16 @@ def _apply_hopping(params, rs, orbit, phi, pi=None):
             lam = tuple(a - b for a, b in zip(mu, nu))
             if rs.is_dominant(lam):
                 sites.add(lam)
+    orbit_vecs = rs.float_weights(orbit)
     out = {}
     for lam in sites:
-        lam_vec = np.array([float(x) for x in rs.weight_vector(lam)])
+        lam_vec = rs.float_weight(lam)
         acc = shift * phi.get(lam)
-        for nu in orbit:
+        for nu, nu_vec in zip(orbit, orbit_vecs):
             kappa = tuple(a + b for a, b in zip(lam, nu))
             if not rs.is_dominant(kappa):
                 continue
-            nu_vec = np.array([float(x) for x in rs.weight_vector(nu)])
-            acc += _hop_pair(params, rs, lam, nu, rho_g) * phi.get(kappa)
+            acc += _hop_pair(params, lam, nu, lam_vec, nu_vec, rho_g) * phi.get(kappa)
             acc -= hopping_coefficient(params, nu_vec, rho_g + lam_vec) * phi.get(lam)
         if acc != 0:
             out[lam] = acc

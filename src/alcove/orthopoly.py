@@ -14,6 +14,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -22,7 +23,7 @@ from .harmonic import (LaurentPoly, QuadratureGrid, QuadratureError,
                        weyl_denominator, laurent_divide)
 from .qfun import (CFunctionSpec, cfun_taylor, koornwinder_spec,
                    macdonald_spec, qpochhammer_inf)
-from .rootsys import RootSystem, coroot, dot
+from .rootsys import RootSystem
 
 
 # ---------------------------------------------------------------------------
@@ -31,10 +32,6 @@ from .rootsys import RootSystem, coroot, dot
 
 class ParameterError(ValueError):
     pass
-
-
-def _fvec(v) -> np.ndarray:
-    return np.array([float(x) for x in v])
 
 
 @dataclass(frozen=True)
@@ -51,7 +48,7 @@ class MacdonaldParams:
             raise ParameterError("MacdonaldParams needs a reduced root system")
         if not 0 < q < 1:
             raise ParameterError(f"q must be in (0,1), got {q}")
-        lens = sorted({float(dot(a, a)) for a in rs.positive_roots})
+        lens = sorted(set(rs.positive_len2.tolist()))
         gmap = dict(g) if isinstance(g, dict) else {l: float(g) for l in lens}
         if any(gmap[l] <= 0 for l in lens):
             raise ParameterError("all coupling parameters g must be positive")
@@ -61,27 +58,36 @@ class MacdonaldParams:
     def s(self) -> float:
         return -math.log(self.q)
 
-    def g_of_root(self, alpha) -> float:
-        return dict(self.g_by_len2)[float(dot(alpha, alpha))]
+    @cached_property
+    def g_roots(self) -> tuple:
+        """The coupling of each root of rs.roots, in that order."""
+        gmap = dict(self.g_by_len2)
+        return tuple(gmap[l] for l in self.rs.root_len2.tolist())
+
+    @cached_property
+    def g_positive(self) -> tuple:
+        """The coupling of each root of rs.positive_roots, in that order."""
+        gmap = dict(self.g_by_len2)
+        return tuple(gmap[l] for l in self.rs.positive_len2.tolist())
 
     def cspec(self) -> CFunctionSpec:
         return macdonald_spec(self.rs, dict(self.g_by_len2), self.q)
 
     def rho_g(self) -> np.ndarray:
         out = np.zeros(self.rs.dim)
-        for a in self.rs.positive_roots:
-            out += 0.5 * self.g_of_root(a) * _fvec(a)
+        for g, av in zip(self.g_positive, self.rs.positive_roots_f):
+            out += 0.5 * g * av
         return out
 
     def rho_g_vee(self) -> np.ndarray:
         out = np.zeros(self.rs.dim)
-        for a in self.rs.positive_roots:
-            out += 0.5 * self.g_of_root(a) * _fvec(coroot(a))
+        for g, cv in zip(self.g_positive, self.rs.positive_coroots_f):
+            out += 0.5 * g * cv
         return out
 
     def _cpm_factors(self, x: np.ndarray):
-        for a in self.rs.positive_roots:
-            yield self.g_of_root(a), float(np.dot(x, _fvec(coroot(a))))
+        for g, cv in zip(self.g_positive, self.rs.positive_coroots_f):
+            yield g, float(np.dot(x, cv))
 
     def cplus(self, x: np.ndarray) -> float:
         out = 1.0
@@ -97,11 +103,8 @@ class MacdonaldParams:
 
     def dual(self) -> "MacdonaldParams":
         """Parameters on the dual system; each orbit keeps its coupling."""
-        rsd = self.rs.dual()
-        gmap = {}
-        for a in self.rs.positive_roots:
-            gmap[float(dot(coroot(a), coroot(a)))] = self.g_of_root(a)
-        return MacdonaldParams.create(rsd, gmap, self.q)
+        gmap = dict(zip(self.rs.positive_coroot_len2.tolist(), self.g_positive))
+        return MacdonaldParams.create(self.rs.dual(), gmap, self.q)
 
 
 def _cplus1(g, x, q):
@@ -161,41 +164,41 @@ class KoornwinderParams:
     def cspec(self) -> CFunctionSpec:
         return koornwinder_spec(self.rs, self.ghat, self.gh, self.q)
 
+    @cached_property
     def _short_long(self):
-        roots = self.rs.positive_roots_1
-        lens = sorted({float(dot(a, a)) for a in roots})
-        short = [a for a in roots if float(dot(a, a)) == lens[0]]
-        long_ = [a for a in roots if float(dot(a, a)) != lens[0]]
-        return short, long_
+        """Float rows of the short and the long roots of R1+."""
+        len2 = self.rs.positive_1_len2
+        short = len2 == len2.min()
+        return self.rs.positive_roots_1_f[short], self.rs.positive_roots_1_f[~short]
 
     def rho_g(self) -> np.ndarray:
-        short, long_ = self._short_long()
+        short, long_ = self._short_long
         g0 = self.gdual[0]
         out = np.zeros(self.rs.dim)
-        for a in long_:
-            out += 0.5 * self.g * _fvec(a)
-        for a in short:
-            out += g0 * _fvec(a)
+        for av in long_:
+            out += 0.5 * self.g * av
+        for av in short:
+            out += g0 * av
         return out
 
     def rho_g_vee(self) -> np.ndarray:
-        short, long_ = self._short_long()
+        short, long_ = self._short_long
         out = np.zeros(self.rs.dim)
-        for a in long_:
-            out += 0.5 * self.ghat * _fvec(a)
-        for a in short:
-            out += self.gh[0] * _fvec(a)
+        for av in long_:
+            out += 0.5 * self.ghat * av
+        for av in short:
+            out += self.gh[0] * av
         return out
 
     def cplus(self, x: np.ndarray) -> float:
-        short, long_ = self._short_long()
+        short, long_ = self._short_long
         q = self.q
         g0, g1, g2, g3 = self.gdual
         out = 1.0
-        for a in long_:
-            out *= _cplus1(self.g, float(np.dot(x, _fvec(a))), q)
-        for a in short:
-            xa = float(np.dot(x, _fvec(a)))
+        for av in long_:
+            out *= _cplus1(self.g, float(np.dot(x, av)), q)
+        for av in short:
+            xa = float(np.dot(x, av))
             if xa <= 0:
                 raise ParameterError(f"c^+ argument must be positive, got {xa}")
             num = float(qpochhammer_inf(q ** (g0 + xa), q).real)
@@ -207,14 +210,14 @@ class KoornwinderParams:
         return out
 
     def cminus(self, x: np.ndarray) -> float:
-        short, long_ = self._short_long()
+        short, long_ = self._short_long
         q = self.q
         g0, g1, g2, g3 = self.gdual
         out = 1.0
-        for a in long_:
-            out *= _cminus1(self.g, float(np.dot(x, _fvec(a))), q)
-        for a in short:
-            xa = float(np.dot(x, _fvec(a)))
+        for av in long_:
+            out *= _cminus1(self.g, float(np.dot(x, av)), q)
+        for av in short:
+            xa = float(np.dot(x, av))
             den = float(qpochhammer_inf(q ** (1 - g0 + xa), q).real)
             den *= float(qpochhammer_inf(-(q ** (1 - g1 + xa)), q).real)
             den *= float(qpochhammer_inf(q ** (0.5 - g2 + xa), q).real)
@@ -248,7 +251,7 @@ class NormData:
 def norm_constants(params: PolyParams, lam) -> NormData:
     rs = params.rs
     rho = params.rho_g()
-    x = rho + _fvec(rs.weight_vector(tuple(lam)))
+    x = rho + rs.float_weight(lam)
     cp0, cm0 = params.cplus(rho), params.cminus(rho)
     cpl, cml = params.cplus(x), params.cminus(x)
     data = NormData(delta=(cp0 * cm0) / (cpl * cml), n0=cm0 / cp0,
@@ -436,8 +439,8 @@ def symmetry_residual(params: MacdonaldParams, system: OrthoPolySystem,
     """|P^R_lam(is(rho_g^vee + mu)) - P^{R^vee}_mu(is(rho_g + lam))|."""
     rs = params.rs
     dparams = params.dual()
-    lam_vec = _fvec(rs.weight_vector(tuple(lam)))
-    mu_vec = _fvec(dparams.rs.weight_vector(tuple(mu)))
+    lam_vec = rs.float_weight(lam)
+    mu_vec = dparams.rs.float_weight(mu)
     p_r = system.monic(lam) * norm_constants(params, lam).c_lam
     p_d = dual_system.monic(mu) * norm_constants(dparams, mu).c_lam
     lhs = p_r.eval_shifted(np.zeros(rs.dim), params.rho_g_vee() + mu_vec, params.s)
@@ -461,14 +464,11 @@ def macdonald_identity_residual(params: MacdonaldParams, pi_dual, xi) -> float:
     rho_g = params.rho_g()
     lhs = 0j
     rhs = 0.0
-    for nu in rsd.weyl_orbit(tuple(pi_dual)):
-        nu_vec = _fvec(rsd.weight_vector(nu))
+    for nu_vec in rsd.float_weights(list(rsd.weyl_orbit(tuple(pi_dual)))):
         term = 1.0 + 0j
-        for a in rs.roots:
-            av = _fvec(a)
+        for a, av, g in zip(rs.roots, rs.roots_f, params.g_roots):
             pairing = round(float(np.dot(nu_vec, av)))
             if pairing == 1:
-                g = params.g_of_root(a)
                 za = float(np.dot(xi, av))
                 if abs(math.sin(za / 2.0)) < 1e-12:
                     raise ValueError(f"xi lies on a singular hyperplane for root {a}")
@@ -494,18 +494,15 @@ def difference_equation_residual(params: MacdonaldParams, system: OrthoPolySyste
     nd = norm_constants(params, lam)
     p = system.monic(lam) * nd.c_lam
     rho_g = params.rho_g()
-    lam_vec = _fvec(rs.weight_vector(tuple(lam)))
+    lam_vec = rs.float_weight(lam)
     p_at = p.eval_at(xi)
     lhs = 0j
     rhs = 0j
-    for nu in rsd.weyl_orbit(tuple(pi_dual)):
-        nu_vec = _fvec(rsd.weight_vector(nu))
+    for nu_vec in rsd.float_weights(list(rsd.weyl_orbit(tuple(pi_dual)))):
         coeffv = 1.0 + 0j
-        for a in rs.roots:
-            av = _fvec(a)
+        for av, g in zip(rs.roots_f, params.g_roots):
             m = round(float(np.dot(nu_vec, av)))
             if m > 0:
-                g = params.g_of_root(a)
                 za = float(np.dot(xi, av))
                 num = _sin_pochhammer(1j * s * g + za, m, s)
                 den = _sin_pochhammer(za + 0j, m, s)
@@ -530,12 +527,10 @@ def hopping_coefficient(params: PolyParams, nu_vec: np.ndarray, x: np.ndarray) -
     if isinstance(params, KoornwinderParams):
         return _koornwinder_v(params, nu_vec, x)
     out = 1.0
-    for a in params.rs.roots:
-        av = _fvec(coroot(a))
+    for av, g in zip(params.rs.coroots_f, params.g_roots):
         m = round(float(np.dot(nu_vec, av)))
         if m <= 0:
             continue
-        g = params.g_of_root(a)
         xa = float(np.dot(x, av))
         for l in range(m):
             den = math.sinh(0.5 * s * (xa + l))
@@ -548,11 +543,11 @@ def hopping_coefficient(params: PolyParams, nu_vec: np.ndarray, x: np.ndarray) -
 def _koornwinder_v(params: KoornwinderParams, nu_vec: np.ndarray, x: np.ndarray) -> float:
     s = params.s
     g0, g1, g2, g3 = params.gdual
-    short, long_ = params._short_long()
+    short, long_ = params._short_long
     out = 1.0
     for a in long_:
         for sgn in (1.0, -1.0):
-            av = sgn * _fvec(a)
+            av = sgn * a
             if round(float(np.dot(nu_vec, av))) == 1:
                 xa = float(np.dot(x, av))
                 den = math.sinh(0.5 * s * xa)
@@ -561,7 +556,7 @@ def _koornwinder_v(params: KoornwinderParams, nu_vec: np.ndarray, x: np.ndarray)
                 out *= math.sinh(0.5 * s * (params.g + xa)) / den
     for a in short:
         for sgn in (1.0, -1.0):
-            av = sgn * _fvec(a)
+            av = sgn * a
             if round(float(np.dot(nu_vec, av))) == 1:
                 xa = float(np.dot(x, av))
                 d1 = math.sinh(0.5 * s * xa)
@@ -605,7 +600,7 @@ def pieri_residual(params: PolyParams, system: OrthoPolySystem, lam, xi, pi) -> 
     lam = tuple(lam)
     rho_g = params.rho_g()
     rho_gv = params.rho_g_vee()
-    x = rho_g + _fvec(rs.weight_vector(lam))
+    x = rho_g + rs.float_weight(lam)
 
     def normalized(mu):
         return system.monic(mu) * norm_constants(params, mu).c_lam
@@ -614,7 +609,7 @@ def pieri_residual(params: PolyParams, system: OrthoPolySystem, lam, xi, pi) -> 
     lhs = 0j
     rhs = 0j
     for nu in rs.weyl_orbit(tuple(pi)):
-        nu_vec = _fvec(rs.weight_vector(nu))
+        nu_vec = rs.float_weight(nu)
         lhs += (cmath.exp(1j * float(np.dot(nu_vec, xi)))
                 - q ** float(np.dot(nu_vec, rho_gv))) * p_at
         lam_nu = tuple(a + b for a, b in zip(lam, nu))

@@ -7,6 +7,13 @@ exact.  Weights are handled as integer coordinate tuples in the
 fundamental-weight basis throughout; the Euclidean vector of a weight is
 recovered with :meth:`RootSystem.weight_vector`.
 
+``Fraction`` is used to construct the data.  The floating-point and integer
+paths read views built once per system: float arrays of the roots, coroots
+and squared lengths (each entry the correctly rounded exact value), the
+fundamental weights as integer numerators over one common denominator
+(:meth:`RootSystem.float_weights`), and the Q+ expansion as an integer
+matrix over a denominator (:meth:`RootSystem.qplus_expansion`).
+
 For BC_N two simple systems coexist: the C_N-type basis (used for the
 fundamental-weight coordinates, so that the half-sum of the reduced
 positive roots pairs to 1 with every basis coroot) and the B_N-type set of
@@ -17,9 +24,12 @@ used by the dominance order).  For reduced systems the two coincide.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
+
+import numpy as np
 
 Vec = tuple[Fraction, ...]
 Coords = tuple[int, ...]
@@ -69,6 +79,28 @@ def _scale(c, x: Vec) -> Vec:
 
 def coroot(alpha: Vec) -> Vec:
     return _scale(Fraction(2, 1) / dot(alpha, alpha), alpha)
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    # views are shared by every caller of the cached system
+    arr.setflags(write=False)
+    return arr
+
+
+def _float_rows(vecs, dim: int) -> np.ndarray:
+    """Exact vectors as float rows, each entry correctly rounded."""
+    return _frozen(np.array([[float(x) for x in v] for v in vecs]).reshape(len(vecs), dim))
+
+
+def _len2s(vecs) -> np.ndarray:
+    """Squared lengths of exact vectors, correctly rounded."""
+    return _frozen(np.array([float(dot(v, v)) for v in vecs]))
+
+
+def _over_common_denominator(rows):
+    """Rational rows as (integer rows, den) with rows == integer rows / den."""
+    den = math.lcm(*(Fraction(x).denominator for row in rows for x in row))
+    return [[int(x * den) for x in row] for row in rows], den
 
 
 def _solve(mat: list[list[Fraction]], rhs: list[list[Fraction]]) -> list[list[Fraction]]:
@@ -125,6 +157,14 @@ class WeylElement:
 
     def act(self, v: Vec) -> Vec:
         return _mat_vec(self.matrix, v)
+
+    @cached_property
+    def _float_matrix(self) -> tuple:
+        return tuple(tuple(float(x) for x in row) for row in self.matrix)
+
+    def act_float(self, v) -> tuple:
+        """w(v) for a float vector, with the products and sums of act."""
+        return tuple(sum(m * x for m, x in zip(row, v)) for row in self._float_matrix)
 
     def inverse(self) -> "WeylElement":
         # products of orthogonal reflections: inverse equals transpose
@@ -292,12 +332,40 @@ class RootSystem:
         )
         self._refl_mats = tuple(
             _reflection_matrix(a, dim) for a in basis)
-        self._gen_gram_inv = _solve(
-            [[dot(a, b) for b in gens] for a in gens], eye)
         # pairing table <omega_j, alpha^vee> over positive roots (integers)
         self._pos_coroot_pairings = tuple(
             tuple(int(dot(w, coroot(a))) for w in self.fundamental_weights)
             for a in self.positive_roots)
+
+        # integer view of the weights: omega_r = _weight_num[r] / _weight_den
+        num, self._weight_den = _over_common_denominator(self.fundamental_weights)
+        self._weight_num = _frozen(np.array(num, dtype=np.int64).reshape(rank, dim))
+        # Q+ expansion of a weight mu over the generators is
+        # mu @ _qplus_num.T / _qplus_den: the Gram solve of the generators
+        # applied to each fundamental weight
+        gram_inv = _solve([[dot(a, b) for b in gens] for a in gens], eye)
+        pair = [[dot(a, w) for w in self.fundamental_weights] for a in gens]
+        expansion = [[sum(gram_inv[i][j] * pair[j][r] for j in range(rank))
+                      for r in range(rank)] for i in range(rank)]
+        num, self._qplus_den = _over_common_denominator(expansion)
+        self._qplus_num = tuple(tuple(row) for row in num)
+
+        # float views aligned with the tuples of exact vectors
+        self.roots_f = _float_rows(self.roots, dim)
+        self.coroots_f = _float_rows([coroot(a) for a in self.roots], dim)
+        self.root_len2 = _len2s(self.roots)
+        self.positive_roots_f = _float_rows(self.positive_roots, dim)
+        self.positive_coroots_f = _float_rows(
+            [coroot(a) for a in self.positive_roots], dim)
+        self.positive_len2 = _len2s(self.positive_roots)
+        self.positive_coroot_len2 = _len2s(
+            [coroot(a) for a in self.positive_roots])
+        self.positive_roots_0_f = _float_rows(self.positive_roots_0, dim)
+        self.positive_roots_1_f = _float_rows(self.positive_roots_1, dim)
+        self.positive_1_len2 = _len2s(self.positive_roots_1)
+        self.simple_roots_f = _float_rows(self.simple_roots, dim)
+        self.simple_len2 = _len2s(self.simple_roots)
+        self.basis_coroots_f = _float_rows(self.basis_coroots, dim)
         self._weyl_cache: dict[int, tuple[WeylElement, ...]] = {}
         self._coord_mats: dict = {}
 
@@ -323,6 +391,19 @@ class RootSystem:
     def root_coords(self, alpha: Vec) -> Coords:
         return self.vector_coords(alpha)
 
+    def float_weights(self, mus) -> np.ndarray:
+        """Ambient float vectors of a sequence of weights, one row each.
+
+        An integer product and one division: the result is correctly
+        rounded, so it equals float() of the exact weight_vector entries.
+        """
+        coords = np.asarray(mus, dtype=np.int64).reshape(-1, self.rank)
+        return (coords @ self._weight_num) / self._weight_den
+
+    def float_weight(self, mu: Coords) -> np.ndarray:
+        """Ambient float vector of one weight (see float_weights)."""
+        return self.float_weights([mu])[0]
+
     def pairing(self, mu: Coords, alpha: Vec) -> Fraction:
         """<mu, alpha^vee> for a weight mu and a root alpha."""
         return dot(self.weight_vector(mu), coroot(alpha))
@@ -334,13 +415,11 @@ class RootSystem:
 
     def qplus_expansion(self, mu: Coords):
         """Coefficients of mu over the Q+ generators, or None if not in Q."""
-        v = self.weight_vector(mu)
-        rhs = [dot(a, v) for a in self.gen_simples]
-        coeffs = [sum(self._gen_gram_inv[i][j] * rhs[j] for j in range(self.rank))
-                  for i in range(self.rank)]
-        if any(c.denominator != 1 for c in coeffs):
+        den = self._qplus_den
+        num = [sum(c * t for c, t in zip(mu, row)) for row in self._qplus_num]
+        if any(x % den for x in num):
             return None
-        return tuple(int(c) for c in coeffs)
+        return tuple(x // den for x in num)
 
     def dominance_leq(self, mu: Coords, lam: Coords) -> bool:
         """mu <= lam in the dominance order (lam - mu in Q+)."""
@@ -507,11 +586,12 @@ class RootSystem:
         for top in tops:
             if not self.is_dominant(top):
                 raise ValueError(f"top weight {top} is not dominant")
-            tv = self.weight_vector(top)
-            norm2 = dot(tv, tv)
+            # squared lengths scaled by _weight_den**2 are integers
+            tv = np.asarray(top, dtype=np.int64) @ self._weight_num
+            norm2 = int(tv @ tv)
             bounds = []
-            for w in self.fundamental_weights:
-                ww = dot(w, w)
+            for w in self._weight_num:
+                ww = int(w @ w)
                 b = 0
                 while (b + 1) * (b + 1) * ww <= norm2:
                     b += 1

@@ -26,7 +26,7 @@ from .harmonic import (LaurentPoly, QuadratureGrid, alternating_sum,
 from .laplacian import LatticeFunction
 from .orthopoly import OrthoPolySystem
 from .qfun import CFunctionSpec, shat_sqrt
-from .rootsys import RootSystem, WeylElement, coroot, dot
+from .rootsys import RootSystem, WeylElement, dot
 
 
 def symbol_is_real(sym: LaurentPoly) -> bool:
@@ -42,8 +42,7 @@ def symbol_gradient(sym: LaurentPoly, grid: QuadratureGrid) -> np.ndarray:
     """grad E(xi) over the grid, shape (npoints, ambient_dim)."""
     rs = sym.rs
     out = np.zeros((grid.size, rs.dim), dtype=complex)
-    for mu, c in sym.terms.items():
-        vec = np.array([float(x) for x in rs.weight_vector(mu)])
+    for (mu, c), vec in zip(sym.terms.items(), rs.float_weights(list(sym.terms))):
         out += (1j * complex(c) * np.exp(1j * grid.angles(mu)))[:, None] * vec
     return out.real if symbol_is_real(sym) else out
 
@@ -237,27 +236,29 @@ def smatrix_factor_direct(spec: CFunctionSpec, w: WeylElement,
     return num / den
 
 
-def asymptotic_wave_values(spec: CFunctionSpec, lam,
-                           grid: QuadratureGrid) -> np.ndarray:
-    """Psi^infty_lam = sum_w det(w) S_w^{1/2}(xi) e^{i<rho+lam, w xi>}."""
+def asymptotic_wave_values(spec: CFunctionSpec, lambdas,
+                           grid: QuadratureGrid) -> list:
+    """Psi^infty_lam = sum_w det(w) S_w^{1/2}(xi) e^{i<rho+lam, w xi>} for
+    each lam of lambdas; each S_w^{1/2} is computed once per call."""
     rs = grid.rs
-    shifted = tuple(a + b for a, b in zip(rs.rho_coords, tuple(lam)))
-    out = np.zeros(grid.size, dtype=complex)
-    for w in rs.weyl_group():
-        half = smatrix_factor_half(spec, w, grid)
-        exps = grid.eval_coords(rs.act_coords(w.inverse(), shifted))
-        out += w.sign * half * exps
-    return out
+    terms = [(w.sign * smatrix_factor_half(spec, w, grid), w.inverse())
+             for w in rs.weyl_group()]
+    values = []
+    for lam in lambdas:
+        shifted = tuple(a + b for a, b in zip(rs.rho_coords, tuple(lam)))
+        out = np.zeros(grid.size, dtype=complex)
+        for signed_half, winv in terms:
+            out += signed_half * grid.eval_coords(rs.act_coords(winv, shifted))
+        values.append(out)
+    return values
 
 
 def convergence_report(table: WaveTable, lambdas) -> dict:
     """Norms ||Psi_lam - Psi^infty_lam|| along a ray, with a log-linear fit."""
     ms, norms = [], []
-    for lam in lambdas:
-        diff = SpectralFunction(
-            table.grid,
-            table.psi(lam) - asymptotic_wave_values(table.spec, lam, table.grid),
-            "covariant")
+    asymptotic = asymptotic_wave_values(table.spec, lambdas, table.grid)
+    for lam, psi_inf in zip(lambdas, asymptotic):
+        diff = SpectralFunction(table.grid, table.psi(lam) - psi_inf, "covariant")
         ms.append(float(table.rs.min_coroot_pairing(tuple(lam))))
         norms.append(spectral_norm(diff))
     y = np.log(np.maximum(norms, 1e-300))
@@ -297,15 +298,12 @@ class ScatteringContext:
         self.regularity_tol = regularity_tol
         self.symbol_values = symbol.eval_grid(self.grid).real
         self.gradient = symbol_gradient(symbol, self.grid)
-        self._coroot_mat = np.array(
-            [[float(x) for x in coroot(a)] for a in self.rs.positive_roots]).T
+        self._coroot_mat = self.rs.positive_coroots_f.T
         pair = self.gradient @ self._coroot_mat
         self.regular_mask = self.grid.alcove_mask & \
             (np.min(np.abs(pair), axis=1) > regularity_tol)
         self._what: dict = {}
         self._factor_cache: dict = {}
-        self._simple_coroots = np.array(
-            [[float(x) for x in cv] for cv in self.rs.basis_coroots])
 
     def sector_element(self, k: int) -> WeylElement:
         """The Weyl element taking grad E at grid point k into the open chamber."""
@@ -314,13 +312,12 @@ class ScatteringContext:
         v = self.gradient[k].copy()
         word = []
         for _ in range(4 * len(self.rs.positive_roots) + 4):
-            pair = self._simple_coroots @ v
+            pair = self.rs.basis_coroots_f @ v
             i = int(np.argmin(pair))
             if pair[i] > -self.regularity_tol:
                 break
             word.append(i)
-            av = np.array([float(x) for x in self.rs.simple_roots[i]])
-            v = v - pair[i] * av
+            v = v - pair[i] * self.rs.simple_roots_f[i]
         else:
             raise RegularSectorError("dominantization of grad E did not converge")
         return self._element_from_word(tuple(reversed(word)))

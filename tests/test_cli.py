@@ -144,6 +144,13 @@ def test_unknown_suite(tmp_path):
     (["scatter", "--evolve"], {"task": {"evolve": {"radius": 0}}}),
     (["scatter", "--ray"], {"grid": {"M": 1}}),
     (["export", "smatrix"], {"grid": {"M": 1}}),
+    # at least 2, but below 2 * kernel bandwidth + 2 (bandwidth 7 and 3)
+    (["scatter", "--ray"], {"grid": {"M": 4}}),
+    (["export", "smatrix"], {"grid": {"M": 4}}),
+    (["scatter", "--ray"], {"root_system": {"label": "A", "rank": 2},
+                            "task": {"ray": {"direction": [-1, 1]}}}),
+    (["scatter", "--ray"], {"task": {"ray": {"direction": [0]}}}),
+    (["scatter", "--evolve"], {"task": {"evolve": {"times": [0, 8]}}}),
 ])
 def test_bad_task_values_are_config_errors(tmp_path, argv, patch):
     cfg = _cfg(tmp_path, "bad.json", {

@@ -1,10 +1,15 @@
 import itertools
+import math
+import re
 from fractions import Fraction
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import alcove
 from alcove.rootsys import (BudgetExceededError, build_root_system, coroot,
-                            dot, _determinant)
+                            dot, _determinant, _solve)
 
 
 def test_basic_counts(a1, a2, bc2):
@@ -187,3 +192,129 @@ def test_dual_system(b2):
     assert dual.dual() is dual._dual or dual.dual().label.endswith("vv") is False
     bc = build_root_system("BC", 2)
     assert bc.dual() is bc
+
+
+# -- float and integer views -------------------------------------------------
+
+VIEW_TYPES = [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("C", 3), ("D", 4),
+              ("G", 2), ("F", 4), ("E", 6), ("BC", 1), ("BC", 2),
+              ("B", 2, "dual"), ("G", 2, "dual")]
+
+
+def _case_id(case):
+    return "".join(map(str, case))
+
+
+def _view_system(case):
+    rs = build_root_system(case[0], case[1])
+    return rs.dual() if len(case) > 2 else rs
+
+
+def _box(rs, r):
+    return list(itertools.product(range(-r, r + 1), repeat=rs.rank))
+
+
+def _over_lcm(rows):
+    den = math.lcm(*(Fraction(x).denominator for row in rows for x in row))
+    return [[int(x * den) for x in row] for row in rows], den
+
+
+def _floats(vecs):
+    return [[float(x) for x in v] for v in vecs]
+
+
+@pytest.mark.parametrize("case", VIEW_TYPES, ids=_case_id)
+def test_root_float_views_are_correctly_rounded(case):
+    rs = _view_system(case)
+    coroots = [coroot(a) for a in rs.roots]
+    assert rs.roots_f.tolist() == _floats(rs.roots)
+    assert rs.coroots_f.tolist() == _floats(coroots)
+    assert rs.root_len2.tolist() == [float(dot(a, a)) for a in rs.roots]
+    assert rs.positive_roots_f.tolist() == _floats(rs.positive_roots)
+    assert rs.positive_coroots_f.tolist() == _floats(coroot(a) for a in rs.positive_roots)
+    assert rs.positive_len2.tolist() == [float(dot(a, a)) for a in rs.positive_roots]
+    assert rs.positive_coroot_len2.tolist() == [
+        float(dot(coroot(a), coroot(a))) for a in rs.positive_roots]
+    assert rs.positive_roots_0_f.tolist() == _floats(rs.positive_roots_0)
+    assert rs.positive_roots_1_f.tolist() == _floats(rs.positive_roots_1)
+    assert rs.positive_1_len2.tolist() == [float(dot(a, a)) for a in rs.positive_roots_1]
+    assert rs.simple_roots_f.tolist() == _floats(rs.simple_roots)
+    assert rs.simple_len2.tolist() == [float(dot(a, a)) for a in rs.simple_roots]
+    assert rs.basis_coroots_f.tolist() == _floats(rs.basis_coroots)
+
+
+@pytest.mark.parametrize("case", VIEW_TYPES, ids=_case_id)
+def test_weight_float_view_is_correctly_rounded(case):
+    rs = _view_system(case)
+    # literal float() of the exact vector on the small box
+    for mu in _box(rs, 1):
+        ref = [float(x) for x in rs.weight_vector(mu)]
+        assert rs.float_weight(mu).tolist() == ref
+    # on the box [-3, 3]^rank the exact vector is sum_r mu_r omega_r, written
+    # as integer numerators over the lcm of the denominators; int / int is
+    # correctly rounded, as float() of the exact Fraction is
+    box = _box(rs, 3)
+    num, den = _over_lcm(rs.fundamental_weights)
+    exact = (np.array(box, dtype=np.int64) @ np.array(num, dtype=np.int64)).tolist()
+    ref = [[n / den for n in row] for row in exact]
+    assert rs.float_weights(box).tolist() == ref
+
+
+def _qplus_reference(rs):
+    """Today's Fraction formula: solve the Gram system of the generators
+    against <a_j, mu>.  It is linear in mu, so for speed it is evaluated per
+    fundamental weight and combined with integer numerators over the lcm of
+    its denominators."""
+    eye = [[Fraction(int(i == j)) for j in range(rs.rank)] for i in range(rs.rank)]
+    gram_inv = _solve([[dot(a, b) for b in rs.gen_simples] for a in rs.gen_simples], eye)
+
+    def formula(mu):
+        v = rs.weight_vector(mu)
+        rhs = [dot(a, v) for a in rs.gen_simples]
+        return [sum(gram_inv[i][j] * rhs[j] for j in range(rs.rank))
+                for i in range(rs.rank)]
+
+    basis = [formula(tuple(int(j == r) for j in range(rs.rank))) for r in range(rs.rank)]
+    num, den = _over_lcm(basis)
+
+    def expansions(mus):
+        exact = (np.array(mus, dtype=np.int64) @ np.array(num, dtype=np.int64)).tolist()
+        return [None if any(n % den for n in row) else tuple(n // den for n in row)
+                for row in exact]
+
+    return formula, expansions
+
+
+@pytest.mark.parametrize("case", VIEW_TYPES, ids=_case_id)
+def test_integer_qplus_expansion_matches_fractions(case):
+    rs = _view_system(case)
+    formula, expansions = _qplus_reference(rs)
+    small = _box(rs, 1)
+    for mu, got in zip(small, expansions(small)):
+        coeffs = formula(mu)
+        ref = None if any(c.denominator != 1 for c in coeffs) else \
+            tuple(int(c) for c in coeffs)
+        assert got == ref
+    box = _box(rs, 3)
+    assert [rs.qplus_expansion(mu) for mu in box] == expansions(box)
+
+
+# the float paths read the views above; these are the idioms that converted
+# exact root data on the spot
+CONVERSION_IDIOMS = re.compile(
+    r"_fvec\(|float\((x|y)\) for (x|y) in|weight_vector\(|map\(float|"
+    r"coroot\(a\)|dot\(a, a\)|dot\(alpha, alpha\)")
+FLOAT_PATH_MODULES = ("harmonic", "orthopoly", "laplacian", "scattering",
+                      "evolution", "cli")
+
+
+def test_root_data_conversion_stays_in_rootsys():
+    src = Path(alcove.__file__).parent
+    hits = []
+    for name in FLOAT_PATH_MODULES:
+        lines = (src / f"{name}.py").read_text().splitlines()
+        for n, line in enumerate(lines, 1):
+            # parsing the Koornwinder couplings of a config is not root data
+            if CONVERSION_IDIOMS.search(line) and not re.search(r"gh?0123", line):
+                hits.append(f"{name}.py:{n}: {line.strip()}")
+    assert not hits

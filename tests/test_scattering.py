@@ -101,14 +101,14 @@ def test_asymptotic_wave_unit_equals_plane_wave(a2):
     grid = QuadratureGrid(a2, 24)
     us = unit_spec(a2)
     for lam in [(0, 0), (2, 1)]:
-        assert np.max(np.abs(asymptotic_wave_values(us, lam, grid)
+        assert np.max(np.abs(asymptotic_wave_values(us, [lam], grid)[0]
                              - plane_wave_values(a2, lam, grid))) < 1e-12
 
 
 def test_asymptotic_wave_bc1_closed_form(bc1, bc1_koornwinder, bc1_table):
     from alcove.rank1 import Rank1Params, rank1_asymptotic
     p = Rank1Params(0.45, 0.9, 0.7, 0.6, 0.8)
-    vals = asymptotic_wave_values(bc1_koornwinder.cspec(), (3,), bc1_table.grid)
+    vals, = asymptotic_wave_values(bc1_koornwinder.cspec(), [(3,)], bc1_table.grid)
     mask = bc1_table.grid.alcove_mask
     xs = bc1_table.grid.xi[mask][:, 0]
     oracle = np.array([rank1_asymptotic(3, x, p) for x in xs])
