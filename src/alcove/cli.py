@@ -47,9 +47,13 @@ class ConfigError(ValueError):
 def load_config(path: str) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            cfg = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"config {path} must hold a JSON object, "
+                          f"got {type(cfg).__name__}")
+    return cfg
 
 
 def build_system(cfg: dict):
@@ -69,9 +73,11 @@ def build_system(cfg: dict):
         params = MacdonaldParams.create(rs, g, float(cf.get("q", 0.5)))
         return rs, params, params.cspec()
     if family == "koornwinder":
+        g0123 = cf.get("g0123", [0.5, 0.5, 0.5, 0.5])
+        if not isinstance(g0123, list) or len(g0123) != 4:
+            raise ConfigError(f"cfunctions.g0123 must hold 4 couplings, got {g0123!r}")
         params = KoornwinderParams.create(
-            rs, float(cf.get("ghat", 1.0)),
-            [float(x) for x in cf.get("g0123", [0.5, 0.5, 0.5, 0.5])],
+            rs, float(cf.get("ghat", 1.0)), [float(x) for x in g0123],
             float(cf.get("q", 0.5)))
         return rs, params, params.cspec()
     raise ConfigError(f"unknown c-function family {family!r}")
@@ -80,7 +86,12 @@ def build_system(cfg: dict):
 def weight_tops(cfg: dict, rs) -> list:
     wc = cfg.get("weights", {})
     if "tops" in wc:
-        return [tuple(int(x) for x in t) for t in wc["tops"]]
+        tops = [tuple(int(x) for x in t) for t in wc["tops"]]
+        for top in tops:
+            if len(top) != rs.rank or not rs.is_dominant(top):
+                raise ConfigError("weights.tops must hold dominant weights of "
+                                  f"rank {rs.rank}, got {list(top)}")
+        return tops
     h = int(wc.get("max_height", 2))
     import itertools
     box = [c for c in itertools.product(range(h + 1), repeat=rs.rank)

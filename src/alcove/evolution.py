@@ -111,9 +111,10 @@ class WavePacket:
         corners = itertools.product(*zip(self.v_lo, self.v_hi))
         eps = math.inf
         for corner in corners:
-            v = np.array(self.what.act_float(corner))
-            for av, aa in zip(self.rs.positive_roots_f, self.rs.positive_len2.tolist()):
-                eps = min(eps, 2.0 * float(np.dot(v, av)) / aa)
+            # <w v, alpha^vee> from the weight coordinates of w v
+            coords = self.what.act(self.rs.basis_coroots_f @ corner)
+            for row in self.rs._pos_coroot_pairings:
+                eps = min(eps, float(sum(p * c for p, c in zip(row, coords))))
         return eps
 
     def spectral(self) -> SpectralFunction:
@@ -143,9 +144,7 @@ def _coord_bounds(packet: WavePacket, t: float, inflation: float, margin: int):
     cmin = np.full(rs.rank, math.inf)
     cmax = np.full(rs.rank, -math.inf)
     for corner in corners:
-        wv = np.array(w.act_float(corner))
-        coords = np.array([float(np.dot(wv, bv)) for bv in rs.basis_coroots_f])
-        coords = t * coords
+        coords = t * np.array(w.act(rs.basis_coroots_f @ corner))
         cmin = np.minimum(cmin, coords)
         cmax = np.maximum(cmax, coords)
     rho = np.array(rs.rho_coords)
@@ -176,8 +175,7 @@ def classical_support(packet: WavePacket, t: float) -> list:
     winv = w.inverse()
     out = []
     for lam in window_sites(packet, t, inflation=1.0, margin=2):
-        vec = rs.float_weight(tuple(a + b for a, b in zip(lam, rs.rho_coords)))
-        u = np.array(winv.act_float(vec)) / t
+        u = rs.float_weight(winv.act(tuple(a + b for a, b in zip(lam, rs.rho_coords)))) / t
         if np.all(u >= packet.v_lo - 1e-12) and np.all(u <= packet.v_hi + 1e-12):
             out.append(lam)
     return sorted(out)
@@ -233,7 +231,7 @@ def classical_packet(packet: WavePacket, t: float) -> LatticeFunction:
     out = {}
     for lam in classical_support(packet, t):
         shifted = tuple(a + b for a, b in zip(lam, rs.rho_coords))
-        kern = packet.grid.eval_coords(rs.act_coords(winv, shifted))
+        kern = packet.grid.eval_coords(winv.act(shifted))
         c = w.sign * complex(np.mean(vals * kern))
         if c != 0:
             out[lam] = c

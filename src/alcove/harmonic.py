@@ -85,9 +85,7 @@ class LaurentPoly:
     def compose_weyl(self, w: WeylElement) -> "LaurentPoly":
         """f(xi) -> f(w(xi)); exponents are mapped by w^{-1}."""
         winv = w.inverse()
-        rs = self.rs
-        return LaurentPoly(rs, {rs.act_coords(winv, mu): c
-                                for mu, c in self.terms.items()})
+        return LaurentPoly(self.rs, {winv.act(mu): c for mu, c in self.terms.items()})
 
     def coeff(self, mu):
         return self.terms.get(tuple(mu), 0)
@@ -147,7 +145,7 @@ def alternating_sum(rs: RootSystem, mu) -> LaurentPoly:
     """sum_w det(w) e^{i<w(mu), xi>} over the full Weyl group."""
     out: dict = {}
     for w in rs.weyl_group():
-        key = rs.act_coords(w, tuple(mu))
+        key = w.act(mu)
         out[key] = out.get(key, 0) + w.sign
     return LaurentPoly(rs, out)
 
@@ -300,9 +298,9 @@ def chat_values(spec: CFunctionSpec, grid: QuadratureGrid) -> np.ndarray:
     """The overall c-function C(xi) = prod_{a in R1+} c_|a|(e^{-i<a,xi>})."""
     rs = grid.rs
     out = np.ones(grid.size, dtype=complex)
-    for a in rs.positive_roots_1:
+    for a, c in zip(rs.positive_roots_1, spec.cfunctions):
         z = np.exp(-1j * grid.angles(rs.root_coords(a)))
-        out *= spec.for_root(a)._eval_raw(z)
+        out *= c._eval_raw(z)
     return out
 
 
@@ -317,9 +315,9 @@ def weight_function_eval(spec: CFunctionSpec, xi) -> float:
     rs = spec.rs
     xi = np.asarray(xi, dtype=float)
     c = 1.0 + 0j
-    for a, av in zip(rs.positive_roots_1, rs.positive_roots_1_f):
+    for av, cf in zip(rs.positive_roots_1_f, spec.cfunctions):
         th = float(np.dot(av, xi))
-        c *= complex(spec.for_root(a)._eval_raw(np.exp(-1j * th)))
+        c *= complex(cf._eval_raw(np.exp(-1j * th)))
     return 1.0 / abs(c) ** 2
 
 

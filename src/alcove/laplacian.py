@@ -81,7 +81,7 @@ def localization_support(rs: RootSystem, lam, r: int) -> set:
     omega = tuple(1 if j == r else 0 for j in range(rs.rank))
     top = tuple(a + b for a, b in zip(lam, omega))
     w0 = rs.longest_element()
-    w0_omega = rs.act_coords(w0, omega)
+    w0_omega = w0.act(omega)
     out = set()
     for mu in rs.saturated_weights([top]):
         shifted = tuple(a - b for a, b in zip(mu, w0_omega))
@@ -116,7 +116,7 @@ def apply_free(rs: RootSystem, pi, phi: LatticeFunction) -> LatticeFunction:
     for mu in phi.support():
         shifted = tuple(a + b for a, b in zip(rho, mu))
         for w in group:
-            img = rs.act_coords(w, shifted)
+            img = w.act(shifted)
             base = tuple(a - b for a, b in zip(img, rho))
             for nu in orbit:
                 lam = tuple(a - b for a, b in zip(base, nu))

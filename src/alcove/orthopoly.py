@@ -50,6 +50,9 @@ class MacdonaldParams:
             raise ParameterError(f"q must be in (0,1), got {q}")
         lens = sorted(set(rs.positive_len2.tolist()))
         gmap = dict(g) if isinstance(g, dict) else {l: float(g) for l in lens}
+        if sorted(gmap) != lens:
+            raise ParameterError(f"need one coupling g per squared root length "
+                                 f"{lens}, got {sorted(gmap)}")
         if any(gmap[l] <= 0 for l in lens):
             raise ParameterError("all coupling parameters g must be positive")
         return cls(rs, float(q), tuple(sorted(gmap.items())))
@@ -626,8 +629,8 @@ def pieri_residual(params: PolyParams, system: OrthoPolySystem, lam, xi, pi) -> 
 def truncated_overall_cfun(spec: CFunctionSpec, rs: RootSystem, degree: int) -> LaurentPoly:
     """Taylor truncation of C(xi) = prod c(e^{-i<a,xi>}) as a Laurent polynomial."""
     out = LaurentPoly.one(rs)
-    for a in rs.positive_roots_1:
-        coeffs = cfun_taylor(spec.for_root(a), degree)
+    for a, cf in zip(rs.positive_roots_1, spec.cfunctions):
+        coeffs = cfun_taylor(cf, degree)
         ac = rs.root_coords(a)
         terms = {tuple(-k * x for x in ac): complex(c)
                  for k, c in enumerate(coeffs) if c != 0.0}
@@ -650,7 +653,7 @@ def asymptotic_polynomial(spec: CFunctionSpec, rs: RootSystem, lam,
     shifted = tuple(a + b for a, b in zip(rs.rho_coords, lam))
     for w in rs.weyl_group():
         cw = ctr.compose_weyl(w)
-        expw = LaurentPoly.monomial(rs, rs.act_coords(w.inverse(), shifted), w.sign)
+        expw = LaurentPoly.monomial(rs, w.inverse().act(shifted), w.sign)
         dsum = dsum + cw * expw
     dsum = dsum.prune(1e-14)
     return laurent_divide(dsum, weyl_denominator(rs), tol=1e-13)

@@ -209,30 +209,31 @@ class CFunctionSpec:
     """Assignment of one c-function per root-length orbit of R1.
 
     Keyed by the squared length of the root; W-conjugate roots share a key.
+    ``cfunctions`` holds the c-function of each root of rs.positive_roots_1,
+    in that order.
     """
 
     def __init__(self, rs, by_length2: dict):
         self.rs = rs
-        lengths = sorted({_len2(a) for a in rs.positive_roots_1})
-        missing = [l for l in lengths if l not in by_length2]
+        lengths = rs.positive_1_len2.tolist()
+        missing = sorted({l for l in lengths if l not in by_length2})
         if missing:
             raise ValueError(f"no c-function for root length^2 in {missing}")
         self.by_length2 = dict(by_length2)
-
-    def for_root(self, alpha) -> CFunction:
-        return self.by_length2[_len2(alpha)]
+        self.cfunctions: tuple = tuple(self.by_length2[l] for l in lengths)
 
     @property
     def is_unit(self) -> bool:
         return all(isinstance(c, UnitC) for c in self.by_length2.values())
 
 
-def _len2(alpha) -> float:
-    return float(sum(x * x for x in alpha))
+def _lengths(rs) -> list:
+    """The squared root lengths of R1+, ascending."""
+    return sorted(set(rs.positive_1_len2.tolist()))
 
 
 def unit_spec(rs) -> CFunctionSpec:
-    lengths = {_len2(a) for a in rs.positive_roots_1}
+    lengths = _lengths(rs)
     return CFunctionSpec(rs, {l: UnitC() for l in lengths})
 
 
@@ -240,7 +241,7 @@ def macdonald_spec(rs, g, q: float) -> CFunctionSpec:
     """Macdonald c-functions on a reduced system; g scalar or {length^2: g}."""
     if rs.label.startswith("BC"):
         raise ValueError("macdonald_spec needs a reduced root system")
-    lengths = sorted({_len2(a) for a in rs.positive_roots_1})
+    lengths = _lengths(rs)
     if isinstance(g, dict):
         gmap = {float(l): g[l] for l in g}
     else:
@@ -254,7 +255,7 @@ def koornwinder_spec(rs, ghat: float, g0123, q: float) -> CFunctionSpec:
         raise ValueError("koornwinder_spec needs a BC_N root system")
     g0, g1, g2, g3 = (float(x) for x in g0123)
     short = KoornwinderShortC(g0=g0, g1=g1, g2=g2, g3=g3, q=q)
-    lengths = sorted({_len2(a) for a in rs.positive_roots_1})
+    lengths = _lengths(rs)
     table = {}
     for l in lengths:
         if l == min(lengths):

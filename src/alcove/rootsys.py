@@ -12,7 +12,9 @@ paths read views built once per system: float arrays of the roots, coroots
 and squared lengths (each entry the correctly rounded exact value), the
 fundamental weights as integer numerators over one common denominator
 (:meth:`RootSystem.float_weights`), and the Q+ expansion as an integer
-matrix over a denominator (:meth:`RootSystem.qplus_expansion`).
+matrix over a denominator (:meth:`RootSystem.qplus_expansion`).  A Weyl
+element carries integer matrices on fundamental-weight coordinates, so the
+Weyl action does no ``Fraction`` arithmetic.
 
 For BC_N two simple systems coexist: the C_N-type basis (used for the
 fundamental-weight coordinates, so that the half-sum of the reduced
@@ -25,9 +27,10 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -51,7 +54,7 @@ class BudgetExceededError(RuntimeError):
 
 
 def dot(x: Vec, y: Vec) -> Fraction:
-    return sum(a * b for a, b in zip(x, y))
+    return sum(map(operator.mul, x, y))
 
 
 def _unit(n: int, i: int, scale=1) -> Vec:
@@ -134,46 +137,42 @@ def _mat_vec(m: tuple[Vec, ...], v: Vec) -> Vec:
     return tuple(dot(row, v) for row in m)
 
 
-def _mat_mul(a: tuple[Vec, ...], b: tuple[Vec, ...]) -> tuple[Vec, ...]:
+def _mat_mul(a, b):
     n = len(a)
     bt = list(zip(*b))
     return tuple(tuple(dot(a[i], bt[j]) for j in range(n)) for i in range(n))
 
 
-def _identity(n: int) -> tuple[Vec, ...]:
-    return tuple(_unit(n, i) for i in range(n))
-
-
 @dataclass(frozen=True)
 class WeylElement:
-    """Weyl group element: reduced word in simple reflections plus its matrix."""
+    """Weyl group element: a word in the simple reflections with the integer
+    matrices of w and of w^{-1} on fundamental-weight coordinates.
+
+    The word (i_1, ..., i_k) stands for r_{i_1} ... r_{i_k}; row j of a
+    matrix holds the j-th coordinate of the image, so w(mu)_j is
+    sum_r matrix[j][r] mu_r.
+    """
 
     word: tuple[int, ...]
-    matrix: tuple[Vec, ...]
+    matrix: tuple[tuple[int, ...], ...]
+    inverse_matrix: tuple[tuple[int, ...], ...]
 
     @property
     def sign(self) -> int:
         return -1 if len(self.word) % 2 else 1
 
-    def act(self, v: Vec) -> Vec:
-        return _mat_vec(self.matrix, v)
-
-    @cached_property
-    def _float_matrix(self) -> tuple:
-        return tuple(tuple(float(x) for x in row) for row in self.matrix)
-
-    def act_float(self, v) -> tuple:
-        """w(v) for a float vector, with the products and sums of act."""
-        return tuple(sum(m * x for m, x in zip(row, v)) for row in self._float_matrix)
+    def act(self, mu) -> tuple:
+        """w(mu) for weight coordinates mu; with floats, mu may also be the
+        coordinates basis_coroots_f @ v of a real vector v."""
+        return tuple(sum(map(operator.mul, row, mu)) for row in self.matrix)
 
     def inverse(self) -> "WeylElement":
-        # products of orthogonal reflections: inverse equals transpose
-        return WeylElement(tuple(reversed(self.word)),
-                           tuple(zip(*self.matrix)))
+        return WeylElement(tuple(reversed(self.word)), self.inverse_matrix, self.matrix)
 
     def __mul__(self, other: "WeylElement") -> "WeylElement":
         return WeylElement(self.word + other.word,
-                           _mat_mul(self.matrix, other.matrix))
+                           _mat_mul(self.matrix, other.matrix),
+                           _mat_mul(other.inverse_matrix, self.inverse_matrix))
 
 
 def _simple_root_data(label: str, rank: int):
@@ -307,7 +306,6 @@ class RootSystem:
         regular = self.fundamental_weights[0]
         for w in self.fundamental_weights[1:]:
             regular = _add(regular, w)
-        self._regular = regular
 
         self.roots: tuple[Vec, ...] = tuple(sorted(roots))
         self.positive_roots: tuple[Vec, ...] = tuple(
@@ -330,12 +328,27 @@ class RootSystem:
             tuple(int(dot(basis[i], self.basis_coroots[j])) for j in range(rank))
             for i in range(rank)
         )
-        self._refl_mats = tuple(
-            _reflection_matrix(a, dim) for a in basis)
-        # pairing table <omega_j, alpha^vee> over positive roots (integers)
+        # Weyl elements by word, seeded with the identity and the simple
+        # reflections (involutions, so each is its own inverse)
+        ident = tuple(tuple(int(i == j) for j in range(rank)) for i in range(rank))
+        self._elements: dict[tuple[int, ...], WeylElement] = {
+            (): WeylElement((), ident, ident)}
+        for i, row in enumerate(self._refl_rows):
+            refl = tuple(tuple(ident[j][r] - ident[r][i] * row[j] for r in range(rank))
+                         for j in range(rank))
+            self._elements[(i,)] = WeylElement((i,), refl, refl)
+        self._root_coords = {a: self.vector_coords(a) for a in self.roots}
+        # pairing table <omega_j, alpha^vee> over positive roots (integers),
+        # and its rows over R0+
         self._pos_coroot_pairings = tuple(
             tuple(int(dot(w, coroot(a))) for w in self.fundamental_weights)
             for a in self.positive_roots)
+        reduced = set(self.positive_roots_0)
+        self._pos0_coroot_pairings = tuple(
+            row for a, row in zip(self.positive_roots, self._pos_coroot_pairings)
+            if a in reduced)
+        # <mu, 2 rho^vee> = sum_j mu_j _two_rho_vee[j]
+        self._two_rho_vee = tuple(sum(col) for col in zip(*self._pos_coroot_pairings))
 
         # integer view of the weights: omega_r = _weight_num[r] / _weight_den
         num, self._weight_den = _over_common_denominator(self.fundamental_weights)
@@ -366,8 +379,7 @@ class RootSystem:
         self.simple_roots_f = _float_rows(self.simple_roots, dim)
         self.simple_len2 = _len2s(self.simple_roots)
         self.basis_coroots_f = _float_rows(self.basis_coroots, dim)
-        self._weyl_cache: dict[int, tuple[WeylElement, ...]] = {}
-        self._coord_mats: dict = {}
+        self._weyl: tuple[WeylElement, ...] | None = None
 
     # -- coordinates ---------------------------------------------------
 
@@ -389,7 +401,7 @@ class RootSystem:
         return tuple(out)
 
     def root_coords(self, alpha: Vec) -> Coords:
-        return self.vector_coords(alpha)
+        return self._root_coords[alpha]
 
     def float_weights(self, mus) -> np.ndarray:
         """Ambient float vectors of a sequence of weights, one row each.
@@ -403,10 +415,6 @@ class RootSystem:
     def float_weight(self, mu: Coords) -> np.ndarray:
         """Ambient float vector of one weight (see float_weights)."""
         return self.float_weights([mu])[0]
-
-    def pairing(self, mu: Coords, alpha: Vec) -> Fraction:
-        """<mu, alpha^vee> for a weight mu and a root alpha."""
-        return dot(self.weight_vector(mu), coroot(alpha))
 
     # -- basic predicates ----------------------------------------------
 
@@ -469,54 +477,46 @@ class RootSystem:
             sign = -sign
         return cur, sign, all(c != 0 for c in cur)
 
-    def act_coords(self, w: WeylElement, mu: Coords) -> Coords:
-        m = self.coord_matrix(w)
-        return tuple(sum(m[j][r] * mu[r] for r in range(self.rank))
-                     for j in range(self.rank))
-
-    def coord_matrix(self, w: WeylElement):
-        """Integer matrix of w acting on fundamental-weight coordinates."""
-        cached = self._coord_mats.get(w.matrix)
-        if cached is None:
-            cols = [self.vector_coords(w.act(om)) for om in self.fundamental_weights]
-            cached = tuple(tuple(cols[r][j] for r in range(self.rank))
-                           for j in range(self.rank))
-            self._coord_mats[w.matrix] = cached
-        return cached
+    def element(self, word) -> WeylElement:
+        """The Weyl element r_{i_1} ... r_{i_k} of the word (i_1, ..., i_k)."""
+        word = tuple(word)
+        w = self._elements.get(word)
+        if w is None:
+            # threads that race here build equal elements
+            w = self.element(word[:-1]) * self._elements[word[-1:]]
+            self._elements[word] = w
+        return w
 
     def weyl_group(self, max_order: int = DEFAULT_WEYL_BUDGET) -> tuple[WeylElement, ...]:
         """Enumerate W by breadth-first closure under simple reflections."""
-        if self._weyl_cache:
-            elems = next(iter(self._weyl_cache.values()))
-            if len(elems) <= max_order:
-                return elems
-            raise BudgetExceededError(self._name(), len(elems), max_order)
-        order_bound = weyl_order(self.label, self.rank)
-        if order_bound > max_order:
-            raise BudgetExceededError(self._name(), order_bound, max_order)
-        ident = WeylElement((), _identity(self.dim))
-        refls = [WeylElement((i,), self._refl_mats[i]) for i in range(self.rank)]
-        seen = {ident.matrix: ident}
-        frontier = [ident]
-        while frontier:
-            nxt = []
-            for w in frontier:
-                for i, r in enumerate(refls):
-                    prod = WeylElement(w.word + (i,), _mat_mul(w.matrix, r.matrix))
-                    if prod.matrix not in seen:
-                        seen[prod.matrix] = prod
-                        nxt.append(prod)
-            frontier = nxt
-        elems = tuple(seen.values())
-        self._weyl_cache[0] = elems
-        return elems
+        if self._weyl is None:
+            order_bound = weyl_order(self.label, self.rank)
+            if order_bound > max_order:
+                raise BudgetExceededError(self._name(), order_bound, max_order)
+            ident = self.element(())
+            refls = [self.element((i,)) for i in range(self.rank)]
+            seen = {ident.matrix: ident}
+            frontier = [ident]
+            while frontier:
+                nxt = []
+                for w in frontier:
+                    for r in refls:
+                        prod = w * r
+                        if prod.matrix not in seen:
+                            seen[prod.matrix] = prod
+                            nxt.append(prod)
+                frontier = nxt
+            self._weyl = tuple(seen.values())
+        if len(self._weyl) > max_order:
+            raise BudgetExceededError(self._name(), len(self._weyl), max_order)
+        return self._weyl
 
     def weyl_order(self) -> int:
         return weyl_order(self.label, self.rank)
 
     def longest_element(self) -> WeylElement:
-        """w_0, found by dominantizing the negative of a regular vector."""
-        cur = self.vector_coords(_neg(self._regular))
+        """w_0, found by dominantizing the negative of a regular weight."""
+        cur = (-1,) * self.rank
         word = []
         while True:
             i = next((j for j, c in enumerate(cur) if c < 0), None)
@@ -524,19 +524,15 @@ class RootSystem:
                 break
             cur = self.simple_reflection_coords(i, cur)
             word.append(i)
-        mat = _identity(self.dim)
-        for i in reversed(word):
-            mat = _mat_mul(mat, self._refl_mats[i])
-        # built as r_{i_k} ... r_{i_1} applied left-to-right on the vector
-        w = WeylElement(tuple(reversed(word)), mat)
-        assert all(c >= 0 for c in self.act_coords(w, self.vector_coords(_neg(self._regular))))
+        # r_{i_k} ... r_{i_1} applied left-to-right on the weight
+        w = self.element(reversed(word))
+        assert all(c >= 0 for c in w.act((-1,) * self.rank))
         return w
 
     def minus_one_in_weyl_group(self) -> bool:
-        w0 = self.longest_element()
         eye = range(self.rank)
-        basis = [tuple(1 if i == j else 0 for j in eye) for i in eye]
-        return all(self.act_coords(w0, b) == tuple(-x for x in b) for b in basis)
+        return self.longest_element().matrix == tuple(
+            tuple(-int(i == j) for j in eye) for i in eye)
 
     # -- distinguished weights -------------------------------------------
 
@@ -604,16 +600,9 @@ class RootSystem:
         return sorted(found, key=lambda mu: (self._ext_key(mu), mu))
 
     def _ext_key(self, mu: Coords):
-        # <mu, 2 rho^vee> is integral and strictly refines dominance
-        if self._two_rho_vee is None:
-            acc = [0] * self.rank
-            for cc in self._pos_coroot_pairings:
-                for j in range(self.rank):
-                    acc[j] += cc[j]
-            self._two_rho_vee = tuple(acc)
+        # <mu, 2 rho^vee> is integral and strictly refines dominance; on a
+        # root it is positive exactly when the root is
         return sum(c * r for c, r in zip(mu, self._two_rho_vee))
-
-    _two_rho_vee = None
 
     def linear_extension(self, weights) -> list[Coords]:
         """Sort weights by a fixed linear extension of the dominance order."""

@@ -26,7 +26,7 @@ from .harmonic import (LaurentPoly, QuadratureGrid, alternating_sum,
 from .laplacian import LatticeFunction
 from .orthopoly import OrthoPolySystem
 from .qfun import CFunctionSpec, shat_sqrt
-from .rootsys import RootSystem, WeylElement, dot
+from .rootsys import RootSystem, WeylElement
 
 
 def symbol_is_real(sym: LaurentPoly) -> bool:
@@ -186,7 +186,8 @@ def _kernel_bandwidth(system: OrthoPolySystem) -> int:
     """
     rs = system.rs
     shifted = [tuple(a + b for a, b in zip(lam, rs.rho_coords)) for lam in system.weights]
-    return max(int(rs.pairing(x, alpha)) for x in shifted for alpha in rs.positive_roots_0)
+    return max(sum(c * p for c, p in zip(x, row))
+               for x in shifted for row in rs._pos0_coroot_pairings)
 
 
 def plane_wave_values(rs: RootSystem, lam, grid: QuadratureGrid) -> np.ndarray:
@@ -203,11 +204,10 @@ def smatrix_factor_half(spec: CFunctionSpec, w: WeylElement,
     roots sent to negatives by w."""
     rs = grid.rs
     out = np.ones(grid.size, dtype=complex)
-    for a in rs.positive_roots_1:
-        theta = grid.angles(rs.root_coords(a))
-        h = shat_sqrt(spec.for_root(a), theta)
-        wa = w.act(a)
-        if dot(wa, rs._regular) > 0:
+    for a, c in zip(rs.positive_roots_1, spec.cfunctions):
+        ac = rs.root_coords(a)
+        h = shat_sqrt(c, grid.angles(ac))
+        if rs._ext_key(w.act(ac)) > 0:
             out *= h
         else:
             out *= np.conjugate(h)
@@ -227,9 +227,8 @@ def smatrix_factor_direct(spec: CFunctionSpec, w: WeylElement,
     winv = w.inverse()
     num = np.ones(grid.size, dtype=complex)
     den = np.ones(grid.size, dtype=complex)
-    for a in rs.positive_roots_1:
-        c = spec.for_root(a)
-        b = rs.vector_coords(winv.act(a))
+    for a, c in zip(rs.positive_roots_1, spec.cfunctions):
+        b = winv.act(rs.root_coords(a))
         z = np.exp(-1j * grid.angles(b))
         num *= c._eval_raw(z)
         den *= c._eval_raw(np.conjugate(z))
@@ -248,7 +247,7 @@ def asymptotic_wave_values(spec: CFunctionSpec, lambdas,
         shifted = tuple(a + b for a, b in zip(rs.rho_coords, tuple(lam)))
         out = np.zeros(grid.size, dtype=complex)
         for signed_half, winv in terms:
-            out += signed_half * grid.eval_coords(rs.act_coords(winv, shifted))
+            out += signed_half * grid.eval_coords(winv.act(shifted))
         values.append(out)
     return values
 
@@ -303,7 +302,7 @@ class ScatteringContext:
         self.regular_mask = self.grid.alcove_mask & \
             (np.min(np.abs(pair), axis=1) > regularity_tol)
         self._what: dict = {}
-        self._factor_cache: dict = {}
+        self._half_cache: dict = {}
 
     def sector_element(self, k: int) -> WeylElement:
         """The Weyl element taking grad E at grid point k into the open chamber."""
@@ -320,18 +319,7 @@ class ScatteringContext:
             v = v - pair[i] * self.rs.simple_roots_f[i]
         else:
             raise RegularSectorError("dominantization of grad E did not converge")
-        return self._element_from_word(tuple(reversed(word)))
-
-    def _element_from_word(self, word) -> WeylElement:
-        elem = self._factor_cache.get(("elem", word))
-        if elem is None:
-            from .rootsys import _identity, _mat_mul
-            mat = _identity(self.rs.dim)
-            for i in word:
-                mat = _mat_mul(mat, self.rs._refl_mats[i])
-            elem = WeylElement(word, mat)
-            self._factor_cache[("elem", word)] = elem
-        return elem
+        return self.rs.element(reversed(word))
 
     def regular_sector_element(self, k: int) -> WeylElement:
         w = self._what.get(k)
@@ -341,11 +329,10 @@ class ScatteringContext:
         return w
 
     def _half_factor(self, w: WeylElement) -> np.ndarray:
-        key = ("half", w.matrix)
-        arr = self._factor_cache.get(key)
+        arr = self._half_cache.get(w.matrix)
         if arr is None:
             arr = smatrix_factor_half(self.table.spec, w, self.grid)
-            self._factor_cache[key] = arr
+            self._half_cache[w.matrix] = arr
         return arr
 
     def smatrix_apply(self, fhat: SpectralFunction, power: float) -> SpectralFunction:

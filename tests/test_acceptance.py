@@ -400,14 +400,13 @@ def test_acceptance_9_smatrix_unitarity_and_factors():
 
     # structural factor count: every positive root of R1 contributes exactly
     # one scalar phase to S_w, from one of the two index sets
-    from alcove.rootsys import dot
     count_ok = True
     for rs in (a2, bc1, build_root_system("B", 2)):
         for w in rs.weyl_group():
             pos = sum(1 for a in rs.positive_roots_1
-                      if dot(w.act(a), rs._regular) > 0)
+                      if rs._ext_key(w.act(rs.root_coords(a))) > 0)
             neg = sum(1 for a in rs.positive_roots_1
-                      if dot(w.act(a), rs._regular) < 0)
+                      if rs._ext_key(w.act(rs.root_coords(a))) < 0)
             if pos + neg != len(rs.positive_roots_1):
                 count_ok = False
     elapsed = time.time() - t0

@@ -151,11 +151,24 @@ def test_unknown_suite(tmp_path):
                             "task": {"ray": {"direction": [-1, 1]}}}),
     (["scatter", "--ray"], {"task": {"ray": {"direction": [0]}}}),
     (["scatter", "--evolve"], {"task": {"evolve": {"times": [0, 8]}}}),
+    # weights and c-functions; a list patch is the whole config file
+    (["verify"], {"root_system": {"label": "A", "rank": 2},
+                  "weights": {"tops": [[1]]}}),
+    (["verify"], {"root_system": {"label": "A", "rank": 2},
+                  "weights": {"tops": [[-1, 1]]}}),
+    (["export", "polynomials"], {"root_system": {"label": "B", "rank": 2},
+                                 "cfunctions": {"family": "macdonald",
+                                                "g": {"1": 0.9}, "q": 0.5}}),
+    (["export", "polynomials"], {"root_system": {"label": "BC", "rank": 1},
+                                 "cfunctions": {"family": "koornwinder",
+                                                "g0123": [0.9, 0.7, 0.6]}}),
+    (["export", "polynomials"], [1, 2]),
 ])
 def test_bad_task_values_are_config_errors(tmp_path, argv, patch):
-    cfg = _cfg(tmp_path, "bad.json", {
-        "root_system": {"label": "A", "rank": 1},
-        "cfunctions": {"family": "macdonald", "g": 2.0, "q": 0.5}, **patch})
+    base = {"root_system": {"label": "A", "rank": 1},
+            "cfunctions": {"family": "macdonald", "g": 2.0, "q": 0.5}}
+    cfg = _cfg(tmp_path, "bad.json",
+               {**base, **patch} if isinstance(patch, dict) else patch)
     assert main(argv + ["--config", cfg, "--out", str(tmp_path / "out")]) == 2
 
 

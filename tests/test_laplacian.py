@@ -44,7 +44,7 @@ def test_localization_support(a1, a2):
     # cardinality bounded by the full weight interval [w0(omega_r), omega_r]
     for r in range(2):
         omega = tuple(1 if j == r else 0 for j in range(2))
-        w0o = a2.act_coords(a2.longest_element(), omega)
+        w0o = a2.longest_element().act(omega)
         interval = {omega}
         frontier = [omega]
         gens = [a2.vector_coords(s) for s in a2.gen_simples]

@@ -280,9 +280,9 @@ def test_asymptotic_pairing(a1):
     for w in a1.weyl_group():
         vals = np.ones(grid.size, dtype=complex)
         winv = w.inverse()
-        for a in a1.positive_roots_1:
-            b = a1.vector_coords(winv.act(a))
-            vals *= spec.for_root(a)._eval_raw(np.exp(-1j * grid.angles(b)))
+        for a, c in zip(a1.positive_roots_1, spec.cfunctions):
+            b = winv.act(a1.root_coords(a))
+            vals *= c._eval_raw(np.exp(-1j * grid.angles(b)))
         cw[w.matrix] = vals
     weight = weight_function_values(spec, grid)
     dconj = np.conjugate(delta_values(a1, grid))
@@ -290,7 +290,7 @@ def test_asymptotic_pairing(a1):
         shifted = tuple(a + b for a, b in zip(a1.rho_coords, (ell,)))
         psi_inf_w = np.zeros(grid.size, dtype=complex)
         for w in a1.weyl_group():
-            exps = grid.eval_coords(a1.act_coords(w.inverse(), shifted))
+            exps = grid.eval_coords(w.inverse().act(shifted))
             psi_inf_w += w.sign * cw[w.matrix] * exps
         for mu in range(ell % 2, ell + 1, 2):
             mvals = np.conjugate(H.monomial_symmetric(a1, (mu,)).eval_grid(grid))

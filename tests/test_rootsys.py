@@ -97,7 +97,7 @@ def test_longest_element(a1, a2, b2):
     # w0 maps the dominant chamber to its negative
     for rs in (a2, b2):
         w0 = rs.longest_element()
-        img = rs.act_coords(w0, (2, 3))
+        img = w0.act((2, 3))
         assert all(c <= 0 for c in img)
 
 
@@ -116,9 +116,9 @@ def test_enumeration_budget():
 
 def test_group_closure_and_root_permutation(b2):
     group = b2.weyl_group()
-    rootset = set(b2.roots)
+    rootset = {b2.root_coords(a) for a in b2.roots}
     for w in group:
-        for a in b2.roots:
+        for a in rootset:
             assert w.act(a) in rootset
     # closed under composition
     mats = {w.matrix for w in group}
@@ -136,7 +136,7 @@ def test_sign_equals_matrix_determinant(b2):
 def test_dominant_rep_tracks_group(a2):
     lam = (2, 1)  # dominant regular
     for w in a2.weyl_group():
-        mu = a2.act_coords(w, lam)
+        mu = w.act(lam)
         dom, sign, regular = a2.dominant_representative(mu)
         assert dom == lam and regular and sign == w.sign
 
@@ -317,4 +317,84 @@ def test_root_data_conversion_stays_in_rootsys():
             # parsing the Koornwinder couplings of a config is not root data
             if CONVERSION_IDIOMS.search(line) and not re.search(r"gh?0123", line):
                 hits.append(f"{name}.py:{n}: {line.strip()}")
+    assert not hits
+
+
+# -- integer Weyl action ------------------------------------------------------
+
+
+def _weyl_sample(rs, order_limit=1152, size=200):
+    """Every element of W when |W| <= order_limit, else a seeded sample of
+    elements: random prefixes of eight random words of length |R+| (shared
+    prefixes keep the exact reference below cheap)."""
+    if rs.weyl_order() <= order_limit:
+        return rs.weyl_group()
+    rng = np.random.default_rng(7)
+    longest = len(rs.positive_roots)
+    words = [tuple(int(i) for i in rng.integers(0, rs.rank, size=longest))
+             for _ in range(8)]
+    return [rs.element(words[k][:n])
+            for k, n in zip(rng.integers(0, 8, size=size),
+                            rng.integers(0, longest + 1, size=size))]
+
+
+def _ambient_matrix(rs, word, memo):
+    """Exact ambient matrix of r_{i_1} ... r_{i_k}: Fraction reflections
+    composed along the word, memoized by prefix."""
+    m = memo.get(word)
+    if m is None:
+        if word:
+            prev = _ambient_matrix(rs, word[:-1], memo)
+            a, av = rs.simple_roots[word[-1]], rs.basis_coroots[word[-1]]
+            # (A r_a) x = A x - <x, a^vee> A a
+            prev_a = [dot(row, a) for row in prev]
+            m = tuple(tuple(p - x * c for p, c in zip(row, av))
+                      for row, x in zip(prev, prev_a))
+        else:
+            m = tuple(tuple(Fraction(int(i == j)) for j in range(rs.dim))
+                      for i in range(rs.dim))
+        memo[word] = m
+    return m
+
+
+@pytest.mark.parametrize("case", VIEW_TYPES, ids=_case_id)
+def test_integer_weyl_action_matches_exact_reflections(case):
+    rs = _view_system(case)
+    box = _box(rs, 1)
+    box_arr = np.array(box, dtype=np.int64)
+    units = [tuple(int(i == j) for j in range(rs.rank)) for i in range(rs.rank)]
+    elements = _weyl_sample(rs)
+    memo = {}
+    for k, w in enumerate(elements):
+        images = [w.act(mu) for mu in box]
+        # the exact ambient image of mu is sum_r mu_r w(omega_r), written as
+        # integer numerators over the lcm of the denominators; int64 / int
+        # is correctly rounded, as float() of the exact Fraction is
+        amb = _ambient_matrix(rs, w.word, memo)
+        num, den = _over_lcm([[dot(row, om) for row in amb] for om in rs.fundamental_weights])
+        exact = (box_arr @ np.array(num, dtype=np.int64)) / den
+        assert rs.float_weights(images).tolist() == exact.tolist()
+        winv = w.inverse()
+        assert [winv.act(nu) for nu in images] == box
+        assert _determinant([[Fraction(x) for x in row] for row in w.matrix]) == w.sign
+        # composition, checked on a basis (both sides are linear)
+        v = elements[(7 * k + 3) % len(elements)]
+        assert [(w * v).act(e) for e in units] == [w.act(v.act(e)) for e in units]
+
+
+# names of the ambient Weyl action, which integer matrices on weight
+# coordinates replaced
+AMBIENT_WEYL_IDIOMS = re.compile(
+    r"act_float|act_coords|coord_matrix|_coord_mats|_refl_mats|_identity\(|"
+    r"\.pairing\(|def pairing|_element_from_word|_float_matrix|\.act\(a\)|rs\._regular")
+
+
+def test_weyl_action_stays_on_weight_coordinates():
+    src = Path(alcove.__file__).parent
+    hits = []
+    for path in sorted(src.glob("*.py")):
+        for n, line in enumerate(path.read_text().splitlines(), 1):
+            if AMBIENT_WEYL_IDIOMS.search(line) or \
+                    ("_mat_mul" in line and path.name != "rootsys.py"):
+                hits.append(f"{path.name}:{n}: {line.strip()}")
     assert not hits

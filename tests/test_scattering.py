@@ -8,7 +8,7 @@ from alcove.harmonic import (QuadratureGrid, eval_delta, orbit_symbol,
 from alcove.laplacian import LatticeFunction, apply_fourier_conjugated, operator_matrix
 from alcove.orthopoly import MacdonaldParams, gram_schmidt
 from alcove.qfun import unit_spec
-from alcove.rootsys import build_root_system, dot
+from alcove.rootsys import build_root_system
 from alcove.scattering import (RegularSectorError, ScatteringContext,
                                SpectralFunction, WaveTable, _kernel_bandwidth,
                                asymptotic_wave_values, convergence_report,
@@ -91,9 +91,9 @@ def test_smatrix_factor_structure(a2, a2_macdonald):
         assert np.max(np.abs(np.abs(full) - 1.0)) < 1e-13
         # each positive root of R1 contributes exactly one of the two sets
         pos = sum(1 for a in a2.positive_roots_1
-                  if dot(w.act(a), a2._regular) > 0)
+                  if a2._ext_key(w.act(a2.root_coords(a))) > 0)
         neg = sum(1 for a in a2.positive_roots_1
-                  if dot(w.act(a), a2._regular) < 0)
+                  if a2._ext_key(w.act(a2.root_coords(a))) < 0)
         assert pos + neg == len(a2.positive_roots_1)
 
 
