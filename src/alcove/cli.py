@@ -29,7 +29,8 @@ from .orthopoly import (KoornwinderParams, MacdonaldParams, ParameterError,
 from .qfun import unit_spec
 from .rootsys import BudgetExceededError, build_root_system
 from .scattering import (ScatteringContext, WaveTable, _kernel_bandwidth,
-                         convergence_report, smatrix_factor)
+                         convergence_report, smatrix_factor,
+                         smatrix_factor_direct)
 from .evolution import PacketError, run_scattering_diagnostic
 
 EXIT_OK = 0
@@ -42,6 +43,21 @@ EXIT_LEAKAGE = 5
 
 class ConfigError(ValueError):
     pass
+
+
+def _number(value, key: str, kind=float):
+    """kind(value) for the config value at key, or a ConfigError."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{key} must be a number, got {value!r}") from exc
+
+
+def _numbers(values, key: str, kind=float) -> list:
+    """The config list at key, each entry converted by kind."""
+    if not isinstance(values, (list, tuple)):
+        raise ConfigError(f"{key} must be a list of numbers, got {values!r}")
+    return [_number(v, key, kind) for v in values]
 
 
 def load_config(path: str) -> dict:
@@ -59,7 +75,8 @@ def load_config(path: str) -> dict:
 def build_system(cfg: dict):
     rsc = cfg.get("root_system", {})
     try:
-        rs = build_root_system(rsc.get("label", "A"), int(rsc.get("rank", 1)))
+        rs = build_root_system(rsc.get("label", "A"),
+                               _number(rsc.get("rank", 1), "root_system.rank", int))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     cf = cfg.get("cfunctions", {"family": "unit"})
@@ -69,16 +86,21 @@ def build_system(cfg: dict):
     if family == "macdonald":
         g = cf.get("g", 1.0)
         if isinstance(g, dict):
-            g = {float(k): float(v) for k, v in g.items()}
-        params = MacdonaldParams.create(rs, g, float(cf.get("q", 0.5)))
+            g = {_number(k, "cfunctions.g"): _number(v, "cfunctions.g")
+                 for k, v in g.items()}
+        else:
+            g = _number(g, "cfunctions.g")
+        q = _number(cf.get("q", 0.5), "cfunctions.q")
+        params = MacdonaldParams.create(rs, g, q)
         return rs, params, params.cspec()
     if family == "koornwinder":
         g0123 = cf.get("g0123", [0.5, 0.5, 0.5, 0.5])
         if not isinstance(g0123, list) or len(g0123) != 4:
             raise ConfigError(f"cfunctions.g0123 must hold 4 couplings, got {g0123!r}")
         params = KoornwinderParams.create(
-            rs, float(cf.get("ghat", 1.0)), [float(x) for x in g0123],
-            float(cf.get("q", 0.5)))
+            rs, _number(cf.get("ghat", 1.0), "cfunctions.ghat"),
+            _numbers(g0123, "cfunctions.g0123"),
+            _number(cf.get("q", 0.5), "cfunctions.q"))
         return rs, params, params.cspec()
     raise ConfigError(f"unknown c-function family {family!r}")
 
@@ -86,13 +108,13 @@ def build_system(cfg: dict):
 def weight_tops(cfg: dict, rs) -> list:
     wc = cfg.get("weights", {})
     if "tops" in wc:
-        tops = [tuple(int(x) for x in t) for t in wc["tops"]]
+        tops = [tuple(_numbers(t, "weights.tops", int)) for t in wc["tops"]]
         for top in tops:
             if len(top) != rs.rank or not rs.is_dominant(top):
                 raise ConfigError("weights.tops must hold dominant weights of "
                                   f"rank {rs.rank}, got {list(top)}")
         return tops
-    h = int(wc.get("max_height", 2))
+    h = _number(wc.get("max_height", 2), "weights.max_height", int)
     import itertools
     box = [c for c in itertools.product(range(h + 1), repeat=rs.rank)
            if 0 < sum(c) <= h]
@@ -105,13 +127,20 @@ def tolerances(cfg: dict) -> dict:
     out = {"specialization": 1e-10, "symmetry": 1e-9, "macdonald_identity": 1e-12,
            "difference_equation": 1e-8, "pieri": 1e-8, "orthonormality": 1e-8,
            "norms": 1e-8, "smatrix": 1e-13, "free": 0.0}
-    out.update(cfg.get("tolerances", {}))
+    given = cfg.get("tolerances", {})
+    if not isinstance(given, dict):
+        raise ConfigError(f"tolerances must be an object, got {given!r}")
+    for key, value in given.items():
+        # compared as given, so a numeric string is refused too
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ConfigError(f"tolerances.{key} must be a number, got {value!r}")
+    out.update(given)
     return out
 
 
 def grid_m(cfg: dict, default: int) -> int:
     """grid.M of the configuration, or default when it is not given."""
-    m = int(cfg.get("grid", {}).get("M", default))
+    m = _number(cfg.get("grid", {}).get("M", default), "grid.M", int)
     if m < 2:
         raise ConfigError(f"grid.M must be at least 2, got {m}")
     return m
@@ -147,7 +176,7 @@ def _report(out_path, payload, cfg):
 def _suite_appendix_a(rs, params, spec, cfg, tol):
     if not isinstance(params, MacdonaldParams):
         raise ConfigError("suite appendixA needs a macdonald c-function family")
-    rng = np.random.default_rng(int(cfg.get("seed", 0)))
+    rng = np.random.default_rng(_number(cfg.get("seed", 0), "seed", int))
     tops = weight_tops(cfg, rs)
     pi = rs.quasi_minuscule_weight()
     minus = rs.minuscule_weights()
@@ -182,9 +211,9 @@ def _suite_appendix_a(rs, params, spec, cfg, tol):
         xi = rng.uniform(0.2, 2.0, size=rs.dim)
         add(f"macdonald identity {pim}",
             macdonald_identity_residual(params, pim, xi), tol["macdonald_identity"])
-    n_xi = int(cfg.get("n_spectral_points", 20))
+    n_xi = _number(cfg.get("n_spectral_points", 20), "n_spectral_points", int)
     dual_pis = dual_minuscule + [dual.rs.quasi_minuscule_weight()]
-    for lam in test_lams[: int(cfg.get("max_lambdas", 3))]:
+    for lam in test_lams[: _number(cfg.get("max_lambdas", 3), "max_lambdas", int)]:
         for k in range(n_xi):
             xi = _regular_point(rs, rng)
             for pim in dual_pis:
@@ -233,7 +262,7 @@ def _suite_orthonormality(rs, params, spec, cfg, tol):
 def _suite_free_laplacian(rs, params, spec, cfg, tol):
     import itertools
     checks = []
-    h = int(cfg.get("weights", {}).get("max_height", 4))
+    h = _number(cfg.get("weights", {}).get("max_height", 4), "weights.max_height", int)
     pis = [tuple(m) for m in rs.minuscule_weights()] + [rs.quasi_minuscule_weight()]
     worst = 0.0
     for pi in pis:
@@ -257,18 +286,20 @@ def _suite_free_laplacian(rs, params, spec, cfg, tol):
 
 def _suite_smatrix(rs, params, spec, cfg, tol):
     grid = QuadratureGrid(rs, grid_m(cfg, 48))
-    checks = []
-    worst = 0.0
+    unitarity = 0.0
+    direct = 0.0
     for w in rs.weyl_group():
         sw = smatrix_factor(spec, w, grid)
-        worst = max(worst, float(np.max(np.abs(np.abs(sw) - 1.0))))
-    checks.append({"check": "unitarity |S_w| = 1", "residual": worst,
-                   "tolerance": tol["smatrix"],
-                   "pass": bool(worst <= tol["smatrix"])})
+        unitarity = max(unitarity, float(np.max(np.abs(np.abs(sw) - 1.0))))
+        direct = max(direct, float(np.max(np.abs(
+            sw - smatrix_factor_direct(spec, w, grid)))))
     count = len(rs.positive_roots_1)
-    checks.append({"check": f"factor count per S_w = |R1+| = {count}",
-                   "residual": 0.0, "tolerance": 0.0, "pass": True})
-    return checks
+    return [{"check": name, "residual": value, "tolerance": tol["smatrix"],
+             "pass": bool(value <= tol["smatrix"])}
+            for name, value in [
+                ("unitarity |S_w| = 1", unitarity),
+                (f"S_w from its {count} root factors vs C(w xi)/C(-w xi)",
+                 direct)]]
 
 
 SUITES = {
@@ -282,7 +313,10 @@ SUITES = {
 def cmd_verify(args) -> int:
     cfg = load_config(args.config) if args.config else {}
     if args.tol:
-        cfg.setdefault("tolerances", {}).update(json.loads(args.tol))
+        try:
+            cfg.setdefault("tolerances", {}).update(json.loads(args.tol))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"--tol must be a JSON object: {exc}") from exc
     rs, params, spec = build_system(cfg)
     suite = SUITES.get(args.suite)
     if suite is None:
@@ -303,12 +337,13 @@ def cmd_scatter(args) -> int:
     task = cfg.get("task", {})
     if args.ray:
         ray = task.get("ray", {})
-        direction = tuple(int(x) for x in ray.get("direction", (1,) * rs.rank))
+        direction = tuple(_numbers(ray.get("direction", (1,) * rs.rank),
+                                   "task.ray.direction", int))
         if len(direction) != rs.rank or not rs.is_dominant(direction) \
                 or not any(direction):
             raise ConfigError("task.ray.direction must be a nonzero dominant "
                               f"weight of rank {rs.rank}, got {list(direction)}")
-        steps = int(ray.get("steps", 6))
+        steps = _number(ray.get("steps", 6), "task.ray.steps", int)
         if steps < 1:
             raise ConfigError(f"task.ray.steps must be at least 1, got {steps}")
         lambdas = [tuple(l * d for d in direction) for l in range(1, steps + 1)]
@@ -326,34 +361,36 @@ def cmd_scatter(args) -> int:
         return EXIT_OK
     if args.evolve:
         ev = task.get("evolve", {})
-        times = [float(t) for t in ev.get("times", [4, 8, 16, 32])]
+        times = _numbers(ev.get("times", [4, 8, 16, 32]), "task.evolve.times")
         if not times:
             raise ConfigError("task.evolve.times must not be empty")
         if 0.0 in times:
             raise ConfigError(f"task.evolve.times must be nonzero, got {times}")
-        pi = tuple(int(x) for x in ev.get("orbit", ())) or \
+        pi = tuple(_numbers(ev.get("orbit", ()), "task.evolve.orbit", int)) or \
             tuple(1 if j == 0 else 0 for j in range(rs.rank))
         sym = orbit_symbol(rs, pi)
-        radius = float(ev.get("radius", 1.0))
+        radius = _number(ev.get("radius", 1.0), "task.evolve.radius")
         if radius <= 0:
             raise ConfigError(f"task.evolve.radius must be positive, got {radius}")
-        lmax = int(ev.get("lattice_depth", 0)) or \
+        center = None
+        if ev.get("center"):
+            center = np.asarray(_numbers(ev["center"], "task.evolve.center"))
+            if center.shape != (rs.dim,):
+                raise ConfigError(f"task.evolve.center must have {rs.dim} "
+                                  f"entries, got {ev['center']!r}")
+        sign = _number(ev.get("sign", 1), "task.evolve.sign", int)
+        lmax = _number(ev.get("lattice_depth", 0), "task.evolve.lattice_depth", int) or \
             int(3.2 * max(times) + 90.0 / radius) + 8
         tops = [(lmax,) * rs.rank]
         if rs.rank == 1:
             tops = [(lmax,), (lmax - 1,)]
         system = gram_schmidt(rs, spec, tops)
-        grid0 = QuadratureGrid(rs, 4 * (lmax + 2))
-        center = ev.get("center")
-        if center:
-            center = np.asarray(center, float)
-        else:
+        if center is None:
+            grid0 = QuadratureGrid(rs, 4 * (lmax + 2))
             ctx0 = ScatteringContext(WaveTable(system, grid0), sym)
             depth = np.abs(ctx0.gradient @ ctx0._coroot_mat).min(axis=1)
             center = grid0.xi[int(np.argmax(np.where(ctx0.regular_mask, depth, -1)))]
-        rep = run_scattering_diagnostic(
-            system, sym, center, radius, int(ev.get("sign", 1)), times,
-            workers=max(1, int(args.workers)))
+        rep = run_scattering_diagnostic(system, sym, center, radius, sign, times)
         payload = json.loads(rep.to_json())
         _report(args.out, {"evolution": payload}, cfg)
         if rep.meta.get("invalid"):
@@ -445,7 +482,6 @@ def main(argv=None) -> int:
     p_scatter.add_argument("--evolve", action="store_true")
     p_scatter.add_argument("--config")
     p_scatter.add_argument("--out")
-    p_scatter.add_argument("--workers", type=int, default=1)
 
     p_export = sub.add_parser("export", help="write coefficient/operator tables")
     p_export.add_argument("what", choices=["polynomials", "operator", "smatrix"])

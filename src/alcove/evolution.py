@@ -93,19 +93,12 @@ class WavePacket:
                 "velocity box touches a chamber wall; shrink the packet")
 
     def _check_wall_margin(self, cells: int):
-        ok = self.ctx.regular_mask
-        m = self.grid.M
-        idx = {tuple(self.grid.index[k]) for k in self.support}
-        offsets = [off for off in itertools.product(range(-cells, cells + 1),
-                                                    repeat=self.rs.rank)
-                   if any(off)]
-        flat = {tuple(row): i for i, row in enumerate(self.grid.index)}
-        for pt in idx:
-            for off in offsets:
-                nb = tuple((a + b) % m for a, b in zip(pt, off))
-                if not ok[flat[nb]]:
-                    raise PacketError(
-                        "packet support is within %d cells of the singular set" % cells)
+        offsets = np.array(list(itertools.product(range(-cells, cells + 1),
+                                                  repeat=self.rs.rank)))
+        nbs = self.grid.index[self.support][:, None, :] + offsets[None, :, :]
+        if not np.all(self.ctx.regular_mask[self.grid.flat_index(nbs)]):
+            raise PacketError(
+                "packet support is within %d cells of the singular set" % cells)
 
     def _chamber_margin(self) -> float:
         corners = itertools.product(*zip(self.v_lo, self.v_hi))
@@ -227,15 +220,12 @@ def classical_packet(packet: WavePacket, t: float) -> LatticeFunction:
     rs = packet.rs
     w = packet.chamber_element(t)
     winv = w.inverse()
-    vals = _phase_values(packet, t)
-    out = {}
-    for lam in classical_support(packet, t):
-        shifted = tuple(a + b for a, b in zip(lam, rs.rho_coords))
-        kern = packet.grid.eval_coords(winv.act(shifted))
-        c = w.sign * complex(np.mean(vals * kern))
-        if c != 0:
-            out[lam] = c
-    return LatticeFunction(rs, out)
+    sites = classical_support(packet, t)
+    images = [winv.act(tuple(a + b for a, b in zip(lam, rs.rho_coords)))
+              for lam in sites]
+    f = packet.grid.fourier(_phase_values(packet, t))
+    coeffs = f[packet.grid.flat_index(np.reshape(images, (-1, rs.rank)))]
+    return LatticeFunction(rs, dict(zip(sites, w.sign * coeffs)))
 
 
 def classical_projection(phi: LatticeFunction, packet: WavePacket,
@@ -335,15 +325,12 @@ def _diagnostic_snapshot(system, symbol, center, radius, sign, t, m_of_t,
 def run_scattering_diagnostic(system: OrthoPolySystem, symbol: LaurentPoly,
                               center, radius: float, sign: int, times,
                               m_of_t=None, smoothness: int = 6,
-                              leak_tol: float = 1e-6,
-                              workers: int = 1) -> EvolutionReport:
+                              leak_tol: float = 1e-6) -> EvolutionReport:
     """Compare the four packet evolutions across a ladder of times.
 
     The polynomial table must already contain every window site of the
     largest time; a shallow table raises PacketError with the missing
-    sites.  Snapshots at different times are independent and run on a
-    thread pool when workers > 1 (results are assembled in time order, so
-    the report does not depend on scheduling).
+    sites.
     """
     times = sorted(times)
     names = ["interacting_vs_free", "free_vs_classical",
@@ -354,16 +341,8 @@ def run_scattering_diagnostic(system: OrthoPolySystem, symbol: LaurentPoly,
     from .scattering import _kernel_bandwidth
     fmax = _kernel_bandwidth(system)
 
-    def job(t):
-        return _diagnostic_snapshot(system, symbol, center, radius, sign, t,
-                                    m_of_t, smoothness, fmax)
-
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            snaps = list(pool.map(job, times))
-    else:
-        snaps = [job(t) for t in times]
+    snaps = [_diagnostic_snapshot(system, symbol, center, radius, sign, t,
+                                  m_of_t, smoothness, fmax) for t in times]
 
     norms = {n: [s[n] for s in snaps] for n in names}
     leaks = {"free": [s["leak_free"] for s in snaps],

@@ -265,6 +265,18 @@ class QuadratureGrid:
             out += np.exp(1j * phases) @ coeffs
         return out
 
+    def fourier(self, values: np.ndarray) -> np.ndarray:
+        """Grid averages of values * e^{i<mu, xi>} for every mu mod M, flat;
+        read entry mu at flat_index(mu)."""
+        cube = np.reshape(values, (self.M,) * self.rs.rank)
+        return np.fft.ifftn(cube).ravel()
+
+    def flat_index(self, mus) -> np.ndarray:
+        """Flat grid positions of integer weights (last axis: coordinates)
+        folded mod M."""
+        strides = self.M ** np.arange(self.rs.rank - 1, -1, -1, dtype=np.int64)
+        return (np.asarray(mus, dtype=np.int64) % self.M) @ strides
+
     def angles(self, mu) -> np.ndarray:
         """<mu, xi> over the grid (mu given by weight coordinates)."""
         return (2.0 * np.pi / self.M) * (self.index @ np.asarray(mu, dtype=np.int64))

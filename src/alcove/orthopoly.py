@@ -387,7 +387,8 @@ def gram_schmidt(rs: RootSystem, spec: CFunctionSpec, tops, order=None,
         chol = np.linalg.cholesky(gram)
     except np.linalg.LinAlgError:
         raise GramSingularError(np.linalg.cond(gram))
-    coeff = np.linalg.solve(chol, np.eye(len(weights)))
+    # the general solve leaves rounding residue above the diagonal
+    coeff = np.tril(np.linalg.solve(chol, np.eye(len(weights))))
     return OrthoPolySystem(rs, spec, weights, coeff, m, float(np.linalg.cond(gram)))
 
 

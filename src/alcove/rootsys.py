@@ -482,7 +482,6 @@ class RootSystem:
         word = tuple(word)
         w = self._elements.get(word)
         if w is None:
-            # threads that race here build equal elements
             w = self.element(word[:-1]) * self._elements[word[-1:]]
             self._elements[word] = w
         return w

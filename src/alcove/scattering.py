@@ -90,8 +90,11 @@ def spectral_norm(f: SpectralFunction) -> float:
 class WaveTable:
     """Wave-function values of one polynomial system on one grid.
 
-    Caches Psi_lam = Delta^{1/2} delta P_lam and the plane waves Psi0_lam,
-    and implements both Fourier pairings and their inverses.
+    Implements both Fourier pairings and their inverses.  Psi_lam =
+    Delta^{1/2} delta P_lam with P_lam a triangular combination of orbit
+    sums m_mu, and the plane wave Psi0_lam is the alternating sum over
+    W(rho + lam); so each inverse transform is one grid Fourier transform
+    read at integer exponents.
     """
 
     def __init__(self, system: OrthoPolySystem, grid: QuadratureGrid):
@@ -104,12 +107,15 @@ class WaveTable:
             raise ValueError(
                 f"grid M={grid.M} cannot resolve kernel frequencies up to "
                 f"{self.kernel_bandwidth}; inverse transforms would alias")
-        self._chat = chat_values(self.spec, grid)
-        self.sqrt_weight = 1.0 / np.abs(self._chat)
+        self.sqrt_weight = 1.0 / np.abs(chat_values(self.spec, grid))
         self.delta = delta_values(self.rs, grid)
         self._mono_vals = None
-        self._psi: dict = {}
-        self._psi0: dict = {}
+        orbits = [sorted(self.rs.weyl_orbit(mu)) for mu in system.weights]
+        self._orbit_index = grid.flat_index([nu for orb in orbits for nu in orb])
+        self._orbit_starts = np.cumsum([0] + [len(orb) for orb in orbits[:-1]])
+        group = self.rs.weyl_group()
+        self._weyl_matrices = np.array([w.matrix for w in group], dtype=np.int64)
+        self._weyl_signs = np.array([w.sign for w in group], dtype=np.int64)
 
     @property
     def monomial_values(self) -> np.ndarray:
@@ -122,50 +128,50 @@ class WaveTable:
         return self.monomial_values[:, : i + 1] @ self.system.coeff[i, : i + 1]
 
     def psi(self, lam) -> np.ndarray:
-        lam = tuple(lam)
-        if lam not in self._psi:
-            self._psi[lam] = self.sqrt_weight * self.delta * self.poly_values(lam)
-        return self._psi[lam]
-
-    def psi0(self, lam) -> np.ndarray:
-        lam = tuple(lam)
-        if lam not in self._psi0:
-            self._psi0[lam] = plane_wave_values(self.rs, lam, self.grid)
-        return self._psi0[lam]
+        return self.sqrt_weight * self.delta * self.poly_values(lam)
 
     # -- Fourier pairings ------------------------------------------------
 
     def forward(self, phi: LatticeFunction) -> SpectralFunction:
-        vals = np.zeros(self.grid.size, dtype=complex)
-        for lam, c in phi.items():
-            vals += c * np.conjugate(self.psi(lam))
+        rows = [self.system.index[lam] for lam, _ in phi.items()]
+        c = np.array([v for _, v in phi.items()], dtype=complex)
+        poly = self.monomial_values @ (np.conjugate(c) @ self.system.coeff[rows])
+        vals = np.conjugate(self.sqrt_weight * self.delta * poly)
         return SpectralFunction(self.grid, vals, "covariant")
 
     def forward_free(self, phi: LatticeFunction) -> SpectralFunction:
-        vals = np.zeros(self.grid.size, dtype=complex)
+        terms: dict = {}
         for lam, c in phi.items():
-            vals += c * np.conjugate(self.psi0(lam))
+            shifted = tuple(a + b for a, b in zip(self.rs.rho_coords, lam))
+            for mu, s in alternating_sum(self.rs, shifted).terms.items():
+                terms[mu] = terms.get(mu, 0) + s * c.conjugate()
+        vals = np.conjugate(self.grid.eval_terms(terms))
         return SpectralFunction(self.grid, vals, "covariant")
 
-    def _invert(self, fhat: SpectralFunction, kernel, window) -> LatticeFunction:
+    def _pairing_values(self, fhat: SpectralFunction):
+        """Values an inverse transform averages, and the scale of the average."""
         if fhat.kind == "covariant":
-            scale = 1.0 / self.rs.weyl_order()
-            vals = fhat.values
-        else:
-            scale = 1.0
-            vals = np.where(self.grid.alcove_mask, fhat.values, 0.0)
-        out = {}
-        for lam in window:
-            c = complex(np.mean(vals * kernel(lam))) * scale
-            if c != 0:
-                out[tuple(lam)] = c
-        return LatticeFunction(self.rs, out)
+            return fhat.values, 1.0 / self.rs.weyl_order()
+        return np.where(self.grid.alcove_mask, fhat.values, 0.0), 1.0
 
     def inverse(self, fhat: SpectralFunction, window) -> LatticeFunction:
-        return self._invert(fhat, self.psi, window)
+        """Grid averages of fhat * Psi_lam for lam in the window."""
+        vals, scale = self._pairing_values(fhat)
+        f = self.grid.fourier(vals * self.sqrt_weight * self.delta)
+        orbit_sums = np.add.reduceat(f[self._orbit_index], self._orbit_starts)
+        rows = [self.system.index[tuple(lam)] for lam in window]
+        return LatticeFunction(self.rs, dict(zip(
+            map(tuple, window), scale * (self.system.coeff[rows] @ orbit_sums))))
 
     def inverse_free(self, fhat: SpectralFunction, window) -> LatticeFunction:
-        return self._invert(fhat, self.psi0, window)
+        """Grid averages of fhat * Psi0_lam for lam in the window."""
+        vals, scale = self._pairing_values(fhat)
+        f = self.grid.fourier(vals)
+        shifted = np.reshape(np.asarray(window, dtype=np.int64), (-1, self.rs.rank)) \
+            + self.rs.rho_coords
+        images = np.einsum("wij,nj->nwi", self._weyl_matrices, shifted)
+        coeffs = f[self.grid.flat_index(images)] @ self._weyl_signs
+        return LatticeFunction(self.rs, dict(zip(map(tuple, window), scale * coeffs)))
 
     def window(self) -> list:
         """Default inversion window: every weight of the polynomial table."""

@@ -163,6 +163,17 @@ def test_unknown_suite(tmp_path):
                                  "cfunctions": {"family": "koornwinder",
                                                 "g0123": [0.9, 0.7, 0.6]}}),
     (["export", "polynomials"], [1, 2]),
+    # values that are not numbers
+    (["verify"], {"cfunctions": {"family": "macdonald", "g": 2.0, "q": "x"}}),
+    (["verify"], {"root_system": {"label": "A", "rank": 2},
+                  "weights": {"tops": [["a", 1]]}}),
+    (["verify"], {"weights": {"max_height": "h"}}),
+    (["scatter", "--evolve"], {"task": {"evolve": {"radius": "r"}}}),
+    (["scatter", "--evolve"], {"task": {"evolve": {"center": "c"}}}),
+    (["scatter", "--ray"], {"grid": {"M": "m"}}),
+    (["verify", "--suite", "smatrix"], {"tolerances": {"smatrix": "t"}}),
+    (["verify", "--tol", "x"], {}),
+    (["scatter", "--evolve"], {"task": {"evolve": {"center": [1.0]}}}),
 ])
 def test_bad_task_values_are_config_errors(tmp_path, argv, patch):
     base = {"root_system": {"label": "A", "rank": 1},
@@ -172,8 +183,37 @@ def test_bad_task_values_are_config_errors(tmp_path, argv, patch):
     assert main(argv + ["--config", cfg, "--out", str(tmp_path / "out")]) == 2
 
 
-@pytest.mark.parametrize("verb", [["verify"], ["export", "polynomials"]])
+BC2_KOORNWINDER = {
+    "root_system": {"label": "BC", "rank": 2},
+    "cfunctions": {"family": "koornwinder", "ghat": 1.1,
+                   "g0123": [0.9, 0.7, 0.6, 0.8], "q": 0.45},
+}
+
+
+@pytest.mark.parametrize("config", [A2_MACDONALD, BC2_KOORNWINDER])
+def test_smatrix_factor_row_checks_direct_factor(tmp_path, monkeypatch, config):
+    # the factorized S_w against C(w xi)/C(-w xi), at the smatrix tolerance
+    cfg = _cfg(tmp_path, "s.json", config)
+    out = tmp_path / "s_out.json"
+    argv = ["verify", "--suite", "smatrix", "--config", cfg, "--out", str(out)]
+    assert main(argv) == 0
+    row = json.loads(out.read_text())["checks"][1]
+    assert "root factors" in row["check"]
+    assert row["pass"] and row["residual"] <= row["tolerance"] == 1e-13
+
+    import alcove.cli
+    direct = alcove.cli.smatrix_factor_direct
+    monkeypatch.setattr(alcove.cli, "smatrix_factor_direct",
+                        lambda spec, w, grid: direct(spec, w, grid) + 1e-12)
+    assert main(argv) == 4
+    row = json.loads(out.read_text())["checks"][1]
+    assert not row["pass"] and row["residual"] > 9e-13
+
+
+@pytest.mark.parametrize("verb", [["verify"], ["export", "polynomials"],
+                                  ["scatter", "--evolve"]])
 def test_workers_only_on_scatter(tmp_path, verb):
+    # no verb takes --workers
     cfg = _cfg(tmp_path, "a2.json", A2_MACDONALD)
     with pytest.raises(SystemExit) as err:
         main(verb + ["--config", cfg, "--workers", "2"])
@@ -191,10 +231,9 @@ BC1_EVOLVE = {
 def test_scatter_evolve(tmp_path):
     cfg = _cfg(tmp_path, "bc1.json", BC1_EVOLVE)
     reports = []
-    for workers in ("1", "2"):
-        out = tmp_path / f"evolve{workers}.json"
-        assert main(["scatter", "--evolve", "--config", cfg, "--out", str(out),
-                     "--workers", workers]) == 0
+    for run in ("1", "2"):
+        out = tmp_path / f"evolve{run}.json"
+        assert main(["scatter", "--evolve", "--config", cfg, "--out", str(out)]) == 0
         reports.append(out.read_bytes())
     assert json.loads(reports[0])["evolution"]["success"] is True
     assert reports[0] == reports[1]

@@ -55,6 +55,8 @@ def test_orthonormality_and_triangularity(a2, a2_macdonald, a2_system):
     gram = gram_matrix(polys, spec, QuadratureGrid(a2, a2_system.grid_m))
     assert np.max(np.abs(gram - np.eye(len(polys)))) < 1e-9
     n = len(a2_system.weights)
+    # exactly lower triangular: inverse transforms multiply whole rows
+    assert not np.triu(a2_system.coeff, 1).any()
     for i in range(n):
         assert a2_system.coeff[i, i] > 0
         for j in range(i):

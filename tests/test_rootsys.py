@@ -398,3 +398,17 @@ def test_weyl_action_stays_on_weight_coordinates():
                     ("_mat_mul" in line and path.name != "rootsys.py"):
                 hits.append(f"{path.name}:{n}: {line.strip()}")
     assert not hits
+
+
+PER_WEIGHT_KERNEL_IDIOMS = re.compile(r"_invert|psi0|_psi0|ThreadPoolExecutor|workers")
+
+
+def test_transforms_stay_on_one_fourier_transform():
+    # inverse transforms gather from one grid Fourier transform, and the
+    # evolve snapshots run in one thread
+    src = Path(alcove.__file__).parent
+    hits = [f"{path.name}:{n}: {line.strip()}"
+            for path in sorted(src.glob("*.py"))
+            for n, line in enumerate(path.read_text().splitlines(), 1)
+            if PER_WEIGHT_KERNEL_IDIOMS.search(line)]
+    assert not hits

@@ -47,7 +47,8 @@ def test_unit_wave_functions_are_plane_waves(a2):
     sysu = gram_schmidt(a2, unit_spec(a2), [(2, 2)])
     tab = WaveTable(sysu, QuadratureGrid(a2, 48))
     for lam in [(0, 0), (1, 1), (2, 2)]:
-        assert np.max(np.abs(tab.psi(lam) - tab.psi0(lam))) < 1e-12
+        psi0 = plane_wave_values(a2, lam, tab.grid)
+        assert np.max(np.abs(tab.psi(lam) - psi0)) < 1e-12
 
 
 def test_plane_wave_identities(a2, bc1):
@@ -143,7 +144,8 @@ def test_fourier_roundtrip_free(a2):
     # forward of an indicator is the conjugate wave function
     ind = LatticeFunction.indicator(a2, (1, 1))
     fhat = tab.forward_free(ind)
-    assert np.max(np.abs(fhat.values - np.conjugate(tab.psi0((1, 1))))) < 1e-13
+    psi0 = plane_wave_values(a2, (1, 1), tab.grid)
+    assert np.max(np.abs(fhat.values - np.conjugate(psi0))) < 1e-13
 
 
 def test_fourier_roundtrip_and_parseval_interacting(a2, a2_macdonald):
@@ -264,3 +266,72 @@ def test_eigenfunction_property_and_intertwining(a2, a2_macdonald):
     lhs = tab.forward(apply_fourier_conjugated(tab, sym, phi, sites))
     rhs = SpectralFunction(tab.grid, evals * tab.forward(phi).values, "covariant")
     assert spectral_norm(lhs - rhs) < 1e-7
+
+
+def _deep_packet(ctx):
+    """A bump centred at the regular point farthest from the singular set."""
+    from alcove.evolution import WavePacket
+    grid = ctx.grid
+    bad = grid.xi[~ctx.regular_mask]
+    good = np.nonzero(ctx.regular_mask)[0]
+    dmin = np.array([np.min(np.linalg.norm(bad - grid.xi[k], axis=1)) for k in good])
+    k = good[int(np.argmax(dmin))]
+    return WavePacket(ctx, grid.xi[k], 0.5 * float(dmin.max()), smoothness=4,
+                      velocity_margin=0.05)
+
+
+@pytest.fixture(scope="module", params=["A2 Macdonald", "BC2 Koornwinder"])
+def rank2_table(request, a2, a2_system, bc2):
+    if request.param == "A2 Macdonald":
+        return WaveTable(a2_system, QuadratureGrid(a2, 48))
+    from alcove.orthopoly import KoornwinderParams
+    par = KoornwinderParams.create(bc2, 1.1, (0.9, 0.7, 0.6, 0.8), 0.45)
+    # M = 96: a grid of 48 leaves no bump two cells clear of the singular set
+    return WaveTable(gram_schmidt(bc2, par.cspec(), [(3, 2)]), QuadratureGrid(bc2, 96))
+
+
+def _close_rel(got, ref, window, rtol=1e-13):
+    a = np.array([got.get(lam) for lam in window])
+    b = np.array([ref[lam] for lam in window])
+    return np.linalg.norm(a - b) <= rtol * np.linalg.norm(b)
+
+
+def test_transforms_match_per_weight_kernels(rank2_table):
+    # each inverse transform against the grid average of fhat * kernel,
+    # one weight at a time, with the kernel written out here
+    tab = rank2_table
+    rs, grid = tab.rs, tab.grid
+    rng = np.random.default_rng(7)
+    values = rng.normal(size=grid.size) + 1j * rng.normal(size=grid.size)
+    window = tab.window()
+    for kind, vals, scale in [
+            ("covariant", values, 1.0 / rs.weyl_order()),
+            ("alcove", np.where(grid.alcove_mask, values, 0.0), 1.0)]:
+        fhat = SpectralFunction(grid, values, kind)
+        ref = {lam: scale * np.mean(vals * tab.sqrt_weight * tab.delta
+                                    * tab.system.poly(lam).eval_grid(grid))
+               for lam in window}
+        assert _close_rel(tab.inverse(fhat, window), ref, window)
+        ref = {lam: scale * np.mean(vals * plane_wave_values(rs, lam, grid))
+               for lam in window}
+        assert _close_rel(tab.inverse_free(fhat, window), ref, window)
+    with pytest.raises(KeyError):
+        tab.inverse(SpectralFunction(grid, values, "covariant"), [(40, 40)])
+
+
+def test_classical_packet_matches_per_weight_kernels(rank2_table):
+    from alcove.evolution import classical_packet, classical_support
+    ctx = ScatteringContext(rank2_table, orbit_symbol(rank2_table.rs, (1, 0)))
+    packet = _deep_packet(ctx)
+    rs, grid = ctx.rs, ctx.grid
+    for t in (3.0, -5.0):
+        w = packet.chamber_element(t)
+        vals = np.exp(-1j * t * ctx.symbol_values) * packet.values
+        sites = classical_support(packet, t)
+        assert sites
+        ref = {}
+        for lam in sites:
+            shifted = tuple(a + b for a, b in zip(lam, rs.rho_coords))
+            kern = grid.eval_coords(w.inverse().act(shifted))
+            ref[lam] = w.sign * np.mean(vals * kern)
+        assert _close_rel(classical_packet(packet, t), ref, sites)
