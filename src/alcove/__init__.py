@@ -4,9 +4,9 @@ the dominant cone, and their factorized scattering theory."""
 __version__ = "0.1.0"
 
 from .rootsys import RootSystem, WeylElement, build_root_system
-from .qfun import (CFunctionSpec, MacdonaldC, KoornwinderLongC,
-                   KoornwinderShortC, UnitC, koornwinder_spec, macdonald_spec,
-                   qpochhammer_inf, shat, shat_sqrt, unit_spec)
+from .qfun import (CFunctionSpec, MacdonaldC, KoornwinderShortC, UnitC,
+                   koornwinder_spec, macdonald_spec, qpochhammer_inf, shat,
+                   shat_sqrt, unit_spec)
 from .harmonic import (LaurentPoly, QuadratureGrid, inner_product,
                        monomial_symmetric, orbit_symbol, weyl_character,
                        weyl_denominator)

@@ -60,6 +60,14 @@ def _numbers(values, key: str, kind=float) -> list:
     return [_number(v, key, kind) for v in values]
 
 
+def _nonnegative(value, key: str) -> int:
+    """The config integer at key, or a ConfigError when it is negative."""
+    n = _number(value, key, int)
+    if n < 0:
+        raise ConfigError(f"{key} must be nonnegative, got {n}")
+    return n
+
+
 def load_config(path: str) -> dict:
     try:
         with open(path) as fh:
@@ -114,7 +122,7 @@ def weight_tops(cfg: dict, rs) -> list:
                 raise ConfigError("weights.tops must hold dominant weights of "
                                   f"rank {rs.rank}, got {list(top)}")
         return tops
-    h = _number(wc.get("max_height", 2), "weights.max_height", int)
+    h = _nonnegative(wc.get("max_height", 2), "weights.max_height")
     import itertools
     box = [c for c in itertools.product(range(h + 1), repeat=rs.rank)
            if 0 < sum(c) <= h]
@@ -177,6 +185,8 @@ def _suite_appendix_a(rs, params, spec, cfg, tol):
     if not isinstance(params, MacdonaldParams):
         raise ConfigError("suite appendixA needs a macdonald c-function family")
     rng = np.random.default_rng(_number(cfg.get("seed", 0), "seed", int))
+    n_xi = _nonnegative(cfg.get("n_spectral_points", 20), "n_spectral_points")
+    n_lam = _nonnegative(cfg.get("max_lambdas", 3), "max_lambdas")
     tops = weight_tops(cfg, rs)
     pi = rs.quasi_minuscule_weight()
     minus = rs.minuscule_weights()
@@ -211,9 +221,8 @@ def _suite_appendix_a(rs, params, spec, cfg, tol):
         xi = rng.uniform(0.2, 2.0, size=rs.dim)
         add(f"macdonald identity {pim}",
             macdonald_identity_residual(params, pim, xi), tol["macdonald_identity"])
-    n_xi = _number(cfg.get("n_spectral_points", 20), "n_spectral_points", int)
     dual_pis = dual_minuscule + [dual.rs.quasi_minuscule_weight()]
-    for lam in test_lams[: _number(cfg.get("max_lambdas", 3), "max_lambdas", int)]:
+    for lam in test_lams[:n_lam]:
         for k in range(n_xi):
             xi = _regular_point(rs, rng)
             for pim in dual_pis:
@@ -262,7 +271,7 @@ def _suite_orthonormality(rs, params, spec, cfg, tol):
 def _suite_free_laplacian(rs, params, spec, cfg, tol):
     import itertools
     checks = []
-    h = _number(cfg.get("weights", {}).get("max_height", 4), "weights.max_height", int)
+    h = _nonnegative(cfg.get("weights", {}).get("max_height", 4), "weights.max_height")
     pis = [tuple(m) for m in rs.minuscule_weights()] + [rs.quasi_minuscule_weight()]
     worst = 0.0
     for pi in pis:
@@ -364,10 +373,13 @@ def cmd_scatter(args) -> int:
         times = _numbers(ev.get("times", [4, 8, 16, 32]), "task.evolve.times")
         if not times:
             raise ConfigError("task.evolve.times must not be empty")
-        if 0.0 in times:
-            raise ConfigError(f"task.evolve.times must be nonzero, got {times}")
+        if min(times) <= 0:
+            raise ConfigError(f"task.evolve.times must be positive, got {times}")
         pi = tuple(_numbers(ev.get("orbit", ()), "task.evolve.orbit", int)) or \
             tuple(1 if j == 0 else 0 for j in range(rs.rank))
+        if len(pi) != rs.rank or not any(pi):
+            raise ConfigError(f"task.evolve.orbit must be a nonzero weight of "
+                              f"rank {rs.rank}, got {list(pi)}")
         sym = orbit_symbol(rs, pi)
         radius = _number(ev.get("radius", 1.0), "task.evolve.radius")
         if radius <= 0:
@@ -379,7 +391,9 @@ def cmd_scatter(args) -> int:
                 raise ConfigError(f"task.evolve.center must have {rs.dim} "
                                   f"entries, got {ev['center']!r}")
         sign = _number(ev.get("sign", 1), "task.evolve.sign", int)
-        lmax = _number(ev.get("lattice_depth", 0), "task.evolve.lattice_depth", int) or \
+        if sign not in (1, -1):
+            raise ConfigError(f"task.evolve.sign must be 1 or -1, got {sign}")
+        lmax = _nonnegative(ev.get("lattice_depth", 0), "task.evolve.lattice_depth") or \
             int(3.2 * max(times) + 90.0 / radius) + 8
         tops = [(lmax,) * rs.rank]
         if rs.rank == 1:

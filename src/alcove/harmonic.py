@@ -249,11 +249,6 @@ class QuadratureGrid:
         self._xi = None
         self._alcove = None
 
-    def eval_coords(self, mu) -> np.ndarray:
-        """exp(i <mu, xi>) over the grid for one weight mu."""
-        phase = (2.0 * np.pi / self.M) * (self.index @ np.asarray(mu, dtype=np.int64))
-        return np.exp(1j * phase)
-
     def eval_terms(self, terms: dict) -> np.ndarray:
         out = np.zeros(self.size, dtype=complex)
         items = list(terms.items())
@@ -361,35 +356,39 @@ def bandwidth_bound(rs: RootSystem, supports) -> int:
     return total
 
 
+def first_rung(rs: RootSystem, supports) -> int:
+    """2 * bandwidth + 2 over the union of the supports and |delta|^2: the
+    coarsest grid of the doubling ladder, exact for the unit weight."""
+    union = set().union(*supports)
+    dsup = weyl_denominator(rs).support()
+    return 2 * bandwidth_bound(rs, [union, union, dsup, dsup]) + 2
+
+
+def gram_ladder(polys, spec: CFunctionSpec, tol: float, max_m: int):
+    """(Gram, M): the Gram matrix of polys on the doubling ladder of grids.
+
+    M doubles from first_rung until two successive Gram matrices agree within
+    tol * (1 + max|G|); the first rung is exact for unit weights.  No grid
+    above max_m is built.
+    """
+    rs = polys[0].rs
+    m = first_rung(rs, [p.support() for p in polys])
+    gram = None
+    while m <= max_m:
+        cur = gram_matrix(polys, spec, QuadratureGrid(rs, m))
+        if spec.is_unit or (gram is not None and np.max(np.abs(cur - gram))
+                            <= tol * (1.0 + np.max(np.abs(cur)))):
+            return cur, m
+        gram, m = cur, 2 * m
+    raise QuadratureError(f"Gram matrix did not stabilize below M={max_m}")
+
+
 def inner_product(f: LaurentPoly, g: LaurentPoly, spec: CFunctionSpec,
                   tol: float = 1e-10, max_m: int = 4096) -> complex:
-    """(f, g) with respect to the weight Delta |delta|^2, alcove-normalized.
-
-    Equals the cell average of f conj(g) Delta |delta|^2 divided by |W|.
-    The subdivision doubles until two successive values agree within tol
-    (exact at the first step for unit weights); no grid above max_m is built.
-    """
-    rs = f.rs
-    dsup = weyl_denominator(rs).support()
-    band = bandwidth_bound(rs, [f.support(), g.support(), dsup, dsup])
-    m = 2 * band + 2
-    prev = _ip_on_grid(f, g, spec, QuadratureGrid(rs, m))
-    if spec.is_unit:
-        return prev
-    while True:
-        m *= 2
-        if m > max_m:
-            raise QuadratureError(f"inner product did not stabilize below M={max_m}")
-        cur = _ip_on_grid(f, g, spec, QuadratureGrid(rs, m))
-        if abs(cur - prev) <= tol * (1.0 + abs(cur)):
-            return cur
-        prev = cur
-
-
-def _ip_on_grid(f, g, spec, grid) -> complex:
-    w = measure_values(spec, grid)
-    vals = f.eval_grid(grid) * np.conjugate(g.eval_grid(grid)) * w
-    return complex(np.mean(vals)) / grid.rs.weyl_order()
+    """(f, g) with respect to the weight Delta |delta|^2, alcove-normalized:
+    entry [0, 1] of the Gram matrix of [f, g] on the doubling ladder."""
+    gram, _ = gram_ladder([f, g], spec, tol, max_m)
+    return complex(gram[0, 1])
 
 
 def gram_matrix(polys, spec: CFunctionSpec, grid: QuadratureGrid) -> np.ndarray:

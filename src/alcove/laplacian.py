@@ -95,6 +95,14 @@ def orbit_with_negatives(rs: RootSystem, pi) -> list:
     return sorted(orbit_symbol(rs, pi).terms)
 
 
+def hopping_orbit(rs: RootSystem, pi) -> list:
+    """The hops of the Laplacian attached to pi: W(pi) on BC_N, and
+    W(pi) u W(-pi), sorted, on reduced systems."""
+    if rs.label.startswith("BC"):
+        return sorted(rs.weyl_orbit(tuple(pi)))
+    return orbit_with_negatives(rs, pi)
+
+
 # ---------------------------------------------------------------------------
 # free Laplacians
 
@@ -106,10 +114,7 @@ def apply_free(rs: RootSystem, pi, phi: LatticeFunction) -> LatticeFunction:
     when rho+mu is regular and as 0 otherwise.  On BC_N this reproduces the
     plain truncated sum over W(pi).
     """
-    if rs.label.startswith("BC"):
-        orbit = sorted(rs.weyl_orbit(tuple(pi)))
-    else:
-        orbit = orbit_with_negatives(rs, pi)
+    orbit = hopping_orbit(rs, pi)
     rho = rs.rho_coords
     candidates = set()
     group = rs.weyl_group()
@@ -151,14 +156,9 @@ def short_simple_perp_count(rs: RootSystem, lam) -> int:
 def apply_free_closed(rs: RootSystem, pi, phi: LatticeFunction) -> LatticeFunction:
     """The boundary rule in closed form: -n_pi(lam) phi_lam plus the
     truncated orbit sum (reduced systems, pi (quasi-)minuscule)."""
-    if rs.label.startswith("BC"):
-        orbit = sorted(rs.weyl_orbit(tuple(pi)))
-        diagonal = False
-    else:
-        orbit = orbit_with_negatives(rs, pi)
-        pi_dom = tuple(pi)
-        minuscule = pi_dom in {tuple(m) for m in rs.minuscule_weights()}
-        diagonal = not minuscule
+    orbit = hopping_orbit(rs, pi)
+    diagonal = not rs.label.startswith("BC") and \
+        tuple(pi) not in {tuple(m) for m in rs.minuscule_weights()}
     out = {}
     sites = set(phi.support())
     for mu in phi.support():
@@ -187,13 +187,9 @@ def diagonal_shift(params: PolyParams, pi) -> float:
     """E_pi(rho_g^vee): the exponential orbit sum at the deformed half-sum."""
     rs = params.rs
     rho_gv = params.rho_g_vee()
-    if isinstance(params, KoornwinderParams):
-        orbit = sorted(rs.weyl_orbit(tuple(pi)))
-    else:
-        orbit = orbit_with_negatives(rs, pi)
     s = params.s
     return float(sum(math.exp(s * float(np.dot(nu_vec, rho_gv)))
-                     for nu_vec in rs.float_weights(orbit)))
+                     for nu_vec in rs.float_weights(hopping_orbit(rs, pi))))
 
 
 def _hop_pair(params, lam, nu, lam_vec, nu_vec, rho_g):
@@ -214,28 +210,22 @@ def apply_macdonald_ruijsenaars(params: MacdonaldParams, pi,
         + sum_{nu in W(pi) u W(-pi), lam+nu in P+}
               ( sqrt(V_nu V_-nu') phi_{lam+nu} - V_nu(rho_g+lam) phi_lam ).
     """
-    rs = params.rs
     if isinstance(params, KoornwinderParams):
         raise ValueError("use apply_koornwinder for BC_N")
-    orbit = orbit_with_negatives(rs, pi)
-    return _apply_hopping(params, rs, orbit, phi)
+    return _apply_hopping(params, pi, phi)
 
 
 def apply_koornwinder(params: KoornwinderParams, phi: LatticeFunction) -> LatticeFunction:
     """Hopping action of the four-parameter BC_N Laplacian (pi = omega_1)."""
+    pi = tuple(1 if j == 0 else 0 for j in range(params.rs.rank))
+    return _apply_hopping(params, pi, phi)
+
+
+def _apply_hopping(params, pi, phi):
     rs = params.rs
-    pi = tuple(1 if j == 0 else 0 for j in range(rs.rank))
-    orbit = sorted(rs.weyl_orbit(pi))
-    return _apply_hopping(params, rs, orbit, phi, pi=pi)
-
-
-def _apply_hopping(params, rs, orbit, phi, pi=None):
     rho_g = params.rho_g()
-    if pi is None:
-        dom = next(nu for nu in orbit if rs.is_dominant(nu))
-    else:
-        dom = pi
-    shift = diagonal_shift(params, dom)
+    orbit = hopping_orbit(rs, pi)
+    shift = diagonal_shift(params, pi)
     sites = set(phi.support())
     for mu in phi.support():
         for nu in orbit:
@@ -331,6 +321,7 @@ def interior_sites(rs: RootSystem, sites, orbit) -> list:
 
 __all__ = [
     "LatticeFunction", "localization_support", "orbit_with_negatives",
+    "hopping_orbit",
     "apply_free", "apply_free_closed", "short_simple_perp_count",
     "functional_relation_residual", "diagonal_shift",
     "apply_macdonald_ruijsenaars", "apply_koornwinder",

@@ -2,10 +2,12 @@
 
 The primary construction is Gram-Schmidt on the monomial symmetric basis,
 ordered by a linear extension of the dominance order, with inner products
-from torus quadrature.  For the q-Pochhammer weights the orthonormalized
-polynomials admit closed-form norm constants; those are implemented here
-together with residual checks for the classical identities they satisfy
-(specialization, symmetry, difference equation, recurrence).
+from torus quadrature; for unit weights the orthonormal polynomials are the
+Weyl characters, whose exact weight multiplicities are used directly.  For
+the q-Pochhammer weights the orthonormalized polynomials admit closed-form
+norm constants; those are implemented here together with residual checks
+for the classical identities they satisfy (specialization, symmetry,
+difference equation, recurrence).
 """
 
 from __future__ import annotations
@@ -13,16 +15,15 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
 
-from .harmonic import (LaurentPoly, QuadratureGrid, QuadratureError,
-                       bandwidth_bound, gram_matrix, monomial_symmetric,
-                       weyl_denominator, laurent_divide)
-from .qfun import (CFunctionSpec, cfun_taylor, koornwinder_spec,
-                   macdonald_spec, qpochhammer_inf)
+from .harmonic import (LaurentPoly, QuadratureGrid, first_rung, gram_ladder,
+                       laurent_divide, monomial_symmetric, weyl_character,
+                       weyl_denominator)
+from .qfun import (CFunctionSpec, koornwinder_spec, macdonald_spec,
+                   qpochhammer_inf)
 from .rootsys import RootSystem
 
 
@@ -277,19 +278,19 @@ class GramSingularError(RuntimeError):
 class OrthoPolySystem:
     """Orthonormal polynomials P_lam on a saturated, linearly ordered weight set.
 
-    coeff[i, j] is the coefficient of m_{weights[j]} in P_{weights[i]}; the
-    matrix is lower triangular with positive diagonal.
+    coeff[i, j] is the coefficient of monomials[j] = m_{weights[j]} in
+    P_{weights[i]}; the matrix is lower triangular with positive diagonal.
     """
 
-    def __init__(self, rs, spec, weights, coeff, grid_m, cond):
+    def __init__(self, rs, spec, weights, monomials, coeff, grid_m, cond):
         self.rs = rs
         self.spec = spec
         self.weights = list(weights)
         self.index = {mu: i for i, mu in enumerate(self.weights)}
+        self.monomials = monomials
         self.coeff = coeff
         self.grid_m = grid_m
         self.cond = cond
-        self._monomials = [monomial_symmetric(rs, mu) for mu in self.weights]
 
     def __contains__(self, lam) -> bool:
         return tuple(lam) in self.index
@@ -306,20 +307,20 @@ class OrthoPolySystem:
         return self._combination(i, 1.0 / self.coeff[i, i])
 
     def _combination(self, i: int, scale) -> LaurentPoly:
-        """Row i of coeff, times scale, as a sum of monomials."""
-        out = LaurentPoly.zero(self.rs)
-        for j in range(i + 1):
-            c = self.coeff[i, j] * scale
+        """Row i of coeff, times scale, as a sum of monomials; the orbits are
+        disjoint, so each one is written straight into the terms."""
+        terms: dict = {}
+        for mono, c in zip(self.monomials, self.coeff[i, : i + 1] * scale):
             if c != 0:
-                out = out + self._monomials[j] * complex(c)
-        return out
+                terms.update(dict.fromkeys(mono.terms, complex(c)))
+        return LaurentPoly(self.rs, terms)
 
     def normalized(self, params: PolyParams, lam) -> LaurentPoly:
         """The closed-norm polynomial P_lam = N0^{-1/2} Delta^{1/2} c_lam p_lam."""
         return self.monic(lam) * norm_constants(params, lam).orthonormal_scale
 
     def monomial_values(self, grid: QuadratureGrid) -> np.ndarray:
-        return np.column_stack([m.eval_grid(grid) for m in self._monomials])
+        return np.column_stack([m.eval_grid(grid) for m in self.monomials])
 
     def export_table(self) -> dict:
         """JSON-ready coefficient table keyed by weight coordinates."""
@@ -347,9 +348,10 @@ def gram_schmidt(rs: RootSystem, spec: CFunctionSpec, tops, order=None,
                  tol: float = 1e-11, max_m: int = 4096) -> OrthoPolySystem:
     """Orthonormalize the monomial basis below the given top weight(s).
 
-    For the unit weight the quadrature Gram is exact (band-limited
-    integrand) and the factorization is carried out in exact rational
-    arithmetic, so the output coefficients are exact character data.
+    For the unit weight the orthonormal polynomials are the Weyl characters
+    (Weyl orthogonality), so coeff holds their exact integer weight
+    multiplicities; otherwise the monomial Gram matrix from the quadrature
+    ladder is Cholesky-factored.
     """
     if tops and isinstance(tops[0], int):
         tops = [tuple(tops)]
@@ -360,70 +362,23 @@ def gram_schmidt(rs: RootSystem, spec: CFunctionSpec, tops, order=None,
         weights = _validate_order(rs, order)
 
     monos = [monomial_symmetric(rs, mu) for mu in weights]
-    dsup = weyl_denominator(rs).support()
-    msup = set().union(*(mo.support() for mo in monos))
-    band = bandwidth_bound(rs, [msup, msup, dsup, dsup])
-    m = 2 * band + 2
-
     if spec.is_unit:
-        gram = gram_matrix(monos, spec, QuadratureGrid(rs, m))
-        coeff = _exact_unit_factorization(gram, rs.weyl_order())
-        return OrthoPolySystem(rs, spec, weights, coeff, m, 1.0)
+        chars = [weyl_character(rs, lam) for lam in weights]
+        coeff = np.array([[chi.coeff(mu) for mu in weights] for chi in chars],
+                         dtype=float)
+        m = first_rung(rs, [mo.support() for mo in monos])
+        return OrthoPolySystem(rs, spec, weights, monos, coeff, m, 1.0)
 
-    gram = gram_matrix(monos, spec, QuadratureGrid(rs, m)).real
-    while True:
-        m2 = 2 * m
-        if m2 > max_m:
-            raise QuadratureError(f"Gram matrix did not stabilize below M={max_m}")
-        gram2 = gram_matrix(monos, spec, QuadratureGrid(rs, m2)).real
-        if np.max(np.abs(gram2 - gram)) <= tol * (1.0 + np.max(np.abs(gram2))):
-            gram = gram2
-            m = m2
-            break
-        gram, m = gram2, m2
-
-    gram = 0.5 * (gram + gram.T)
+    gram, m = gram_ladder(monos, spec, tol, max_m)
+    gram = 0.5 * (gram.real + gram.real.T)
     try:
         chol = np.linalg.cholesky(gram)
     except np.linalg.LinAlgError:
         raise GramSingularError(np.linalg.cond(gram))
     # the general solve leaves rounding residue above the diagonal
     coeff = np.tril(np.linalg.solve(chol, np.eye(len(weights))))
-    return OrthoPolySystem(rs, spec, weights, coeff, m, float(np.linalg.cond(gram)))
-
-
-def _exact_unit_factorization(gram: np.ndarray, worder: int) -> np.ndarray:
-    """Exact LDL^T of the (rational) unit-weight Gram; returns D^{-1/2} L^{-1}.
-
-    Entries of |W| * Gram are integers for the unit weight, so the float
-    matrix is rationalized by rounding before factorization.
-    """
-    n = gram.shape[0]
-    gi = [[Fraction(round(float(gram[i, j].real) * worder), worder)
-           for j in range(n)] for i in range(n)]
-    lower = [[Fraction(0)] * n for _ in range(n)]
-    diag = [Fraction(0)] * n
-    for j in range(n):
-        d = gi[j][j] - sum(lower[j][k] * lower[j][k] * diag[k] for k in range(j))
-        if d <= 0:
-            raise GramSingularError(float("inf"))
-        diag[j] = d
-        lower[j][j] = Fraction(1)
-        for i in range(j + 1, n):
-            v = gi[i][j] - sum(lower[i][k] * lower[j][k] * diag[k] for k in range(j))
-            lower[i][j] = v / d
-    # invert the unit lower-triangular factor exactly
-    inv = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        inv[i][i] = Fraction(1)
-        for j in range(i - 1, -1, -1):
-            inv[i][j] = -sum(lower[i][k] * inv[k][j] for k in range(j, i))
-    out = np.zeros((n, n))
-    for i in range(n):
-        scale = 1.0 / math.sqrt(float(diag[i]))
-        for j in range(i + 1):
-            out[i, j] = float(inv[i][j]) * scale
-    return out
+    return OrthoPolySystem(rs, spec, weights, monos, coeff, m,
+                           float(np.linalg.cond(gram)))
 
 
 # ---------------------------------------------------------------------------
@@ -631,7 +586,7 @@ def truncated_overall_cfun(spec: CFunctionSpec, rs: RootSystem, degree: int) -> 
     """Taylor truncation of C(xi) = prod c(e^{-i<a,xi>}) as a Laurent polynomial."""
     out = LaurentPoly.one(rs)
     for a, cf in zip(rs.positive_roots_1, spec.cfunctions):
-        coeffs = cfun_taylor(cf, degree)
+        coeffs = cf.taylor(degree)
         ac = rs.root_coords(a)
         terms = {tuple(-k * x for x in ac): complex(c)
                  for k, c in enumerate(coeffs) if c != 0.0}

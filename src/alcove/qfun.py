@@ -117,26 +117,6 @@ class MacdonaldC(CFunction):
 
 
 @dataclass(frozen=True)
-class KoornwinderLongC(CFunction):
-    """Long-root c-function of the nonreduced case, same shape as MacdonaldC."""
-
-    ghat: float = 1.0
-    q: float = 0.5
-
-    def __post_init__(self):
-        if not (self.ghat > 0 and 0 < self.q < 1):
-            raise CFunctionError(f"need ghat > 0 and q in (0,1)")
-
-    def _eval_raw(self, z):
-        zz = np.asarray(z) if np.ndim(z) else z
-        return qpochhammer_inf(self.q**self.ghat * zz, self.q, self.tol) / \
-            qpochhammer_inf(self.q * zz, self.q, self.tol)
-
-    def _radius_hint(self) -> float:
-        return min(self.q ** (-self.ghat / 2), self.q ** -0.5)
-
-
-@dataclass(frozen=True)
 class KoornwinderShortC(CFunction):
     """Short-root c-function with four parameters:
 
@@ -180,10 +160,6 @@ def _certified_radius(c: CFunction) -> float:
             return rho
         rho = 1.0 + 0.9 * (rho - 1.0)
     raise CFunctionError(f"zero-freeness certification failed for {c}")
-
-
-def cfun_taylor(c: CFunction, degree: int) -> np.ndarray:
-    return c.taylor(degree)
 
 
 def shat(c: CFunction, theta):
@@ -250,7 +226,8 @@ def macdonald_spec(rs, g, q: float) -> CFunctionSpec:
 
 
 def koornwinder_spec(rs, ghat: float, g0123, q: float) -> CFunctionSpec:
-    """Koornwinder c-functions on BC_N (hat parameters, spectral side)."""
+    """Koornwinder c-functions on BC_N (hat parameters, spectral side); the
+    long roots carry the Macdonald c-function with g = ghat."""
     if not rs.label.startswith("BC"):
         raise ValueError("koornwinder_spec needs a BC_N root system")
     g0, g1, g2, g3 = (float(x) for x in g0123)
@@ -261,5 +238,5 @@ def koornwinder_spec(rs, ghat: float, g0123, q: float) -> CFunctionSpec:
         if l == min(lengths):
             table[l] = short
         else:
-            table[l] = KoornwinderLongC(ghat=float(ghat), q=q)
+            table[l] = MacdonaldC(g=float(ghat), q=q)
     return CFunctionSpec(rs, table)

@@ -634,20 +634,15 @@ def _determinant(mat) -> Fraction:
     return det
 
 
-_FACT = [1]
-for _k in range(1, 13):
-    _FACT.append(_FACT[-1] * _k)
-
-
 def weyl_order(label: str, rank: int) -> int:
     """Classical order formula for W, used to guard enumeration budgets."""
     n = rank
     if label == "A":
-        return _FACT[n + 1] if n + 1 < len(_FACT) else _big_factorial(n + 1)
+        return math.factorial(n + 1)
     if label in ("B", "C", "BC"):
-        return 2 ** n * _big_factorial(n)
+        return 2 ** n * math.factorial(n)
     if label == "D":
-        return 2 ** (n - 1) * _big_factorial(n)
+        return 2 ** (n - 1) * math.factorial(n)
     if label == "E":
         return {6: 51840, 7: 2903040, 8: 696729600}[n]
     if label == "F":
@@ -658,13 +653,6 @@ def weyl_order(label: str, rank: int) -> int:
     if label.endswith("v"):
         return weyl_order(label[:-1], rank)
     raise ValueError(f"unknown Cartan label {label!r}")
-
-
-def _big_factorial(n: int) -> int:
-    out = 1
-    for k in range(2, n + 1):
-        out *= k
-    return out
 
 
 @lru_cache(maxsize=None)

@@ -110,7 +110,7 @@ class WaveTable:
         self.sqrt_weight = 1.0 / np.abs(chat_values(self.spec, grid))
         self.delta = delta_values(self.rs, grid)
         self._mono_vals = None
-        orbits = [sorted(self.rs.weyl_orbit(mu)) for mu in system.weights]
+        orbits = [list(m.terms) for m in system.monomials]
         self._orbit_index = grid.flat_index([nu for orb in orbits for nu in orb])
         self._orbit_starts = np.cumsum([0] + [len(orb) for orb in orbits[:-1]])
         group = self.rs.weyl_group()
@@ -253,7 +253,7 @@ def asymptotic_wave_values(spec: CFunctionSpec, lambdas,
         shifted = tuple(a + b for a, b in zip(rs.rho_coords, tuple(lam)))
         out = np.zeros(grid.size, dtype=complex)
         for signed_half, winv in terms:
-            out += signed_half * grid.eval_coords(winv.act(shifted))
+            out += signed_half * np.exp(1j * grid.angles(winv.act(shifted)))
         values.append(out)
     return values
 

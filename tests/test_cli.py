@@ -174,6 +174,16 @@ def test_unknown_suite(tmp_path):
     (["verify", "--suite", "smatrix"], {"tolerances": {"smatrix": "t"}}),
     (["verify", "--tol", "x"], {}),
     (["scatter", "--evolve"], {"task": {"evolve": {"center": [1.0]}}}),
+    # evolve values that crashed, and verify sizes that checked nothing
+    (["scatter", "--evolve"], {"task": {"evolve": {"sign": 3}}}),
+    (["scatter", "--evolve"], {"task": {"evolve": {"sign": 0}}}),
+    (["scatter", "--evolve"], {"task": {"evolve": {"lattice_depth": -5}}}),
+    (["scatter", "--evolve"], {"task": {"evolve": {"orbit": [1, 1]}}}),
+    (["scatter", "--evolve"], {"task": {"evolve": {"orbit": [0]}}}),
+    (["scatter", "--evolve"], {"task": {"evolve": {"times": [-4, 8]}}}),
+    (["verify", "--suite", "free-laplacian"], {"weights": {"max_height": -1}}),
+    (["verify", "--suite", "appendixA"], {"n_spectral_points": -3}),
+    (["verify", "--suite", "appendixA"], {"max_lambdas": -1}),
 ])
 def test_bad_task_values_are_config_errors(tmp_path, argv, patch):
     base = {"root_system": {"label": "A", "rank": 1},

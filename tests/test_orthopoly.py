@@ -33,13 +33,29 @@ def test_parameter_validation(a2, bc1):
         KoornwinderParams.create(a2, 1.0, (0.5,) * 4, 0.5)
 
 
-def test_unit_gram_schmidt_is_exact_characters(b2):
-    sysu = gram_schmidt(b2, unit_spec(b2), [(2, 2), (3, 0), (0, 3)])
-    for lam in sysu.weights:
-        chi = weyl_character(b2, lam)
-        p = sysu.poly(lam)
-        for mu in p.support() | chi.support():
-            assert complex(p.coeff(mu)) == complex(chi.coeff(mu))
+def test_unit_gram_schmidt_is_exact_characters(a2):
+    # coeff is the character multiplicity matrix, exactly, in any valid
+    # order; grid_m is the first rung of the quadrature ladder
+    tops = [(2, 2), (3, 0), (0, 3)]
+    reverse_lex = sorted(a2.saturated_weights(tops),
+                         key=lambda mu: (a2._ext_key(mu), tuple(-c for c in mu)))
+    cases = [("A", 1, [(6,)], None, 30), ("A", 2, tops, reverse_lex, 26),
+             ("A", 3, [(1, 1, 1)], None, 26), ("B", 2, tops, None, 38),
+             ("G", 2, [(2, 1)], None, 50), ("BC", 1, [(5,)], None, 26),
+             ("BC", 2, [(2, 2)], None, 38)]
+    for label, rank, tops, order, grid_m in cases:
+        rs = build_root_system(label, rank)
+        sysu = gram_schmidt(rs, unit_spec(rs), tops, order=order)
+        assert sysu.cond == 1.0 and sysu.grid_m == grid_m
+        if order is not None:
+            assert sysu.weights == order
+        chis = [weyl_character(rs, lam) for lam in sysu.weights]
+        mult = np.array([[chi.coeff(mu) for mu in sysu.weights] for chi in chis])
+        assert (sysu.coeff == mult).all()
+        for lam, chi in zip(sysu.weights, chis):
+            p = sysu.poly(lam)
+            for mu in p.support() | chi.support():
+                assert complex(p.coeff(mu)) == complex(chi.coeff(mu))
 
 
 def test_p0_is_normalized_constant(a2_macdonald, a2_system):
@@ -292,7 +308,7 @@ def test_asymptotic_pairing(a1):
         shifted = tuple(a + b for a, b in zip(a1.rho_coords, (ell,)))
         psi_inf_w = np.zeros(grid.size, dtype=complex)
         for w in a1.weyl_group():
-            exps = grid.eval_coords(w.inverse().act(shifted))
+            exps = np.exp(1j * grid.angles(w.inverse().act(shifted)))
             psi_inf_w += w.sign * cw[w.matrix] * exps
         for mu in range(ell % 2, ell + 1, 2):
             mvals = np.conjugate(H.monomial_symmetric(a1, (mu,)).eval_grid(grid))
@@ -309,3 +325,20 @@ def test_chat_taylor_truncation_consistency(a2, a2_macdonald):
     for deg, tol in [(4, 0.2), (10, 2e-3), (18, 1e-5)]:
         approx = truncated_overall_cfun(spec, a2, deg).eval_grid(grid)
         assert np.max(np.abs(approx - exact)) < tol
+
+
+def test_gram_schmidt_builds_no_grid_above_max_m(a2, monkeypatch):
+    # tol = 0 never stabilizes: the ladder must stop before exceeding max_m
+    import alcove.harmonic as harmonic
+    built = []
+
+    class RecordingGrid(QuadratureGrid):
+        def __init__(self, rs, M):
+            built.append(M)
+            super().__init__(rs, M)
+
+    monkeypatch.setattr(harmonic, "QuadratureGrid", RecordingGrid)
+    spec = MacdonaldParams.create(a2, 1.3, 0.5).cspec()
+    with pytest.raises(harmonic.QuadratureError):
+        gram_schmidt(a2, spec, [(1, 1)], tol=0.0, max_m=80)
+    assert built == [18, 36, 72]

@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from alcove.qfun import (CFunctionError, KoornwinderLongC, KoornwinderShortC,
-                         MacdonaldC, UnitC, cfun_taylor, koornwinder_spec,
-                         macdonald_spec, qpochhammer_inf, shat, shat_sqrt,
-                         unit_spec)
+from alcove.qfun import (CFunctionError, KoornwinderShortC, MacdonaldC, UnitC,
+                         koornwinder_spec, macdonald_spec, qpochhammer_inf,
+                         shat, shat_sqrt, unit_spec)
 
 
 def test_qpochhammer_values():
@@ -55,7 +54,7 @@ def test_certified_radius():
 def test_taylor_first_coefficient():
     # q-binomial theorem: (q^g z; q)/(q z; q) = sum (q^{g-1}; q)_n (qz)^n/(q;q)_n
     for g, q in [(2.0, 0.5), (1.3, 0.6)]:
-        a = cfun_taylor(MacdonaldC(g=g, q=q), 3)
+        a = MacdonaldC(g=g, q=q).taylor(3)
         assert abs(a[0] - 1.0) < 1e-13
         assert abs(a[1] - (q - q**g) / (1 - q)) < 1e-12
 
@@ -72,7 +71,7 @@ def test_taylor_reconstruction_and_reality():
 
 
 def test_taylor_geometric_decay():
-    for c in (MacdonaldC(g=1.7, q=0.5), KoornwinderLongC(ghat=1.2, q=0.45)):
+    for c in (MacdonaldC(g=1.7, q=0.5), MacdonaldC(g=1.2, q=0.45)):
         a = np.abs(c.taylor(40))
         nz = np.nonzero(a > 1e-250)[0]
         slope = np.polyfit(nz[1:], np.log(a[nz[1:]]), 1)[0]
@@ -120,7 +119,7 @@ def test_cfunction_specs(a2, b2, bc2):
         macdonald_spec(bc2, 1.0, 0.5)
     kspec = koornwinder_spec(bc2, 1.1, (0.9, 0.7, 0.6, 0.8), 0.45)
     assert isinstance(kspec.by_length2[1.0], KoornwinderShortC)
-    assert isinstance(kspec.by_length2[2.0], KoornwinderLongC)
+    assert kspec.by_length2[2.0] == MacdonaldC(g=1.1, q=0.45)
     with pytest.raises(ValueError):
         koornwinder_spec(a2, 1.0, (0.5,) * 4, 0.5)
 

@@ -412,3 +412,20 @@ def test_transforms_stay_on_one_fourier_transform():
             for n, line in enumerate(path.read_text().splitlines(), 1)
             if PER_WEIGHT_KERNEL_IDIOMS.search(line)]
     assert not hits
+
+
+REMOVED_DUPLICATES = re.compile(
+    r"_exact_unit_factorization|_ip_on_grid|KoornwinderLongC|eval_coords"
+    r"|cfun_taylor|_big_factorial")
+
+
+def test_one_orthonormalization_route():
+    # unit tables are Weyl characters, the quadrature ladder is written once,
+    # and no duplicate helper comes back
+    src = Path(alcove.__file__).parent
+    hits = [f"{path.name}:{n}: {line.strip()}"
+            for path in sorted(src.glob("*.py"))
+            for n, line in enumerate(path.read_text().splitlines(), 1)
+            if REMOVED_DUPLICATES.search(line)
+            or (path.name == "orthopoly.py" and "Fraction" in line)]
+    assert not hits

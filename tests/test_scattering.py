@@ -332,6 +332,6 @@ def test_classical_packet_matches_per_weight_kernels(rank2_table):
         ref = {}
         for lam in sites:
             shifted = tuple(a + b for a, b in zip(lam, rs.rho_coords))
-            kern = grid.eval_coords(w.inverse().act(shifted))
+            kern = np.exp(1j * grid.angles(w.inverse().act(shifted)))
             ref[lam] = w.sign * np.mean(vals * kern)
         assert _close_rel(classical_packet(packet, t), ref, sites)
