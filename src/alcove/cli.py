@@ -116,6 +116,9 @@ def build_system(cfg: dict):
 def weight_tops(cfg: dict, rs) -> list:
     wc = cfg.get("weights", {})
     if "tops" in wc:
+        if not isinstance(wc["tops"], list) or not wc["tops"]:
+            raise ConfigError("weights.tops must be a nonempty list of weights, "
+                              f"got {wc['tops']!r}")
         tops = [tuple(_numbers(t, "weights.tops", int)) for t in wc["tops"]]
         for top in tops:
             if len(top) != rs.rank or not rs.is_dominant(top):
@@ -478,9 +481,9 @@ def main(argv=None) -> int:
         prog="alcove",
         description="Orthogonal polynomials on Weyl alcoves, lattice "
                     "Laplacians, and their scattering theory.",
-        epilog="Exit codes: 0 ok; 2 config/parameter error; 3 enumeration "
-               "budget exceeded; 4 verification failed; 5 leakage or table "
-               "depth error; 1 unexpected error.")
+        epilog="Exit codes: 0 ok; 2 config/parameter error; 3 size budget "
+               "exceeded (Weyl group or grid); 4 verification failed; 5 leakage "
+               "or table depth error; 1 unexpected error.")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="verb", required=True)
 

@@ -25,7 +25,8 @@ from fractions import Fraction
 import numpy as np
 
 from .qfun import CFunctionSpec
-from .rootsys import RootSystem, WeylElement
+from .rootsys import (GRID_POINT_BUDGET, BudgetExceededError, RootSystem,
+                      WeylElement)
 
 
 class LaurentPoly:
@@ -243,11 +244,19 @@ class QuadratureGrid:
         self.rs = rs
         self.M = int(M)
         n = rs.rank
+        points = self.M ** n
+        if points > GRID_POINT_BUDGET:
+            raise BudgetExceededError(
+                f"quadrature grid of {rs._name()} at M={self.M} "
+                f"({points * n * 8} bytes of indices)", points, GRID_POINT_BUDGET,
+                "points")
         idx = np.indices((self.M,) * n).reshape(n, -1).T
         self.index = np.ascontiguousarray(idx, dtype=np.int64)
         self.size = self.index.shape[0]
         self._xi = None
         self._alcove = None
+        self._table = np.empty(0, dtype=complex)
+        self._table_lo = 0
 
     def eval_terms(self, terms: dict) -> np.ndarray:
         out = np.zeros(self.size, dtype=complex)
@@ -256,9 +265,44 @@ class QuadratureGrid:
             block = items[start:start + 64]
             mus = np.array([mu for mu, _ in block], dtype=np.int64)
             coeffs = np.array([complex(c) for _, c in block])
-            phases = (2.0 * np.pi / self.M) * (self.index @ mus.T)
-            out += np.exp(1j * phases) @ coeffs
+            out += self.roots_of_unity(self.index @ mus.T) @ coeffs
         return out
+
+    def eval_polys(self, polys) -> np.ndarray:
+        """(size, len(polys)) C-ordered array, column j the values of polys[j]."""
+        out = np.empty((self.size, len(polys)), dtype=complex)
+        for j, p in enumerate(polys):
+            out[:, j] = self.eval_terms(p.terms)
+        return out
+
+    def exponential(self, mu) -> np.ndarray:
+        """e^{i<mu, xi>} over the grid (mu given by weight coordinates)."""
+        return self.roots_of_unity(self.index @ np.asarray(mu, dtype=np.int64))
+
+    def roots_of_unity(self, k: np.ndarray) -> np.ndarray:
+        """e^{2 pi i k / M} for an integer array k; every grid exponential
+        comes from here.
+
+        When the range of k is shorter than k.size, the values are gathered
+        from one cached table over a contiguous range of k, extended as
+        needed; otherwise they are computed directly.  Both evaluate
+        exp(1j * ((2 pi / M) * k)) on the unreduced k, so they agree to the
+        bit.  Folding k mod M would be exact in the mathematics but would
+        move the last bits of every grid sum.
+        """
+        def exp(k):
+            return np.exp(1j * ((2.0 * np.pi / self.M) * k))
+
+        lo, hi = int(k.min()), int(k.max())
+        if hi - lo >= k.size:
+            return exp(k)
+        start = self._table_lo if self._table.size else lo
+        stop = start + self._table.size
+        if lo < start or hi >= stop:
+            self._table = np.concatenate([exp(np.arange(lo, start)), self._table,
+                                          exp(np.arange(stop, hi + 1))])
+            self._table_lo = min(lo, start)
+        return self._table[k - self._table_lo]
 
     def fourier(self, values: np.ndarray) -> np.ndarray:
         """Grid averages of values * e^{i<mu, xi>} for every mu mod M, flat;
@@ -306,8 +350,7 @@ def chat_values(spec: CFunctionSpec, grid: QuadratureGrid) -> np.ndarray:
     rs = grid.rs
     out = np.ones(grid.size, dtype=complex)
     for a, c in zip(rs.positive_roots_1, spec.cfunctions):
-        z = np.exp(-1j * grid.angles(rs.root_coords(a)))
-        out *= c._eval_raw(z)
+        out *= c._eval_raw(grid.exponential(np.negative(rs.root_coords(a))))
     return out
 
 
@@ -395,5 +438,6 @@ def gram_matrix(polys, spec: CFunctionSpec, grid: QuadratureGrid) -> np.ndarray:
     """Gram matrix of a family of Laurent polynomials on a fixed grid."""
     rs = polys[0].rs
     w = measure_values(spec, grid) / (grid.size * rs.weyl_order())
-    E = np.column_stack([p.eval_grid(grid) for p in polys])
-    return (E * w[:, None]).T @ E.conj()
+    E = grid.eval_polys(polys)
+    Ew = E * w[:, None]
+    return Ew.T @ np.conjugate(E, out=E)

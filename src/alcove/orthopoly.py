@@ -320,7 +320,7 @@ class OrthoPolySystem:
         return self.monic(lam) * norm_constants(params, lam).orthonormal_scale
 
     def monomial_values(self, grid: QuadratureGrid) -> np.ndarray:
-        return np.column_stack([m.eval_grid(grid) for m in self.monomials])
+        return grid.eval_polys(self.monomials)
 
     def export_table(self) -> dict:
         """JSON-ready coefficient table keyed by weight coordinates."""

@@ -40,15 +40,15 @@ Coords = tuple[int, ...]
 LABELS = ("A", "B", "C", "D", "E", "F", "G", "BC")
 
 DEFAULT_WEYL_BUDGET = 100_000
+# points of one quadrature grid, M^rank; checked before its index is allocated
+GRID_POINT_BUDGET = 1 << 24
 
 
 class BudgetExceededError(RuntimeError):
-    """A Weyl-group enumeration would exceed the element budget."""
+    """An enumeration or allocation would exceed its size budget."""
 
-    def __init__(self, label: str, required: int, budget: int):
-        super().__init__(
-            f"Weyl group of {label} has {required} elements, budget is {budget}"
-        )
+    def __init__(self, what: str, required: int, budget: int, unit: str = "elements"):
+        super().__init__(f"{what} has {required} {unit}, budget is {budget}")
         self.required = required
         self.budget = budget
 
@@ -491,7 +491,8 @@ class RootSystem:
         if self._weyl is None:
             order_bound = weyl_order(self.label, self.rank)
             if order_bound > max_order:
-                raise BudgetExceededError(self._name(), order_bound, max_order)
+                raise BudgetExceededError(f"Weyl group of {self._name()}",
+                                          order_bound, max_order)
             ident = self.element(())
             refls = [self.element((i,)) for i in range(self.rank)]
             seen = {ident.matrix: ident}
@@ -507,7 +508,8 @@ class RootSystem:
                 frontier = nxt
             self._weyl = tuple(seen.values())
         if len(self._weyl) > max_order:
-            raise BudgetExceededError(self._name(), len(self._weyl), max_order)
+            raise BudgetExceededError(f"Weyl group of {self._name()}",
+                                      len(self._weyl), max_order)
         return self._weyl
 
     def weyl_order(self) -> int:

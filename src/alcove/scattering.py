@@ -43,7 +43,7 @@ def symbol_gradient(sym: LaurentPoly, grid: QuadratureGrid) -> np.ndarray:
     rs = sym.rs
     out = np.zeros((grid.size, rs.dim), dtype=complex)
     for (mu, c), vec in zip(sym.terms.items(), rs.float_weights(list(sym.terms))):
-        out += (1j * complex(c) * np.exp(1j * grid.angles(mu)))[:, None] * vec
+        out += (1j * complex(c) * grid.exponential(mu))[:, None] * vec
     return out.real if symbol_is_real(sym) else out
 
 
@@ -235,7 +235,7 @@ def smatrix_factor_direct(spec: CFunctionSpec, w: WeylElement,
     den = np.ones(grid.size, dtype=complex)
     for a, c in zip(rs.positive_roots_1, spec.cfunctions):
         b = winv.act(rs.root_coords(a))
-        z = np.exp(-1j * grid.angles(b))
+        z = grid.exponential(np.negative(b))
         num *= c._eval_raw(z)
         den *= c._eval_raw(np.conjugate(z))
     return num / den
@@ -253,7 +253,7 @@ def asymptotic_wave_values(spec: CFunctionSpec, lambdas,
         shifted = tuple(a + b for a, b in zip(rs.rho_coords, tuple(lam)))
         out = np.zeros(grid.size, dtype=complex)
         for signed_half, winv in terms:
-            out += signed_half * np.exp(1j * grid.angles(winv.act(shifted)))
+            out += signed_half * grid.exponential(winv.act(shifted))
         values.append(out)
     return values
 

@@ -68,6 +68,16 @@ def test_budget_exit_code(tmp_path):
     assert main(["verify", "--suite", "orthonormality", "--config", cfg]) == 3
 
 
+def test_grid_budget_exit_code(tmp_path, capsys):
+    # E6 at the default M=48 would need 48^6 grid points
+    cfg = _cfg(tmp_path, "e6.json", {
+        "root_system": {"label": "E", "rank": 6},
+        "cfunctions": {"family": "unit"}})
+    assert main(["verify", "--suite", "smatrix", "--config", cfg,
+                 "--out", str(tmp_path / "s.json")]) == 3
+    assert f"{48 ** 6} points" in capsys.readouterr().err
+
+
 def test_scatter_ray_csv(tmp_path):
     cfg = _cfg(tmp_path, "ray.json", {
         "root_system": {"label": "A", "rank": 1},
@@ -184,6 +194,11 @@ def test_unknown_suite(tmp_path):
     (["verify", "--suite", "free-laplacian"], {"weights": {"max_height": -1}}),
     (["verify", "--suite", "appendixA"], {"n_spectral_points": -3}),
     (["verify", "--suite", "appendixA"], {"max_lambdas": -1}),
+    # an empty weights.tops, on every verb that reads it
+    (["verify"], {"weights": {"tops": []}}),
+    (["export", "polynomials"], {"weights": {"tops": []}}),
+    (["export", "operator"], {"weights": {"tops": []}}),
+    (["export", "smatrix"], {"weights": {"tops": []}}),
 ])
 def test_bad_task_values_are_config_errors(tmp_path, argv, patch):
     base = {"root_system": {"label": "A", "rank": 1},

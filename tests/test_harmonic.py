@@ -1,12 +1,19 @@
+import itertools
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from alcove.harmonic import (LaurentPoly, QuadratureGrid, delta_values,
-                             eval_delta, inner_product, measure_values,
-                             monomial_symmetric, weight_function_eval,
-                             weight_function_values, weyl_character,
-                             weyl_character_extended, weyl_denominator)
-from alcove.qfun import MacdonaldC, macdonald_spec, unit_spec, qpochhammer_inf
+                             eval_delta, gram_matrix, inner_product,
+                             measure_values, monomial_symmetric,
+                             weight_function_eval, weight_function_values,
+                             weyl_character, weyl_character_extended,
+                             weyl_denominator)
+from alcove.orthopoly import MacdonaldParams, gram_schmidt
+from alcove.qfun import (MacdonaldC, koornwinder_spec, macdonald_spec,
+                         unit_spec, qpochhammer_inf)
+from alcove.rootsys import BudgetExceededError, build_root_system
 
 
 def test_monomial_symmetric(a2):
@@ -183,3 +190,92 @@ def test_measure_values_nonnegative(bc2, bc1_koornwinder):
     spec = koornwinder_spec(bc2, 1.1, (0.9, 0.7, 0.6, 0.8), 0.45)
     w = measure_values(spec, QuadratureGrid(bc2, 20))
     assert np.all(w.real >= -1e-14) and np.max(np.abs(w.imag)) < 1e-12
+
+
+def _direct_sum(grid, terms):
+    """sum_mu c_mu e^{i<mu, xi>} with one np.exp per term and grid point,
+    summed in blocks of 64 terms like QuadratureGrid.eval_terms."""
+    out = np.zeros(grid.size, dtype=complex)
+    items = list(terms.items())
+    for start in range(0, len(items), 64):
+        block = items[start:start + 64]
+        vals = np.column_stack([np.exp(1j * grid.angles(mu)) for mu, _ in block])
+        out += vals @ np.array([complex(c) for _, c in block])
+    return out
+
+
+def _same_bits(a, b):
+    return np.array_equal(a.view(float), b.view(float))
+
+
+def _terms(mus):
+    """The exponents mus with int, Fraction and complex coefficients in turn."""
+    coeffs = [3, Fraction(2, 7), complex(0.3, -1.1), -1, Fraction(-5, 3), 1j]
+    return {tuple(int(x) for x in mu): coeffs[i % len(coeffs)]
+            for i, mu in enumerate(mus)}
+
+
+@pytest.mark.parametrize("label,rank,m", [("A", 2, 30), ("B", 2, 44), ("G", 2, 36),
+                                          ("BC", 1, 64), ("BC", 2, 40)])
+def test_eval_terms_table_matches_direct_exp(label, rank, m):
+    rs = build_root_system(label, rank)
+    grid = QuadratureGrid(rs, m)
+    axis = np.eye(rank, dtype=np.int64)[0]
+    box = [mu for mu in itertools.product(range(-6, 7), repeat=rank) if any(mu[1:])]
+    extra = ([j * axis for j in range(32, 118)] if rank == 1 else
+             list(np.random.default_rng(7).permutation(box)))
+    # 150 terms over three blocks: the first 64 fill the table, the others
+    # take the direct path in rank one; then calls reaching below and above
+    # the table's range
+    calls = [_terms([j * axis for j in range(-32, 32)] + extra),
+             _terms([j * axis for j in range(-40, 24)]),
+             _terms([j * axis for j in range(-23, 41)])]
+    calls[0] = dict(list(calls[0].items())[:150])
+    ranges = []
+    for terms in calls:
+        assert _same_bits(grid.eval_terms(terms), _direct_sum(grid, terms))
+        ranges.append((grid._table_lo, grid._table_lo + grid._table.size))
+    assert len(calls[0]) == 150 and ranges[0][0] < ranges[0][1]
+    assert ranges[1][0] < ranges[0][0] and ranges[2][1] > ranges[1][1]
+    for mu in [axis, 2 - 5 * axis]:
+        for sign in (1, -1):
+            assert _same_bits(grid.exponential(sign * mu),
+                              np.exp(sign * 1j * grid.angles(mu)))
+
+
+def test_eval_terms_long_phase_range_computes_directly(bc1):
+    # rank one with large weights, as on the BC1 evolve table: from the orbit
+    # of 2 on, the range of k is longer than the values asked for, so nothing
+    # is tabulated
+    grid = QuadratureGrid(bc1, 1212)
+    calls = [_terms([(mu,), (-mu,)]) for mu in range(2, 151)]
+    calls.append(_terms([(s * mu,) for mu in range(40, 151) for s in (1, -1)]))
+    for terms in calls:
+        assert _same_bits(grid.eval_terms(terms), _direct_sum(grid, terms))
+    assert grid._table.size == 0
+
+
+def test_gram_matrix_matches_column_stack_formula(b2):
+    spec = MacdonaldParams.create(b2, {1: 0.9, 2: 1.4}, 0.5).cspec()
+    system = gram_schmidt(b2, spec, [(3, 3)])
+    grid = QuadratureGrid(b2, 40)
+    polys = system.monomials
+    w = measure_values(spec, grid) / (grid.size * b2.weyl_order())
+    E = np.column_stack([p.eval_grid(grid) for p in polys])
+    assert _same_bits(gram_matrix(polys, spec, grid), (E * w[:, None]).T @ E.conj())
+    assert _same_bits(system.monomial_values(grid), E)
+    bc2 = build_root_system("BC", 2)
+    spec = koornwinder_spec(bc2, 1.1, (0.9, 0.7, 0.6, 0.8), 0.45)
+    polys = [monomial_symmetric(bc2, lam) for lam in [(0, 0), (1, 0), (2, 1), (3, 3)]]
+    grid = QuadratureGrid(bc2, 24)
+    w = measure_values(spec, grid) / (grid.size * bc2.weyl_order())
+    E = np.column_stack([p.eval_grid(grid) for p in polys])
+    assert _same_bits(gram_matrix(polys, spec, grid), (E * w[:, None]).T @ E.conj())
+
+
+def test_grid_budget_is_checked_before_allocating():
+    e6 = build_root_system("E", 6)
+    with pytest.raises(BudgetExceededError) as err:
+        QuadratureGrid(e6, 48)
+    assert err.value.required == 48 ** 6
+    assert "M=48" in str(err.value) and f"{48 ** 6 * 6 * 8} bytes" in str(err.value)

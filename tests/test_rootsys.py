@@ -1,3 +1,4 @@
+import ast
 import itertools
 import math
 import re
@@ -412,6 +413,25 @@ def test_transforms_stay_on_one_fourier_transform():
             for n, line in enumerate(path.read_text().splitlines(), 1)
             if PER_WEIGHT_KERNEL_IDIOMS.search(line)]
     assert not hits
+
+
+GRID_EXP = re.compile(r"np\.exp\(.*(angles|phases|\.M\b|\.index)")
+
+
+def test_grid_exponentials_come_from_one_table():
+    # every e^{i<mu, xi>} on a grid is read from QuadratureGrid.roots_of_unity
+    src = Path(alcove.__file__).parent
+    harmonic = src / "harmonic.py"
+    table = next(node for node in ast.walk(ast.parse(harmonic.read_text()))
+                 if isinstance(node, ast.FunctionDef) and node.name == "roots_of_unity")
+    inside = range(table.lineno, table.end_lineno + 1)
+    hits = [f"{path.name}:{n}: {line.strip()}"
+            for path in sorted(src.glob("*.py"))
+            for n, line in enumerate(path.read_text().splitlines(), 1)
+            if GRID_EXP.search(line) and not (path == harmonic and n in inside)]
+    assert not hits
+    assert any(GRID_EXP.search(line) for line in
+               harmonic.read_text().splitlines()[table.lineno - 1:table.end_lineno])
 
 
 REMOVED_DUPLICATES = re.compile(
