@@ -142,9 +142,13 @@ def tolerances(cfg: dict) -> dict:
     if not isinstance(given, dict):
         raise ConfigError(f"tolerances must be an object, got {given!r}")
     for key, value in given.items():
+        if key not in out:
+            raise ConfigError(f"unknown tolerance {key!r}; have {sorted(out)}")
         # compared as given, so a numeric string is refused too
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"tolerances.{key} must be a number, got {value!r}")
+        if not value >= 0:  # also refuses NaN, which would fail every check
+            raise ConfigError(f"tolerances.{key} must be nonnegative, got {value!r}")
     out.update(given)
     return out
 
@@ -262,7 +266,7 @@ def _suite_orthonormality(rs, params, spec, cfg, tol):
         from .harmonic import inner_product
         for lam in system.weights:
             nd = norm_constants(params, lam)
-            pb = system.monic(lam) * nd.c_lam
+            pb = system.pbold(params, lam)
             val = inner_product(pb, pb, spec).real
             res = abs(val - nd.n0 / nd.delta) / (nd.n0 / nd.delta)
             checks.append({"check": f"closed norm {lam}", "residual": res,
@@ -347,6 +351,8 @@ def cmd_scatter(args) -> int:
     cfg = load_config(args.config) if args.config else {}
     rs, params, spec = build_system(cfg)
     task = cfg.get("task", {})
+    if args.ray and args.evolve:
+        raise ConfigError("scatter takes one of --ray and --evolve, not both")
     if args.ray:
         ray = task.get("ray", {})
         direction = tuple(_numbers(ray.get("direction", (1,) * rs.rank),

@@ -35,8 +35,24 @@ class ParameterError(ValueError):
     pass
 
 
+class _ClosedForms:
+    """Closed-form data that depends only on the parameters, computed once per
+    parameter object and kept on it (see norm_constants)."""
+
+    @cached_property
+    def rho_constants(self) -> tuple:
+        """c^+(rho_g) and c^-(rho_g), the factors shared by every weight."""
+        rho = self.rho_g()
+        return self.cplus(rho), self.cminus(rho)
+
+    @cached_property
+    def _norm_data(self) -> dict:
+        """NormData of each weight tuple, filled by norm_constants."""
+        return {}
+
+
 @dataclass(frozen=True)
-class MacdonaldParams:
+class MacdonaldParams(_ClosedForms):
     """Deformation data for a reduced system: g per root length and q = e^{-s}."""
 
     rs: RootSystem
@@ -106,7 +122,13 @@ class MacdonaldParams:
         return out
 
     def dual(self) -> "MacdonaldParams":
-        """Parameters on the dual system; each orbit keeps its coupling."""
+        """Parameters on the dual system; each orbit keeps its coupling.
+
+        The same object on every call, so its closed forms are cached too."""
+        return self._dual
+
+    @cached_property
+    def _dual(self) -> "MacdonaldParams":
         gmap = dict(zip(self.rs.positive_coroot_len2.tolist(), self.g_positive))
         return MacdonaldParams.create(self.rs.dual(), gmap, self.q)
 
@@ -127,7 +149,7 @@ def _cminus1(g, x, q):
 
 
 @dataclass(frozen=True)
-class KoornwinderParams:
+class KoornwinderParams(_ClosedForms):
     """Five-parameter data of the nonreduced case.
 
     ghat, ghat0..ghat3 sit on the spectral (c-function) side; the dual
@@ -253,15 +275,23 @@ class NormData:
 
 
 def norm_constants(params: PolyParams, lam) -> NormData:
-    rs = params.rs
+    """The closed form at lam, evaluated once per parameter object and weight.
+
+    Invalid constants raise ParameterError on every call; they are never stored.
+    """
+    key = tuple(lam)
+    data = params._norm_data.get(key)
+    if data is not None:
+        return data
     rho = params.rho_g()
-    x = rho + rs.float_weight(lam)
-    cp0, cm0 = params.cplus(rho), params.cminus(rho)
+    x = rho + params.rs.float_weight(lam)
+    cp0, cm0 = params.rho_constants
     cpl, cml = params.cplus(x), params.cminus(x)
     data = NormData(delta=(cp0 * cm0) / (cpl * cml), n0=cm0 / cp0,
                     c_lam=cpl / cp0, cplus_shift=cpl, cminus_shift=cml)
     if not (data.delta > 0 and data.n0 > 0 and math.isfinite(data.delta)):
         raise ParameterError(f"invalid norm constants at lam={lam}: {data}")
+    params._norm_data[key] = data
     return data
 
 
@@ -291,6 +321,7 @@ class OrthoPolySystem:
         self.coeff = coeff
         self.grid_m = grid_m
         self.cond = cond
+        self._pbold: dict = {}
 
     def __contains__(self, lam) -> bool:
         return tuple(lam) in self.index
@@ -314,6 +345,14 @@ class OrthoPolySystem:
             if c != 0:
                 terms.update(dict.fromkeys(mono.terms, complex(c)))
         return LaurentPoly(self.rs, terms)
+
+    def pbold(self, params: PolyParams, lam) -> LaurentPoly:
+        """c_lam times the monic polynomial, so that its value at i s rho_g^vee
+        is 1; built once per parameters and weight."""
+        key = (params, tuple(lam))
+        if key not in self._pbold:
+            self._pbold[key] = self.monic(lam) * norm_constants(params, lam).c_lam
+        return self._pbold[key]
 
     def normalized(self, params: PolyParams, lam) -> LaurentPoly:
         """The closed-norm polynomial P_lam = N0^{-1/2} Delta^{1/2} c_lam p_lam."""
@@ -387,8 +426,7 @@ def gram_schmidt(rs: RootSystem, spec: CFunctionSpec, tops, order=None,
 
 def specialization_residual(params: PolyParams, system: OrthoPolySystem, lam) -> float:
     """|P_lam(i s rho_g^vee) - 1| for the normalized polynomial."""
-    nd = norm_constants(params, lam)
-    p = system.monic(lam) * nd.c_lam
+    p = system.pbold(params, lam)
     val = p.eval_shifted(np.zeros(params.rs.dim), params.rho_g_vee(), params.s)
     return abs(val - 1.0)
 
@@ -400,8 +438,8 @@ def symmetry_residual(params: MacdonaldParams, system: OrthoPolySystem,
     dparams = params.dual()
     lam_vec = rs.float_weight(lam)
     mu_vec = dparams.rs.float_weight(mu)
-    p_r = system.monic(lam) * norm_constants(params, lam).c_lam
-    p_d = dual_system.monic(mu) * norm_constants(dparams, mu).c_lam
+    p_r = system.pbold(params, lam)
+    p_d = dual_system.pbold(dparams, mu)
     lhs = p_r.eval_shifted(np.zeros(rs.dim), params.rho_g_vee() + mu_vec, params.s)
     rhs = p_d.eval_shifted(np.zeros(rs.dim), dparams.rho_g_vee() + lam_vec, params.s)
     return abs(lhs - rhs)
@@ -450,8 +488,7 @@ def difference_equation_residual(params: MacdonaldParams, system: OrthoPolySyste
     rsd = rs.dual()
     xi = np.asarray(xi, dtype=float)
     s, q = params.s, params.q
-    nd = norm_constants(params, lam)
-    p = system.monic(lam) * nd.c_lam
+    p = system.pbold(params, lam)
     rho_g = params.rho_g()
     lam_vec = rs.float_weight(lam)
     p_at = p.eval_at(xi)
@@ -543,7 +580,7 @@ def functional_relation_residual(params: PolyParams, nu_vec, x_vec) -> float:
     nu = np.asarray(nu_vec, dtype=float)
 
     def delta_at(v):
-        cp0, cm0 = params.cplus(rho), params.cminus(rho)
+        cp0, cm0 = params.rho_constants
         return (cp0 * cm0) / (params.cplus(rho + v) * params.cminus(rho + v))
 
     lhs = delta_at(x + nu) * hopping_coefficient(params, -nu, rho + x + nu)
@@ -560,11 +597,7 @@ def pieri_residual(params: PolyParams, system: OrthoPolySystem, lam, xi, pi) -> 
     rho_g = params.rho_g()
     rho_gv = params.rho_g_vee()
     x = rho_g + rs.float_weight(lam)
-
-    def normalized(mu):
-        return system.monic(mu) * norm_constants(params, mu).c_lam
-
-    p_at = normalized(lam).eval_at(xi)
+    p_at = system.pbold(params, lam).eval_at(xi)
     lhs = 0j
     rhs = 0j
     for nu in rs.weyl_orbit(tuple(pi)):
@@ -574,7 +607,7 @@ def pieri_residual(params: PolyParams, system: OrthoPolySystem, lam, xi, pi) -> 
         lam_nu = tuple(a + b for a, b in zip(lam, nu))
         if rs.is_dominant(lam_nu):
             v = hopping_coefficient(params, nu_vec, x)
-            rhs += v * (normalized(lam_nu).eval_at(xi) - p_at)
+            rhs += v * (system.pbold(params, lam_nu).eval_at(xi) - p_at)
     return abs(lhs - rhs)
 
 

@@ -26,18 +26,24 @@ def qpochhammer_inf(z, q: float, tol: float = 1e-15):
     """
     if not 0.0 < q < 1.0:
         raise ValueError(f"q must lie in (0, 1), got {q}")
-    zmax = float(np.max(np.abs(z))) if np.ndim(z) else abs(z)
-    if zmax == 0.0:
-        return np.ones_like(z) if np.ndim(z) else 1.0
-    k = _truncation_index(zmax, q, tol)
-    out = np.ones_like(np.asarray(z, dtype=complex)) if np.ndim(z) else 1.0 + 0j
-    zq = np.asarray(z, dtype=complex) if np.ndim(z) else complex(z)
-    for _ in range(k + 1):
+    # Python scalars (and numpy float64/complex128) skip np.ndim; every 0-d
+    # input runs the same scalar loop
+    if isinstance(z, (int, float, complex)) or np.ndim(z) == 0:
+        zmax = abs(z)
+        if zmax == 0.0:
+            return 1.0
+        out = 1.0 + 0j
+        zq = complex(z)
+    else:
+        zmax = float(np.max(np.abs(z)))
+        if zmax == 0.0:
+            return np.ones_like(z)
+        out = np.ones_like(np.asarray(z, dtype=complex))
+        zq = np.asarray(z, dtype=complex)
+    for _ in range(_truncation_index(zmax, q, tol) + 1):
         out = out * (1.0 - zq)
         zq = zq * q
-    if np.ndim(z):
-        return out
-    return complex(out)
+    return out
 
 
 def _truncation_index(zmax: float, q: float, tol: float) -> int:

@@ -199,6 +199,15 @@ def test_unknown_suite(tmp_path):
     (["export", "polynomials"], {"weights": {"tops": []}}),
     (["export", "operator"], {"weights": {"tops": []}}),
     (["export", "smatrix"], {"weights": {"tops": []}}),
+    # both scatter tasks at once: only the ray used to run
+    (["scatter", "--ray", "--evolve"], {}),
+    # tolerances that were ignored (unknown keys) or failed every check (NaN)
+    (["verify", "--suite", "appendixA"], {"tolerances": {"peiri": 1e-30}}),
+    (["verify", "--suite", "appendixA", "--tol", '{"peiri": 1e-30}'], {}),
+    (["verify"], {"tolerances": {"norm": 1e-30}}),
+    (["verify"], {"tolerances": {"norms": float("nan")}}),
+    (["verify", "--tol", '{"orthonormality": NaN}'], {}),
+    (["verify"], {"tolerances": {"orthonormality": -1e-8}}),
 ])
 def test_bad_task_values_are_config_errors(tmp_path, argv, patch):
     base = {"root_system": {"label": "A", "rank": 1},

@@ -1,3 +1,6 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
@@ -126,6 +129,61 @@ def test_norm_constants(a2_macdonald, a2_system):
         pg = a2_system.poly(lam)
         for mu in pn.support() | pg.support():
             assert abs(complex(pn.coeff(mu)) - complex(pg.coeff(mu))) < 1e-8
+
+
+def test_norm_constants_are_cached_per_parameter_object(a2, bc2):
+    # each pair differs in one coupling; the members are queried in turn, so
+    # data kept on the wrong object, or keyed by weight alone, would show
+    pairs = [(MacdonaldParams.create(a2, 1.3, 0.5),
+              MacdonaldParams.create(a2, 1.1, 0.5)),
+             (KoornwinderParams.create(bc2, 1.1, (0.9, 0.7, 0.6, 0.8), 0.45),
+              KoornwinderParams.create(bc2, 1.3, (0.9, 0.7, 0.6, 0.8), 0.45))]
+    for pair in pairs:
+        for lam in pair[0].rs.saturated_weights([(2, 1), (1, 2)]):
+            first, second = (norm_constants(par, lam) for par in pair)
+            assert first != second
+            for par, nd in zip(pair, (first, second)):
+                fresh = dataclasses.replace(par)
+                assert fresh == par and fresh is not par
+                assert norm_constants(fresh, lam) == nd
+                assert norm_constants(par, lam) is nd
+    par = pairs[0][0]
+    assert par.dual() is par.dual()
+    # invalid constants are raised again, never stored
+    for _ in range(2):
+        with pytest.raises(ParameterError):
+            norm_constants(par, (-3, 0))
+
+
+def test_appendix_a_evaluates_each_closed_form_once(tmp_path, monkeypatch, a2):
+    # one c^+ product per (parameters, weight), plus one at rho_g per
+    # parameter object; each product is one _cplus1 per positive root
+    import alcove.orthopoly as op
+    from alcove.cli import main
+    cplus1, norm = op._cplus1, op.norm_constants
+    calls = []
+    asked = set()
+
+    def counted_cplus1(*args):
+        calls.append(args)
+        return cplus1(*args)
+
+    def recorded_norm(params, lam):
+        asked.add((params, tuple(lam)))
+        return norm(params, lam)
+
+    monkeypatch.setattr(op, "_cplus1", counted_cplus1)
+    monkeypatch.setattr(op, "norm_constants", recorded_norm)
+    cfg = tmp_path / "a2.json"
+    cfg.write_text(json.dumps({
+        "root_system": {"label": "A", "rank": 2},
+        "cfunctions": {"family": "macdonald", "g": 1.3, "q": 0.5},
+        "weights": {"tops": [[1, 1]]}, "n_spectral_points": 3, "max_lambdas": 2}))
+    assert main(["verify", "--suite", "appendixA", "--config", str(cfg),
+                 "--out", str(tmp_path / "rep.json")]) == 0
+    params = {params for params, _ in asked}
+    assert len(params) == 2  # the parameters and their dual
+    assert len(calls) <= len(a2.positive_roots) * (len(asked) + len(params))
 
 
 def test_asymptotically_monic(a1):
