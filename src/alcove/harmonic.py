@@ -20,6 +20,8 @@ bandwidth.
 
 from __future__ import annotations
 
+import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -32,11 +34,12 @@ from .rootsys import (GRID_POINT_BUDGET, BudgetExceededError, RootSystem,
 class LaurentPoly:
     """Sparse exponential sum on the weight lattice of one root system."""
 
-    __slots__ = ("rs", "terms")
+    __slots__ = ("rs", "terms", "_arrays")
 
     def __init__(self, rs: RootSystem, terms: dict):
         self.rs = rs
         self.terms = {mu: c for mu, c in terms.items() if c != 0}
+        self._arrays = None
 
     @classmethod
     def monomial(cls, rs, mu, coeff=1):
@@ -97,24 +100,26 @@ class LaurentPoly:
     def eval_grid(self, grid: "QuadratureGrid") -> np.ndarray:
         return grid.eval_terms(self.terms)
 
+    def _vectors(self):
+        """(ambient exponent rows, complex coefficients), built on first use;
+        terms is never changed after construction."""
+        if self._arrays is None:
+            self._arrays = (self.rs.float_weights(list(self.terms)),
+                            np.array([complex(c) for c in self.terms.values()],
+                                     dtype=complex))
+        return self._arrays
+
     def eval_at(self, xi) -> complex:
         """Evaluate at one point; xi is an ambient vector (may be complex)."""
-        xi = np.asarray(xi, dtype=complex)
-        total = 0j
-        vecs = self.rs.float_weights(list(self.terms))
-        for c, v in zip(self.terms.values(), vecs):
-            total += complex(c) * np.exp(1j * np.dot(v, xi))
-        return total
+        vecs, coeffs = self._vectors()
+        return complex(coeffs @ np.exp(1j * (vecs @ np.asarray(xi, dtype=complex))))
 
     def eval_shifted(self, xi_real, shift, s: float) -> complex:
         """Evaluate at xi + i*s*shift for real xi and a real shift vector."""
+        vecs, coeffs = self._vectors()
         xi = np.asarray(xi_real, dtype=float)
         sh = np.asarray(shift, dtype=float)
-        total = 0j
-        vecs = self.rs.float_weights(list(self.terms))
-        for c, v in zip(self.terms.values(), vecs):
-            total += complex(c) * np.exp(1j * np.dot(v, xi) - s * np.dot(v, sh))
-        return total
+        return complex(coeffs @ np.exp(1j * (vecs @ xi) - s * (vecs @ sh)))
 
     def prune(self, tol: float) -> "LaurentPoly":
         return LaurentPoly(self.rs, {mu: c for mu, c in self.terms.items()
@@ -229,6 +234,20 @@ def weyl_character_extended(rs: RootSystem, lam) -> LaurentPoly:
     return chi if sign == 1 else -chi
 
 
+def _pairings(axes, mus: np.ndarray) -> np.ndarray:
+    """k = <index, mu> for every point of the product of the grid coordinates
+    in axes (rows, last axis fastest) and every mu of mus (columns): exact
+    integers, the products axes[j] * mu_j broadcast over the grid axes.  Each
+    axis is added as one contiguous row over the axes after it."""
+    k = np.multiply.outer(axes[-1], mus[:, -1])
+    for a, mu in zip(axes[-2::-1], mus.T[-2::-1]):
+        head = np.repeat(np.multiply.outer(a, mu), len(k), axis=0)
+        rows = head.reshape(len(a), -1)
+        rows += k.reshape(-1)
+        k = head
+    return k
+
+
 class QuadratureGrid:
     """Uniform M^N grid on the torus E / 2pi Q^vee.
 
@@ -258,21 +277,29 @@ class QuadratureGrid:
         self._table = np.empty(0, dtype=complex)
         self._table_lo = 0
 
-    def eval_terms(self, terms: dict) -> np.ndarray:
-        out = np.zeros(self.size, dtype=complex)
+    def eval_terms(self, terms: dict, axes=None) -> np.ndarray:
+        """sum_mu c_mu e^{i<mu, xi>} over the product of the integer grid
+        coordinates in axes (one array per axis; default every point), flat
+        in C order, in blocks of 64 terms."""
+        if axes is None:
+            axes = (np.arange(self.M),) * self.rs.rank
+        out = np.zeros(math.prod(len(a) for a in axes), dtype=complex)
         items = list(terms.items())
         for start in range(0, len(items), 64):
             block = items[start:start + 64]
             mus = np.array([mu for mu, _ in block], dtype=np.int64)
             coeffs = np.array([complex(c) for _, c in block])
-            out += self.roots_of_unity(self.index @ mus.T) @ coeffs
+            out += self.roots_of_unity(_pairings(axes, mus)) @ coeffs
         return out
 
-    def eval_polys(self, polys) -> np.ndarray:
-        """(size, len(polys)) C-ordered array, column j the values of polys[j]."""
-        out = np.empty((self.size, len(polys)), dtype=complex)
+    def eval_polys(self, polys, out=None) -> np.ndarray:
+        """(len(polys), size) array, row j the values of polys[j]; out may be
+        any array of that shape, such as the transpose of a C-ordered
+        (size, len(polys)) one."""
+        if out is None:
+            out = np.empty((len(polys), self.size), dtype=complex)
         for j, p in enumerate(polys):
-            out[:, j] = self.eval_terms(p.terms)
+            out[j] = self.eval_terms(p.terms)
         return out
 
     def exponential(self, mu) -> np.ndarray:
@@ -337,9 +364,6 @@ class QuadratureGrid:
                 mask &= (pai > 0) & (pai < self.M)
             self._alcove = mask
         return self._alcove
-
-    def average(self, values: np.ndarray) -> complex:
-        return complex(np.mean(values))
 
     def __repr__(self):
         return f"QuadratureGrid({self.rs._name()}, M={self.M}, {self.size} points)"
@@ -412,18 +436,47 @@ def gram_ladder(polys, spec: CFunctionSpec, tol: float, max_m: int):
 
     M doubles from first_rung until two successive Gram matrices agree within
     tol * (1 + max|G|); the first rung is exact for unit weights.  No grid
-    above max_m is built.
+    above max_m is built.  Each rung's values become the even points of the
+    next (see rung_values), so every grid point is evaluated once.
     """
     rs = polys[0].rs
     m = first_rung(rs, [p.support() for p in polys])
-    gram = None
+    gram = vals = None
     while m <= max_m:
-        cur = gram_matrix(polys, spec, QuadratureGrid(rs, m))
+        grid = QuadratureGrid(rs, m)
+        vals = rung_values(polys, grid, vals)
+        cur = gram_matrix(polys, spec, grid, vals)
         if spec.is_unit or (gram is not None and np.max(np.abs(cur - gram))
                             <= tol * (1.0 + np.max(np.abs(cur)))):
             return cur, m
         gram, m = cur, 2 * m
     raise QuadratureError(f"Gram matrix did not stabilize below M={max_m}")
+
+
+def rung_values(polys, grid: QuadratureGrid, coarse=None) -> np.ndarray:
+    """grid.eval_polys(polys), bit for bit, given the conjugated rows of the
+    rung at M/2 (as gram_matrix leaves them) or None.
+
+    The points k of the M/2 rung are the points 2k here, with the same phase
+    bits: (2pi/M) is (2pi/(M/2)) / 2 exactly, so (2pi/M) * 2k rounds like
+    (2pi/(M/2)) * k.  The coarse rows are conjugated back (conj is exact)
+    into the even points, and only the 2^rank - 1 odd cosets are evaluated,
+    one polynomial at a time straight into the array.
+    """
+    if coarse is None:
+        return grid.eval_polys(polys)
+    n, M = grid.rs.rank, grid.M
+    vals = np.empty((len(polys),) + (M,) * n, dtype=complex)
+    even = (slice(None),) + (slice(0, None, 2),) * n
+    np.conjugate(coarse.reshape((len(polys),) + (M // 2,) * n), out=vals[even])
+    for offset in itertools.product((0, 1), repeat=n):
+        if not any(offset):
+            continue
+        axes = [np.arange(o, M, 2) for o in offset]
+        coset = tuple(slice(o, None, 2) for o in offset)
+        for j, p in enumerate(polys):
+            vals[(j,) + coset] = grid.eval_terms(p.terms, axes).reshape((M // 2,) * n)
+    return vals.reshape(len(polys), -1)
 
 
 def inner_product(f: LaurentPoly, g: LaurentPoly, spec: CFunctionSpec,
@@ -434,10 +487,15 @@ def inner_product(f: LaurentPoly, g: LaurentPoly, spec: CFunctionSpec,
     return complex(gram[0, 1])
 
 
-def gram_matrix(polys, spec: CFunctionSpec, grid: QuadratureGrid) -> np.ndarray:
-    """Gram matrix of a family of Laurent polynomials on a fixed grid."""
+def gram_matrix(polys, spec: CFunctionSpec, grid: QuadratureGrid,
+                values=None) -> np.ndarray:
+    """Gram matrix of a family of Laurent polynomials on a fixed grid.
+
+    values, if given, are the rows grid.eval_polys(polys); they are
+    conjugated in place.
+    """
     rs = polys[0].rs
     w = measure_values(spec, grid) / (grid.size * rs.weyl_order())
-    E = grid.eval_polys(polys)
-    Ew = E * w[:, None]
-    return Ew.T @ np.conjugate(E, out=E)
+    E = grid.eval_polys(polys) if values is None else values
+    Ew = E * w
+    return Ew @ np.conjugate(E, out=E).T

@@ -359,7 +359,10 @@ class OrthoPolySystem:
         return self.monic(lam) * norm_constants(params, lam).orthonormal_scale
 
     def monomial_values(self, grid: QuadratureGrid) -> np.ndarray:
-        return grid.eval_polys(self.monomials)
+        """(grid.size, n) C-ordered, column j the values of monomials[j]."""
+        out = np.empty((grid.size, len(self.monomials)), dtype=complex)
+        grid.eval_polys(self.monomials, out=out.T)
+        return out
 
     def export_table(self) -> dict:
         """JSON-ready coefficient table keyed by weight coordinates."""

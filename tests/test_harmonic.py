@@ -4,12 +4,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from alcove.harmonic import (LaurentPoly, QuadratureGrid, delta_values,
-                             eval_delta, gram_matrix, inner_product,
-                             measure_values, monomial_symmetric,
-                             weight_function_eval, weight_function_values,
-                             weyl_character, weyl_character_extended,
-                             weyl_denominator)
+from alcove.harmonic import (LaurentPoly, QuadratureError, QuadratureGrid,
+                             delta_values, eval_delta, first_rung, gram_ladder,
+                             gram_matrix, inner_product, measure_values,
+                             monomial_symmetric, weight_function_eval,
+                             weight_function_values, weyl_character,
+                             weyl_character_extended, weyl_denominator)
 from alcove.orthopoly import MacdonaldParams, gram_schmidt
 from alcove.qfun import (MacdonaldC, koornwinder_spec, macdonald_spec,
                          unit_spec, qpochhammer_inf)
@@ -271,6 +271,111 @@ def test_gram_matrix_matches_column_stack_formula(b2):
     w = measure_values(spec, grid) / (grid.size * bc2.weyl_order())
     E = np.column_stack([p.eval_grid(grid) for p in polys])
     assert _same_bits(gram_matrix(polys, spec, grid), (E * w[:, None]).T @ E.conj())
+
+
+def _ladder_case(label, rank):
+    """A non-unit spec and a few polynomials on each system, one of them
+    with the int, Fraction and complex coefficient mix of _terms."""
+    rs = build_root_system(label, rank)
+    if label == "BC":
+        spec = koornwinder_spec(rs, 1.1, (0.9, 0.7, 0.6, 0.8), 0.45)
+    else:
+        lengths = sorted({float(sum(x * x for x in a)) for a in rs.positive_roots})
+        spec = macdonald_spec(rs, dict(zip(lengths, (0.9, 1.4))), 0.5)
+    tops = {1: [(4,)], 2: [(2, 1)], 3: [(1, 0, 0)]}[rank]
+    polys = [monomial_symmetric(rs, mu) for mu in rs.saturated_weights(tops)]
+    axis = np.eye(rank, dtype=np.int64)
+    polys.append(LaurentPoly(rs, _terms([axis[0], -axis[-1], axis[0] + axis[-1]])))
+    return rs, spec, polys
+
+
+@pytest.mark.parametrize("label,rank", [("A", 2), ("B", 2), ("G", 2), ("BC", 1),
+                                        ("BC", 2), ("A", 3)])
+def test_ladder_gram_matches_fresh_grid_bitwise(label, rank, monkeypatch):
+    # the coset ladder reuses each rung's values as the even points of the
+    # next; its Gram matrices must equal those of a fresh grid to the bit
+    import alcove.harmonic as harmonic
+    rs, spec, polys = _ladder_case(label, rank)
+    m0 = first_rung(rs, [p.support() for p in polys])
+    seen = []
+
+    def recording(polys, spec, grid, values=None):
+        seen.append((grid.M, gram_matrix(polys, spec, grid, values)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(harmonic, "gram_matrix", recording)
+    with pytest.raises(QuadratureError):
+        gram_ladder(polys, spec, 0.0, 4 * m0)
+    assert [m for m, _ in seen] == [m0, 2 * m0, 4 * m0]
+    for m, gram in seen:
+        assert _same_bits(gram, gram_matrix(polys, spec, QuadratureGrid(rs, m)))
+
+
+@pytest.mark.parametrize("label,rank", [("B", 2), ("BC", 1), ("A", 3)])
+def test_ladder_evaluates_each_point_once(label, rank, monkeypatch):
+    # mapped onto the last rung, the points each polynomial is evaluated at
+    # over the whole ladder cover that grid exactly once
+    rs, spec, polys = _ladder_case(label, rank)
+    m0 = first_rung(rs, [p.support() for p in polys])
+    last = 4 * m0
+    hits = {id(p.terms): np.zeros((last,) * rank, dtype=int) for p in polys}
+    original = QuadratureGrid.eval_terms
+
+    def counting(grid, terms, axes=None):
+        axes = (np.arange(grid.M),) * rank if axes is None else axes
+        scaled = np.ix_(*[np.asarray(a) * (last // grid.M) for a in axes])
+        hits[id(terms)][scaled] += 1
+        return original(grid, terms, axes)
+
+    monkeypatch.setattr(QuadratureGrid, "eval_terms", counting)
+    with pytest.raises(QuadratureError):
+        gram_ladder(polys, spec, 0.0, last)
+    for count in hits.values():
+        assert np.all(count == 1)
+
+
+@pytest.mark.parametrize("label,rank,m", [("A", 2, 30), ("B", 2, 44), ("G", 2, 36),
+                                          ("BC", 1, 64), ("BC", 2, 40), ("A", 3, 14)])
+def test_coset_phases_match_direct_sum(label, rank, m):
+    # eval_terms on every parity coset (the broadcast phases k = <index, mu>
+    # and the block sums) against the direct sum on the full grid
+    rs = build_root_system(label, rank)
+    grid = QuadratureGrid(rs, m)
+    box = itertools.product(range(-4, 5), repeat=rank)
+    terms = _terms(list(box)[:150])
+    direct = _direct_sum(grid, terms).reshape((m,) * rank)
+    assert _same_bits(grid.eval_terms(terms), direct.ravel())
+    for offset in itertools.product((0, 1), repeat=rank):
+        axes = [np.arange(o, m, 2) for o in offset]
+        coset = direct[tuple(slice(o, None, 2) for o in offset)]
+        assert _same_bits(grid.eval_terms(terms, axes), coset.ravel())
+
+
+def _scalar_eval(p, xi):
+    """The term-by-term sum at one (possibly complex) ambient point, and the
+    sum of the moduli of its terms."""
+    vals = [complex(c) * np.exp(1j * np.dot(v, xi))
+            for c, v in zip(p.terms.values(), p.rs.float_weights(list(p.terms)))]
+    return sum(vals, 0j), sum(abs(v) for v in vals)
+
+
+def test_eval_at_and_shifted_match_scalar_loop(a2, bc2):
+    rng = np.random.default_rng(11)
+    for rs in (a2, bc2):
+        box = list(itertools.product(range(-3, 4), repeat=rs.rank))
+        for p in (LaurentPoly(rs, _terms(box)), LaurentPoly.zero(rs)):
+            for _ in range(4):
+                xi = rng.normal(size=rs.dim)
+                shift = rng.normal(size=rs.dim)
+                s = float(rng.uniform(0.1, 1.5))
+                for point, value in [(xi, p.eval_at(xi)),
+                                     (xi + 0.3j * shift, p.eval_at(xi + 0.3j * shift)),
+                                     (xi + 1j * s * shift, p.eval_shifted(xi, shift, s))]:
+                    ref, scale = _scalar_eval(p, point)
+                    assert isinstance(value, complex)
+                    assert abs(value - ref) <= 1e-13 * scale
+                    if not p.terms:
+                        assert value == 0
 
 
 def test_grid_budget_is_checked_before_allocating():

@@ -1,0 +1,61 @@
+"""The benchmark's trace targets still exist, and the Gram ladder still
+passes through the spans the benchmark requires, checked in process."""
+
+import importlib
+import importlib.util
+import inspect
+import sys
+from pathlib import Path
+
+import alcove.harmonic as harmonic
+from alcove.harmonic import QuadratureGrid
+from alcove.orthopoly import MacdonaldParams, gram_schmidt
+
+SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+
+
+def _load_spans(monkeypatch):
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_trace_target_resolves(monkeypatch):
+    spans = _load_spans(monkeypatch)
+    assert spans.TARGETS
+    for t in spans.TARGETS:
+        owner = importlib.import_module(f"alcove.{t.module}")
+        *path, attr = t.attr.split(".")
+        for part in path:
+            owner = getattr(owner, part)
+        target = inspect.getattr_static(owner, attr)
+        assert callable(target) or isinstance(target, property), t
+
+
+def test_gram_schmidt_reaches_gram_matrix_once_per_rung(b2, monkeypatch):
+    built, gram_rungs, eval_calls = [], [], []
+    gram_matrix, eval_terms = harmonic.gram_matrix, QuadratureGrid.eval_terms
+
+    class RecordingGrid(QuadratureGrid):
+        def __init__(self, rs, M):
+            built.append(M)
+            super().__init__(rs, M)
+
+    def recording_gram(polys, spec, grid, values=None):
+        gram_rungs.append(grid.M)
+        return gram_matrix(polys, spec, grid, values)
+
+    def recording_eval(grid, terms, axes=None):
+        eval_calls.append(grid.M)
+        return eval_terms(grid, terms, axes)
+
+    monkeypatch.setattr(harmonic, "QuadratureGrid", RecordingGrid)
+    monkeypatch.setattr(harmonic, "gram_matrix", recording_gram)
+    monkeypatch.setattr(QuadratureGrid, "eval_terms", recording_eval)
+    spec = MacdonaldParams.create(b2, {1: 0.9, 2: 1.4}, 0.5).cspec()
+    system = gram_schmidt(b2, spec, [(2, 2)])
+    assert len(built) >= 2 and gram_rungs == built
+    assert system.grid_m == built[-1]
+    assert set(eval_calls) == set(built)
