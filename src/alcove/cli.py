@@ -29,7 +29,7 @@ from .orthopoly import (KoornwinderParams, MacdonaldParams, ParameterError,
 from .qfun import unit_spec
 from .rootsys import BudgetExceededError, build_root_system
 from .scattering import (ScatteringContext, WaveTable, _kernel_bandwidth,
-                         convergence_report, smatrix_factor,
+                         convergence_report, root_half_phases, smatrix_factor,
                          smatrix_factor_direct)
 from .evolution import PacketError, run_scattering_diagnostic
 
@@ -304,8 +304,9 @@ def _suite_smatrix(rs, params, spec, cfg, tol):
     grid = QuadratureGrid(rs, grid_m(cfg, 48))
     unitarity = 0.0
     direct = 0.0
+    halves = root_half_phases(spec, grid)
     for w in rs.weyl_group():
-        sw = smatrix_factor(spec, w, grid)
+        sw = smatrix_factor(spec, w, grid, halves)
         unitarity = max(unitarity, float(np.max(np.abs(np.abs(sw) - 1.0))))
         direct = max(direct, float(np.max(np.abs(
             sw - smatrix_factor_direct(spec, w, grid)))))
@@ -488,8 +489,8 @@ def main(argv=None) -> int:
         description="Orthogonal polynomials on Weyl alcoves, lattice "
                     "Laplacians, and their scattering theory.",
         epilog="Exit codes: 0 ok; 2 config/parameter error; 3 size budget "
-               "exceeded (Weyl group or grid); 4 verification failed; 5 leakage "
-               "or table depth error; 1 unexpected error.")
+               "exceeded (Weyl group, grid or Gram ladder bytes); 4 verification "
+               "failed; 5 leakage or table depth error; 1 unexpected error.")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="verb", required=True)
 

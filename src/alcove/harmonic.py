@@ -20,6 +20,7 @@ bandwidth.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 from fractions import Fraction
@@ -27,8 +28,11 @@ from fractions import Fraction
 import numpy as np
 
 from .qfun import CFunctionSpec
-from .rootsys import (GRID_POINT_BUDGET, BudgetExceededError, RootSystem,
-                      WeylElement)
+from .rootsys import (GRAM_BYTES_BUDGET, GRID_POINT_BUDGET, BudgetExceededError,
+                      RootSystem, WeylElement)
+
+# rows of one weighted block of the Gram product (see _row_blocks)
+GRAM_BLOCK_ROWS = 32
 
 
 class LaurentPoly:
@@ -234,18 +238,38 @@ def weyl_character_extended(rs: RootSystem, lam) -> LaurentPoly:
     return chi if sign == 1 else -chi
 
 
-def _pairings(axes, mus: np.ndarray) -> np.ndarray:
-    """k = <index, mu> for every point of the product of the grid coordinates
-    in axes (rows, last axis fastest) and every mu of mus (columns): exact
-    integers, the products axes[j] * mu_j broadcast over the grid axes.  Each
-    axis is added as one contiguous row over the axes after it."""
-    k = np.multiply.outer(axes[-1], mus[:, -1])
-    for a, mu in zip(axes[-2::-1], mus.T[-2::-1]):
-        head = np.repeat(np.multiply.outer(a, mu), len(k), axis=0)
-        rows = head.reshape(len(a), -1)
-        rows += k.reshape(-1)
-        k = head
-    return k
+def _pairings(axes, mus: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Fill out (int64, one row per point of the product of the grid
+    coordinates in axes, last axis fastest; one column per mu of mus) with
+    the exact integers k = <index, mu>: the products axes[j] * mu_j are
+    broadcast over the grid axes, one add per axis."""
+    k = out.reshape(tuple(len(a) for a in axes) + (len(mus),))
+    for j, (a, mu) in enumerate(zip(axes, mus.T)):
+        shape = [1] * k.ndim
+        shape[j], shape[-1] = len(a), len(mu)
+        term = np.multiply.outer(a, mu).reshape(shape)
+        if j == 0:
+            k[...] = term
+        else:
+            k += term
+    return out
+
+
+class _Scratch:
+    """The int64 phases and complex roots of eval_terms' blocks, grown to the
+    largest block asked for and reused by the calls that share it."""
+
+    def __init__(self):
+        self.k = np.empty(0, dtype=np.int64)
+        self.roots = np.empty(0, dtype=complex)
+
+    def arrays(self, points: int, width: int):
+        count = points * width
+        if self.k.size < count:
+            self.k = np.empty(count, dtype=np.int64)
+            self.roots = np.empty(count, dtype=complex)
+        return (self.k[:count].reshape(points, width),
+                self.roots[:count].reshape(points, width))
 
 
 class QuadratureGrid:
@@ -276,21 +300,36 @@ class QuadratureGrid:
         self._alcove = None
         self._table = np.empty(0, dtype=complex)
         self._table_lo = 0
+        self._scratch = None
 
     def eval_terms(self, terms: dict, axes=None) -> np.ndarray:
         """sum_mu c_mu e^{i<mu, xi>} over the product of the integer grid
         coordinates in axes (one array per axis; default every point), flat
-        in C order, in blocks of 64 terms."""
+        in C order, in blocks of 64 terms.  The phases and roots of the
+        blocks are written into scratch, shared by the calls made inside
+        reused_scratch()."""
         if axes is None:
             axes = (np.arange(self.M),) * self.rs.rank
-        out = np.zeros(math.prod(len(a) for a in axes), dtype=complex)
+        points = math.prod(len(a) for a in axes)
+        out = np.zeros(points, dtype=complex)
+        scratch = self._scratch or _Scratch()
         items = list(terms.items())
         for start in range(0, len(items), 64):
             block = items[start:start + 64]
             mus = np.array([mu for mu, _ in block], dtype=np.int64)
             coeffs = np.array([complex(c) for _, c in block])
-            out += self.roots_of_unity(_pairings(axes, mus)) @ coeffs
+            k, roots = scratch.arrays(points, len(block))
+            out += self.roots_of_unity(_pairings(axes, mus, k), out=roots) @ coeffs
         return out
+
+    @contextlib.contextmanager
+    def reused_scratch(self):
+        """eval_terms calls made inside share one scratch, dropped on exit."""
+        self._scratch = _Scratch()
+        try:
+            yield
+        finally:
+            self._scratch = None
 
     def eval_polys(self, polys, out=None) -> np.ndarray:
         """(len(polys), size) array, row j the values of polys[j]; out may be
@@ -298,15 +337,16 @@ class QuadratureGrid:
         (size, len(polys)) one."""
         if out is None:
             out = np.empty((len(polys), self.size), dtype=complex)
-        for j, p in enumerate(polys):
-            out[j] = self.eval_terms(p.terms)
+        with self.reused_scratch():
+            for j, p in enumerate(polys):
+                out[j] = self.eval_terms(p.terms)
         return out
 
     def exponential(self, mu) -> np.ndarray:
         """e^{i<mu, xi>} over the grid (mu given by weight coordinates)."""
         return self.roots_of_unity(self.index @ np.asarray(mu, dtype=np.int64))
 
-    def roots_of_unity(self, k: np.ndarray) -> np.ndarray:
+    def roots_of_unity(self, k: np.ndarray, out=None) -> np.ndarray:
         """e^{2 pi i k / M} for an integer array k; every grid exponential
         comes from here.
 
@@ -316,20 +356,27 @@ class QuadratureGrid:
         exp(1j * ((2 pi / M) * k)) on the unreduced k, so they agree to the
         bit.  Folding k mod M would be exact in the mathematics but would
         move the last bits of every grid sum.
+
+        With out (a complex array of k's shape) the values are written there
+        and k, then a scratch array, is overwritten by the table offsets.
         """
-        def exp(k):
-            return np.exp(1j * ((2.0 * np.pi / self.M) * k))
+        def exp(k, out=None):
+            return np.exp(1j * ((2.0 * np.pi / self.M) * k), out=out)
 
         lo, hi = int(k.min()), int(k.max())
         if hi - lo >= k.size:
-            return exp(k)
+            return exp(k, out)
         start = self._table_lo if self._table.size else lo
         stop = start + self._table.size
         if lo < start or hi >= stop:
             self._table = np.concatenate([exp(np.arange(lo, start)), self._table,
                                           exp(np.arange(stop, hi + 1))])
             self._table_lo = min(lo, start)
-        return self._table[k - self._table_lo]
+        if out is None:
+            return self._table[k - self._table_lo]
+        # mode="clip" gathers straight into out; "raise" would buffer it
+        k -= self._table_lo
+        return np.take(self._table, k, out=out, mode="clip")
 
     def fourier(self, values: np.ndarray) -> np.ndarray:
         """Grid averages of values * e^{i<mu, xi>} for every mu mod M, flat;
@@ -415,12 +462,8 @@ class QuadratureError(RuntimeError):
 
 def bandwidth_bound(rs: RootSystem, supports) -> int:
     """Max |<mu, beta_j>| over products of terms drawn from the supports."""
-    total = 0
-    for sup in supports:
-        if not sup:
-            continue
-        total += max(max(abs(c) for c in mu) for mu in sup)
-    return total
+    return sum(max(map(abs, itertools.chain.from_iterable(sup)))
+               for sup in supports if sup)
 
 
 def first_rung(rs: RootSystem, supports) -> int:
@@ -436,14 +479,19 @@ def gram_ladder(polys, spec: CFunctionSpec, tol: float, max_m: int):
 
     M doubles from first_rung until two successive Gram matrices agree within
     tol * (1 + max|G|); the first rung is exact for unit weights.  No grid
-    above max_m is built.  Each rung's values become the even points of the
-    next (see rung_values), so every grid point is evaluated once.
+    above max_m is built, and no rung whose arrays would exceed
+    GRAM_BYTES_BUDGET.  Each rung's values become the even points of the
+    next (see refine_rung), so every grid point is evaluated once; the
+    coarse rung is dropped before the odd points are evaluated.
     """
     rs = polys[0].rs
     m = first_rung(rs, [p.support() for p in polys])
     gram = vals = None
     while m <= max_m:
+        _check_gram_bytes(rs, len(polys), m)
         grid = QuadratureGrid(rs, m)
+        if vals is not None:
+            vals = refine_rung(vals, grid)
         vals = rung_values(polys, grid, vals)
         cur = gram_matrix(polys, spec, grid, vals)
         if spec.is_unit or (gram is not None and np.max(np.abs(cur - gram))
@@ -453,30 +501,53 @@ def gram_ladder(polys, spec: CFunctionSpec, tol: float, max_m: int):
     raise QuadratureError(f"Gram matrix did not stabilize below M={max_m}")
 
 
-def rung_values(polys, grid: QuadratureGrid, coarse=None) -> np.ndarray:
-    """grid.eval_polys(polys), bit for bit, given the conjugated rows of the
-    rung at M/2 (as gram_matrix leaves them) or None.
+def gram_bytes(n: int, size: int) -> int:
+    """Bytes of one rung of the Gram ladder: the (n, size) complex values
+    and the largest weighted row block of gram_matrix."""
+    return 16 * size * (n + _block_rows(_row_blocks(n)))
+
+
+def _check_gram_bytes(rs: RootSystem, n: int, m: int) -> None:
+    required = gram_bytes(n, m ** rs.rank)
+    if required > GRAM_BYTES_BUDGET:
+        raise BudgetExceededError(
+            f"Gram ladder of {n} weights on {rs._name()} at M={m}", required,
+            GRAM_BYTES_BUDGET, "bytes")
+
+
+def refine_rung(coarse: np.ndarray, grid: QuadratureGrid) -> np.ndarray:
+    """An (n, size) array for grid whose even coset holds the conjugated rows
+    of the rung at M/2 (as gram_matrix leaves them), conjugated back; the
+    odd cosets are left for rung_values.
 
     The points k of the M/2 rung are the points 2k here, with the same phase
     bits: (2pi/M) is (2pi/(M/2)) / 2 exactly, so (2pi/M) * 2k rounds like
-    (2pi/(M/2)) * k.  The coarse rows are conjugated back (conj is exact)
-    into the even points, and only the 2^rank - 1 odd cosets are evaluated,
-    one polynomial at a time straight into the array.
+    (2pi/(M/2)) * k, and conj is exact.
     """
-    if coarse is None:
+    n, M = grid.rs.rank, grid.M
+    vals = np.empty((len(coarse),) + (M,) * n, dtype=complex)
+    even = (slice(None),) + (slice(0, None, 2),) * n
+    np.conjugate(coarse.reshape((len(coarse),) + (M // 2,) * n), out=vals[even])
+    return vals.reshape(len(coarse), -1)
+
+
+def rung_values(polys, grid: QuadratureGrid, vals=None) -> np.ndarray:
+    """grid.eval_polys(polys), bit for bit.  vals, if given, is the array of
+    refine_rung with the even coset filled; only the 2^rank - 1 odd cosets
+    are evaluated, one polynomial at a time straight into it."""
+    if vals is None:
         return grid.eval_polys(polys)
     n, M = grid.rs.rank, grid.M
-    vals = np.empty((len(polys),) + (M,) * n, dtype=complex)
-    even = (slice(None),) + (slice(0, None, 2),) * n
-    np.conjugate(coarse.reshape((len(polys),) + (M // 2,) * n), out=vals[even])
-    for offset in itertools.product((0, 1), repeat=n):
-        if not any(offset):
-            continue
-        axes = [np.arange(o, M, 2) for o in offset]
-        coset = tuple(slice(o, None, 2) for o in offset)
-        for j, p in enumerate(polys):
-            vals[(j,) + coset] = grid.eval_terms(p.terms, axes).reshape((M // 2,) * n)
-    return vals.reshape(len(polys), -1)
+    cube = vals.reshape((len(polys),) + (M,) * n)
+    with grid.reused_scratch():
+        for offset in itertools.product((0, 1), repeat=n):
+            if not any(offset):
+                continue
+            axes = [np.arange(o, M, 2) for o in offset]
+            coset = tuple(slice(o, None, 2) for o in offset)
+            for j, p in enumerate(polys):
+                cube[(j,) + coset] = grid.eval_terms(p.terms, axes).reshape((M // 2,) * n)
+    return vals
 
 
 def inner_product(f: LaurentPoly, g: LaurentPoly, spec: CFunctionSpec,
@@ -487,15 +558,37 @@ def inner_product(f: LaurentPoly, g: LaurentPoly, spec: CFunctionSpec,
     return complex(gram[0, 1])
 
 
+def _row_blocks(n: int) -> list:
+    """Edges of ceil(n / 32) near-equal row blocks of the Gram product.  A
+    block of 16 or more rows (the fewest a split gives) keeps the bits of
+    the one-call product; blocks of 3 or 4 rows move its last bits."""
+    count = -(-n // GRAM_BLOCK_ROWS)
+    return [n * i // count for i in range(count + 1)]
+
+
+def _block_rows(edges) -> int:
+    return max(b - a for a, b in zip(edges, edges[1:]))
+
+
 def gram_matrix(polys, spec: CFunctionSpec, grid: QuadratureGrid,
                 values=None) -> np.ndarray:
     """Gram matrix of a family of Laurent polynomials on a fixed grid.
 
     values, if given, are the rows grid.eval_polys(polys); they are
-    conjugated in place.
+    conjugated in place.  The weighted rows E * w are formed one block of
+    rows at a time, so besides the values only one block is held; each
+    block's product with conj(E).T has the bits of the one-call product
+    (E * w) @ conj(E).T.
     """
     rs = polys[0].rs
     w = measure_values(spec, grid) / (grid.size * rs.weyl_order())
     E = grid.eval_polys(polys) if values is None else values
-    Ew = E * w
-    return Ew @ np.conjugate(E, out=E).T
+    conj = np.conjugate(E, out=E)
+    edges = _row_blocks(len(polys))
+    scratch = np.empty((_block_rows(edges), grid.size), dtype=complex)
+    gram = np.empty((len(polys), len(polys)), dtype=complex)
+    for a, b in zip(edges, edges[1:]):
+        block = np.conjugate(conj[a:b], out=scratch[:b - a])
+        block *= w
+        np.matmul(block, conj.T, out=gram[a:b])
+    return gram

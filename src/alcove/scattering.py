@@ -204,15 +204,27 @@ def plane_wave_values(rs: RootSystem, lam, grid: QuadratureGrid) -> np.ndarray:
 # -- factorized scattering phases -----------------------------------------
 
 
-def smatrix_factor_half(spec: CFunctionSpec, w: WeylElement,
-                        grid: QuadratureGrid) -> np.ndarray:
-    """S_w^{1/2}(xi): one scalar phase per root of R1+, conjugated on the
-    roots sent to negatives by w."""
+def root_half_phases(spec: CFunctionSpec, grid: QuadratureGrid) -> list:
+    """(root coordinates, shat_sqrt over the grid) for each root of R1+: the
+    per-root factors every S_w^{1/2} is assembled from."""
     rs = grid.rs
-    out = np.ones(grid.size, dtype=complex)
+    out = []
     for a, c in zip(rs.positive_roots_1, spec.cfunctions):
         ac = rs.root_coords(a)
-        h = shat_sqrt(c, grid.angles(ac))
+        out.append((ac, shat_sqrt(c, grid.angles(ac))))
+    return out
+
+
+def smatrix_factor_half(spec: CFunctionSpec, w: WeylElement,
+                        grid: QuadratureGrid, halves=None) -> np.ndarray:
+    """S_w^{1/2}(xi): one scalar phase per root of R1+, conjugated on the
+    roots sent to negatives by w.  halves, if given, is
+    root_half_phases(spec, grid), shared by the calls for every w."""
+    rs = grid.rs
+    if halves is None:
+        halves = root_half_phases(spec, grid)
+    out = np.ones(grid.size, dtype=complex)
+    for ac, h in halves:
         if rs._ext_key(w.act(ac)) > 0:
             out *= h
         else:
@@ -221,8 +233,8 @@ def smatrix_factor_half(spec: CFunctionSpec, w: WeylElement,
 
 
 def smatrix_factor(spec: CFunctionSpec, w: WeylElement,
-                   grid: QuadratureGrid) -> np.ndarray:
-    h = smatrix_factor_half(spec, w, grid)
+                   grid: QuadratureGrid, halves=None) -> np.ndarray:
+    h = smatrix_factor_half(spec, w, grid, halves)
     return h * h
 
 
@@ -244,9 +256,11 @@ def smatrix_factor_direct(spec: CFunctionSpec, w: WeylElement,
 def asymptotic_wave_values(spec: CFunctionSpec, lambdas,
                            grid: QuadratureGrid) -> list:
     """Psi^infty_lam = sum_w det(w) S_w^{1/2}(xi) e^{i<rho+lam, w xi>} for
-    each lam of lambdas; each S_w^{1/2} is computed once per call."""
+    each lam of lambdas; each S_w^{1/2} is computed once per call, from
+    per-root phases computed once."""
     rs = grid.rs
-    terms = [(w.sign * smatrix_factor_half(spec, w, grid), w.inverse())
+    halves = root_half_phases(spec, grid)
+    terms = [(w.sign * smatrix_factor_half(spec, w, grid, halves), w.inverse())
              for w in rs.weyl_group()]
     values = []
     for lam in lambdas:
@@ -308,6 +322,7 @@ class ScatteringContext:
         self.regular_mask = self.grid.alcove_mask & \
             (np.min(np.abs(pair), axis=1) > regularity_tol)
         self._what: dict = {}
+        self._halves = None
         self._half_cache: dict = {}
 
     def sector_element(self, k: int) -> WeylElement:
@@ -337,7 +352,9 @@ class ScatteringContext:
     def _half_factor(self, w: WeylElement) -> np.ndarray:
         arr = self._half_cache.get(w.matrix)
         if arr is None:
-            arr = smatrix_factor_half(self.table.spec, w, self.grid)
+            if self._halves is None:
+                self._halves = root_half_phases(self.table.spec, self.grid)
+            arr = smatrix_factor_half(self.table.spec, w, self.grid, self._halves)
             self._half_cache[w.matrix] = arr
         return arr
 

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -76,6 +77,37 @@ def test_grid_budget_exit_code(tmp_path, capsys):
     assert main(["verify", "--suite", "smatrix", "--config", cfg,
                  "--out", str(tmp_path / "s.json")]) == 3
     assert f"{48 ** 6} points" in capsys.readouterr().err
+
+
+# the example configuration of README.md
+README_EXAMPLE = {
+    "root_system": {"label": "A", "rank": 2},
+    "cfunctions": {"family": "macdonald", "g": 1.3, "q": 0.5},
+    "weights": {"tops": [[1, 1]]},
+    "task": {
+        "ray": {"direction": [1, 1], "steps": 4},
+        "evolve": {"times": [4, 8, 16, 32], "radius": 1.0, "sign": 1},
+    },
+}
+
+
+def test_readme_evolve_exits_on_gram_budget(tmp_path, capsys, monkeypatch):
+    # depth 200 on A2: 20,201 weights and a first rung at M=1610, whose
+    # values alone would take 780 GiB; refused before the grid is built
+    import alcove.harmonic as harmonic
+    built = []
+    monkeypatch.setattr(harmonic, "QuadratureGrid",
+                        lambda rs, M: built.append(M))
+    cfg = _cfg(tmp_path, "readme.json", README_EXAMPLE)
+    start = time.perf_counter()
+    assert main(["scatter", "--evolve", "--config", cfg,
+                 "--out", str(tmp_path / "e.json")]) == 3
+    assert time.perf_counter() - start < 5.0
+    assert not built and not (tmp_path / "e.json").exists()
+    required = harmonic.gram_bytes(20201, 1610 ** 2)
+    assert required > 780 * 2 ** 30
+    assert (f"Gram ladder of 20201 weights on A2 at M=1610 has {required} bytes"
+            in capsys.readouterr().err)
 
 
 def test_scatter_ray_csv(tmp_path):

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from alcove.harmonic import (LaurentPoly, QuadratureError, QuadratureGrid,
-                             delta_values, eval_delta, first_rung, gram_ladder,
-                             gram_matrix, inner_product, measure_values,
-                             monomial_symmetric, weight_function_eval,
+                             delta_values, eval_delta, first_rung, gram_bytes,
+                             gram_ladder, gram_matrix, inner_product,
+                             measure_values, monomial_symmetric, weight_function_eval,
                              weight_function_values, weyl_character,
                              weyl_character_extended, weyl_denominator)
 from alcove.orthopoly import MacdonaldParams, gram_schmidt
@@ -349,6 +349,65 @@ def test_coset_phases_match_direct_sum(label, rank, m):
         axes = [np.arange(o, m, 2) for o in offset]
         coset = direct[tuple(slice(o, None, 2) for o in offset)]
         assert _same_bits(grid.eval_terms(terms, axes), coset.ravel())
+
+
+@pytest.mark.parametrize("label,m", [("B", 37), ("BC", 26)])
+def test_blocked_gram_matches_one_call_product(label, m):
+    # above 32 rows gram_matrix weights and multiplies the rows in near-equal
+    # blocks; every block's product keeps the bits of the one-call product
+    # (a property of the BLAS kernel: OpenBLAS's SkylakeX kernel has it, its
+    # Haswell kernel does not; see README.md)
+    rs, spec, _ = _ladder_case(label, 2)
+    weights = rs.saturated_weights([(12, 12)])
+    grid = QuadratureGrid(rs, m)
+    w = measure_values(spec, grid) / (grid.size * rs.weyl_order())
+    for n in (5, 27, 79, 121):
+        polys = [monomial_symmetric(rs, mu) for mu in weights[:n]]
+        E = grid.eval_polys(polys)
+        assert _same_bits(gram_matrix(polys, spec, grid), (E * w) @ np.conjugate(E).T)
+
+
+def test_gram_ladder_holds_values_and_one_block(b2):
+    # no weighted copy of the values, and the coarse rung is dropped before
+    # the odd cosets: the traced peak stays near the last rung's values plus
+    # one block of rows (two blocks of 21 and 22 here)
+    import tracemalloc
+    spec = MacdonaldParams.create(b2, {1: 0.9, 2: 1.4}, 0.5).cspec()
+    polys = [monomial_symmetric(b2, mu) for mu in b2.saturated_weights([(6, 6)])]
+    m0 = first_rung(b2, [p.support() for p in polys])
+    n, size = len(polys), (2 * m0) ** 2
+    assert n == 43 and gram_bytes(n, size) == 16 * size * (n + 22)
+    tracemalloc.start()
+    try:
+        with pytest.raises(QuadratureError):
+            gram_ladder(polys, spec, 0.0, 2 * m0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * gram_bytes(n, size)
+
+
+def test_gram_budget_is_checked_before_a_rung_allocates(b2, monkeypatch):
+    import alcove.harmonic as harmonic
+    spec = MacdonaldParams.create(b2, {1: 0.9, 2: 1.4}, 0.5).cspec()
+    polys = [monomial_symmetric(b2, mu) for mu in b2.saturated_weights([(6, 6)])]
+    m0 = first_rung(b2, [p.support() for p in polys])
+    # the first rung fits, the second does not
+    monkeypatch.setattr(harmonic, "GRAM_BYTES_BUDGET", gram_bytes(43, m0 ** 2))
+    built = []
+
+    class RecordingGrid(QuadratureGrid):
+        def __init__(self, rs, M):
+            built.append(M)
+            super().__init__(rs, M)
+
+    monkeypatch.setattr(harmonic, "QuadratureGrid", RecordingGrid)
+    with pytest.raises(BudgetExceededError) as err:
+        gram_ladder(polys, spec, 0.0, 4 * m0)
+    assert built == [m0]
+    required = gram_bytes(43, (2 * m0) ** 2)
+    assert err.value.required == required
+    assert f"43 weights on B2 at M={2 * m0} has {required} bytes" in str(err.value)
 
 
 def _scalar_eval(p, xi):

@@ -7,12 +7,12 @@ from alcove.harmonic import (QuadratureGrid, eval_delta, orbit_symbol,
                              weyl_character)
 from alcove.laplacian import LatticeFunction, apply_fourier_conjugated, operator_matrix
 from alcove.orthopoly import MacdonaldParams, gram_schmidt
-from alcove.qfun import unit_spec
+from alcove.qfun import koornwinder_spec, shat_sqrt, unit_spec
 from alcove.rootsys import build_root_system
 from alcove.scattering import (RegularSectorError, ScatteringContext,
                                SpectralFunction, WaveTable, _kernel_bandwidth,
                                asymptotic_wave_values, convergence_report,
-                               plane_wave_values,
+                               plane_wave_values, root_half_phases,
                                smatrix_factor, smatrix_factor_direct,
                                smatrix_factor_half, spectral_inner,
                                spectral_norm)
@@ -96,6 +96,47 @@ def test_smatrix_factor_structure(a2, a2_macdonald):
         neg = sum(1 for a in a2.positive_roots_1
                   if a2._ext_key(w.act(a2.root_coords(a))) < 0)
         assert pos + neg == len(a2.positive_roots_1)
+
+
+def _per_w_half(spec, w, grid):
+    """S_w^{1/2} with every root's shat_sqrt computed afresh for this w."""
+    rs = grid.rs
+    out = np.ones(grid.size, dtype=complex)
+    for a, c in zip(rs.positive_roots_1, spec.cfunctions):
+        ac = rs.root_coords(a)
+        h = shat_sqrt(c, grid.angles(ac))
+        if rs._ext_key(w.act(ac)) > 0:
+            out *= h
+        else:
+            out *= np.conjugate(h)
+    return out
+
+
+def _same_bits(a, b):
+    return np.array_equal(a.view(float), b.view(float))
+
+
+def test_root_half_phases_keep_per_w_bits(a2, a2_system, bc2):
+    # the per-root phases are computed once and multiplied in the same order
+    koornwinder = koornwinder_spec(bc2, 1.1, (0.9, 0.7, 0.6, 0.8), 0.45)
+    for spec, grid in [(a2_system.spec, QuadratureGrid(a2, 24)),
+                       (koornwinder, QuadratureGrid(bc2, 20))]:
+        halves = root_half_phases(spec, grid)
+        for w in grid.rs.weyl_group():
+            old = _per_w_half(spec, w, grid)
+            assert _same_bits(smatrix_factor_half(spec, w, grid, halves), old)
+            assert _same_bits(smatrix_factor_half(spec, w, grid), old)
+    grid = QuadratureGrid(a2, 24)
+    ctx = ScatteringContext(WaveTable(a2_system, grid), orbit_symbol(a2, (1, 0)))
+    lam = (2, 1)
+    shifted = tuple(a + b for a, b in zip(a2.rho_coords, lam))
+    expected = np.zeros(grid.size, dtype=complex)
+    for w in a2.weyl_group():
+        old = _per_w_half(a2_system.spec, w, grid)
+        assert _same_bits(ctx._half_factor(w), old)
+        expected += (w.sign * old) * grid.exponential(w.inverse().act(shifted))
+    got, = asymptotic_wave_values(a2_system.spec, [lam], grid)
+    assert _same_bits(got, expected)
 
 
 def test_asymptotic_wave_unit_equals_plane_wave(a2):
