@@ -41,6 +41,10 @@ EXIT_CHECK_FAILED = 4
 EXIT_LEAKAGE = 5
 
 
+# random draws _regular_point makes before it gives up
+REGULAR_POINT_TRIES = 64
+
+
 class ConfigError(ValueError):
     pass
 
@@ -243,8 +247,8 @@ def _suite_appendix_a(rs, params, spec, cfg, tol):
     return checks
 
 
-def _regular_point(rs, rng, tries: int = 64):
-    for _ in range(tries):
+def _regular_point(rs, rng):
+    for _ in range(REGULAR_POINT_TRIES):
         xi = rng.uniform(0.2, 2.2, size=rs.dim)
         ok = all(abs(np.sin(0.5 * float(np.dot(av, xi)))) > 0.08
                  for av in rs.roots_f)
@@ -410,7 +414,8 @@ def cmd_scatter(args) -> int:
             tops = [(lmax,), (lmax - 1,)]
         system = gram_schmidt(rs, spec, tops)
         if center is None:
-            grid0 = QuadratureGrid(rs, 4 * (lmax + 2))
+            grid0 = QuadratureGrid(
+                rs, max(4 * (lmax + 2), 2 * _kernel_bandwidth(system) + 2))
             ctx0 = ScatteringContext(WaveTable(system, grid0), sym)
             depth = np.abs(ctx0.gradient @ ctx0._coroot_mat).min(axis=1)
             center = grid0.xi[int(np.argmax(np.where(ctx0.regular_mask, depth, -1)))]

@@ -26,6 +26,16 @@ from .scattering import (ScatteringContext, SpectralFunction, WaveTable,
                          _linear_fit, asymptotic_wave_values, spectral_norm)
 
 
+# fraction of the bump radius on which the profile is 1
+PLATEAU = 0.5
+# the packet support keeps this many grid cells from the singular set
+WALL_CELLS = 2
+# smallest grid subdivision of a diagnostic snapshot
+MIN_SUBDIVISION = 64
+# largest relative Parseval defect of a valid snapshot
+LEAK_TOL = 1e-6
+
+
 class PacketError(RuntimeError):
     pass
 
@@ -39,10 +49,9 @@ def smoothstep(u: np.ndarray, k: int) -> np.ndarray:
     return x ** (k + 1) * acc
 
 
-def bump_profile(dist: np.ndarray, radius: float, k: int,
-                 plateau: float = 0.5) -> np.ndarray:
-    """Plateau bump: 1 inside plateau*radius, smooth C^k taper to 0 at radius."""
-    u = (radius - dist) / (radius * (1.0 - plateau))
+def bump_profile(dist: np.ndarray, radius: float, k: int) -> np.ndarray:
+    """Plateau bump: 1 inside PLATEAU*radius, smooth C^k taper to 0 at radius."""
+    u = (radius - dist) / (radius * (1.0 - PLATEAU))
     return smoothstep(u, k)
 
 
@@ -54,8 +63,7 @@ class WavePacket:
     """
 
     def __init__(self, ctx: ScatteringContext, center, radius: float,
-                 smoothness: int = 6, velocity_margin: float = 0.1,
-                 min_wall_cells: int = 2):
+                 smoothness: int = 6, velocity_margin: float = 0.1):
         self.ctx = ctx
         self.grid = ctx.grid
         self.rs = ctx.rs
@@ -72,14 +80,13 @@ class WavePacket:
         self.values = vals
         self.support = np.nonzero(vals)[0]
 
-        elements = {ctx.regular_sector_element(int(k)).matrix:
-                    ctx.regular_sector_element(int(k)) for k in self.support}
-        if len(elements) != 1:
+        labels = np.unique(ctx.sector_labels[self.support]).tolist()
+        if len(labels) != 1:
             raise PacketError(
                 "support meets several sector components: "
-                f"{[w.word for w in elements.values()]}")
-        self.what = next(iter(elements.values()))
-        self._check_wall_margin(min_wall_cells)
+                f"{[ctx.sector_elements[label].word for label in labels]}")
+        self.what = ctx.regular_sector_element(int(self.support[0]))
+        self._check_wall_margin(WALL_CELLS)
 
         grads = ctx.gradient[self.support]
         lo = grads.min(axis=0)
@@ -182,15 +189,13 @@ def _phase_values(packet: WavePacket, t: float) -> np.ndarray:
     return np.exp(-1j * t * packet.ctx.symbol_values) * packet.values
 
 
-def free_packet(packet: WavePacket, t: float, window=None) -> LatticeFunction:
-    window = window_sites(packet, t) if window is None else window
+def free_packet(packet: WavePacket, t: float, window) -> LatticeFunction:
     fhat = SpectralFunction(packet.grid, _phase_values(packet, t), "alcove")
     return packet.ctx.table.inverse_free(fhat, window)
 
 
 def interacting_packet(packet: WavePacket, sign: int, t: float,
-                       window=None) -> LatticeFunction:
-    window = window_sites(packet, t) if window is None else window
+                       window) -> LatticeFunction:
     missing = [lam for lam in window if lam not in packet.ctx.table.system.index]
     if missing:
         raise PacketError(f"polynomial table too shallow for sites {missing[:3]}")
@@ -201,8 +206,7 @@ def interacting_packet(packet: WavePacket, sign: int, t: float,
 
 
 def asymptotic_packet(packet: WavePacket, sign: int, t: float,
-                      window=None) -> LatticeFunction:
-    window = window_sites(packet, t) if window is None else window
+                      window) -> LatticeFunction:
     scattered = packet.ctx.smatrix_apply(packet.spectral(), -0.5 * sign)
     vals = scattered.values * np.exp(-1j * t * packet.ctx.symbol_values)
     vals = np.where(packet.grid.alcove_mask, vals, 0.0)
@@ -281,8 +285,7 @@ class EvolutionReport:
         return json.dumps(payload, indent=2, sort_keys=True)
 
 
-def suggest_subdivision(symbol: LaurentPoly, tmax: float, kernel_bandwidth: int,
-                        m0: int = 64) -> int:
+def suggest_subdivision(symbol: LaurentPoly, tmax: float, kernel_bandwidth: int) -> int:
     """Grid subdivision resolving both the oscillatory phase up to time tmax
     and the largest Fourier kernel frequency of the polynomial table."""
     rs = symbol.rs
@@ -290,7 +293,7 @@ def suggest_subdivision(symbol: LaurentPoly, tmax: float, kernel_bandwidth: int,
     for j in range(rs.rank):
         vmax = max(vmax, sum(abs(complex(c)) * abs(mu[j])
                              for mu, c in symbol.terms.items()))
-    m = max(m0, int(math.ceil(8.0 * tmax * vmax)), 2 * kernel_bandwidth + 4)
+    m = max(MIN_SUBDIVISION, int(math.ceil(8.0 * tmax * vmax)), 2 * kernel_bandwidth + 4)
     return m + m % 2
 
 
@@ -324,8 +327,7 @@ def _diagnostic_snapshot(system, symbol, center, radius, sign, t, m_of_t,
 
 def run_scattering_diagnostic(system: OrthoPolySystem, symbol: LaurentPoly,
                               center, radius: float, sign: int, times,
-                              m_of_t=None, smoothness: int = 6,
-                              leak_tol: float = 1e-6) -> EvolutionReport:
+                              m_of_t=None, smoothness: int = 6) -> EvolutionReport:
     """Compare the four packet evolutions across a ladder of times.
 
     The polynomial table must already contain every window site of the
@@ -348,8 +350,8 @@ def run_scattering_diagnostic(system: OrthoPolySystem, symbol: LaurentPoly,
     leaks = {"free": [s["leak_free"] for s in snaps],
              "interacting": [s["leak_interacting"] for s in snaps]}
     for t, s in zip(times, snaps):
-        if max(s["leak_free"], s["leak_interacting"]) > leak_tol:
-            meta["invalid"] = f"window leakage above {leak_tol} at t={t}"
+        if max(s["leak_free"], s["leak_interacting"]) > LEAK_TOL:
+            meta["invalid"] = f"window leakage above {LEAK_TOL} at t={t}"
     report = EvolutionReport(list(times), norms, leaks, meta=meta)
     report.fit_series()
     return report

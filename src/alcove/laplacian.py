@@ -17,7 +17,7 @@ import numpy as np
 
 from .harmonic import orbit_symbol
 from .orthopoly import (KoornwinderParams, MacdonaldParams, PolyParams,
-                        hopping_coefficient, functional_relation_residual)
+                        hopping_coefficient)
 from .rootsys import RootSystem
 
 
@@ -192,14 +192,31 @@ def diagonal_shift(params: PolyParams, pi) -> float:
                      for nu_vec in rs.float_weights(hopping_orbit(rs, pi))))
 
 
-def _hop_pair(params, lam, nu, lam_vec, nu_vec, rho_g):
-    """sqrt(V_nu(rho_g+lam) V_{-nu}(rho_g+lam+nu)) with positivity check."""
-    v1 = hopping_coefficient(params, nu_vec, rho_g + lam_vec)
-    v2 = hopping_coefficient(params, -nu_vec, rho_g + lam_vec + nu_vec)
-    if v1 < 0 or v2 < 0:
-        raise ArithmeticError(
-            f"negative hopping radicand at lam={lam}, nu={nu}: {v1}, {v2}")
-    return math.sqrt(v1) * math.sqrt(v2)
+def _site_rows(params, pi, lam) -> list:
+    """The hops of site lam that stay in the cone, in orbit order, as rows
+    (kappa, sqrt(V_nu V_-nu'), V_nu) with kappa = lam + nu,
+    V_nu = V_nu(rho_g+lam) and V_-nu' = V_{-nu}(rho_g+lam+nu); built once
+    per parameters, orbit and site."""
+    key = (tuple(pi), lam)
+    rows = params._hop_rows.get(key)
+    if rows is not None:
+        return rows
+    rs = params.rs
+    orbit = hopping_orbit(rs, pi)
+    x = params.rho_g() + rs.float_weight(lam)
+    rows = []
+    for nu, nu_vec in zip(orbit, rs.float_weights(orbit)):
+        kappa = tuple(a + b for a, b in zip(lam, nu))
+        if not rs.is_dominant(kappa):
+            continue
+        v1 = hopping_coefficient(params, nu, x)
+        v2 = hopping_coefficient(params, tuple(-c for c in nu), x + nu_vec)
+        if v1 < 0 or v2 < 0:
+            raise ArithmeticError(
+                f"negative hopping radicand at lam={lam}, nu={nu}: {v1}, {v2}")
+        rows.append((kappa, math.sqrt(v1) * math.sqrt(v2), v1))
+    params._hop_rows[key] = rows
+    return rows
 
 
 def apply_macdonald_ruijsenaars(params: MacdonaldParams, pi,
@@ -223,7 +240,6 @@ def apply_koornwinder(params: KoornwinderParams, phi: LatticeFunction) -> Lattic
 
 def _apply_hopping(params, pi, phi):
     rs = params.rs
-    rho_g = params.rho_g()
     orbit = hopping_orbit(rs, pi)
     shift = diagonal_shift(params, pi)
     sites = set(phi.support())
@@ -232,17 +248,12 @@ def _apply_hopping(params, pi, phi):
             lam = tuple(a - b for a, b in zip(mu, nu))
             if rs.is_dominant(lam):
                 sites.add(lam)
-    orbit_vecs = rs.float_weights(orbit)
     out = {}
     for lam in sites:
-        lam_vec = rs.float_weight(lam)
         acc = shift * phi.get(lam)
-        for nu, nu_vec in zip(orbit, orbit_vecs):
-            kappa = tuple(a + b for a, b in zip(lam, nu))
-            if not rs.is_dominant(kappa):
-                continue
-            acc += _hop_pair(params, lam, nu, lam_vec, nu_vec, rho_g) * phi.get(kappa)
-            acc -= hopping_coefficient(params, nu_vec, rho_g + lam_vec) * phi.get(lam)
+        for kappa, pair, rate in _site_rows(params, pi, lam):
+            acc += pair * phi.get(kappa)
+            acc -= rate * phi.get(lam)
         if acc != 0:
             out[lam] = acc
     return LatticeFunction(rs, out)
@@ -323,7 +334,7 @@ __all__ = [
     "LatticeFunction", "localization_support", "orbit_with_negatives",
     "hopping_orbit",
     "apply_free", "apply_free_closed", "short_simple_perp_count",
-    "functional_relation_residual", "diagonal_shift",
+    "diagonal_shift",
     "apply_macdonald_ruijsenaars", "apply_koornwinder",
     "apply_fourier_conjugated", "commutator_residual",
     "operator_matrix", "interior_sites",

@@ -50,6 +50,16 @@ class _ClosedForms:
         """NormData of each weight tuple, filled by norm_constants."""
         return {}
 
+    @cached_property
+    def _hop_factors(self) -> dict:
+        """Factor list of each hop, filled by hop_factors."""
+        return {}
+
+    @cached_property
+    def _hop_rows(self) -> dict:
+        """Hopping rows of each (orbit, site), filled by the Laplacians."""
+        return {}
+
 
 @dataclass(frozen=True)
 class MacdonaldParams(_ClosedForms):
@@ -191,11 +201,26 @@ class KoornwinderParams(_ClosedForms):
         return koornwinder_spec(self.rs, self.ghat, self.gh, self.q)
 
     @cached_property
+    def _short_long_rows(self):
+        """Rows of rs.roots whose coroots are the short and the long roots of
+        R1+, each in R1+ order.
+
+        On BC_N the coroots of R0+ are the roots of R1+ (2e_i -> e_i, and
+        e_i +- e_j is its own coroot), and within one length the map keeps
+        the order.
+        """
+        rs = self.rs
+        reduced = set(rs.positive_roots_0)
+        keep = [i for i, a in enumerate(rs.positive_roots) if a in reduced]
+        rows = rs.positive_rows[keep]
+        len2 = rs.positive_coroot_len2[keep]
+        short = len2 == len2.min()
+        return rows[short], rows[~short]
+
+    @cached_property
     def _short_long(self):
         """Float rows of the short and the long roots of R1+."""
-        len2 = self.rs.positive_1_len2
-        short = len2 == len2.min()
-        return self.rs.positive_roots_1_f[short], self.rs.positive_roots_1_f[~short]
+        return tuple(self.rs.coroots_f[rows] for rows in self._short_long_rows)
 
     def rho_g(self) -> np.ndarray:
         short, long_ = self._short_long
@@ -462,12 +487,14 @@ def macdonald_identity_residual(params: MacdonaldParams, pi_dual, xi) -> float:
     xi = np.asarray(xi, dtype=float)
     s, q = params.s, params.q
     rho_g = params.rho_g()
+    orbit = list(rsd.weyl_orbit(tuple(pi_dual)))
+    table = rs.coweight_pairings()
     lhs = 0j
     rhs = 0.0
-    for nu_vec in rsd.float_weights(list(rsd.weyl_orbit(tuple(pi_dual)))):
+    for nu, nu_vec in zip(orbit, rsd.float_weights(orbit)):
         term = 1.0 + 0j
-        for a, av, g in zip(rs.roots, rs.roots_f, params.g_roots):
-            pairing = round(float(np.dot(nu_vec, av)))
+        pairings = (table @ nu).tolist()
+        for a, av, g, pairing in zip(rs.roots, rs.roots_f, params.g_roots, pairings):
             if pairing == 1:
                 za = float(np.dot(xi, av))
                 if abs(math.sin(za / 2.0)) < 1e-12:
@@ -495,12 +522,13 @@ def difference_equation_residual(params: MacdonaldParams, system: OrthoPolySyste
     rho_g = params.rho_g()
     lam_vec = rs.float_weight(lam)
     p_at = p.eval_at(xi)
+    orbit = list(rsd.weyl_orbit(tuple(pi_dual)))
+    table = rs.coweight_pairings()
     lhs = 0j
     rhs = 0j
-    for nu_vec in rsd.float_weights(list(rsd.weyl_orbit(tuple(pi_dual)))):
+    for nu, nu_vec in zip(orbit, rsd.float_weights(orbit)):
         coeffv = 1.0 + 0j
-        for av, g in zip(rs.roots_f, params.g_roots):
-            m = round(float(np.dot(nu_vec, av)))
+        for av, g, m in zip(rs.roots_f, params.g_roots, (table @ nu).tolist()):
             if m > 0:
                 za = float(np.dot(xi, av))
                 num = _sin_pochhammer(1j * s * g + za, m, s)
@@ -515,22 +543,61 @@ def difference_equation_residual(params: MacdonaldParams, system: OrthoPolySyste
     return abs(lhs - rhs)
 
 
-def hopping_coefficient(params: PolyParams, nu_vec: np.ndarray, x: np.ndarray) -> float:
-    """V_nu(x): the sinh-ratio product attached to a hop by nu.
+def hop_factors(params: PolyParams, nu) -> tuple:
+    """The factors of V_nu for the integer hop nu, one (row, coupling,
+    multiplicity) per root of rs.roots whose coroot carries one; built once
+    per parameter object and hop.
 
-    Reduced case: product over roots with <nu, a^vee> in {1, 2}; nonreduced
-    case: the four-factor short-root and single-factor long-root product of
-    the Koornwinder Laplacian.
+    Reduced case: every root with m = <nu, alpha^vee> > 0, in rs.roots
+    order, with its coupling.  Nonreduced case: the root or the negative of
+    each root of R1+ with <nu, alpha^vee> = 1, long roots first, coupling
+    ghat for a long root and the four dual couplings for a short one.
+    """
+    key = tuple(nu)
+    factors = params._hop_factors.get(key)
+    if factors is None:
+        rs = params.rs
+        pairings = (rs.coroot_pairings @ np.asarray(key, dtype=np.int64)).tolist()
+        if isinstance(params, KoornwinderParams):
+            last = len(rs.roots) - 1
+            short, long_ = params._short_long_rows
+            factors = tuple((row, coupling, 1)
+                            for rows, coupling in ((long_, params.g), (short, params.gdual))
+                            for k in rows.tolist() for row in (k, last - k)
+                            if pairings[row] == 1)
+        else:
+            factors = tuple((row, g, m) for row, (m, g)
+                            in enumerate(zip(pairings, params.g_roots)) if m > 0)
+        params._hop_factors[key] = factors
+    return factors
+
+
+def hopping_coefficient(params: PolyParams, nu, x: np.ndarray) -> float:
+    """V_nu(x): the sinh-ratio product attached to the integer hop nu.
+
+    A factor (row, g, m) of hop_factors contributes, with x_a the pairing of
+    x with the coroot of rs.roots[row], the m ratios
+    sinh(s(g + x_a + l)/2) / sinh(s(x_a + l)/2), l < m; on BC_N a short root
+    of R1+ contributes the four-factor ratio of the Koornwinder Laplacian.
     """
     s = params.s
-    if isinstance(params, KoornwinderParams):
-        return _koornwinder_v(params, nu_vec, x)
+    coroots = params.rs.coroots_f
     out = 1.0
-    for av, g in zip(params.rs.coroots_f, params.g_roots):
-        m = round(float(np.dot(nu_vec, av)))
-        if m <= 0:
+    for row, g, m in hop_factors(params, nu):
+        xa = float(np.dot(x, coroots[row]))
+        if isinstance(g, tuple):
+            g0, g1, g2, g3 = g
+            d1 = math.sinh(0.5 * s * xa)
+            d2 = math.cosh(0.5 * s * xa)
+            d3 = math.sinh(0.5 * s * (0.5 + xa))
+            d4 = math.cosh(0.5 * s * (0.5 + xa))
+            if min(abs(d1), abs(d3)) < 1e-14:
+                raise ZeroDivisionError(f"singular hopping denominator at {xa}")
+            out *= (math.sinh(0.5 * s * (g0 + xa)) / d1
+                    * math.cosh(0.5 * s * (g1 + xa)) / d2
+                    * math.sinh(0.5 * s * (g2 + 0.5 + xa)) / d3
+                    * math.cosh(0.5 * s * (g3 + 0.5 + xa)) / d4)
             continue
-        xa = float(np.dot(x, av))
         for l in range(m):
             den = math.sinh(0.5 * s * (xa + l))
             if abs(den) < 1e-14:
@@ -539,39 +606,7 @@ def hopping_coefficient(params: PolyParams, nu_vec: np.ndarray, x: np.ndarray) -
     return out
 
 
-def _koornwinder_v(params: KoornwinderParams, nu_vec: np.ndarray, x: np.ndarray) -> float:
-    s = params.s
-    g0, g1, g2, g3 = params.gdual
-    short, long_ = params._short_long
-    out = 1.0
-    for a in long_:
-        for sgn in (1.0, -1.0):
-            av = sgn * a
-            if round(float(np.dot(nu_vec, av))) == 1:
-                xa = float(np.dot(x, av))
-                den = math.sinh(0.5 * s * xa)
-                if abs(den) < 1e-14:
-                    raise ZeroDivisionError("singular hopping denominator")
-                out *= math.sinh(0.5 * s * (params.g + xa)) / den
-    for a in short:
-        for sgn in (1.0, -1.0):
-            av = sgn * a
-            if round(float(np.dot(nu_vec, av))) == 1:
-                xa = float(np.dot(x, av))
-                d1 = math.sinh(0.5 * s * xa)
-                d2 = math.cosh(0.5 * s * xa)
-                d3 = math.sinh(0.5 * s * (0.5 + xa))
-                d4 = math.cosh(0.5 * s * (0.5 + xa))
-                if min(abs(d1), abs(d3)) < 1e-14:
-                    raise ZeroDivisionError("singular hopping denominator")
-                out *= (math.sinh(0.5 * s * (g0 + xa)) / d1
-                        * math.cosh(0.5 * s * (g1 + xa)) / d2
-                        * math.sinh(0.5 * s * (g2 + 0.5 + xa)) / d3
-                        * math.cosh(0.5 * s * (g3 + 0.5 + xa)) / d4)
-    return out
-
-
-def functional_relation_residual(params: PolyParams, nu_vec, x_vec) -> float:
+def functional_relation_residual(params: PolyParams, nu, x_vec) -> float:
     """Defect of Delta(x+nu) V_{-nu}(rho_g+x+nu) = Delta(x) V_nu(rho_g+x).
 
     Delta is the closed-form norm ratio evaluated at a real vector; since it
@@ -580,13 +615,14 @@ def functional_relation_residual(params: PolyParams, nu_vec, x_vec) -> float:
     """
     rho = params.rho_g()
     x = np.asarray(x_vec, dtype=float)
-    nu = np.asarray(nu_vec, dtype=float)
+    nu_vec = params.rs.float_weight(nu)
 
     def delta_at(v):
         cp0, cm0 = params.rho_constants
         return (cp0 * cm0) / (params.cplus(rho + v) * params.cminus(rho + v))
 
-    lhs = delta_at(x + nu) * hopping_coefficient(params, -nu, rho + x + nu)
+    lhs = delta_at(x + nu_vec) * hopping_coefficient(
+        params, tuple(-c for c in nu), rho + x + nu_vec)
     rhs = delta_at(x) * hopping_coefficient(params, nu, rho + x)
     return abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
 
@@ -609,7 +645,7 @@ def pieri_residual(params: PolyParams, system: OrthoPolySystem, lam, xi, pi) -> 
                 - q ** float(np.dot(nu_vec, rho_gv))) * p_at
         lam_nu = tuple(a + b for a, b in zip(lam, nu))
         if rs.is_dominant(lam_nu):
-            v = hopping_coefficient(params, nu_vec, x)
+            v = hopping_coefficient(params, nu, x)
             rhs += v * (system.pbold(params, lam_nu).eval_at(xi) - p_at)
     return abs(lhs - rhs)
 

@@ -11,8 +11,11 @@ recovered with :meth:`RootSystem.weight_vector`.
 paths read views built once per system: float arrays of the roots, coroots
 and squared lengths (each entry the correctly rounded exact value), the
 fundamental weights as integer numerators over one common denominator
-(:meth:`RootSystem.float_weights`), and the Q+ expansion as an integer
-matrix over a denominator (:meth:`RootSystem.qplus_expansion`).  A Weyl
+(:meth:`RootSystem.float_weights`), the Q+ expansion as an integer
+matrix over a denominator (:meth:`RootSystem.qplus_expansion`), and the
+pairings of the fundamental weights with every coroot as an integer table
+(``coroot_pairings``, and :meth:`RootSystem.coweight_pairings` for the
+weights of the dual system).  A Weyl
 element carries integer matrices on fundamental-weight coordinates, so the
 Weyl action does no ``Fraction`` arithmetic.
 
@@ -350,6 +353,15 @@ class RootSystem:
         self._pos0_coroot_pairings = tuple(
             row for a, row in zip(self.positive_roots, self._pos_coroot_pairings)
             if a in reduced)
+        # the same table over every root, rows in roots order: the roots are
+        # sorted and closed under negation, so -roots[k] is roots[-1 - k]
+        positive = set(self.positive_roots)
+        self.positive_rows = _frozen(np.array(
+            [k for k, a in enumerate(self.roots) if a in positive], dtype=np.int64))
+        table = np.zeros((len(self.roots), rank), dtype=np.int64)
+        table[self.positive_rows] = self._pos_coroot_pairings
+        table[len(self.roots) - 1 - self.positive_rows] = -table[self.positive_rows]
+        self.coroot_pairings = _frozen(table)
         # <mu, 2 rho^vee> = sum_j mu_j _two_rho_vee[j]
         self._two_rho_vee = tuple(sum(col) for col in zip(*self._pos_coroot_pairings))
 
@@ -368,7 +380,8 @@ class RootSystem:
 
         # float views aligned with the tuples of exact vectors
         self.roots_f = _float_rows(self.roots, dim)
-        self.coroots_f = _float_rows([coroot(a) for a in self.roots], dim)
+        self._coroots = tuple(coroot(a) for a in self.roots)
+        self.coroots_f = _float_rows(self._coroots, dim)
         self.root_len2 = _len2s(self.roots)
         self.positive_roots_f = _float_rows(self.positive_roots, dim)
         self.positive_coroots_f = _float_rows(
@@ -579,6 +592,22 @@ class RootSystem:
         return self._dual
 
     _dual = None
+
+    def coweight_pairings(self) -> np.ndarray:
+        """<nu, alpha> for each root alpha (rows, in roots order) and each
+        fundamental weight nu of dual() (columns), as integers.
+
+        A root is the coroot, in the dual system, of its own coroot, so this
+        is dual().coroot_pairings read at the row of each root's coroot.
+        """
+        if self._coweight_pairings is None:
+            dual = self.dual()
+            row = {b: k for k, b in enumerate(dual.roots)}
+            self._coweight_pairings = _frozen(
+                dual.coroot_pairings[[row[b] for b in self._coroots]])
+        return self._coweight_pairings
+
+    _coweight_pairings = None
 
     def saturated_weights(self, tops) -> list[Coords]:
         """All dominant mu with mu <= top for some top, dominance order."""

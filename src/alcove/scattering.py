@@ -303,25 +303,39 @@ class RegularSectorError(ValueError):
     pass
 
 
-class ScatteringContext:
-    """Wave table plus a real symbol: regular sector, S_L, wave operators."""
+# a grid point is regular when grad E pairs with every positive coroot to
+# more than this in absolute value
+REGULARITY_TOL = 1e-10
 
-    def __init__(self, table: WaveTable, symbol: LaurentPoly,
-                 regularity_tol: float = 1e-10):
+
+class ScatteringContext:
+    """Wave table plus a real symbol: regular sector, S_L, wave operators.
+
+    The regular sector is labelled once: a regular grid point carries the
+    label of the sign pattern of <grad E, alpha^vee> over R+ (the Weyl
+    chamber grad E lies in), other points carry -1, and each label has one
+    sector element.
+    """
+
+    def __init__(self, table: WaveTable, symbol: LaurentPoly):
         if not symbol_is_real(symbol):
             raise ValueError("scattering needs a real multiplication symbol")
         self.table = table
         self.rs = table.rs
         self.grid = table.grid
         self.symbol = symbol
-        self.regularity_tol = regularity_tol
         self.symbol_values = symbol.eval_grid(self.grid).real
         self.gradient = symbol_gradient(symbol, self.grid)
         self._coroot_mat = self.rs.positive_coroots_f.T
         pair = self.gradient @ self._coroot_mat
         self.regular_mask = self.grid.alcove_mask & \
-            (np.min(np.abs(pair), axis=1) > regularity_tol)
-        self._what: dict = {}
+            (np.min(np.abs(pair), axis=1) > REGULARITY_TOL)
+        regular = np.nonzero(self.regular_mask)[0]
+        _, first, labels = np.unique(pair[regular] > 0, axis=0, return_index=True,
+                                     return_inverse=True)
+        self.sector_labels = np.full(self.grid.size, -1)
+        self.sector_labels[regular] = labels.reshape(-1)
+        self.sector_elements = [self.sector_element(int(k)) for k in regular[first]]
         self._halves = None
         self._half_cache: dict = {}
 
@@ -334,7 +348,7 @@ class ScatteringContext:
         for _ in range(4 * len(self.rs.positive_roots) + 4):
             pair = self.rs.basis_coroots_f @ v
             i = int(np.argmin(pair))
-            if pair[i] > -self.regularity_tol:
+            if pair[i] > -REGULARITY_TOL:
                 break
             word.append(i)
             v = v - pair[i] * self.rs.simple_roots_f[i]
@@ -343,11 +357,11 @@ class ScatteringContext:
         return self.rs.element(reversed(word))
 
     def regular_sector_element(self, k: int) -> WeylElement:
-        w = self._what.get(k)
-        if w is None:
-            w = self.sector_element(k)
-            self._what[k] = w
-        return w
+        """The sector element of grid point k's label."""
+        label = self.sector_labels[k]
+        if label < 0:
+            raise RegularSectorError(f"grid point {k} is not in the regular sector")
+        return self.sector_elements[label]
 
     def _half_factor(self, w: WeylElement) -> np.ndarray:
         arr = self._half_cache.get(w.matrix)
@@ -370,12 +384,10 @@ class ScatteringContext:
         vals = np.where(self.regular_mask, fhat.values, 0.0)
         out = np.zeros_like(vals)
         active = np.nonzero(vals)[0]
-        by_word: dict = {}
-        for k in active:
-            by_word.setdefault(self.regular_sector_element(int(k)), []).append(int(k))
-        for w, ks in by_word.items():
-            h = self._half_factor(w)
-            ks = np.array(ks)
+        labels = self.sector_labels[active]
+        for label in np.unique(labels).tolist():
+            ks = active[labels == label]
+            h = self._half_factor(self.sector_elements[label])
             if power == 0.5:
                 f = h[ks]
             elif power == -0.5:

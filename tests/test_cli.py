@@ -1,9 +1,12 @@
+import csv
 import json
 import time
 
+import numpy as np
 import pytest
 
-from alcove.cli import main
+from alcove.cli import build_system, main
+from alcove.laplacian import apply_free, apply_macdonald_ruijsenaars, operator_matrix
 
 
 def _cfg(tmp_path, name, payload):
@@ -110,6 +113,20 @@ def test_readme_evolve_exits_on_gram_budget(tmp_path, capsys, monkeypatch):
             in capsys.readouterr().err)
 
 
+def test_b2_evolve_center_grid_resolves_the_table(tmp_path, capsys):
+    # the center search grid used to sit below 2 * bandwidth + 2 on B2, C2
+    # and G2, so every such run exited 1 ("grid M=32 cannot resolve kernel
+    # frequencies up to 21" here)
+    cfg = _cfg(tmp_path, "b2.json", {
+        "root_system": {"label": "B", "rank": 2},
+        "cfunctions": {"family": "macdonald", "g": {"1": 0.9, "2": 1.4}, "q": 0.5},
+        "task": {"evolve": {"times": [1], "radius": 0.5, "lattice_depth": 6}}})
+    code = main(["scatter", "--evolve", "--config", cfg,
+                 "--out", str(tmp_path / "ev.json")])
+    assert code != 1
+    assert "cannot resolve" not in capsys.readouterr().err
+
+
 def test_scatter_ray_csv(tmp_path):
     cfg = _cfg(tmp_path, "ray.json", {
         "root_system": {"label": "A", "rank": 1},
@@ -159,6 +176,34 @@ def test_export_operator_and_smatrix(tmp_path):
     for line in lines[1:10]:
         vals = [float(x) for x in line.split(",")]
         assert abs(vals[-2] ** 2 + vals[-1] ** 2 - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("family", [{"family": "macdonald", "g": 1.3, "q": 0.5},
+                                    {"family": "unit"}], ids=["macdonald", "unit"])
+def test_export_operator_matches_library(tmp_path, family):
+    # the reduced-system branches of export operator: the CSV holds exactly
+    # the nonzero entries of the library's operator_matrix, and is Hermitian
+    config = {"root_system": {"label": "A", "rank": 2}, "cfunctions": family,
+              "weights": {"tops": [[2, 2]]}}
+    cfg = _cfg(tmp_path, "a2.json", config)
+    assert main(["export", "operator", "--config", cfg, "--out", str(tmp_path)]) == 0
+    with open(tmp_path / "operator.csv", newline="") as fh:
+        entries = {(row["row_weight"], row["col_weight"]):
+                   complex(float(row["value_re"]), float(row["value_im"]))
+                   for row in csv.DictReader(fh)}
+    rs, params, _ = build_system(config)
+    pi = rs.quasi_minuscule_weight()
+    if params is None:
+        apply_fn = lambda f: apply_free(rs, pi, f)
+    else:
+        apply_fn = lambda f: apply_macdonald_ruijsenaars(params, pi, f)
+    sites = rs.saturated_weights([(2, 2)])
+    mat = operator_matrix(apply_fn, rs, sites)
+    names = [" ".join(map(str, s)) for s in sites]
+    assert entries == {(names[i], names[j]): mat[i, j]
+                       for i, j in zip(*np.nonzero(mat))}
+    for (r, c), v in entries.items():
+        assert abs(entries.get((c, r), 0) - np.conj(v)) < 1e-10
 
 
 def test_export_empty_weight_set(tmp_path):

@@ -1,15 +1,17 @@
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from alcove import laplacian
 from alcove.harmonic import (LaurentPoly, QuadratureGrid, monomial_symmetric,
                              orbit_symbol)
 from alcove.laplacian import (LatticeFunction, apply_fourier_conjugated,
                               apply_free, apply_free_closed, apply_koornwinder,
                               apply_macdonald_ruijsenaars, commutator_residual,
-                              diagonal_shift, interior_sites,
+                              diagonal_shift, hopping_orbit, interior_sites,
                               localization_support, operator_matrix,
                               orbit_with_negatives)
 from alcove.orthopoly import (KoornwinderParams, MacdonaldParams, gram_schmidt,
@@ -98,7 +100,7 @@ def test_v_coefficient_limits(a2):
     par0 = MacdonaldParams.create(a2, 1e-14, 0.5)
     x = _fvec(a2, (2, 1)) + par0.rho_g()
     for nu in a2.weyl_orbit((1, 0)):
-        assert abs(hopping_coefficient(par0, _fvec(a2, nu), x) - 1.0) < 1e-12
+        assert abs(hopping_coefficient(par0, nu, x) - 1.0) < 1e-12
 
 
 def test_v_sum_is_diagonal_shift(a2, b2):
@@ -112,7 +114,7 @@ def test_v_sum_is_diagonal_shift(a2, b2):
         for _ in range(5):
             x = sum(rng.uniform(1.0, 3.0) * _fvec(rs, tuple(int(j == r) for j in range(rs.rank)))
                     for r in range(rs.rank))
-            total = sum(hopping_coefficient(par, _fvec(rs, nu), x)
+            total = sum(hopping_coefficient(par, nu, x)
                         for nu in orbit_with_negatives(rs, pi))
             assert abs(total - shift) < 1e-9 * abs(shift)
 
@@ -254,6 +256,48 @@ def test_operator_norm_bound(a2, a2_macdonald):
                                for lam in interior})
     out = apply_macdonald_ruijsenaars(a2_macdonald, pi, phi)
     assert out.norm() <= bound * phi.norm() * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("family", ["koornwinder", "macdonald"])
+def test_operator_matrix_evaluates_each_rate_once(family, bc2, b2, monkeypatch):
+    # a hop nu of site lam that stays in the cone costs the rate
+    # V_nu(rho_g+lam) and its partner V_{-nu}(rho_g+lam+nu); over a whole
+    # matrix each is evaluated once per parameter object (not again for the
+    # diagonal term, nor for the neighbouring columns), and a second matrix
+    # evaluates none
+    if family == "koornwinder":
+        rs, pi = bc2, (1, 0)
+        par = KoornwinderParams.create(bc2, 1.1, (0.9, 0.7, 0.6, 0.8), 0.45)
+        apply_fn = lambda f: apply_koornwinder(par, f)
+    else:
+        rs, pi = b2, b2.quasi_minuscule_weight()
+        par = MacdonaldParams.create(b2, {1.0: 0.9, 2.0: 1.4}, 0.5)
+        apply_fn = lambda f: apply_macdonald_ruijsenaars(par, pi, f)
+    calls = []
+    original = laplacian.hopping_coefficient
+
+    def counting(params, nu, x):
+        calls.append((tuple(nu), x.tobytes()))
+        return original(params, nu, x)
+
+    monkeypatch.setattr(laplacian, "hopping_coefficient", counting)
+    sites = rs.saturated_weights([(3, 3)])
+    mat = operator_matrix(apply_fn, rs, sites)
+    orbit = hopping_orbit(rs, pi)
+    reached = set(sites) | {lam for mu in sites for nu in orbit
+                            for lam in [tuple(a - b for a, b in zip(mu, nu))]
+                            if rs.is_dominant(lam)}
+    expected = []
+    for lam in reached:
+        x = par.rho_g() + _fvec(rs, lam)
+        for nu in orbit:
+            if rs.is_dominant(tuple(a + b for a, b in zip(lam, nu))):
+                expected += [(nu, x.tobytes()),
+                             (tuple(-c for c in nu), (x + _fvec(rs, nu)).tobytes())]
+    assert Counter(calls) == Counter(expected)
+    calls.clear()
+    assert np.array_equal(operator_matrix(apply_fn, rs, sites), mat)
+    assert calls == []
 
 
 def test_all_names_resolve():

@@ -278,8 +278,7 @@ def test_functional_relation(a2, b2):
             x = sum(c * _fvec(rs, tuple(int(j == r) for j in range(rs.rank)))
                     for r, c in enumerate(coords))
             for nu in rs.weyl_orbit(pi):
-                assert functional_relation_residual(
-                    par, _fvec(rs, nu), x) < 1e-10
+                assert functional_relation_residual(par, nu, x) < 1e-10
 
 
 def test_hopping_positivity(b2):
@@ -291,8 +290,8 @@ def test_hopping_positivity(b2):
             lam_nu = tuple(a + b for a, b in zip(lam, nu))
             if not b2.is_dominant(lam_nu):
                 continue
-            v1 = hopping_coefficient(par, _fvec(b2, nu), rho + _fvec(b2, lam))
-            v2 = hopping_coefficient(par, -_fvec(b2, nu), rho + _fvec(b2, lam_nu))
+            v1 = hopping_coefficient(par, nu, rho + _fvec(b2, lam))
+            v2 = hopping_coefficient(par, tuple(-c for c in nu), rho + _fvec(b2, lam_nu))
             assert v1 > 0 and v2 > 0
 
 

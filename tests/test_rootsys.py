@@ -300,11 +300,24 @@ def test_integer_qplus_expansion_matches_fractions(case):
     assert [rs.qplus_expansion(mu) for mu in box] == expansions(box)
 
 
+@pytest.mark.parametrize("case", VIEW_TYPES, ids=_case_id)
+def test_integer_pairing_tables_match_fractions(case):
+    # <omega_j, alpha^vee> over every root, and <nu_j, alpha> for the
+    # fundamental weights nu_j of the dual system, both in rs.roots order
+    rs = _view_system(case)
+    dual = rs.dual()
+    assert rs.coroot_pairings.tolist() == [
+        [dot(w, coroot(a)) for w in rs.fundamental_weights] for a in rs.roots]
+    assert rs.coweight_pairings().tolist() == [
+        [dot(nu, a) for nu in dual.fundamental_weights] for a in rs.roots]
+    assert [rs.roots[k] for k in rs.positive_rows] == list(rs.positive_roots)
+
+
 # the float paths read the views above; these are the idioms that converted
 # exact root data on the spot
 CONVERSION_IDIOMS = re.compile(
     r"_fvec\(|float\((x|y)\) for (x|y) in|weight_vector\(|map\(float|"
-    r"coroot\(a\)|dot\(a, a\)|dot\(alpha, alpha\)")
+    r"coroot\(a\)|dot\(a, a\)|dot\(alpha, alpha\)|round\(float\(")
 FLOAT_PATH_MODULES = ("harmonic", "orthopoly", "laplacian", "scattering",
                       "evolution", "cli")
 

@@ -236,6 +236,31 @@ def test_regular_sector_locally_constant(a2, a2_macdonald):
     assert pairs > 0
 
 
+@pytest.mark.parametrize("label", ["A", "B", "BC", "G"])
+def test_sector_labels_match_per_point_elements(label, monkeypatch):
+    # the context dominantizes one point per label; every regular point's
+    # labelled element is the one its own dominantization finds
+    rs = build_root_system(label, 2)
+    system = gram_schmidt(rs, unit_spec(rs), [(2, 2)])
+    table = WaveTable(system, QuadratureGrid(rs, 2 * _kernel_bandwidth(system) + 8))
+    calls = []
+    original = ScatteringContext.sector_element
+
+    def counting(self, k):
+        calls.append(k)
+        return original(self, k)
+
+    monkeypatch.setattr(ScatteringContext, "sector_element", counting)
+    ctx = ScatteringContext(table, orbit_symbol(rs, (1, 0)))
+    monkeypatch.undo()
+    labels = ctx.sector_labels
+    assert np.array_equal(labels >= 0, ctx.regular_mask)
+    assert len(calls) == len(ctx.sector_elements) == len(np.unique(labels[labels >= 0]))
+    assert len(ctx.sector_elements) > 1
+    for k in np.nonzero(ctx.regular_mask)[0].tolist():
+        assert ctx.regular_sector_element(k).matrix == ctx.sector_element(k).matrix
+
+
 def test_identity_sector_for_dominant_gradient(a1):
     # with the symbol -2cos the gradient is already dominant on (0, pi)
     par = MacdonaldParams.create(a1, 2.0, 0.5)
