@@ -31,7 +31,7 @@ from .rootsys import BudgetExceededError, build_root_system
 from .scattering import (ScatteringContext, WaveTable, _kernel_bandwidth,
                          convergence_report, root_half_phases, smatrix_factor,
                          smatrix_factor_direct)
-from .evolution import PacketError, run_scattering_diagnostic
+from .evolution import PacketError, TableDepthError, run_scattering_diagnostic
 
 EXIT_OK = 0
 EXIT_UNEXPECTED = 1
@@ -495,7 +495,8 @@ def main(argv=None) -> int:
                     "Laplacians, and their scattering theory.",
         epilog="Exit codes: 0 ok; 2 config/parameter error; 3 size budget "
                "exceeded (Weyl group, grid or Gram ladder bytes); 4 verification "
-               "failed; 5 leakage or table depth error; 1 unexpected error.")
+               "failed; 5 window leakage or a packet outside the regular sector; "
+               "1 unexpected error.")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="verb", required=True)
 
@@ -532,6 +533,9 @@ def main(argv=None) -> int:
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except TableDepthError as exc:
+        print(f"error: {exc}; raise task.evolve.lattice_depth", file=sys.stderr)
+        return EXIT_CONFIG
     except PacketError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_LEAKAGE

@@ -40,6 +40,10 @@ class PacketError(RuntimeError):
     pass
 
 
+class TableDepthError(PacketError):
+    """The polynomial table does not reach every site a snapshot needs."""
+
+
 def smoothstep(u: np.ndarray, k: int) -> np.ndarray:
     """Polynomial step: 0 at u<=0, 1 at u>=1, C^k at both ends."""
     x = np.clip(u, 0.0, 1.0)
@@ -198,7 +202,7 @@ def interacting_packet(packet: WavePacket, sign: int, t: float,
                        window) -> LatticeFunction:
     missing = [lam for lam in window if lam not in packet.ctx.table.system.index]
     if missing:
-        raise PacketError(f"polynomial table too shallow for sites {missing[:3]}")
+        raise TableDepthError(f"polynomial table too shallow for sites {missing[:3]}")
     scattered = packet.ctx.smatrix_apply(packet.spectral(), -0.5 * sign)
     vals = scattered.values * np.exp(-1j * t * packet.ctx.symbol_values)
     fhat = SpectralFunction(packet.grid, vals, "alcove")
@@ -297,18 +301,16 @@ def suggest_subdivision(symbol: LaurentPoly, tmax: float, kernel_bandwidth: int)
     return m + m % 2
 
 
-def _diagnostic_snapshot(system, symbol, center, radius, sign, t, m_of_t,
-                         smoothness, fmax):
-    m = m_of_t(t) if m_of_t is not None else suggest_subdivision(symbol, t, fmax)
-    grid = QuadratureGrid(system.rs, m)
+def _diagnostic_snapshot(system, symbol, center, radius, sign, t, fmax):
+    grid = QuadratureGrid(system.rs, suggest_subdivision(symbol, t, fmax))
     ctx = ScatteringContext(WaveTable(system, grid), symbol)
-    packet = WavePacket(ctx, center, radius, smoothness=smoothness)
+    packet = WavePacket(ctx, center, radius)
     # the moving box window truncates the packet's intrinsic band tail, so
     # mass bookkeeping runs on the full table window instead
     box = set(window_sites(packet, t))
     window = list(system.weights)
     if not box <= set(window):
-        raise PacketError("polynomial table too shallow for the time ladder")
+        raise TableDepthError("polynomial table too shallow for the time ladder")
     phi_free = free_packet(packet, t, window)
     phi_int = interacting_packet(packet, sign, t, window)
     phi_as = asymptotic_packet(packet, sign, t, window)
@@ -326,13 +328,12 @@ def _diagnostic_snapshot(system, symbol, center, radius, sign, t, m_of_t,
 
 
 def run_scattering_diagnostic(system: OrthoPolySystem, symbol: LaurentPoly,
-                              center, radius: float, sign: int, times,
-                              m_of_t=None, smoothness: int = 6) -> EvolutionReport:
+                              center, radius: float, sign: int,
+                              times) -> EvolutionReport:
     """Compare the four packet evolutions across a ladder of times.
 
     The polynomial table must already contain every window site of the
-    largest time; a shallow table raises PacketError with the missing
-    sites.
+    largest time; a shallow table raises TableDepthError.
     """
     times = sorted(times)
     names = ["interacting_vs_free", "free_vs_classical",
@@ -343,8 +344,8 @@ def run_scattering_diagnostic(system: OrthoPolySystem, symbol: LaurentPoly,
     from .scattering import _kernel_bandwidth
     fmax = _kernel_bandwidth(system)
 
-    snaps = [_diagnostic_snapshot(system, symbol, center, radius, sign, t,
-                                  m_of_t, smoothness, fmax) for t in times]
+    snaps = [_diagnostic_snapshot(system, symbol, center, radius, sign, t, fmax)
+             for t in times]
 
     norms = {n: [s[n] for s in snaps] for n in names}
     leaks = {"free": [s["leak_free"] for s in snaps],

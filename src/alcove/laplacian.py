@@ -192,31 +192,18 @@ def diagonal_shift(params: PolyParams, pi) -> float:
                      for nu_vec in rs.float_weights(hopping_orbit(rs, pi))))
 
 
-def _site_rows(params, pi, lam) -> list:
-    """The hops of site lam that stay in the cone, in orbit order, as rows
-    (kappa, sqrt(V_nu V_-nu'), V_nu) with kappa = lam + nu,
-    V_nu = V_nu(rho_g+lam) and V_-nu' = V_{-nu}(rho_g+lam+nu); built once
-    per parameters, orbit and site."""
-    key = (tuple(pi), lam)
-    rows = params._hop_rows.get(key)
-    if rows is not None:
-        return rows
-    rs = params.rs
-    orbit = hopping_orbit(rs, pi)
-    x = params.rho_g() + rs.float_weight(lam)
-    rows = []
-    for nu, nu_vec in zip(orbit, rs.float_weights(orbit)):
-        kappa = tuple(a + b for a, b in zip(lam, nu))
-        if not rs.is_dominant(kappa):
-            continue
-        v1 = hopping_coefficient(params, nu, x)
-        v2 = hopping_coefficient(params, tuple(-c for c in nu), x + nu_vec)
-        if v1 < 0 or v2 < 0:
+def _rate(params, lam, nu) -> float:
+    """V_nu(rho_g+lam), evaluated once per parameters, site and hop."""
+    key = (lam, nu)
+    rate = params._hop_rates.get(key)
+    if rate is None:
+        x = params.rho_g() + params.rs.float_weight(lam)
+        rate = hopping_coefficient(params, nu, x)
+        if rate < 0:
             raise ArithmeticError(
-                f"negative hopping radicand at lam={lam}, nu={nu}: {v1}, {v2}")
-        rows.append((kappa, math.sqrt(v1) * math.sqrt(v2), v1))
-    params._hop_rows[key] = rows
-    return rows
+                f"negative hopping radicand at lam={lam}, nu={nu}: {rate}")
+        params._hop_rates[key] = rate
+    return rate
 
 
 def apply_macdonald_ruijsenaars(params: MacdonaldParams, pi,
@@ -224,8 +211,9 @@ def apply_macdonald_ruijsenaars(params: MacdonaldParams, pi,
     """Hopping action of the deformed Laplacian on a reduced system.
 
     L phi_lam = E_pi(rho_g^vee) phi_lam
-        + sum_{nu in W(pi) u W(-pi), lam+nu in P+}
-              ( sqrt(V_nu V_-nu') phi_{lam+nu} - V_nu(rho_g+lam) phi_lam ).
+        + sum_{nu in W(pi) u W(-pi), kappa = lam+nu in P+}
+              ( sqrt(V_nu(rho_g+lam) V_-nu(rho_g+kappa)) phi_kappa
+                - V_nu(rho_g+lam) phi_lam ).
     """
     if isinstance(params, KoornwinderParams):
         raise ValueError("use apply_koornwinder for BC_N")
@@ -251,8 +239,14 @@ def _apply_hopping(params, pi, phi):
     out = {}
     for lam in sites:
         acc = shift * phi.get(lam)
-        for kappa, pair, rate in _site_rows(params, pi, lam):
-            acc += pair * phi.get(kappa)
+        for nu in orbit:
+            kappa = tuple(a + b for a, b in zip(lam, nu))
+            if not rs.is_dominant(kappa):
+                continue
+            # the partner rate is kappa's own rate for the hop back to lam
+            rate = _rate(params, lam, nu)
+            back = _rate(params, kappa, tuple(-c for c in nu))
+            acc += math.sqrt(rate) * math.sqrt(back) * phi.get(kappa)
             acc -= rate * phi.get(lam)
         if acc != 0:
             out[lam] = acc

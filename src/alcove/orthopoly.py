@@ -22,8 +22,8 @@ import numpy as np
 from .harmonic import (LaurentPoly, QuadratureGrid, first_rung, gram_ladder,
                        laurent_divide, monomial_symmetric, weyl_character,
                        weyl_denominator)
-from .qfun import (CFunctionSpec, koornwinder_spec, macdonald_spec,
-                   qpochhammer_inf)
+from .qfun import (CFunctionSpec, koornwinder_factors, koornwinder_spec,
+                   macdonald_factors, macdonald_spec, qpochhammer_inf)
 from .rootsys import RootSystem
 
 
@@ -37,7 +37,23 @@ class ParameterError(ValueError):
 
 class _ClosedForms:
     """Closed-form data that depends only on the parameters, computed once per
-    parameter object and kept on it (see norm_constants)."""
+    parameter object and kept on it (see norm_constants).
+
+    root_factors holds one (coroot, factors, k) per root of R1+: the float
+    coroot and the factor list of the root's c-function (qfun).
+    """
+
+    def cplus(self, x: np.ndarray) -> float:
+        out = 1.0
+        for cv, factors, k in self.root_factors:
+            out *= _cplus1(factors, k, float(np.dot(x, cv)), self.q)
+        return out
+
+    def cminus(self, x: np.ndarray) -> float:
+        out = 1.0
+        for cv, factors, k in self.root_factors:
+            out *= _cminus1(factors, k, float(np.dot(x, cv)), self.q)
+        return out
 
     @cached_property
     def rho_constants(self) -> tuple:
@@ -56,8 +72,8 @@ class _ClosedForms:
         return {}
 
     @cached_property
-    def _hop_rows(self) -> dict:
-        """Hopping rows of each (orbit, site), filled by the Laplacians."""
+    def _hop_rates(self) -> dict:
+        """V_nu(rho_g+lam) of each (site lam, hop nu), filled by the Laplacians."""
         return {}
 
 
@@ -115,21 +131,10 @@ class MacdonaldParams(_ClosedForms):
             out += 0.5 * g * cv
         return out
 
-    def _cpm_factors(self, x: np.ndarray):
-        for g, cv in zip(self.g_positive, self.rs.positive_coroots_f):
-            yield g, float(np.dot(x, cv))
-
-    def cplus(self, x: np.ndarray) -> float:
-        out = 1.0
-        for g, xa in self._cpm_factors(x):
-            out *= _cplus1(g, xa, self.q)
-        return out
-
-    def cminus(self, x: np.ndarray) -> float:
-        out = 1.0
-        for g, xa in self._cpm_factors(x):
-            out *= _cminus1(g, xa, self.q)
-        return out
+    @cached_property
+    def root_factors(self) -> tuple:
+        return tuple((cv, macdonald_factors(g), 1) for g, cv
+                     in zip(self.g_positive, self.rs.positive_coroots_f))
 
     def dual(self) -> "MacdonaldParams":
         """Parameters on the dual system; each orbit keeps its coupling.
@@ -143,19 +148,24 @@ class MacdonaldParams(_ClosedForms):
         return MacdonaldParams.create(self.rs.dual(), gmap, self.q)
 
 
-def _cplus1(g, x, q):
+def _cplus1(factors, k, x, q):
+    """c^+ of one root at the pairing x > 0."""
     if x <= 0:
         raise ParameterError(f"c^+ argument must be positive, got {x}")
-    return q ** (g * x / 2) * \
-        float(qpochhammer_inf(q ** (g + x), q).real) / \
-        float(qpochhammer_inf(q ** x, q).real)
+    num = math.prod(float(qpochhammer_inf(s * q ** (g + o + x), q).real)
+                    for g, o, s in factors)
+    return q ** (sum(g for g, _, _ in factors) * x / 2) * num / \
+        float(qpochhammer_inf(q ** (k * x), q).real)
 
 
-def _cminus1(g, x, q):
-    den = float(qpochhammer_inf(q ** (1 - g + x), q).real)
+def _cminus1(factors, k, x, q):
+    """c^- of one root at the pairing x."""
+    den = math.prod(float(qpochhammer_inf(s * q ** (1 - o - g + x), q).real)
+                    for g, o, s in factors)
     if den == 0.0:
-        raise ParameterError(f"pole of c^- at argument {x} (g={g})")
-    return q ** (g * x / 2) * float(qpochhammer_inf(q ** (1 + x), q).real) / den
+        raise ParameterError(f"pole of c^- at argument {x} ({factors})")
+    return q ** (sum(g for g, _, _ in factors) * x / 2) * \
+        float(qpochhammer_inf(q ** (1 + k * x), q).real) / den
 
 
 @dataclass(frozen=True)
@@ -222,6 +232,14 @@ class KoornwinderParams(_ClosedForms):
         """Float rows of the short and the long roots of R1+."""
         return tuple(self.rs.coroots_f[rows] for rows in self._short_long_rows)
 
+    @cached_property
+    def root_factors(self) -> tuple:
+        """The long roots of R1+ with the Macdonald factor of ghat, then the
+        short ones with the Koornwinder factors of the dual couplings."""
+        short, long_ = self._short_long
+        return tuple([(av, macdonald_factors(self.g), 1) for av in long_]
+                     + [(av, koornwinder_factors(*self.gdual), 2) for av in short])
+
     def rho_g(self) -> np.ndarray:
         short, long_ = self._short_long
         g0 = self.gdual[0]
@@ -239,44 +257,6 @@ class KoornwinderParams(_ClosedForms):
             out += 0.5 * self.ghat * av
         for av in short:
             out += self.gh[0] * av
-        return out
-
-    def cplus(self, x: np.ndarray) -> float:
-        short, long_ = self._short_long
-        q = self.q
-        g0, g1, g2, g3 = self.gdual
-        out = 1.0
-        for av in long_:
-            out *= _cplus1(self.g, float(np.dot(x, av)), q)
-        for av in short:
-            xa = float(np.dot(x, av))
-            if xa <= 0:
-                raise ParameterError(f"c^+ argument must be positive, got {xa}")
-            num = float(qpochhammer_inf(q ** (g0 + xa), q).real)
-            num *= float(qpochhammer_inf(-(q ** (g1 + xa)), q).real)
-            num *= float(qpochhammer_inf(q ** (g2 + 0.5 + xa), q).real)
-            num *= float(qpochhammer_inf(-(q ** (g3 + 0.5 + xa)), q).real)
-            out *= q ** ((g0 + g1 + g2 + g3) * xa / 2) * num / \
-                float(qpochhammer_inf(q ** (2 * xa), q).real)
-        return out
-
-    def cminus(self, x: np.ndarray) -> float:
-        short, long_ = self._short_long
-        q = self.q
-        g0, g1, g2, g3 = self.gdual
-        out = 1.0
-        for av in long_:
-            out *= _cminus1(self.g, float(np.dot(x, av)), q)
-        for av in short:
-            xa = float(np.dot(x, av))
-            den = float(qpochhammer_inf(q ** (1 - g0 + xa), q).real)
-            den *= float(qpochhammer_inf(-(q ** (1 - g1 + xa)), q).real)
-            den *= float(qpochhammer_inf(q ** (0.5 - g2 + xa), q).real)
-            den *= float(qpochhammer_inf(-(q ** (0.5 - g3 + xa)), q).real)
-            if den == 0.0:
-                raise ParameterError(f"pole of c^- at argument {xa}")
-            out *= q ** ((g0 + g1 + g2 + g3) * xa / 2) * \
-                float(qpochhammer_inf(q ** (1 + 2 * xa), q).real) / den
         return out
 
 
@@ -544,14 +524,14 @@ def difference_equation_residual(params: MacdonaldParams, system: OrthoPolySyste
 
 
 def hop_factors(params: PolyParams, nu) -> tuple:
-    """The factors of V_nu for the integer hop nu, one (row, coupling,
-    multiplicity) per root of rs.roots whose coroot carries one; built once
-    per parameter object and hop.
+    """The factors of V_nu for the integer hop nu, one (row, factors, m) per
+    root of rs.roots whose coroot carries one; built once per parameter
+    object and hop.
 
     Reduced case: every root with m = <nu, alpha^vee> > 0, in rs.roots
-    order, with its coupling.  Nonreduced case: the root or the negative of
-    each root of R1+ with <nu, alpha^vee> = 1, long roots first, coupling
-    ghat for a long root and the four dual couplings for a short one.
+    order, with the Macdonald factor of its coupling.  Nonreduced case: the
+    root or the negative of each root of R1+ with <nu, alpha^vee> = 1, long
+    roots first, with the factors of its c-function (root_factors).
     """
     key = tuple(nu)
     factors = params._hop_factors.get(key)
@@ -561,48 +541,39 @@ def hop_factors(params: PolyParams, nu) -> tuple:
         if isinstance(params, KoornwinderParams):
             last = len(rs.roots) - 1
             short, long_ = params._short_long_rows
-            factors = tuple((row, coupling, 1)
-                            for rows, coupling in ((long_, params.g), (short, params.gdual))
-                            for k in rows.tolist() for row in (k, last - k)
-                            if pairings[row] == 1)
+            factors = tuple((row, f, 1) for rows, f in (
+                (long_, macdonald_factors(params.g)),
+                (short, koornwinder_factors(*params.gdual)))
+                for k in rows.tolist() for row in (k, last - k) if pairings[row] == 1)
         else:
-            factors = tuple((row, g, m) for row, (m, g)
+            factors = tuple((row, macdonald_factors(g), m) for row, (m, g)
                             in enumerate(zip(pairings, params.g_roots)) if m > 0)
         params._hop_factors[key] = factors
     return factors
 
 
 def hopping_coefficient(params: PolyParams, nu, x: np.ndarray) -> float:
-    """V_nu(x): the sinh-ratio product attached to the integer hop nu.
+    """V_nu(x): the product attached to the integer hop nu.
 
-    A factor (row, g, m) of hop_factors contributes, with x_a the pairing of
-    x with the coroot of rs.roots[row], the m ratios
-    sinh(s(g + x_a + l)/2) / sinh(s(x_a + l)/2), l < m; on BC_N a short root
-    of R1+ contributes the four-factor ratio of the Koornwinder Laplacian.
+    A row (row, factors, m) of hop_factors contributes, with x_a the pairing
+    of x with the coroot of rs.roots[row], one ratio per l < m: the product
+    over the factors (g, o, sign) of f(s(g + o + x_a + l)/2) / f(s(o + x_a + l)/2),
+    with s = -log q, and f = sinh for sign +1 and cosh for sign -1.
     """
     s = params.s
     coroots = params.rs.coroots_f
     out = 1.0
-    for row, g, m in hop_factors(params, nu):
+    for row, factors, m in hop_factors(params, nu):
         xa = float(np.dot(x, coroots[row]))
-        if isinstance(g, tuple):
-            g0, g1, g2, g3 = g
-            d1 = math.sinh(0.5 * s * xa)
-            d2 = math.cosh(0.5 * s * xa)
-            d3 = math.sinh(0.5 * s * (0.5 + xa))
-            d4 = math.cosh(0.5 * s * (0.5 + xa))
-            if min(abs(d1), abs(d3)) < 1e-14:
-                raise ZeroDivisionError(f"singular hopping denominator at {xa}")
-            out *= (math.sinh(0.5 * s * (g0 + xa)) / d1
-                    * math.cosh(0.5 * s * (g1 + xa)) / d2
-                    * math.sinh(0.5 * s * (g2 + 0.5 + xa)) / d3
-                    * math.cosh(0.5 * s * (g3 + 0.5 + xa)) / d4)
-            continue
         for l in range(m):
-            den = math.sinh(0.5 * s * (xa + l))
-            if abs(den) < 1e-14:
-                raise ZeroDivisionError(f"singular hopping denominator at {xa + l}")
-            out *= math.sinh(0.5 * s * (g + xa + l)) / den
+            r = 1.0
+            for g, o, sign in factors:
+                f = math.sinh if sign > 0 else math.cosh
+                den = f(0.5 * s * (o + xa + l))
+                if abs(den) < 1e-14:
+                    raise ZeroDivisionError(f"singular hopping denominator at {o + xa + l}")
+                r = r * f(0.5 * s * (g + o + xa + l)) / den
+            out *= r
     return out
 
 

@@ -1,8 +1,9 @@
 """One-variable c-functions and q-series primitives.
 
 The admissible c-functions are analytic, zero-free and normalized to 1 at
-the origin on a disc of certified radius ``rho > 1``; the three concrete
-families are built from infinite q-Pochhammer products with 0 < q < 1.
+the origin on a disc of certified radius ``rho > 1``.  Apart from the unit,
+each is a list of infinite q-Pochhammer factors with 0 < q < 1
+(QPochhammerC), which the lattice constants and hopping rates read too.
 Besides pointwise evaluation this module provides Taylor coefficients (via
 FFT on a circle inside the certified disc) and the scalar scattering phase
 s(theta) = c(e^{-i theta}) / c(e^{i theta}) together with its canonical
@@ -13,7 +14,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import mul
 
 import numpy as np
 
@@ -100,57 +102,60 @@ class UnitC(CFunction):
         return a
 
 
-@dataclass(frozen=True)
-class MacdonaldC(CFunction):
-    """c(z) = (q^g z; q)_inf / (q z; q)_inf, with g, s > 0 and q = e^{-s}."""
+def macdonald_factors(g: float) -> tuple:
+    """The numerator factor of a Macdonald c-function, (q^g z; q)_inf; its
+    denominator power is k = 1."""
+    return ((g, 0.0, 1),)
 
-    g: float = 1.0
-    q: float = 0.5
 
-    def __post_init__(self):
-        if not (self.g > 0 and 0 < self.q < 1):
-            raise CFunctionError(f"need g > 0 and q in (0,1): g={self.g}, q={self.q}")
-
-    def _eval_raw(self, z):
-        return qpochhammer_inf(self.q**self.g * np.asarray(z) if np.ndim(z) else self.q**self.g * z,
-                               self.q, self.tol) / \
-            qpochhammer_inf(self.q * np.asarray(z) if np.ndim(z) else self.q * z,
-                            self.q, self.tol)
-
-    def _radius_hint(self) -> float:
-        # zeros at q^{-g-n}, poles at q^{-1-n}; take the geometric halfway point
-        return min(self.q ** (-self.g / 2), self.q ** -0.5)
+def koornwinder_factors(g0: float, g1: float, g2: float, g3: float) -> tuple:
+    """The numerator factors of a short-root Koornwinder c-function,
+    (q^{g0} z, -q^{g1} z, q^{g2+1/2} z, -q^{g3+1/2} z; q)_inf; its
+    denominator power is k = 2."""
+    return ((g0, 0.0, 1), (g1, 0.0, -1), (g2, 0.5, 1), (g3, 0.5, -1))
 
 
 @dataclass(frozen=True)
-class KoornwinderShortC(CFunction):
-    """Short-root c-function with four parameters:
+class QPochhammerC(CFunction):
+    """c(z) = prod (s q^{g+o} z; q)_inf / (q z^k; q)_inf over the factors
+    (g, o, s): coupling, offset and sign."""
 
-    c(z) = (q^{g0} z, -q^{g1} z, q^{g2+1/2} z, -q^{g3+1/2} z; q)_inf / (q z^2; q)_inf.
-    """
-
-    g0: float = 0.5
-    g1: float = 0.5
-    g2: float = 0.5
-    g3: float = 0.5
-    q: float = 0.5
+    factors: tuple
+    k: int
+    q: float
 
     def __post_init__(self):
-        if not (min(self.g0, self.g1, self.g2, self.g3) > 0 and 0 < self.q < 1):
-            raise CFunctionError("need g0..g3 > 0 and q in (0,1)")
+        if not (min(g for g, _, _ in self.factors) > 0 and 0 < self.q < 1):
+            raise CFunctionError(f"need couplings > 0 and q in (0,1): {self}")
 
     def _eval_raw(self, z):
         q = self.q
         zz = np.asarray(z) if np.ndim(z) else z
-        num = qpochhammer_inf(q**self.g0 * zz, q, self.tol)
-        num = num * qpochhammer_inf(-(q**self.g1) * zz, q, self.tol)
-        num = num * qpochhammer_inf(q ** (self.g2 + 0.5) * zz, q, self.tol)
-        num = num * qpochhammer_inf(-(q ** (self.g3 + 0.5)) * zz, q, self.tol)
-        return num / qpochhammer_inf(q * zz * zz, q, self.tol)
+        num = reduce(mul, (qpochhammer_inf(s * q ** (g + o) * zz, q, self.tol)
+                           for g, o, s in self.factors))
+        den = q * zz if self.k == 1 else q * zz * zz
+        return num / qpochhammer_inf(den, q, self.tol)
 
     def _radius_hint(self) -> float:
-        zero = min(self.g0, self.g1, self.g2 + 0.5, self.g3 + 0.5)
-        return min(self.q ** (-zero / 2), self.q ** -0.25)
+        # nearest zero at |z| = q^{-(g+o)}, nearest pole at q^{-1/k}; take the
+        # geometric halfway point
+        zero = min(g + o for g, o, _ in self.factors)
+        return min(self.q ** (-zero / 2), self.q ** (-0.5 / self.k))
+
+
+class MacdonaldC(QPochhammerC):
+    """c(z) = (q^g z; q)_inf / (q z; q)_inf, with g > 0."""
+
+    def __init__(self, g: float = 1.0, q: float = 0.5):
+        super().__init__(macdonald_factors(g), 1, q)
+
+
+class KoornwinderShortC(QPochhammerC):
+    """Short-root c-function of BC_N with four couplings (koornwinder_factors)."""
+
+    def __init__(self, g0: float = 0.5, g1: float = 0.5, g2: float = 0.5,
+                 g3: float = 0.5, q: float = 0.5):
+        super().__init__(koornwinder_factors(g0, g1, g2, g3), 2, q)
 
 
 @lru_cache(maxsize=None)

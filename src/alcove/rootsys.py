@@ -28,7 +28,6 @@ used by the dominance order).  For reduced systems the two coincide.
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -377,6 +376,7 @@ class RootSystem:
                       for r in range(rank)] for i in range(rank)]
         num, self._qplus_den = _over_common_denominator(expansion)
         self._qplus_num = tuple(tuple(row) for row in num)
+        self._qplus_num_t = _frozen(np.array(num, dtype=np.int64).T)
 
         # float views aligned with the tuples of exact vectors
         self.roots_f = _float_rows(self.roots, dim)
@@ -445,8 +445,14 @@ class RootSystem:
             return None
         return tuple(x // den for x in num)
 
-    def dominance_leq(self, mu: Coords, lam: Coords) -> bool:
-        """mu <= lam in the dominance order (lam - mu in Q+)."""
+    def dominance_leq(self, mu: Coords, lam: Coords):
+        """mu <= lam in the dominance order (lam - mu in Q+).
+
+        mu may also be an (n, rank) integer array: then one bool per row.
+        """
+        if isinstance(mu, np.ndarray):
+            num = (np.asarray(lam, dtype=np.int64) - mu) @ self._qplus_num_t
+            return np.all((num >= 0) & (num % self._qplus_den == 0), axis=1)
         diff = tuple(a - b for a, b in zip(lam, mu))
         exp = self.qplus_expansion(diff)
         return exp is not None and all(c >= 0 for c in exp)
@@ -615,21 +621,14 @@ class RootSystem:
         for top in tops:
             if not self.is_dominant(top):
                 raise ValueError(f"top weight {top} is not dominant")
-            # squared lengths scaled by _weight_den**2 are integers
+            # squared lengths scaled by _weight_den**2 are integers; the
+            # candidates are the box of coordinates c_j with
+            # c_j^2 |omega_j|^2 <= |top|^2
             tv = np.asarray(top, dtype=np.int64) @ self._weight_num
             norm2 = int(tv @ tv)
-            bounds = []
-            for w in self._weight_num:
-                ww = int(w @ w)
-                b = 0
-                while (b + 1) * (b + 1) * ww <= norm2:
-                    b += 1
-                bounds.append(b)
-            for cand in itertools.product(*(range(b + 1) for b in bounds)):
-                if cand in found:
-                    continue
-                if self.dominance_leq(cand, top):
-                    found.add(cand)
+            bounds = [math.isqrt(norm2 // int(w @ w)) + 1 for w in self._weight_num]
+            box = np.indices(bounds).reshape(self.rank, -1).T
+            found.update(map(tuple, box[self.dominance_leq(box, top)].tolist()))
         return sorted(found, key=lambda mu: (self._ext_key(mu), mu))
 
     def _ext_key(self, mu: Coords):

@@ -339,7 +339,7 @@ BC1_EVOLVE = {
 }
 
 
-def test_scatter_evolve(tmp_path):
+def test_scatter_evolve(tmp_path, capsys):
     cfg = _cfg(tmp_path, "bc1.json", BC1_EVOLVE)
     reports = []
     for run in ("1", "2"):
@@ -352,4 +352,5 @@ def test_scatter_evolve(tmp_path):
     shallow["task"]["evolve"]["lattice_depth"] = 40
     cfg = _cfg(tmp_path, "shallow.json", shallow)
     assert main(["scatter", "--evolve", "--config", cfg,
-                 "--out", str(tmp_path / "shallow_out.json")]) == 5
+                 "--out", str(tmp_path / "shallow_out.json")]) == 2
+    assert "task.evolve.lattice_depth" in capsys.readouterr().err

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from alcove.evolution import (PacketError, WavePacket,
+from alcove.evolution import (PacketError, TableDepthError, WavePacket,
                               asymptotic_packet, classical_packet,
                               classical_projection, classical_support,
                               free_packet, interacting_packet, leakage,
@@ -145,9 +145,8 @@ def test_shallow_table_raises(a1):
     shallow = gram_schmidt(a1, par.cspec(), [(6,), (5,)])
     sym = orbit_symbol(a1, (1,))
     center = np.array([np.pi / 2, -np.pi / 2])  # alcove midpoint, xi = u alpha
-    with pytest.raises(PacketError):
-        run_scattering_diagnostic(shallow, sym, center, 1.0, +1, [32],
-                                  m_of_t=lambda t: 512)
+    with pytest.raises(TableDepthError):
+        run_scattering_diagnostic(shallow, sym, center, 1.0, +1, [32])
 
 
 def test_diagnostic_report(a1_setup):

@@ -261,10 +261,11 @@ def test_operator_norm_bound(a2, a2_macdonald):
 @pytest.mark.parametrize("family", ["koornwinder", "macdonald"])
 def test_operator_matrix_evaluates_each_rate_once(family, bc2, b2, monkeypatch):
     # a hop nu of site lam that stays in the cone costs the rate
-    # V_nu(rho_g+lam) and its partner V_{-nu}(rho_g+lam+nu); over a whole
-    # matrix each is evaluated once per parameter object (not again for the
-    # diagonal term, nor for the neighbouring columns), and a second matrix
-    # evaluates none
+    # V_nu(rho_g+lam) and its partner, the rate V_{-nu}(rho_g+kappa) of the
+    # site kappa = lam+nu for the hop back; over a whole matrix each (site,
+    # hop) rate is evaluated once per parameter object, at rho_g + site (not
+    # again as a partner, for the diagonal term, nor for the neighbouring
+    # columns), and a second matrix evaluates none
     if family == "koornwinder":
         rs, pi = bc2, (1, 0)
         par = KoornwinderParams.create(bc2, 1.1, (0.9, 0.7, 0.6, 0.8), 0.45)
@@ -287,14 +288,16 @@ def test_operator_matrix_evaluates_each_rate_once(family, bc2, b2, monkeypatch):
     reached = set(sites) | {lam for mu in sites for nu in orbit
                             for lam in [tuple(a - b for a, b in zip(mu, nu))]
                             if rs.is_dominant(lam)}
-    expected = []
+    hops = set()
     for lam in reached:
-        x = par.rho_g() + _fvec(rs, lam)
         for nu in orbit:
-            if rs.is_dominant(tuple(a + b for a, b in zip(lam, nu))):
-                expected += [(nu, x.tobytes()),
-                             (tuple(-c for c in nu), (x + _fvec(rs, nu)).tobytes())]
+            kappa = tuple(a + b for a, b in zip(lam, nu))
+            if rs.is_dominant(kappa):
+                hops |= {(lam, nu), (kappa, tuple(-c for c in nu))}
+    expected = [(nu, (par.rho_g() + _fvec(rs, site)).tobytes()) for site, nu in hops]
     assert Counter(calls) == Counter(expected)
+    # each pair entry reads both sites' own rates: exactly Hermitian
+    assert np.array_equal(mat, mat.conj().T)
     calls.clear()
     assert np.array_equal(operator_matrix(apply_fn, rs, sites), mat)
     assert calls == []

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from alcove.orthopoly import (KoornwinderParams,
                               macdonald_identity_residual, norm_constants,
                               pieri_residual, specialization_residual,
                               symmetry_residual)
-from alcove.qfun import unit_spec
+from alcove.qfun import qpochhammer_inf, unit_spec
 from alcove.rank1 import Rank1Params, askey_wilson
 from alcove.rootsys import build_root_system
 
@@ -399,3 +400,99 @@ def test_gram_schmidt_builds_no_grid_above_max_m(a2, monkeypatch):
     with pytest.raises(harmonic.QuadratureError):
         gram_schmidt(a2, spec, [(1, 1)], tol=0.0, max_m=80)
     assert built == [18, 36, 72]
+
+
+# -- c^+-, V_nu: one factor list, the same bits as the per-family formulas ----
+
+
+def _qp(z, q):
+    return float(qpochhammer_inf(z, q).real)
+
+
+def _macdonald_cpm(g, x, q):
+    plus = q ** (g * x / 2) * _qp(q ** (g + x), q) / _qp(q ** x, q)
+    minus = q ** (g * x / 2) * _qp(q ** (1 + x), q) / _qp(q ** (1 - g + x), q)
+    return plus, minus
+
+
+def _koornwinder_cpm(g, x, q):
+    g0, g1, g2, g3 = g
+    num = _qp(q ** (g0 + x), q)
+    num *= _qp(-(q ** (g1 + x)), q)
+    num *= _qp(q ** (g2 + 0.5 + x), q)
+    num *= _qp(-(q ** (g3 + 0.5 + x)), q)
+    den = _qp(q ** (1 - g0 + x), q)
+    den *= _qp(-(q ** (1 - g1 + x)), q)
+    den *= _qp(q ** (0.5 - g2 + x), q)
+    den *= _qp(-(q ** (0.5 - g3 + x)), q)
+    scale = q ** ((g0 + g1 + g2 + g3) * x / 2)
+    return (scale * num / _qp(q ** (2 * x), q),
+            scale * _qp(q ** (1 + 2 * x), q) / den)
+
+
+def _family_terms(par):
+    """(float coroot, coupling) per factor of c^+-: R+ for Macdonald; the long
+    roots of R1+, then the short ones with the dual couplings, on BC_N."""
+    if isinstance(par, MacdonaldParams):
+        return list(zip(par.rs.positive_coroots_f, par.g_positive))
+    short, long_ = par._short_long
+    return [(av, par.g) for av in long_] + [(av, par.gdual) for av in short]
+
+
+def _family_rows(par, nu):
+    """(row, coupling, multiplicity) of each factor of V_nu."""
+    rs = par.rs
+    pairings = (rs.coroot_pairings @ np.asarray(nu, dtype=np.int64)).tolist()
+    if isinstance(par, MacdonaldParams):
+        return [(row, g, m) for row, (m, g) in enumerate(zip(pairings, par.g_roots))
+                if m > 0]
+    last = len(rs.roots) - 1
+    short, long_ = par._short_long_rows
+    return [(row, g, 1) for rows, g in ((long_, par.g), (short, par.gdual))
+            for k in rows.tolist() for row in (k, last - k) if pairings[row] == 1]
+
+
+def _family_v(par, nu, x):
+    s, out = par.s, 1.0
+    for row, g, m in _family_rows(par, nu):
+        xa = float(np.dot(x, par.rs.coroots_f[row]))
+        if isinstance(g, tuple):
+            g0, g1, g2, g3 = g
+            out *= (math.sinh(0.5 * s * (g0 + xa)) / math.sinh(0.5 * s * xa)
+                    * math.cosh(0.5 * s * (g1 + xa)) / math.cosh(0.5 * s * xa)
+                    * math.sinh(0.5 * s * (g2 + 0.5 + xa)) / math.sinh(0.5 * s * (0.5 + xa))
+                    * math.cosh(0.5 * s * (g3 + 0.5 + xa)) / math.cosh(0.5 * s * (0.5 + xa)))
+            continue
+        for l in range(m):
+            out *= math.sinh(0.5 * s * (g + xa + l)) / math.sinh(0.5 * s * (xa + l))
+    return out
+
+
+@pytest.mark.parametrize("case", ["B2", "G2", "BC1", "BC2"])
+def test_factor_lists_keep_cpm_and_rates_bitwise(case):
+    rs = build_root_system(case[:-1], int(case[-1]))
+    if case == "B2":
+        par = MacdonaldParams.create(rs, {1.0: 0.9, 2.0: 1.4}, 0.5)
+    elif case == "G2":
+        lens = sorted(set(rs.positive_len2.tolist()))
+        par = MacdonaldParams.create(rs, dict(zip(lens, (0.8, 1.3))), 0.45)
+    else:
+        # couplings whose dual couplings are all away from 0
+        par = KoornwinderParams.create(rs, 1.1, (0.93, 0.71, 0.57, 0.82), 0.45)
+    pi = tuple(1 if j == 0 else 0 for j in range(rs.rank)) if case.startswith("BC") \
+        else rs.quasi_minuscule_weight()
+    hops = rs.weyl_orbit(pi) | {tuple(-c for c in nu) for nu in rs.weyl_orbit(pi)}
+    if not case.startswith("BC"):
+        # the quasi-minuscule hops pair to 2 with their own coroot
+        assert any(m == 2 for nu in hops for _, _, m in _family_rows(par, nu))
+    cpm = _koornwinder_cpm if case.startswith("BC") else _macdonald_cpm
+    for lam in rs.saturated_weights([(4,) * rs.rank]):
+        x = par.rho_g() + rs.float_weight(lam)
+        plus = minus = 1.0
+        for cv, g in _family_terms(par):
+            xa = float(np.dot(x, cv))
+            one = (_macdonald_cpm if not isinstance(g, tuple) else cpm)(g, xa, par.q)
+            plus, minus = plus * one[0], minus * one[1]
+        assert (par.cplus(x), par.cminus(x)) == (plus, minus)
+        for nu in sorted(hops):
+            assert hopping_coefficient(par, nu, x) == _family_v(par, nu, x)

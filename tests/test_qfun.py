@@ -129,3 +129,46 @@ def test_parameter_validation():
         MacdonaldC(g=-1.0, q=0.5)
     with pytest.raises(CFunctionError):
         KoornwinderShortC(0.5, 0.5, 0.5, 0.5, 1.5)
+
+
+# -- one factor list, the same bits as the per-family formulas it replaced ----
+
+
+def _macdonald_formula(g, q, z):
+    zz = np.asarray(z) if np.ndim(z) else z
+    return qpochhammer_inf(q**g * zz, q, 1e-14) / qpochhammer_inf(q * zz, q, 1e-14)
+
+
+def _koornwinder_formula(g0, g1, g2, g3, q, z):
+    zz = np.asarray(z) if np.ndim(z) else z
+    num = qpochhammer_inf(q**g0 * zz, q, 1e-14)
+    num = num * qpochhammer_inf(-(q**g1) * zz, q, 1e-14)
+    num = num * qpochhammer_inf(q ** (g2 + 0.5) * zz, q, 1e-14)
+    num = num * qpochhammer_inf(-(q ** (g3 + 0.5)) * zz, q, 1e-14)
+    return num / qpochhammer_inf(q * zz * zz, q, 1e-14)
+
+
+@pytest.mark.parametrize("label", ["B2", "BC2"])
+def test_factor_list_keeps_the_family_formulas_bitwise(label, b2, bc2):
+    from alcove.harmonic import QuadratureGrid
+    if label == "B2":
+        rs, cases = b2, [(MacdonaldC(g=0.9, q=0.5), lambda z: _macdonald_formula(0.9, 0.5, z)),
+                         (MacdonaldC(g=1.42, q=0.5), lambda z: _macdonald_formula(1.42, 0.5, z))]
+        hints = [min(0.5 ** (-0.9 / 2), 0.5 ** -0.5), min(0.5 ** (-1.42 / 2), 0.5 ** -0.5)]
+    else:
+        g = (0.9, 0.7, 0.6, 0.8)
+        rs, cases = bc2, [(KoornwinderShortC(*g, 0.45),
+                           lambda z: _koornwinder_formula(*g, 0.45, z)),
+                          (MacdonaldC(g=1.1, q=0.45), lambda z: _macdonald_formula(1.1, 0.45, z))]
+        hints = [min(0.45 ** (-min(0.9, 0.7, 0.6 + 0.5, 0.8 + 0.5) / 2), 0.45 ** -0.25),
+                 min(0.45 ** (-1.1 / 2), 0.45 ** -0.5)]
+    grid = QuadratureGrid(rs, 48)
+    scalars = [0.3, -0.8 + 0.1j, 0.99j, np.complex128(0.2 - 0.7j), np.float64(-0.45)]
+    for (c, formula), hint in zip(cases, hints):
+        assert c._radius_hint() == hint
+        for a in rs.positive_roots_1:
+            z = grid.exponential(np.negative(rs.root_coords(a)))
+            assert np.array_equal(c._eval_raw(z), formula(z))
+        for z in scalars:
+            got, ref = c._eval_raw(z), formula(z)
+            assert type(got) is type(ref) and got == ref

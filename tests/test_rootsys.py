@@ -313,6 +313,33 @@ def test_integer_pairing_tables_match_fractions(case):
     assert [rs.roots[k] for k in rs.positive_rows] == list(rs.positive_roots)
 
 
+SATURATION_TOPS = {1: [(7,), (6,)], 2: [(3, 2), (1, 4)], 3: [(2, 1, 2), (0, 3, 0)],
+                   4: [(1, 0, 0, 1), (0, 2, 0, 0)], 6: [(1, 0, 0, 0, 0, 1), (0, 1, 0, 0, 0, 0)]}
+
+
+@pytest.mark.parametrize("case", VIEW_TYPES, ids=_case_id)
+def test_saturated_weights_match_per_candidate_scan(case):
+    # a dominant mu <= top has |mu| <= |top|, and <omega_i, omega_j> >= 0, so
+    # its coordinates satisfy mu_j^2 |omega_j|^2 <= |top|^2; each candidate
+    # of that box is tested alone through qplus_expansion
+    rs = _view_system(case)
+    tops = SATURATION_TOPS[rs.rank]
+    found = set()
+    for top in tops:
+        t = rs.weight_vector(top)
+        bounds = [math.isqrt(math.floor(dot(t, t) / dot(w, w)))
+                  for w in rs.fundamental_weights]
+        for cand in itertools.product(*(range(b + 1) for b in bounds)):
+            exp = rs.qplus_expansion(tuple(a - b for a, b in zip(top, cand)))
+            if exp is not None and min(exp) >= 0:
+                found.add(cand)
+    assert rs.saturated_weights(tops) == rs.linear_extension(found)
+    box = _box(rs, 3 if rs.rank <= 4 else 1)
+    for top in tops:
+        assert rs.dominance_leq(np.array(box), top).tolist() == \
+            [rs.dominance_leq(mu, top) for mu in box]
+
+
 # the float paths read the views above; these are the idioms that converted
 # exact root data on the spot
 CONVERSION_IDIOMS = re.compile(
@@ -462,3 +489,19 @@ def test_one_orthonormalization_route():
             if REMOVED_DUPLICATES.search(line)
             or (path.name == "orthopoly.py" and "Fraction" in line)]
     assert not hits
+
+
+# the per-family copies of the q-Pochhammer factors; the Koornwinder offsets
+# are written once, in qfun.koornwinder_factors, and the rank-one oracle keeps
+# its own formulas
+FACTOR_COPIES = re.compile(r"_cpm_factors|isinstance\(g, tuple\)|\+ 0\.5 \+|0\.5 - g")
+
+
+def test_one_factor_list_per_root():
+    src = Path(alcove.__file__).parent
+    hits = [f"{path.name}:{n}: {line.strip()}"
+            for path in sorted(src.glob("*.py")) if path.name != "rank1.py"
+            for n, line in enumerate(path.read_text().splitlines(), 1)
+            if FACTOR_COPIES.search(line)]
+    assert not hits
+    assert FACTOR_COPIES.search((src / "rank1.py").read_text())
