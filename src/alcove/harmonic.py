@@ -238,21 +238,41 @@ def weyl_character_extended(rs: RootSystem, lam) -> LaurentPoly:
     return chi if sign == 1 else -chi
 
 
-def _pairings(axes, mus: np.ndarray, out: np.ndarray) -> np.ndarray:
+def _pairings(axes, mus: np.ndarray, out: np.ndarray, offset: int = 0) -> np.ndarray:
     """Fill out (int64, one row per point of the product of the grid
     coordinates in axes, last axis fastest; one column per mu of mus) with
-    the exact integers k = <index, mu>: the products axes[j] * mu_j are
-    broadcast over the grid axes, one add per axis."""
+    the exact integers k = <index, mu> - offset: the products axes[j] * mu_j
+    are broadcast over the grid axes, one add per axis, and the offset is
+    taken from the first axis's products."""
     k = out.reshape(tuple(len(a) for a in axes) + (len(mus),))
     for j, (a, mu) in enumerate(zip(axes, mus.T)):
         shape = [1] * k.ndim
         shape[j], shape[-1] = len(a), len(mu)
         term = np.multiply.outer(a, mu).reshape(shape)
         if j == 0:
-            k[...] = term
+            np.subtract(term, offset, out=k)
         else:
             k += term
     return out
+
+
+def _phase_span(axes, mus) -> tuple:
+    """The least and greatest k = <index, mu> over the product of the
+    ascending coordinates in axes and the weights mus, exactly: on a
+    product of axes the extremes of a sum are the sums of the per-axis
+    extremes, which sit at an axis's first or last coordinate."""
+    ends = [(int(a[0]), int(a[-1])) for a in axes]
+    least, greatest = [], []
+    for mu in mus:
+        low = high = 0
+        for (first, last), m in zip(ends, mu):
+            if m >= 0:
+                low, high = low + m * first, high + m * last
+            else:
+                low, high = low + m * last, high + m * first
+        least.append(low)
+        greatest.append(high)
+    return min(least), max(greatest)
 
 
 class _Scratch:
@@ -304,10 +324,11 @@ class QuadratureGrid:
 
     def eval_terms(self, terms: dict, axes=None) -> np.ndarray:
         """sum_mu c_mu e^{i<mu, xi>} over the product of the integer grid
-        coordinates in axes (one array per axis; default every point), flat
-        in C order, in blocks of 64 terms.  The phases and roots of the
-        blocks are written into scratch, shared by the calls made inside
-        reused_scratch()."""
+        coordinates in axes (one ascending array per axis; default every
+        point), flat in C order, in blocks of 64 terms.  The phases and
+        roots of the blocks are written into scratch, shared by the calls
+        made inside reused_scratch(); each block's phase range comes from
+        its per-axis products, not from a pass over its phases."""
         if axes is None:
             axes = (np.arange(self.M),) * self.rs.rank
         points = math.prod(len(a) for a in axes)
@@ -319,7 +340,10 @@ class QuadratureGrid:
             mus = np.array([mu for mu, _ in block], dtype=np.int64)
             coeffs = np.array([complex(c) for _, c in block])
             k, roots = scratch.arrays(points, len(block))
-            out += self.roots_of_unity(_pairings(axes, mus, k), out=roots) @ coeffs
+            roots = self.roots_of_unity(
+                lambda offset: _pairings(axes, mus, k, offset), out=roots,
+                span=_phase_span(axes, [mu for mu, _ in block]))
+            out += roots @ coeffs
         return out
 
     @contextlib.contextmanager
@@ -346,7 +370,7 @@ class QuadratureGrid:
         """e^{i<mu, xi>} over the grid (mu given by weight coordinates)."""
         return self.roots_of_unity(self.index @ np.asarray(mu, dtype=np.int64))
 
-    def roots_of_unity(self, k: np.ndarray, out=None) -> np.ndarray:
+    def roots_of_unity(self, k, out=None, span=None) -> np.ndarray:
         """e^{2 pi i k / M} for an integer array k; every grid exponential
         comes from here.
 
@@ -357,26 +381,44 @@ class QuadratureGrid:
         bit.  Folding k mod M would be exact in the mathematics but would
         move the last bits of every grid sum.
 
-        With out (a complex array of k's shape) the values are written there
-        and k, then a scratch array, is overwritten by the table offsets.
+        With span = (lo, hi), the exact least and greatest phase, k is
+        instead a function that writes the phases less a given offset into
+        a scratch array of out's shape: the offset is the table's start on
+        the table path and 0 on the direct one, so no pass over the phases
+        is spent on their range or on the offset.
         """
         def exp(k, out=None):
             return np.exp(1j * ((2.0 * np.pi / self.M) * k), out=out)
 
-        lo, hi = int(k.min()), int(k.max())
-        if hi - lo >= k.size:
-            return exp(k, out)
+        if span is None:
+            lo, hi, size = int(k.min()), int(k.max()), k.size
+        else:
+            (lo, hi), size = span, out.size
+        if hi - lo >= size:
+            return exp(k if span is None else k(0), out)
         start = self._table_lo if self._table.size else lo
         stop = start + self._table.size
         if lo < start or hi >= stop:
             self._table = np.concatenate([exp(np.arange(lo, start)), self._table,
                                           exp(np.arange(stop, hi + 1))])
             self._table_lo = min(lo, start)
-        if out is None:
-            return self._table[k - self._table_lo]
         # mode="clip" gathers straight into out; "raise" would buffer it
-        k -= self._table_lo
-        return np.take(self._table, k, out=out, mode="clip")
+        offsets = k - self._table_lo if span is None else k(self._table_lo)
+        return np.take(self._table, offsets, out=out, mode="clip")
+
+    def phase_values(self, mu, fn) -> np.ndarray:
+        """fn(k) over the grid, k = <index, mu> the integer phase of
+        e^{i<mu, xi>} (its angle is (2 pi / M) k).  fn, elementwise in k, is
+        evaluated once on the exact set of k that occurs and gathered onto
+        the grid: a root has a few hundred phases on a grid of 10^4 points.
+        """
+        k = self.index @ np.asarray(mu, dtype=np.int64)
+        lo = int(k.min())
+        k -= lo
+        seen = np.zeros(int(k.max()) + 1, dtype=bool)
+        seen[k] = True
+        slot = np.cumsum(seen) - 1
+        return fn(np.flatnonzero(seen) + lo)[slot[k]]
 
     def fourier(self, values: np.ndarray) -> np.ndarray:
         """Grid averages of values * e^{i<mu, xi>} for every mu mod M, flat;
@@ -421,7 +463,8 @@ def chat_values(spec: CFunctionSpec, grid: QuadratureGrid) -> np.ndarray:
     rs = grid.rs
     out = np.ones(grid.size, dtype=complex)
     for a, c in zip(rs.positive_roots_1, spec.cfunctions):
-        out *= c._eval_raw(grid.exponential(np.negative(rs.root_coords(a))))
+        out *= grid.phase_values(rs.root_coords(a),
+                                 lambda k: c._eval_raw(grid.roots_of_unity(-k)))
     return out
 
 
@@ -445,8 +488,8 @@ def weight_function_eval(spec: CFunctionSpec, xi) -> float:
 def delta_values(rs: RootSystem, grid: QuadratureGrid) -> np.ndarray:
     out = np.ones(grid.size, dtype=complex)
     for a in rs.positive_roots_0:
-        th = grid.angles(rs.root_coords(a))
-        out *= 2j * np.sin(th / 2.0)
+        out *= grid.phase_values(rs.root_coords(a),
+                                 lambda k: 2j * np.sin(((2.0 * np.pi / grid.M) * k) / 2.0))
     return out
 
 
@@ -472,6 +515,13 @@ def first_rung(rs: RootSystem, supports) -> int:
     union = set().union(*supports)
     dsup = weyl_denominator(rs).support()
     return 2 * bandwidth_bound(rs, [union, union, dsup, dsup]) + 2
+
+
+def orbit_first_rung(rs: RootSystem, weights) -> int:
+    """first_rung of the orbit sums m_lambda for lambda in weights, from the
+    weights alone: the orbit of lambda reaches rs.orbit_reach(lambda), and
+    the Weyl denominator, over the orbit of rho, rs.orbit_reach(rho)."""
+    return 2 * (2 * max(map(rs.orbit_reach, weights)) + 2 * rs.orbit_reach(rs.rho_coords)) + 2
 
 
 def gram_ladder(polys, spec: CFunctionSpec, tol: float, max_m: int):

@@ -19,9 +19,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .harmonic import (LaurentPoly, QuadratureGrid, first_rung, gram_ladder,
-                       laurent_divide, monomial_symmetric, weyl_character,
-                       weyl_denominator)
+from .harmonic import (LaurentPoly, QuadratureGrid, _check_gram_bytes, gram_ladder,
+                       laurent_divide, monomial_symmetric, orbit_first_rung,
+                       weyl_character, weyl_denominator)
 from .qfun import (CFunctionSpec, koornwinder_factors, koornwinder_spec,
                    macdonald_factors, macdonald_spec, qpochhammer_inf)
 from .rootsys import RootSystem
@@ -408,12 +408,15 @@ def gram_schmidt(rs: RootSystem, spec: CFunctionSpec, tops, order=None,
             raise ValueError("custom order must contain exactly the saturated set")
         weights = _validate_order(rs, order)
 
+    m = orbit_first_rung(rs, weights)
+    if not spec.is_unit:
+        # refuse an oversized first rung before any orbit is built
+        _check_gram_bytes(rs, len(weights), m)
     monos = [monomial_symmetric(rs, mu) for mu in weights]
     if spec.is_unit:
         chars = [weyl_character(rs, lam) for lam in weights]
         coeff = np.array([[chi.coeff(mu) for mu in weights] for chi in chars],
                          dtype=float)
-        m = first_rung(rs, [mo.support() for mo in monos])
         return OrthoPolySystem(rs, spec, weights, monos, coeff, m, 1.0)
 
     gram, m = gram_ladder(monos, spec, tol, max_m)

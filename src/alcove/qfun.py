@@ -25,6 +25,11 @@ def qpochhammer_inf(z, q: float, tol: float = 1e-15):
 
     Accepts scalars or numpy arrays for z.  The truncation index K is chosen
     from |log prod_{n>K} (1 - z q^n)| <= |z| q^{K+1} / (1 - q).
+
+    The array product is written (1 - z q^n) * out: numpy's temporary
+    elision turns out * (1 - z q^n) into that order above 256 KiB only, and
+    complex products with FMA are not bitwise commutative, so one written
+    order keeps every point's bits independent of the array's size.
     """
     if not 0.0 < q < 1.0:
         raise ValueError(f"q must lie in (0, 1), got {q}")
@@ -36,14 +41,17 @@ def qpochhammer_inf(z, q: float, tol: float = 1e-15):
             return 1.0
         out = 1.0 + 0j
         zq = complex(z)
-    else:
-        zmax = float(np.max(np.abs(z)))
-        if zmax == 0.0:
-            return np.ones_like(z)
-        out = np.ones_like(np.asarray(z, dtype=complex))
-        zq = np.asarray(z, dtype=complex)
+        for _ in range(_truncation_index(zmax, q, tol) + 1):
+            out = out * (1.0 - zq)
+            zq = zq * q
+        return out
+    zmax = float(np.max(np.abs(z)))
+    if zmax == 0.0:
+        return np.ones_like(z)
+    out = np.ones_like(np.asarray(z, dtype=complex))
+    zq = np.asarray(z, dtype=complex)
     for _ in range(_truncation_index(zmax, q, tol) + 1):
-        out = out * (1.0 - zq)
+        out = (1.0 - zq) * out
         zq = zq * q
     return out
 

@@ -15,6 +15,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .qfun import qpochhammer_inf
 
@@ -140,11 +141,13 @@ def cminus(p: Rank1Params, x: float) -> float:
         float(qpochhammer_inf(q ** (1 + 2 * x), q).real) / den
 
 
+@lru_cache(maxsize=None)
 def norm_n0(p: Rank1Params) -> float:
     g0 = p.dual[0]
     return cminus(p, g0) / cplus(p, g0)
 
 
+@lru_cache(maxsize=None)
 def norm_delta(p: Rank1Params, ell: int) -> float:
     g0 = p.dual[0]
     return (cplus(p, g0) * cminus(p, g0)) / \

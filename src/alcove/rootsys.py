@@ -457,6 +457,12 @@ class RootSystem:
         exp = self.qplus_expansion(diff)
         return exp is not None and all(c >= 0 for c in exp)
 
+    def orbit_reach(self, x: Coords) -> int:
+        """The largest |coordinate| over the Weyl orbit of a dominant x: the
+        largest <x, alpha^vee> over alpha in R0+, which is <x, theta^vee>
+        for theta^vee the highest coroot of R0."""
+        return max(sum(c * p for c, p in zip(x, row)) for row in self._pos0_coroot_pairings)
+
     def min_coroot_pairing(self, lam: Coords):
         """m(lambda): minimal pairing of lam with the positive coroots."""
         return min(sum(c * r for c, r in zip(lam, cc))

@@ -185,15 +185,13 @@ def _kernel_bandwidth(system: OrthoPolySystem) -> int:
     bounds every kernel frequency.  Two facts make it closed form:
 
     * for dominant x the largest |basis-coroot coordinate| over W x is
-      <x, theta^vee>, theta^vee the highest coroot of R0, which is the
-      largest <x, alpha^vee> over alpha in R0+;
+      rs.orbit_reach(x);
     * a weight mu <= lam has rho + mu in the convex hull of W(rho + lam),
       so it never raises the maximum.
     """
     rs = system.rs
-    shifted = [tuple(a + b for a, b in zip(lam, rs.rho_coords)) for lam in system.weights]
-    return max(sum(c * p for c, p in zip(x, row))
-               for x in shifted for row in rs._pos0_coroot_pairings)
+    return max(rs.orbit_reach(tuple(a + b for a, b in zip(lam, rs.rho_coords)))
+               for lam in system.weights)
 
 
 def plane_wave_values(rs: RootSystem, lam, grid: QuadratureGrid) -> np.ndarray:
@@ -206,12 +204,14 @@ def plane_wave_values(rs: RootSystem, lam, grid: QuadratureGrid) -> np.ndarray:
 
 def root_half_phases(spec: CFunctionSpec, grid: QuadratureGrid) -> list:
     """(root coordinates, shat_sqrt over the grid) for each root of R1+: the
-    per-root factors every S_w^{1/2} is assembled from."""
+    per-root factors every S_w^{1/2} is assembled from, each evaluated once
+    per distinct phase of its root."""
     rs = grid.rs
     out = []
     for a, c in zip(rs.positive_roots_1, spec.cfunctions):
         ac = rs.root_coords(a)
-        out.append((ac, shat_sqrt(c, grid.angles(ac))))
+        out.append((ac, grid.phase_values(
+            ac, lambda k: shat_sqrt(c, (2.0 * np.pi / grid.M) * k))))
     return out
 
 

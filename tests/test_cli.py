@@ -96,17 +96,21 @@ README_EXAMPLE = {
 
 def test_readme_evolve_exits_on_gram_budget(tmp_path, capsys, monkeypatch):
     # depth 200 on A2: 20,201 weights and a first rung at M=1610, whose
-    # values alone would take 780 GiB; refused before the grid is built
+    # values alone would take 780 GiB; refused before the grid or any orbit
+    # is built
     import alcove.harmonic as harmonic
-    built = []
+    import alcove.orthopoly as orthopoly
+    built, orbits = [], []
     monkeypatch.setattr(harmonic, "QuadratureGrid",
                         lambda rs, M: built.append(M))
+    monkeypatch.setattr(orthopoly, "monomial_symmetric",
+                        lambda rs, lam: orbits.append(lam))
     cfg = _cfg(tmp_path, "readme.json", README_EXAMPLE)
     start = time.perf_counter()
     assert main(["scatter", "--evolve", "--config", cfg,
                  "--out", str(tmp_path / "e.json")]) == 3
     assert time.perf_counter() - start < 5.0
-    assert not built and not (tmp_path / "e.json").exists()
+    assert not built and not orbits and not (tmp_path / "e.json").exists()
     required = harmonic.gram_bytes(20201, 1610 ** 2)
     assert required > 780 * 2 ** 30
     assert (f"Gram ladder of 20201 weights on A2 at M=1610 has {required} bytes"

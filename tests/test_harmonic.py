@@ -5,15 +5,17 @@ import numpy as np
 import pytest
 
 from alcove.harmonic import (LaurentPoly, QuadratureError, QuadratureGrid,
-                             delta_values, eval_delta, first_rung, gram_bytes,
-                             gram_ladder, gram_matrix, inner_product,
-                             measure_values, monomial_symmetric, weight_function_eval,
-                             weight_function_values, weyl_character,
-                             weyl_character_extended, weyl_denominator)
+                             chat_values, delta_values, eval_delta, first_rung,
+                             gram_bytes, gram_ladder, gram_matrix, inner_product,
+                             measure_values, monomial_symmetric, orbit_first_rung,
+                             weight_function_eval, weight_function_values,
+                             weyl_character, weyl_character_extended,
+                             weyl_denominator)
 from alcove.orthopoly import MacdonaldParams, gram_schmidt
 from alcove.qfun import (MacdonaldC, koornwinder_spec, macdonald_spec,
-                         unit_spec, qpochhammer_inf)
+                         qpochhammer_inf, shat_sqrt, unit_spec)
 from alcove.rootsys import BudgetExceededError, build_root_system
+from alcove.scattering import root_half_phases
 
 
 def test_monomial_symmetric(a2):
@@ -253,6 +255,63 @@ def test_eval_terms_long_phase_range_computes_directly(bc1):
     for terms in calls:
         assert _same_bits(grid.eval_terms(terms), _direct_sum(grid, terms))
     assert grid._table.size == 0
+
+
+def test_eval_terms_depth_150_keeps_the_table_within_one_block(bc1):
+    # every BC1 exponent down to depth 150 in one call: the phases span
+    # 300 * 1211 integers, but only a block whose range is shorter than its
+    # values is tabulated, so the table holds at most 64 * size roots
+    grid = QuadratureGrid(bc1, 1212)
+    terms = _terms([(mu,) for mu in range(-150, 151)])
+    assert _same_bits(grid.eval_terms(terms), _direct_sum(grid, terms))
+    assert 0 < grid._table.size <= 64 * grid.size
+
+
+def _b2_spec(b2):
+    return MacdonaldParams.create(b2, {1: 0.9, 2: 1.4}, 0.5).cspec()
+
+
+def _bc2_spec(bc2):
+    return koornwinder_spec(bc2, 1.1, (0.9, 0.7, 0.6, 0.8), 0.45)
+
+
+@pytest.mark.parametrize("case,m", [("B2", 110), ("BC2", 120)])
+def test_measure_on_even_points_of_the_doubled_grid(case, m, b2, bc2):
+    # point k of grid M is point 2k of grid 2M with the same phase bits, and
+    # the q-Pochhammer product has one order at every array size
+    rs, spec = (b2, _b2_spec(b2)) if case == "B2" else (bc2, _bc2_spec(bc2))
+    coarse = measure_values(spec, QuadratureGrid(rs, m))
+    fine = measure_values(spec, QuadratureGrid(rs, 2 * m)).reshape(2 * m, 2 * m)
+    assert _same_bits(coarse, fine[::2, ::2].ravel())
+
+
+@pytest.mark.parametrize("case,m", [("B2", 86), ("B2", 110), ("B2", 220),
+                                    ("BC2", 96), ("BC2", 240)])
+def test_phase_tables_match_whole_grid_evaluation(case, m, b2, bc2):
+    # c-functions, half phases and delta read once per distinct phase equal
+    # the same expressions evaluated at every grid point
+    rs, spec = (b2, _b2_spec(b2)) if case == "B2" else (bc2, _bc2_spec(bc2))
+    grid = QuadratureGrid(rs, m)
+    chat = np.ones(grid.size, dtype=complex)
+    for a, c in zip(rs.positive_roots_1, spec.cfunctions):
+        chat *= c._eval_raw(grid.exponential(np.negative(rs.root_coords(a))))
+    assert _same_bits(chat_values(spec, grid), chat)
+    for (ac, half), c in zip(root_half_phases(spec, grid), spec.cfunctions):
+        assert _same_bits(half, shat_sqrt(c, grid.angles(ac)))
+    delta = np.ones(grid.size, dtype=complex)
+    for a in rs.positive_roots_0:
+        delta *= 2j * np.sin(grid.angles(rs.root_coords(a)) / 2.0)
+    assert _same_bits(delta_values(rs, grid), delta)
+
+
+@pytest.mark.parametrize("label,rank,tops,m", [
+    ("A", 2, [(8, 8)], 74), ("B", 2, [(8, 8), (7, 7)], 110), ("BC", 2, [(6, 6)], 86),
+    ("G", 2, [(4, 4)], 102), ("C", 3, [(2, 2, 2)], 62), ("BC", 1, [(150,), (149,)], 606)])
+def test_orbit_first_rung_closed_form(label, rank, tops, m):
+    rs = build_root_system(label, rank)
+    weights = rs.saturated_weights(tops)
+    polys = [monomial_symmetric(rs, mu) for mu in weights]
+    assert orbit_first_rung(rs, weights) == first_rung(rs, [p.support() for p in polys]) == m
 
 
 def test_gram_matrix_matches_column_stack_formula(b2):

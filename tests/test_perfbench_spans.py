@@ -7,15 +7,19 @@ import inspect
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import alcove.harmonic as harmonic
+import alcove.qfun as qfun
 from alcove.harmonic import QuadratureGrid
 from alcove.orthopoly import MacdonaldParams, gram_schmidt
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+WORKLOADS = SPANS.with_name("workloads.py")
 
 
-def _load_spans(monkeypatch):
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+def _load_perfbench(monkeypatch, path=SPANS):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{path.stem}", path)
     module = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, module)
     spec.loader.exec_module(module)
@@ -23,7 +27,7 @@ def _load_spans(monkeypatch):
 
 
 def test_every_trace_target_resolves(monkeypatch):
-    spans = _load_spans(monkeypatch)
+    spans = _load_perfbench(monkeypatch)
     assert spans.TARGETS
     for t in spans.TARGETS:
         owner = importlib.import_module(f"alcove.{t.module}")
@@ -59,3 +63,32 @@ def test_gram_schmidt_reaches_gram_matrix_once_per_rung(b2, monkeypatch):
     assert len(built) >= 2 and gram_rungs == built
     assert system.grid_m == built[-1]
     assert set(eval_calls) == set(built)
+
+
+def test_gram_schmidt_reaches_qpochhammer_per_distinct_phase(b2, monkeypatch):
+    # every workload's traced run must see qfun.qpochhammer_inf fire; the
+    # Gram ladder still reaches it, through the measure, with at most one
+    # point per distinct phase of a root on the rung
+    workloads = _load_perfbench(monkeypatch, WORKLOADS)
+    assert all("qfun.qpochhammer_inf" in w.reaches for w in workloads.WORKLOADS.values())
+    rungs, calls = [], []
+    qpochhammer_inf = qfun.qpochhammer_inf
+
+    class RecordingGrid(QuadratureGrid):
+        def __init__(self, rs, M):
+            super().__init__(rs, M)
+            rungs.append(self)
+
+    def recording(z, q, tol=1e-15):
+        calls.append((rungs[-1], np.size(z)))
+        return qpochhammer_inf(z, q, tol)
+
+    spec = MacdonaldParams.create(b2, {1: 0.9, 2: 1.4}, 0.5).cspec()
+    monkeypatch.setattr(harmonic, "QuadratureGrid", RecordingGrid)
+    monkeypatch.setattr(qfun, "qpochhammer_inf", recording)
+    gram_schmidt(b2, spec, [(2, 2)])
+    assert len(rungs) >= 2 and {grid for grid, _ in calls} == set(rungs)
+    for grid, points in calls:
+        phases = max(len(np.unique(grid.index @ np.asarray(b2.root_coords(a))))
+                     for a in b2.positive_roots_1)
+        assert points <= phases < grid.size

@@ -21,6 +21,16 @@ def test_qpochhammer_vectorized():
         assert abs(qpochhammer_inf(complex(zi), 0.4) - vi) < 1e-14
 
 
+def test_qpochhammer_bits_do_not_depend_on_array_size():
+    # numpy's temporary elision would reorder an unwritten product order
+    # above 256 KiB; 40,000 points are 625 KiB
+    z = 0.5 ** 0.9 * np.exp(-2j * np.pi * np.arange(40000) / 40000)
+    whole = qpochhammer_inf(z, 0.5)
+    chunks = np.concatenate([qpochhammer_inf(z[i:i + 1000], 0.5)
+                             for i in range(0, z.size, 1000)])
+    assert np.array_equal(whole.view(float), chunks.view(float))
+
+
 def test_unit_cfunction():
     c = UnitC()
     assert c.eval(0.3 + 0.9j) == 1.0

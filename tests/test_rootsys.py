@@ -474,6 +474,31 @@ def test_grid_exponentials_come_from_one_table():
                harmonic.read_text().splitlines()[table.lineno - 1:table.end_lineno])
 
 
+WHOLE_GRID_CFUNCTION = (re.compile(r"_eval_raw\(|shat_sqrt\("),
+                        re.compile(r"\.exponential\(|\.angles\("))
+
+
+def test_grid_cfunctions_read_one_table_per_root():
+    # a c-function on the grid is a function of each root's integer phase,
+    # evaluated once per distinct phase through QuadratureGrid.phase_values;
+    # smatrix_factor_direct stays on the whole grid as the independent side
+    # of the direct-against-factorized S-matrix check
+    src = Path(alcove.__file__).parent
+    hits = []
+    for path in sorted(src.glob("*.py")):
+        text = path.read_text()
+        lines = text.splitlines()
+        for node in ast.parse(text).body:
+            defs = node.body if isinstance(node, ast.ClassDef) else [node]
+            for fn in defs:
+                if not isinstance(fn, ast.FunctionDef) or fn.name == "smatrix_factor_direct":
+                    continue
+                body = "\n".join(lines[fn.lineno - 1:fn.end_lineno])
+                if all(pattern.search(body) for pattern in WHOLE_GRID_CFUNCTION):
+                    hits.append(f"{path.name}: {fn.name}")
+    assert not hits
+
+
 REMOVED_DUPLICATES = re.compile(
     r"_exact_unit_factorization|_ip_on_grid|KoornwinderLongC|eval_coords"
     r"|cfun_taylor|_big_factorial")
