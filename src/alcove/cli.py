@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -50,11 +51,15 @@ class ConfigError(ValueError):
 
 
 def _number(value, key: str, kind=float):
-    """kind(value) for the config value at key, or a ConfigError."""
+    """kind(value) for the config value at key, or a ConfigError; NaN and
+    +-Infinity are refused."""
     try:
-        return kind(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{key} must be a number, got {value!r}") from exc
+        out = kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{key} must be a finite number, got {value!r}") from exc
+    if isinstance(out, float) and not math.isfinite(out):
+        raise ConfigError(f"{key} must be a finite number, got {value!r}")
+    return out
 
 
 def _numbers(values, key: str, kind=float) -> list:
@@ -334,8 +339,11 @@ SUITES = {
 def cmd_verify(args) -> int:
     cfg = load_config(args.config) if args.config else {}
     if args.tol:
+        given = cfg.setdefault("tolerances", {})
+        if not isinstance(given, dict):
+            raise ConfigError(f"tolerances must be an object, got {given!r}")
         try:
-            cfg.setdefault("tolerances", {}).update(json.loads(args.tol))
+            given.update(json.loads(args.tol))
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"--tol must be a JSON object: {exc}") from exc
     rs, params, spec = build_system(cfg)

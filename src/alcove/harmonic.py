@@ -524,18 +524,19 @@ def orbit_first_rung(rs: RootSystem, weights) -> int:
     return 2 * (2 * max(map(rs.orbit_reach, weights)) + 2 * rs.orbit_reach(rs.rho_coords)) + 2
 
 
-def gram_ladder(polys, spec: CFunctionSpec, tol: float, max_m: int):
+def gram_ladder(polys, spec: CFunctionSpec, m: int, tol: float, max_m: int):
     """(Gram, M): the Gram matrix of polys on the doubling ladder of grids.
 
-    M doubles from first_rung until two successive Gram matrices agree within
-    tol * (1 + max|G|); the first rung is exact for unit weights.  No grid
-    above max_m is built, and no rung whose arrays would exceed
-    GRAM_BYTES_BUDGET.  Each rung's values become the even points of the
-    next (see refine_rung), so every grid point is evaluated once; the
-    coarse rung is dropped before the odd points are evaluated.
+    M doubles from the caller's first rung m (first_rung of the polys, or
+    orbit_first_rung of their weights for orbit sums) until two successive
+    Gram matrices agree within tol * (1 + max|G|); the first rung is exact
+    for unit weights.  No grid above max_m is built, and no rung whose
+    arrays would exceed GRAM_BYTES_BUDGET.  Each rung's values become the
+    even points of the next (see refine_rung), so every grid point is
+    evaluated once; the coarse rung is dropped before the odd points are
+    evaluated.
     """
     rs = polys[0].rs
-    m = first_rung(rs, [p.support() for p in polys])
     gram = vals = None
     while m <= max_m:
         _check_gram_bytes(rs, len(polys), m)
@@ -604,7 +605,8 @@ def inner_product(f: LaurentPoly, g: LaurentPoly, spec: CFunctionSpec,
                   tol: float = 1e-10, max_m: int = 4096) -> complex:
     """(f, g) with respect to the weight Delta |delta|^2, alcove-normalized:
     entry [0, 1] of the Gram matrix of [f, g] on the doubling ladder."""
-    gram, _ = gram_ladder([f, g], spec, tol, max_m)
+    gram, _ = gram_ladder([f, g], spec, first_rung(f.rs, [f.support(), g.support()]),
+                          tol, max_m)
     return complex(gram[0, 1])
 
 

@@ -419,7 +419,7 @@ def gram_schmidt(rs: RootSystem, spec: CFunctionSpec, tops, order=None,
                          dtype=float)
         return OrthoPolySystem(rs, spec, weights, monos, coeff, m, 1.0)
 
-    gram, m = gram_ladder(monos, spec, tol, max_m)
+    gram, m = gram_ladder(monos, spec, m, tol, max_m)
     gram = 0.5 * (gram.real + gram.real.T)
     try:
         chol = np.linalg.cholesky(gram)

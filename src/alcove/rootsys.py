@@ -7,7 +7,9 @@ exact.  Weights are handled as integer coordinate tuples in the
 fundamental-weight basis throughout; the Euclidean vector of a weight is
 recovered with :meth:`RootSystem.weight_vector`.
 
-``Fraction`` is used to construct the data.  The floating-point and integer
+``Fraction`` arithmetic builds the simple roots, their coroots and the
+fundamental weights; every root is an integer Weyl orbit of a simple root
+or Q+ generator, read back as an exact vector.  The floating-point and integer
 paths read views built once per system: float arrays of the roots, coroots
 and squared lengths (each entry the correctly rounded exact value), the
 fundamental weights as integer numerators over one common denominator
@@ -76,10 +78,6 @@ def _sub(x: Vec, y: Vec) -> Vec:
     return tuple(a - b for a, b in zip(x, y))
 
 
-def _neg(x: Vec) -> Vec:
-    return tuple(-a for a in x)
-
-
 def _scale(c, x: Vec) -> Vec:
     c = Fraction(c)
     return tuple(c * a for a in x)
@@ -126,20 +124,6 @@ def _solve(mat: list[list[Fraction]], rhs: list[list[Fraction]]) -> list[list[Fr
                 f = a[r][col]
                 a[r] = [x - f * y for x, y in zip(a[r], a[col])]
     return [row[n:n + m] for row in a]
-
-
-def _reflection_matrix(alpha: Vec, dim: int) -> tuple[Vec, ...]:
-    av = coroot(alpha)
-    rows = []
-    for i in range(dim):
-        e = _unit(dim, i)
-        rows.append(_sub(e, _scale(av[i], alpha)))
-    # rows[i] holds the i-th row of the reflection acting on column vectors
-    return tuple(tuple(rows[j][i] for j in range(dim)) for i in range(dim))
-
-
-def _mat_vec(m: tuple[Vec, ...], v: Vec) -> Vec:
-    return tuple(dot(row, v) for row in m)
 
 
 def _mat_mul(a, b):
@@ -246,33 +230,6 @@ def _simple_root_data(label: str, rank: int):
     raise ValueError(f"unknown Cartan label {label!r}")
 
 
-def _reflection_closure(simples: list[Vec], dim: int) -> set[Vec]:
-    roots = set(simples) | {_neg(a) for a in simples}
-    refl = [_reflection_matrix(a, dim) for a in simples]
-    frontier = list(roots)
-    while frontier:
-        beta = frontier.pop()
-        for m in refl:
-            img = _mat_vec(m, beta)
-            if img not in roots:
-                roots.add(img)
-                frontier.append(img)
-    return roots
-
-
-def _bc_roots(n: int) -> set[Vec]:
-    roots: set[Vec] = set()
-    for i in range(n):
-        for s in (1, -1):
-            roots.add(_unit(n, i, s))
-            roots.add(_unit(n, i, 2 * s))
-        for j in range(i + 1, n):
-            for si in (1, -1):
-                for sj in (1, -1):
-                    roots.add(_add(_unit(n, i, si), _unit(n, j, sj)))
-    return roots
-
-
 class RootSystem:
     """Immutable Cartan datum for one irreducible (possibly nonreduced) type.
 
@@ -283,14 +240,7 @@ class RootSystem:
     def __init__(self, label: str, rank: int, *, _data=None):
         self.label = label
         self.rank = rank
-        if _data is not None:
-            dim, basis, gens, roots = _data
-        else:
-            dim, basis, gens = _simple_root_data(label, rank)
-            if label == "BC":
-                roots = _bc_roots(rank)
-            else:
-                roots = _reflection_closure(basis, dim)
+        dim, basis, gens = _data if _data is not None else _simple_root_data(label, rank)
         self.dim = dim
         self.simple_roots: tuple[Vec, ...] = tuple(basis)
         self.gen_simples: tuple[Vec, ...] = tuple(gens)
@@ -308,11 +258,35 @@ class RootSystem:
             for r in range(rank)
         )
 
+        # integer reflection action on fundamental-weight coordinates:
+        # r_i(c)_j = c_j - c_i * <b_i, b_j^vee>
+        self._refl_rows = tuple(
+            tuple(int(dot(basis[i], self.basis_coroots[j])) for j in range(rank))
+            for i in range(rank)
+        )
+        # integer view of the weights: omega_r = _weight_num[r] / _weight_den
+        num, self._weight_den = _over_common_denominator(self.fundamental_weights)
+        self._weight_num = _frozen(np.array(num, dtype=np.int64).reshape(rank, dim))
+
+        # every root is W-conjugate to a simple root or, on BC_N, to a Q+
+        # generator (the short e_i): the roots are the integer Weyl orbits of
+        # these, read back as exact vectors over the weights' denominator
+        orbits: set[Coords] = set()
+        for a in (*basis, *gens):
+            c = self.vector_coords(a)
+            if c not in orbits:
+                orbits |= self.weyl_orbit(c)
+        coords = list(orbits)
+        amb = (np.array(coords, dtype=np.int64) @ self._weight_num).tolist()
+        self._root_coords: dict[Vec, Coords] = {
+            tuple(Fraction(x, self._weight_den) for x in row): c
+            for row, c in zip(amb, coords)}
+
         regular = self.fundamental_weights[0]
         for w in self.fundamental_weights[1:]:
             regular = _add(regular, w)
 
-        self.roots: tuple[Vec, ...] = tuple(sorted(roots))
+        self.roots: tuple[Vec, ...] = tuple(sorted(self._root_coords))
         self.positive_roots: tuple[Vec, ...] = tuple(
             a for a in self.roots if dot(a, regular) > 0)
         rootset = set(self.roots)
@@ -327,12 +301,6 @@ class RootSystem:
         self.rho: Vec = _scale(Fraction(1, 2), rho)
         self.rho_coords: Coords = self.vector_coords(self.rho)
 
-        # integer reflection action on fundamental-weight coordinates:
-        # r_i(c)_j = c_j - c_i * <b_i, b_j^vee>
-        self._refl_rows = tuple(
-            tuple(int(dot(basis[i], self.basis_coroots[j])) for j in range(rank))
-            for i in range(rank)
-        )
         # Weyl elements by word, seeded with the identity and the simple
         # reflections (involutions, so each is its own inverse)
         ident = tuple(tuple(int(i == j) for j in range(rank)) for i in range(rank))
@@ -342,12 +310,15 @@ class RootSystem:
             refl = tuple(tuple(ident[j][r] - ident[r][i] * row[j] for r in range(rank))
                          for j in range(rank))
             self._elements[(i,)] = WeylElement((i,), refl, refl)
-        self._root_coords = {a: self.vector_coords(a) for a in self.roots}
+        # coroots in roots order, and over the positive roots
+        self._coroots = tuple(coroot(a) for a in self.roots)
+        coroot_of = dict(zip(self.roots, self._coroots))
+        pos_coroots = [coroot_of[a] for a in self.positive_roots]
         # pairing table <omega_j, alpha^vee> over positive roots (integers),
         # and its rows over R0+
         self._pos_coroot_pairings = tuple(
-            tuple(int(dot(w, coroot(a))) for w in self.fundamental_weights)
-            for a in self.positive_roots)
+            tuple(int(dot(w, av)) for w in self.fundamental_weights)
+            for av in pos_coroots)
         reduced = set(self.positive_roots_0)
         self._pos0_coroot_pairings = tuple(
             row for a, row in zip(self.positive_roots, self._pos_coroot_pairings)
@@ -364,9 +335,6 @@ class RootSystem:
         # <mu, 2 rho^vee> = sum_j mu_j _two_rho_vee[j]
         self._two_rho_vee = tuple(sum(col) for col in zip(*self._pos_coroot_pairings))
 
-        # integer view of the weights: omega_r = _weight_num[r] / _weight_den
-        num, self._weight_den = _over_common_denominator(self.fundamental_weights)
-        self._weight_num = _frozen(np.array(num, dtype=np.int64).reshape(rank, dim))
         # Q+ expansion of a weight mu over the generators is
         # mu @ _qplus_num.T / _qplus_den: the Gram solve of the generators
         # applied to each fundamental weight
@@ -380,15 +348,12 @@ class RootSystem:
 
         # float views aligned with the tuples of exact vectors
         self.roots_f = _float_rows(self.roots, dim)
-        self._coroots = tuple(coroot(a) for a in self.roots)
         self.coroots_f = _float_rows(self._coroots, dim)
         self.root_len2 = _len2s(self.roots)
         self.positive_roots_f = _float_rows(self.positive_roots, dim)
-        self.positive_coroots_f = _float_rows(
-            [coroot(a) for a in self.positive_roots], dim)
+        self.positive_coroots_f = _float_rows(pos_coroots, dim)
         self.positive_len2 = _len2s(self.positive_roots)
-        self.positive_coroot_len2 = _len2s(
-            [coroot(a) for a in self.positive_roots])
+        self.positive_coroot_len2 = _len2s(pos_coroots)
         self.positive_roots_0_f = _float_rows(self.positive_roots_0, dim)
         self.positive_roots_1_f = _float_rows(self.positive_roots_1, dim)
         self.positive_1_len2 = _len2s(self.positive_roots_1)
@@ -489,21 +454,31 @@ class RootSystem:
                     frontier.append(img)
         return seen
 
+    def dominantize(self, coords, tol: float = 0.0):
+        """(image, word): reflect in the first coordinate below -tol until
+        none is left.  element(reversed(word)) maps coords to image.
+
+        coords are integer weight coordinates, or floats such as
+        basis_coroots_f @ v for a real vector v.  Each reflection removes one
+        root of R0+ pairing negatively, so the word has at most |R0+| letters.
+        """
+        cur = tuple(coords)
+        word = []
+        while True:
+            i = next((j for j, c in enumerate(cur) if c < -tol), None)
+            if i is None:
+                return cur, tuple(word)
+            cur = self.simple_reflection_coords(i, cur)
+            word.append(i)
+
     def dominant_representative(self, mu: Coords):
         """Dominantize mu; returns (lam, sign, stabilizer_trivial).
 
         sign is the parity of the number of simple reflections applied, which
         equals det(w_mu) whenever mu is regular.
         """
-        cur = mu
-        sign = 1
-        while True:
-            i = next((j for j, c in enumerate(cur) if c < 0), None)
-            if i is None:
-                break
-            cur = self.simple_reflection_coords(i, cur)
-            sign = -sign
-        return cur, sign, all(c != 0 for c in cur)
+        lam, word = self.dominantize(mu)
+        return lam, -1 if len(word) % 2 else 1, all(c != 0 for c in lam)
 
     def element(self, word) -> WeylElement:
         """The Weyl element r_{i_1} ... r_{i_k} of the word (i_1, ..., i_k)."""
@@ -545,18 +520,7 @@ class RootSystem:
 
     def longest_element(self) -> WeylElement:
         """w_0, found by dominantizing the negative of a regular weight."""
-        cur = (-1,) * self.rank
-        word = []
-        while True:
-            i = next((j for j, c in enumerate(cur) if c < 0), None)
-            if i is None:
-                break
-            cur = self.simple_reflection_coords(i, cur)
-            word.append(i)
-        # r_{i_k} ... r_{i_1} applied left-to-right on the weight
-        w = self.element(reversed(word))
-        assert all(c >= 0 for c in w.act((-1,) * self.rank))
-        return w
+        return self.element(reversed(self.dominantize((-1,) * self.rank)[1]))
 
     def minus_one_in_weyl_group(self) -> bool:
         eye = range(self.rank)
@@ -566,22 +530,18 @@ class RootSystem:
     # -- distinguished weights -------------------------------------------
 
     def minuscule_weights(self) -> list[Coords]:
-        out = []
-        for r in range(self.rank):
-            w = self.fundamental_weights[r]
-            if all(dot(w, coroot(a)) <= 1 for a in self.positive_roots):
-                out.append(tuple(1 if j == r else 0 for j in range(self.rank)))
-        return out
+        """The fundamental weights pairing to at most 1 with every positive
+        coroot."""
+        top = self.coroot_pairings[self.positive_rows].max(axis=0)
+        return [tuple(int(j == r) for j in range(self.rank))
+                for r in range(self.rank) if top[r] <= 1]
 
     def quasi_minuscule_weight(self) -> Coords:
         """The unique short dominant root (alpha_0 with alpha_0^vee maximal)."""
-        dominant_roots = [a for a in self.positive_roots
-                          if self.is_dominant(self.vector_coords(a))]
-        pi = min(dominant_roots, key=lambda a: dot(a, a))
-        pic = self.vector_coords(pi)
-        assert all(dot(self.weight_vector(pic), coroot(a)) <= 1
-                   for a in self.positive_roots if a != pi)
-        return pic
+        coords = [self._root_coords[a] for a in self.positive_roots]
+        k = min((k for k, c in enumerate(coords) if self.is_dominant(c)),
+                key=lambda k: self.positive_len2[k])
+        return coords[k]
 
     def index_of_root_lattice(self) -> int:
         """|P/Q| from the Q+ generators expressed in weight coordinates."""
@@ -597,10 +557,9 @@ class RootSystem:
             # {e_i, 2e_i, e_i +- e_j} is closed under alpha -> alpha^vee
             return self
         if self._dual is None:
-            basis = [coroot(a) for a in self.simple_roots]
-            roots = _reflection_closure(basis, self.dim)
-            data = (self.dim, basis, basis, roots)
-            self._dual = RootSystem(self.label + "v", self.rank, _data=data)
+            basis = self.basis_coroots
+            self._dual = RootSystem(self.label + "v", self.rank,
+                                    _data=(self.dim, basis, basis))
         return self._dual
 
     _dual = None

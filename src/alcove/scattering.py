@@ -343,17 +343,8 @@ class ScatteringContext:
         """The Weyl element taking grad E at grid point k into the open chamber."""
         if not self.regular_mask[k]:
             raise RegularSectorError(f"grid point {k} is not in the regular sector")
-        v = self.gradient[k].copy()
-        word = []
-        for _ in range(4 * len(self.rs.positive_roots) + 4):
-            pair = self.rs.basis_coroots_f @ v
-            i = int(np.argmin(pair))
-            if pair[i] > -REGULARITY_TOL:
-                break
-            word.append(i)
-            v = v - pair[i] * self.rs.simple_roots_f[i]
-        else:
-            raise RegularSectorError("dominantization of grad E did not converge")
+        _, word = self.rs.dominantize((self.rs.basis_coroots_f @ self.gradient[k]).tolist(),
+                                      REGULARITY_TOL)
         return self.rs.element(reversed(word))
 
     def regular_sector_element(self, k: int) -> WeylElement:

@@ -289,6 +289,18 @@ def test_unknown_suite(tmp_path):
     (["verify"], {"tolerances": {"norms": float("nan")}}),
     (["verify", "--tol", '{"orthonormality": NaN}'], {}),
     (["verify"], {"tolerances": {"orthonormality": -1e-8}}),
+    # --tol merged into tolerances that are not an object
+    (["verify", "--tol", '{"free": 0}'], {"tolerances": [1]}),
+    # numbers that are not finite (json.dumps writes NaN and Infinity)
+    (["verify"], {"cfunctions": {"family": "macdonald", "g": float("nan"), "q": 0.5}}),
+    (["export", "polynomials"], {"cfunctions": {"family": "macdonald",
+                                                "g": float("inf"), "q": 0.5}}),
+    (["export", "polynomials"], {"root_system": {"label": "BC", "rank": 1},
+                                 "cfunctions": {"family": "koornwinder", "ghat": float("inf"),
+                                                "g0123": [0.9, 0.7, 0.6, 0.8]}}),
+    (["scatter", "--ray"], {"grid": {"M": float("inf")}}),
+    (["scatter", "--evolve"], {"task": {"evolve": {"radius": float("nan")}}}),
+    (["scatter", "--evolve"], {"task": {"evolve": {"times": [4, float("nan")]}}}),
 ])
 def test_bad_task_values_are_config_errors(tmp_path, argv, patch):
     base = {"root_system": {"label": "A", "rank": 1},

@@ -314,6 +314,22 @@ def test_orbit_first_rung_closed_form(label, rank, tops, m):
     assert orbit_first_rung(rs, weights) == first_rung(rs, [p.support() for p in polys]) == m
 
 
+@pytest.mark.parametrize("label", ["B", "BC"])
+def test_gram_schmidt_passes_its_first_rung_to_the_ladder(label, monkeypatch):
+    # the orbit path hands the closed-form first rung, already checked
+    # against the byte budget, to the ladder; no support union is built
+    import alcove.harmonic as harmonic
+    rs, spec, _ = _ladder_case(label, 2)
+
+    def refuse(*args):
+        raise AssertionError("first_rung called on the orbit path")
+
+    monkeypatch.setattr(harmonic, "first_rung", refuse)
+    system = gram_schmidt(rs, spec, [(3, 3)])
+    m0 = orbit_first_rung(rs, system.weights)
+    assert system.grid_m in (m0, 2 * m0, 4 * m0, 8 * m0)
+
+
 def test_gram_matrix_matches_column_stack_formula(b2):
     spec = MacdonaldParams.create(b2, {1: 0.9, 2: 1.4}, 0.5).cspec()
     system = gram_schmidt(b2, spec, [(3, 3)])
@@ -364,7 +380,7 @@ def test_ladder_gram_matches_fresh_grid_bitwise(label, rank, monkeypatch):
 
     monkeypatch.setattr(harmonic, "gram_matrix", recording)
     with pytest.raises(QuadratureError):
-        gram_ladder(polys, spec, 0.0, 4 * m0)
+        gram_ladder(polys, spec, m0, 0.0, 4 * m0)
     assert [m for m, _ in seen] == [m0, 2 * m0, 4 * m0]
     for m, gram in seen:
         assert _same_bits(gram, gram_matrix(polys, spec, QuadratureGrid(rs, m)))
@@ -388,7 +404,7 @@ def test_ladder_evaluates_each_point_once(label, rank, monkeypatch):
 
     monkeypatch.setattr(QuadratureGrid, "eval_terms", counting)
     with pytest.raises(QuadratureError):
-        gram_ladder(polys, spec, 0.0, last)
+        gram_ladder(polys, spec, m0, 0.0, last)
     for count in hits.values():
         assert np.all(count == 1)
 
@@ -439,7 +455,7 @@ def test_gram_ladder_holds_values_and_one_block(b2):
     tracemalloc.start()
     try:
         with pytest.raises(QuadratureError):
-            gram_ladder(polys, spec, 0.0, 2 * m0)
+            gram_ladder(polys, spec, m0, 0.0, 2 * m0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -462,7 +478,7 @@ def test_gram_budget_is_checked_before_a_rung_allocates(b2, monkeypatch):
 
     monkeypatch.setattr(harmonic, "QuadratureGrid", RecordingGrid)
     with pytest.raises(BudgetExceededError) as err:
-        gram_ladder(polys, spec, 0.0, 4 * m0)
+        gram_ladder(polys, spec, m0, 0.0, 4 * m0)
     assert built == [m0]
     required = gram_bytes(43, (2 * m0) ** 2)
     assert err.value.required == required

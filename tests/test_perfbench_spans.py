@@ -4,6 +4,9 @@ passes through the spans the benchmark requires, checked in process."""
 import importlib
 import importlib.util
 import inspect
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -14,7 +17,8 @@ import alcove.qfun as qfun
 from alcove.harmonic import QuadratureGrid
 from alcove.orthopoly import MacdonaldParams, gram_schmidt
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+ROOT = Path(__file__).resolve().parents[1]
+SPANS = ROOT / "perfbench" / "spans.py"
 WORKLOADS = SPANS.with_name("workloads.py")
 
 
@@ -92,3 +96,30 @@ def test_gram_schmidt_reaches_qpochhammer_per_distinct_phase(b2, monkeypatch):
         phases = max(len(np.unique(grid.index @ np.asarray(b2.root_coords(a))))
                      for a in b2.positive_roots_1)
         assert points <= phases < grid.size
+
+
+
+def test_every_required_span_fires(tmp_path, monkeypatch):
+    # each run of every workload's tiny configuration goes through the
+    # benchmark's own traced child; every span the workload requires fires
+    workloads = _load_perfbench(monkeypatch, WORKLOADS).WORKLOADS
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "OPENBLAS_NUM_THREADS": "1"}
+    silent = {}
+    for name, workload in workloads.items():
+        base = tmp_path / name
+        out = base / "out"
+        out.mkdir(parents=True)
+        config = base / "config.json"
+        config.write_text(json.dumps(workload.config(3, tiny=True)))
+        fired = set()
+        for i, run in enumerate(workload.runs(str(config), out)):
+            spans = base / f"spans{i}.json"
+            proc = subprocess.run(
+                [sys.executable, str(ROOT / "perfbench" / "trace_child.py"), str(spans),
+                 f"{name}.{i}", "--", *run.argv],
+                cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, f"{name}: {proc.stderr}"
+            dump = json.loads(spans.read_text())
+            fired.update(dump["names"][span[1]] for span in dump["spans"])
+        silent[name] = sorted(set(workload.reaches) - fired)
+    assert silent and not any(silent.values()), silent

@@ -530,3 +530,84 @@ def test_one_factor_list_per_root():
             if FACTOR_COPIES.search(line)]
     assert not hits
     assert FACTOR_COPIES.search((src / "rank1.py").read_text())
+
+
+# -- roots as integer orbits, one dominantization ------------------------------
+
+
+def _exact_reflection_closure(rs):
+    """The simple roots and Q+ generators closed under the exact reflections
+    v - <v, a^vee> a in the simple roots, on Fraction vectors."""
+    pairs = list(zip(rs.simple_roots, rs.basis_coroots))
+    roots = set(rs.simple_roots) | set(rs.gen_simples)
+    roots |= {tuple(-x for x in a) for a in roots}
+    frontier = list(roots)
+    while frontier:
+        beta = frontier.pop()
+        for a, av in pairs:
+            c = dot(beta, av)
+            img = tuple(x - c * y for x, y in zip(beta, a))
+            if img not in roots:
+                roots.add(img)
+                frontier.append(img)
+    return roots
+
+
+@pytest.mark.parametrize("case", VIEW_TYPES + [("BC", 3), ("E", 7)], ids=_case_id)
+def test_roots_are_the_exact_reflection_closure(case):
+    rs = _view_system(case)
+    assert rs.roots == tuple(sorted(_exact_reflection_closure(rs)))
+    assert all(rs.root_coords(a) == rs.vector_coords(a) for a in rs.roots)
+
+
+@pytest.mark.parametrize("case", VIEW_TYPES, ids=_case_id)
+def test_dominantize_on_integer_boxes(case):
+    rs = _view_system(case)
+    reduced = set(rs.positive_roots_0)
+    pairings = rs.coroot_pairings[[k for k in rs.positive_rows if rs.roots[k] in reduced]]
+    for mu in _box(rs, 2 if rs.rank <= 4 else 1):
+        image, word = rs.dominantize(mu)
+        assert rs.is_dominant(image)
+        # each reflection removes one root of R0+ pairing negatively
+        assert len(word) == int(np.sum(pairings @ np.array(mu) < 0))
+        w = rs.element(reversed(word))
+        assert w.act(mu) == image
+        lam, sign, regular = rs.dominant_representative(mu)
+        assert lam == image and regular == all(image)
+        assert sign == _determinant([[Fraction(x) for x in row] for row in w.matrix])
+
+
+@pytest.mark.parametrize("case", VIEW_TYPES, ids=_case_id)
+def test_minuscule_weights_match_fraction_definitions(case):
+    rs = _view_system(case)
+    units = [tuple(int(j == r) for j in range(rs.rank)) for r in range(rs.rank)]
+    assert rs.minuscule_weights() == [
+        e for e, w in zip(units, rs.fundamental_weights)
+        if all(dot(w, coroot(a)) <= 1 for a in rs.positive_roots)]
+    # the shortest dominant root, which pairs to at most 1 with every other
+    # positive coroot
+    dominant = [a for a in rs.positive_roots
+                if all(dot(a, bv) >= 0 for bv in rs.basis_coroots)]
+    pi = min(dominant, key=lambda a: dot(a, a))
+    assert rs.quasi_minuscule_weight() == rs.vector_coords(pi)
+    assert all(dot(pi, coroot(a)) <= 1 for a in rs.positive_roots if a != pi)
+
+
+# the second reflection closure, the hand-listed BC_N roots and the float
+# dominantization loop of the sector elements, which RootSystem.dominantize
+# and the integer orbits replaced
+DUPLICATE_CHAMBER_CODE = re.compile(r"_reflection_closure|_bc_roots")
+
+
+def test_one_dominantization_and_integer_root_orbits():
+    src = Path(alcove.__file__).parent
+    hits = []
+    for path in sorted(src.glob("*.py")):
+        lines = path.read_text().splitlines()
+        for n, line in enumerate(lines, 1):
+            near = "\n".join(lines[max(n - 6, 0):n + 5])
+            if DUPLICATE_CHAMBER_CODE.search(line) or (
+                    path.name != "rootsys.py" and "argmin(" in line
+                    and "basis_coroots_f" in near):
+                hits.append(f"{path.name}:{n}: {line.strip()}")
+    assert not hits

@@ -261,6 +261,23 @@ def test_sector_labels_match_per_point_elements(label, monkeypatch):
         assert ctx.regular_sector_element(k).matrix == ctx.sector_element(k).matrix
 
 
+@pytest.mark.parametrize("label", ["A", "B", "G", "BC"])
+def test_sector_elements_map_gradients_into_the_open_chamber(label):
+    # RootSystem.dominantize with REGULARITY_TOL: at every regular point the
+    # element takes the coordinates <grad E, b_j^vee> to positive ones
+    rs = build_root_system(label, 2)
+    system = gram_schmidt(rs, unit_spec(rs), [(2, 2)])
+    table = WaveTable(system, QuadratureGrid(rs, 2 * _kernel_bandwidth(system) + 8))
+    ctx = ScatteringContext(table, orbit_symbol(rs, (1, 0)))
+    regular = np.nonzero(ctx.regular_mask)[0].tolist()
+    assert regular
+    coords = ctx.gradient @ rs.basis_coroots_f.T
+    for k in regular:
+        w = ctx.sector_element(k)
+        assert len(w.word) <= len(rs.positive_roots_0)
+        assert min(w.act(coords[k].tolist())) > 0
+
+
 def test_identity_sector_for_dominant_gradient(a1):
     # with the symbol -2cos the gradient is already dominant on (0, pi)
     par = MacdonaldParams.create(a1, 2.0, 0.5)
