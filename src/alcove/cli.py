@@ -52,13 +52,16 @@ class ConfigError(ValueError):
 
 def _number(value, key: str, kind=float):
     """kind(value) for the config value at key, or a ConfigError; NaN and
-    +-Infinity are refused."""
+    +-Infinity are refused, and for kind int so is a float with a fractional
+    part (8.0 reads as 8, 2.9 is refused rather than truncated)."""
     try:
         out = kind(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{key} must be a finite number, got {value!r}") from exc
     if isinstance(out, float) and not math.isfinite(out):
         raise ConfigError(f"{key} must be a finite number, got {value!r}")
+    if kind is int and isinstance(value, float) and out != value:
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
     return out
 
 
@@ -156,8 +159,10 @@ def tolerances(cfg: dict) -> dict:
         # compared as given, so a numeric string is refused too
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"tolerances.{key} must be a number, got {value!r}")
-        if not value >= 0:  # also refuses NaN, which would fail every check
-            raise ConfigError(f"tolerances.{key} must be nonnegative, got {value!r}")
+        # NaN would fail every check, and Infinity would pass every one
+        if not 0 <= value < math.inf:
+            raise ConfigError(f"tolerances.{key} must be finite and nonnegative, "
+                              f"got {value!r}")
     out.update(given)
     return out
 
@@ -198,9 +203,10 @@ def _report(out_path, payload, cfg):
 
 
 def _suite_appendix_a(rs, params, spec, cfg, tol):
+    import random
     if not isinstance(params, MacdonaldParams):
         raise ConfigError("suite appendixA needs a macdonald c-function family")
-    rng = np.random.default_rng(_number(cfg.get("seed", 0), "seed", int))
+    rng = random.Random(_number(cfg.get("seed", 0), "seed", int))
     n_xi = _nonnegative(cfg.get("n_spectral_points", 20), "n_spectral_points")
     n_lam = _nonnegative(cfg.get("max_lambdas", 3), "max_lambdas")
     tops = weight_tops(cfg, rs)
@@ -234,30 +240,35 @@ def _suite_appendix_a(rs, params, spec, cfg, tol):
                 tol["symmetry"])
     dual_minuscule = dual.rs.minuscule_weights()
     for pim in dual_minuscule:
-        xi = rng.uniform(0.2, 2.0, size=rs.dim)
+        xi = _uniform_point(rs, rng, 0.2, 2.0)
         add(f"macdonald identity {pim}",
             macdonald_identity_residual(params, pim, xi), tol["macdonald_identity"])
     dual_pis = dual_minuscule + [dual.rs.quasi_minuscule_weight()]
+    pieri_pis = minus + [pi]
     for lam in test_lams[:n_lam]:
+        # the weight's points first, then each identity once over all of them
+        xis = np.reshape([_regular_point(rs, rng) for _ in range(n_xi)], (n_xi, rs.dim))
+        diff = [difference_equation_residual(params, system, lam, xis, pim)
+                for pim in dual_pis]
+        pieri = [pieri_residual(params, system, lam, xis, pip) for pip in pieri_pis]
         for k in range(n_xi):
-            xi = _regular_point(rs, rng)
-            for pim in dual_pis:
-                add(f"difference eq {lam} pi={pim} #{k}",
-                    difference_equation_residual(params, system, lam, xi, pim),
+            for pim, res in zip(dual_pis, diff):
+                add(f"difference eq {lam} pi={pim} #{k}", res[k],
                     tol["difference_equation"])
-            for pip in (minus + [pi]):
-                add(f"pieri {lam} pi={pip} #{k}",
-                    pieri_residual(params, system, lam, xi, tuple(pip)),
-                    tol["pieri"])
+            for pip, res in zip(pieri_pis, pieri):
+                add(f"pieri {lam} pi={pip} #{k}", res[k], tol["pieri"])
     return checks
+
+
+def _uniform_point(rs, rng, low: float, high: float) -> np.ndarray:
+    """One ambient point, each coordinate drawn uniformly from low to high."""
+    return np.array([rng.uniform(low, high) for _ in range(rs.dim)])
 
 
 def _regular_point(rs, rng):
     for _ in range(REGULAR_POINT_TRIES):
-        xi = rng.uniform(0.2, 2.2, size=rs.dim)
-        ok = all(abs(np.sin(0.5 * float(np.dot(av, xi)))) > 0.08
-                 for av in rs.roots_f)
-        if ok:
+        xi = _uniform_point(rs, rng, 0.2, 2.2)
+        if np.all(np.abs(np.sin(0.5 * (rs.roots_f @ xi))) > 0.08):
             return xi
     raise RuntimeError("could not sample a point away from the singular set")
 

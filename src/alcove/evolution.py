@@ -84,7 +84,7 @@ class WavePacket:
         self.values = vals
         self.support = np.nonzero(vals)[0]
 
-        labels = np.unique(ctx.sector_labels[self.support]).tolist()
+        labels = sorted(set(ctx.sector_labels[self.support].tolist()))
         if len(labels) != 1:
             raise PacketError(
                 "support meets several sector components: "

@@ -113,17 +113,14 @@ class LaurentPoly:
                                      dtype=complex))
         return self._arrays
 
-    def eval_at(self, xi) -> complex:
-        """Evaluate at one point; xi is an ambient vector (may be complex)."""
+    def evaluate(self, points):
+        """The values at ambient points, which may be complex: a complex for
+        one point of shape (dim,), an array of shape (...) for points of
+        shape (..., dim).  One exp and one matmul over all points and terms."""
         vecs, coeffs = self._vectors()
-        return complex(coeffs @ np.exp(1j * (vecs @ np.asarray(xi, dtype=complex))))
-
-    def eval_shifted(self, xi_real, shift, s: float) -> complex:
-        """Evaluate at xi + i*s*shift for real xi and a real shift vector."""
-        vecs, coeffs = self._vectors()
-        xi = np.asarray(xi_real, dtype=float)
-        sh = np.asarray(shift, dtype=float)
-        return complex(coeffs @ np.exp(1j * (vecs @ xi) - s * (vecs @ sh)))
+        points = np.asarray(points, dtype=complex)
+        values = np.exp(1j * (points @ vecs.T)) @ coeffs
+        return complex(values) if points.ndim == 1 else values
 
     def prune(self, tol: float) -> "LaurentPoly":
         return LaurentPoly(self.rs, {mu: c for mu, c in self.terms.items()
@@ -292,6 +289,15 @@ class _Scratch:
                 self.roots[:count].reshape(points, width))
 
 
+def _check_grid_points(rs: RootSystem, M: int) -> None:
+    points = M ** rs.rank
+    if points > GRID_POINT_BUDGET:
+        raise BudgetExceededError(
+            f"quadrature grid of {rs._name()} at M={M} "
+            f"({points * rs.rank * 8} bytes of indices)", points, GRID_POINT_BUDGET,
+            "points")
+
+
 class QuadratureGrid:
     """Uniform M^N grid on the torus E / 2pi Q^vee.
 
@@ -307,12 +313,7 @@ class QuadratureGrid:
         self.rs = rs
         self.M = int(M)
         n = rs.rank
-        points = self.M ** n
-        if points > GRID_POINT_BUDGET:
-            raise BudgetExceededError(
-                f"quadrature grid of {rs._name()} at M={self.M} "
-                f"({points * n * 8} bytes of indices)", points, GRID_POINT_BUDGET,
-                "points")
+        _check_grid_points(rs, self.M)
         idx = np.indices((self.M,) * n).reshape(n, -1).T
         self.index = np.ascontiguousarray(idx, dtype=np.int64)
         self.size = self.index.shape[0]
@@ -531,12 +532,14 @@ def gram_ladder(polys, spec: CFunctionSpec, m: int, tol: float, max_m: int):
     orbit_first_rung of their weights for orbit sums) until two successive
     Gram matrices agree within tol * (1 + max|G|); the first rung is exact
     for unit weights.  No grid above max_m is built, and no rung whose
-    arrays would exceed GRAM_BYTES_BUDGET.  Each rung's values become the
-    even points of the next (see refine_rung), so every grid point is
-    evaluated once; the coarse rung is dropped before the odd points are
-    evaluated.
+    arrays would exceed GRAM_BYTES_BUDGET; a ladder that cannot reach its
+    second rung is refused before the first (see check_ladder).  Each
+    rung's values become the even points of the next (see refine_rung), so
+    every grid point is evaluated once; the coarse rung is dropped before
+    the odd points are evaluated.
     """
     rs = polys[0].rs
+    check_ladder(rs, spec, len(polys), m, max_m)
     gram = vals = None
     while m <= max_m:
         _check_gram_bytes(rs, len(polys), m)
@@ -556,6 +559,20 @@ def gram_bytes(n: int, size: int) -> int:
     """Bytes of one rung of the Gram ladder: the (n, size) complex values
     and the largest weighted row block of gram_matrix."""
     return 16 * size * (n + _block_rows(_row_blocks(n)))
+
+
+def check_ladder(rs: RootSystem, spec: CFunctionSpec, n: int, m: int,
+                 max_m: int) -> None:
+    """Refuse a Gram ladder of n polynomials from the first rung m before
+    anything is built.  A non-unit ladder compares two rungs, so it always
+    builds the rung 2m too: the bytes and grid points of both rungs are
+    checked, and each rung against max_m; a unit ladder stops at the first."""
+    for rung in (m,) if spec.is_unit else (m, 2 * m):
+        if rung > max_m:
+            raise QuadratureError(f"Gram ladder from M={m} needs M={rung}, "
+                                  f"above the largest grid M={max_m}")
+        _check_gram_bytes(rs, n, rung)
+        _check_grid_points(rs, rung)
 
 
 def _check_gram_bytes(rs: RootSystem, n: int, m: int) -> None:

@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .harmonic import (LaurentPoly, QuadratureGrid, _check_gram_bytes, gram_ladder,
+from .harmonic import (LaurentPoly, QuadratureGrid, check_ladder, gram_ladder,
                        laurent_divide, monomial_symmetric, orbit_first_rung,
                        weyl_character, weyl_denominator)
 from .qfun import (CFunctionSpec, koornwinder_factors, koornwinder_spec,
@@ -410,8 +410,9 @@ def gram_schmidt(rs: RootSystem, spec: CFunctionSpec, tops, order=None,
 
     m = orbit_first_rung(rs, weights)
     if not spec.is_unit:
-        # refuse an oversized first rung before any orbit is built
-        _check_gram_bytes(rs, len(weights), m)
+        # refuse a ladder that cannot reach its second rung before any
+        # orbit is built
+        check_ladder(rs, spec, len(weights), m, max_m)
     monos = [monomial_symmetric(rs, mu) for mu in weights]
     if spec.is_unit:
         chars = [weyl_character(rs, lam) for lam in weights]
@@ -438,8 +439,7 @@ def gram_schmidt(rs: RootSystem, spec: CFunctionSpec, tops, order=None,
 def specialization_residual(params: PolyParams, system: OrthoPolySystem, lam) -> float:
     """|P_lam(i s rho_g^vee) - 1| for the normalized polynomial."""
     p = system.pbold(params, lam)
-    val = p.eval_shifted(np.zeros(params.rs.dim), params.rho_g_vee(), params.s)
-    return abs(val - 1.0)
+    return abs(p.evaluate(1j * params.s * params.rho_g_vee()) - 1.0)
 
 
 def symmetry_residual(params: MacdonaldParams, system: OrthoPolySystem,
@@ -451,16 +451,28 @@ def symmetry_residual(params: MacdonaldParams, system: OrthoPolySystem,
     mu_vec = dparams.rs.float_weight(mu)
     p_r = system.pbold(params, lam)
     p_d = dual_system.pbold(dparams, mu)
-    lhs = p_r.eval_shifted(np.zeros(rs.dim), params.rho_g_vee() + mu_vec, params.s)
-    rhs = p_d.eval_shifted(np.zeros(rs.dim), dparams.rho_g_vee() + lam_vec, params.s)
+    lhs = p_r.evaluate(1j * params.s * (params.rho_g_vee() + mu_vec))
+    rhs = p_d.evaluate(1j * params.s * (dparams.rho_g_vee() + lam_vec))
     return abs(lhs - rhs)
 
 
-def _sin_pochhammer(z: complex, m: int, s: float) -> complex:
-    out = 1.0 + 0j
+def _sin_pochhammer(z: np.ndarray, m: int, s: float) -> np.ndarray:
+    """prod_{l < m} sin((z + i s l) / 2), elementwise in z."""
+    out = np.ones_like(z, dtype=complex)
     for l in range(m):
-        out *= cmath.sin(0.5 * (z + 1j * s * l))
+        out *= np.sin(0.5 * (z + 1j * s * l))
     return out
+
+
+def _points(xi, dim: int) -> np.ndarray:
+    """The spectral points of a residual as an (N, dim) float array; xi is
+    one point of shape (dim,) or N points of shape (N, dim)."""
+    return np.asarray(xi, dtype=float).reshape(-1, dim)
+
+
+def _per_point(residuals: np.ndarray, xi):
+    """A float for one point of shape (dim,), else the N residuals."""
+    return float(residuals[0]) if np.ndim(xi) == 1 else residuals
 
 
 def macdonald_identity_residual(params: MacdonaldParams, pi_dual, xi) -> float:
@@ -491,39 +503,39 @@ def macdonald_identity_residual(params: MacdonaldParams, pi_dual, xi) -> float:
 
 
 def difference_equation_residual(params: MacdonaldParams, system: OrthoPolySystem,
-                                 lam, xi, pi_dual) -> float:
-    """Residual of the Macdonald difference equation at one spectral point.
+                                 lam, xi, pi_dual):
+    """Residual of the Macdonald difference equation at the spectral points
+    xi: a float for one point of shape (dim,), N floats for (N, dim).
 
     pi_dual is a (quasi-)minuscule weight of the dual system; the equation
-    shifts the argument of P_lam by i s nu over the dual orbit.
+    shifts the argument of P_lam by i s nu over the dual orbit.  P_lam is
+    evaluated at every point and every shift in one batch, and the
+    eigenvalue once for all points.
     """
     rs = params.rs
     rsd = rs.dual()
-    xi = np.asarray(xi, dtype=float)
+    pts = _points(xi, rs.dim)
     s, q = params.s, params.q
-    p = system.pbold(params, lam)
     rho_g = params.rho_g()
     lam_vec = rs.float_weight(lam)
-    p_at = p.eval_at(xi)
     orbit = list(rsd.weyl_orbit(tuple(pi_dual)))
-    table = rs.coweight_pairings()
-    lhs = 0j
-    rhs = 0j
-    for nu, nu_vec in zip(orbit, rsd.float_weights(orbit)):
-        coeffv = 1.0 + 0j
-        for av, g, m in zip(rs.roots_f, params.g_roots, (table @ nu).tolist()):
-            if m > 0:
-                za = float(np.dot(xi, av))
-                num = _sin_pochhammer(1j * s * g + za, m, s)
-                den = _sin_pochhammer(za + 0j, m, s)
-                if abs(den) < 1e-12:
-                    raise ValueError("xi lies on a singular hyperplane")
-                coeffv *= num / den
-        shifted = p.eval_shifted(xi, nu_vec, s)
-        lhs += coeffv * (shifted - p_at)
-        rhs += (q ** float(np.dot(nu_vec, lam_vec + rho_g))
-                - q ** float(np.dot(nu_vec, rho_g))) * p_at
-    return abs(lhs - rhs)
+    nu_vecs = rsd.float_weights(orbit)
+    # column 0: P_lam(xi); column 1 + j: P_lam(xi + i s nu_j)
+    shifts = np.vstack([np.zeros(rs.dim), nu_vecs])
+    values = system.pbold(params, lam).evaluate(pts[:, None, :] + 1j * s * shifts)
+    p_at = values[:, 0]
+    coeffv = np.ones((len(pts), len(orbit)), dtype=complex)
+    za = pts @ rs.roots_f.T
+    pairings = rs.coweight_pairings() @ np.asarray(orbit, dtype=np.int64).T
+    for r, j in zip(*np.nonzero(pairings > 0)):
+        m = int(pairings[r, j])
+        den = _sin_pochhammer(za[:, r], m, s)
+        if np.any(np.abs(den) < 1e-12):
+            raise ValueError("xi lies on a singular hyperplane")
+        coeffv[:, j] *= _sin_pochhammer(1j * s * params.g_roots[r] + za[:, r], m, s) / den
+    lhs = np.sum(coeffv * (values[:, 1:] - p_at[:, None]), axis=1)
+    eigenvalue = np.sum(q ** (nu_vecs @ (lam_vec + rho_g)) - q ** (nu_vecs @ rho_g))
+    return _per_point(np.abs(lhs - eigenvalue * p_at), xi)
 
 
 def hop_factors(params: PolyParams, nu) -> tuple:
@@ -601,27 +613,27 @@ def functional_relation_residual(params: PolyParams, nu, x_vec) -> float:
     return abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
 
 
-def pieri_residual(params: PolyParams, system: OrthoPolySystem, lam, xi, pi) -> float:
-    """Residual of the recurrence (Pieri) relation at one spectral point."""
+def pieri_residual(params: PolyParams, system: OrthoPolySystem, lam, xi, pi):
+    """Residual of the recurrence (Pieri) relation at the spectral points xi:
+    a float for one point of shape (dim,), N floats for (N, dim).  Each
+    polynomial is evaluated at all points at once, and each hopping rate
+    once for all points."""
     rs = params.rs
-    xi = np.asarray(xi, dtype=float)
-    q = params.q
+    pts = _points(xi, rs.dim)
     lam = tuple(lam)
-    rho_g = params.rho_g()
-    rho_gv = params.rho_g_vee()
-    x = rho_g + rs.float_weight(lam)
-    p_at = system.pbold(params, lam).eval_at(xi)
-    lhs = 0j
-    rhs = 0j
-    for nu in rs.weyl_orbit(tuple(pi)):
-        nu_vec = rs.float_weight(nu)
-        lhs += (cmath.exp(1j * float(np.dot(nu_vec, xi)))
-                - q ** float(np.dot(nu_vec, rho_gv))) * p_at
+    orbit = list(rs.weyl_orbit(tuple(pi)))
+    nu_vecs = rs.float_weights(orbit)
+    x = params.rho_g() + rs.float_weight(lam)
+    p_at = system.pbold(params, lam).evaluate(pts)
+    symbol = np.sum(np.exp(1j * (pts @ nu_vecs.T)), axis=1)
+    lhs = (symbol - np.sum(params.q ** (nu_vecs @ params.rho_g_vee()))) * p_at
+    rhs = np.zeros(len(pts), dtype=complex)
+    for nu in orbit:
         lam_nu = tuple(a + b for a, b in zip(lam, nu))
         if rs.is_dominant(lam_nu):
             v = hopping_coefficient(params, nu, x)
-            rhs += v * (system.pbold(params, lam_nu).eval_at(xi) - p_at)
-    return abs(lhs - rhs)
+            rhs += v * (system.pbold(params, lam_nu).evaluate(pts) - p_at)
+    return _per_point(np.abs(lhs - rhs), xi)
 
 
 # ---------------------------------------------------------------------------

@@ -376,7 +376,7 @@ class ScatteringContext:
         out = np.zeros_like(vals)
         active = np.nonzero(vals)[0]
         labels = self.sector_labels[active]
-        for label in np.unique(labels).tolist():
+        for label in sorted(set(labels.tolist())):
             ks = active[labels == label]
             h = self._half_factor(self.sector_elements[label])
             if power == 0.5:

@@ -351,9 +351,9 @@ def test_acceptance_8_rank_one_oracle():
         pnorm = system.monic((ell,)) * nd.orthonormal_scale
         for x in xis:
             xv = np.array([x])
-            worst = max(worst, abs(pbold.eval_at(xv)
+            worst = max(worst, abs(pbold.evaluate(xv)
                                    - askey_wilson(ell, x, oracle)))
-            wgen = complex(pnorm.eval_at(xv)) * \
+            wgen = complex(pnorm.evaluate(xv)) * \
                 math.sqrt(H.weight_function_eval(kp.cspec(), xv)) * \
                 complex(H.eval_delta(bc1, xv))
             worst = max(worst, abs(wgen - 1j * rank1_wave(ell, x, oracle)))

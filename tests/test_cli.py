@@ -1,6 +1,10 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,6 +38,43 @@ def test_verify_appendix_a(tmp_path):
     assert rep["pass"] and rep["version"]
     assert all(c["pass"] for c in rep["checks"])
     assert rep["config"] == A2_MACDONALD  # provenance embedded
+
+
+def _appendix_a_names(lams, n_xi, n_lam):
+    """The check names of appendixA on A2, in report order."""
+    pis = ["(1, 0)", "(0, 1)", "(1, 1)"]
+    names = [f"specialization {lam}" for lam in lams]
+    names += [f"symmetry {a}|{b}" for a in pis[:2] for b in pis[:2]]
+    names += [f"macdonald identity {a}" for a in pis[:2]]
+    for lam in lams[:n_lam]:
+        for k in range(n_xi):
+            names += [f"difference eq {lam} pi={pi} #{k}" for pi in pis]
+            names += [f"pieri {lam} pi={pi} #{k}" for pi in pis]
+    return names
+
+
+@pytest.mark.parametrize("top,n_xi,n_lam,lams,count", [
+    ([1, 1], 3, 1, [(1, 1)], 25),
+    ([2, 2], 20, 3, [(1, 1), (0, 3), (3, 0), (2, 2)], 370),
+])
+def test_appendix_a_batches_keep_names_and_order(tmp_path, top, n_xi, n_lam, lams, count):
+    # each identity is evaluated once per weight over all its points; the
+    # checks are still reported point by point, and a run repeats to the byte
+    cfg = _cfg(tmp_path, "a2.json", {
+        "root_system": {"label": "A", "rank": 2},
+        "cfunctions": {"family": "macdonald", "g": 1.3059, "q": 0.5},
+        "weights": {"tops": [top]}, "seed": 3,
+        "n_spectral_points": n_xi, "max_lambdas": n_lam})
+    reports = []
+    for run in ("1", "2"):
+        out = tmp_path / f"rep{run}.json"
+        assert main(["verify", "--suite", "appendixA", "--config", cfg,
+                     "--out", str(out)]) == 0
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+    checks = json.loads(reports[0])["checks"]
+    assert [c["check"] for c in checks] == _appendix_a_names(lams, n_xi, n_lam)
+    assert len(checks) == count and all(c["pass"] for c in checks)
 
 
 def test_verify_orthonormality_and_smatrix(tmp_path):
@@ -289,6 +330,9 @@ def test_unknown_suite(tmp_path):
     (["verify"], {"tolerances": {"norms": float("nan")}}),
     (["verify", "--tol", '{"orthonormality": NaN}'], {}),
     (["verify"], {"tolerances": {"orthonormality": -1e-8}}),
+    # infinite tolerances, which no residual can fail
+    (["verify", "--tol", '{"orthonormality": Infinity}'], {}),
+    (["verify", "--suite", "appendixA"], {"tolerances": {"pieri": float("inf")}}),
     # --tol merged into tolerances that are not an object
     (["verify", "--tol", '{"free": 0}'], {"tolerances": [1]}),
     # numbers that are not finite (json.dumps writes NaN and Infinity)
@@ -308,6 +352,86 @@ def test_bad_task_values_are_config_errors(tmp_path, argv, patch):
     cfg = _cfg(tmp_path, "bad.json",
                {**base, **patch} if isinstance(patch, dict) else patch)
     assert main(argv + ["--config", cfg, "--out", str(tmp_path / "out")]) == 2
+
+
+@pytest.mark.parametrize("argv,patch,key", [
+    (["verify"], {"root_system": {"label": "A", "rank": 1.5}}, "root_system.rank"),
+    (["verify"], {"weights": {"max_height": 2.5}}, "weights.max_height"),
+    (["verify"], {"weights": {"tops": [[2.5]]}}, "weights.tops"),
+    (["scatter", "--ray"], {"grid": {"M": 40.5}}, "grid.M"),
+    (["scatter", "--ray"], {"task": {"ray": {"steps": 2.9}}}, "task.ray.steps"),
+    (["scatter", "--ray"], {"task": {"ray": {"direction": [1.5]}}}, "task.ray.direction"),
+    (["scatter", "--evolve"], {"task": {"evolve": {"sign": 1.5}}}, "task.evolve.sign"),
+    (["scatter", "--evolve"], {"task": {"evolve": {"lattice_depth": 40.5}}},
+     "task.evolve.lattice_depth"),
+    (["scatter", "--evolve"], {"task": {"evolve": {"orbit": [1.5]}}}, "task.evolve.orbit"),
+    (["verify", "--suite", "appendixA"], {"seed": 1.5}, "seed"),
+    (["verify", "--suite", "appendixA"], {"n_spectral_points": 2.5}, "n_spectral_points"),
+    (["verify", "--suite", "appendixA"], {"max_lambdas": 1.5}, "max_lambdas"),
+])
+def test_integer_keys_refuse_fractions(tmp_path, capsys, argv, patch, key):
+    # a fraction used to be truncated (steps 2.9 ran two steps)
+    base = {"root_system": {"label": "A", "rank": 1},
+            "cfunctions": {"family": "macdonald", "g": 2.0, "q": 0.5}}
+    cfg = _cfg(tmp_path, "bad.json", {**base, **patch})
+    assert main(argv + ["--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert f"{key} must be an integer" in capsys.readouterr().err
+
+
+def test_integral_floats_read_as_integers(tmp_path):
+    base = {"root_system": {"label": "A", "rank": 1},
+            "cfunctions": {"family": "macdonald", "g": 2.0, "q": 0.5}}
+    rays = []
+    for steps, m in [(2, 40), (2.0, 40.0)]:
+        out = tmp_path / f"ray{len(rays)}.csv"
+        cfg = _cfg(tmp_path, "ray.json", {**base, "grid": {"M": m},
+                                          "task": {"ray": {"steps": steps}}})
+        assert main(["scatter", "--ray", "--config", cfg, "--out", str(out)]) == 0
+        rays.append(out.read_bytes())
+    assert rays[0] == rays[1] and len(rays[0].splitlines()) == 3
+
+
+def test_b3_ray_exits_on_gram_budget_before_a_rung(tmp_path, capsys, monkeypatch):
+    # 117 weights: the first rung (M=82) fits the byte budget, the second
+    # (M=164) does not; a non-unit ladder always builds both, so the run
+    # is refused before any orbit or grid is built
+    import alcove.harmonic as harmonic
+    import alcove.orthopoly as orthopoly
+    built, orbits = [], []
+    monkeypatch.setattr(harmonic, "QuadratureGrid", lambda rs, M: built.append(M))
+    monkeypatch.setattr(orthopoly, "monomial_symmetric",
+                        lambda rs, lam: orbits.append(lam))
+    cfg = _cfg(tmp_path, "b3.json", {
+        "root_system": {"label": "B", "rank": 3},
+        "cfunctions": {"family": "macdonald", "g": 1.3, "q": 0.5},
+        "task": {"ray": {"direction": [1, 1, 1], "steps": 3}}})
+    assert main(["scatter", "--ray", "--config", cfg,
+                 "--out", str(tmp_path / "ray.csv")]) == 3
+    assert not built and not orbits and not (tmp_path / "ray.csv").exists()
+    assert "117 weights on B3 at M=164" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,config,module", [
+    (["verify", "--suite", "appendixA"], A2_MACDONALD, "numpy.random"),
+    (["scatter", "--evolve"], {
+        "root_system": {"label": "BC", "rank": 1},
+        "cfunctions": {"family": "koornwinder", "ghat": 1.0,
+                       "g0123": [0.9, 0.7, 0.6, 0.8], "q": 0.45},
+        "task": {"evolve": {"times": [8, 16], "lattice_depth": 60}}}, "numpy.ma"),
+])
+def test_runs_leave_numpy_submodules_unloaded(tmp_path, argv, config, module):
+    # appendixA draws its points with the standard library, and the packet
+    # code takes sector labels as sets: neither loads a numpy submodule
+    # (numpy.random and numpy.ma each take 15-25 ms to import)
+    import alcove
+    cfg = _cfg(tmp_path, "run.json", config)
+    argv = argv + ["--config", cfg, "--out", str(tmp_path / "out.json")]
+    code = ("import sys; from alcove.cli import main; "
+            f"print(main({argv!r}), {module!r} in sys.modules)")
+    src = str(Path(alcove.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert proc.stdout.split() == ["0", "False"], proc.stderr
 
 
 BC2_KOORNWINDER = {

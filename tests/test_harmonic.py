@@ -467,7 +467,8 @@ def test_gram_budget_is_checked_before_a_rung_allocates(b2, monkeypatch):
     spec = MacdonaldParams.create(b2, {1: 0.9, 2: 1.4}, 0.5).cspec()
     polys = [monomial_symmetric(b2, mu) for mu in b2.saturated_weights([(6, 6)])]
     m0 = first_rung(b2, [p.support() for p in polys])
-    # the first rung fits, the second does not
+    # the first rung fits, the second does not: a non-unit ladder always
+    # builds the second, so neither is built
     monkeypatch.setattr(harmonic, "GRAM_BYTES_BUDGET", gram_bytes(43, m0 ** 2))
     built = []
 
@@ -479,10 +480,35 @@ def test_gram_budget_is_checked_before_a_rung_allocates(b2, monkeypatch):
     monkeypatch.setattr(harmonic, "QuadratureGrid", RecordingGrid)
     with pytest.raises(BudgetExceededError) as err:
         gram_ladder(polys, spec, m0, 0.0, 4 * m0)
-    assert built == [m0]
+    assert built == []
     required = gram_bytes(43, (2 * m0) ** 2)
     assert err.value.required == required
     assert f"43 weights on B2 at M={2 * m0} has {required} bytes" in str(err.value)
+
+
+def test_ladder_refuses_its_second_rung_before_the_first(b2, monkeypatch):
+    # a second rung above max_m or above the grid point budget is refused
+    # before any grid is built
+    import alcove.harmonic as harmonic
+    spec = MacdonaldParams.create(b2, {1: 0.9, 2: 1.4}, 0.5).cspec()
+    polys = [monomial_symmetric(b2, mu) for mu in b2.saturated_weights([(6, 6)])]
+    m0 = first_rung(b2, [p.support() for p in polys])
+    built = []
+
+    class RecordingGrid(QuadratureGrid):
+        def __init__(self, rs, M):
+            built.append(M)
+            super().__init__(rs, M)
+
+    monkeypatch.setattr(harmonic, "QuadratureGrid", RecordingGrid)
+    with pytest.raises(QuadratureError) as err:
+        gram_ladder(polys, spec, m0, 0.0, 2 * m0 - 1)
+    assert f"needs M={2 * m0}" in str(err.value)
+    monkeypatch.setattr(harmonic, "GRID_POINT_BUDGET", m0 ** 2)
+    with pytest.raises(BudgetExceededError) as err:
+        gram_ladder(polys, spec, m0, 0.0, 4 * m0)
+    assert err.value.required == (2 * m0) ** 2
+    assert built == []
 
 
 def _scalar_eval(p, xi):
@@ -493,23 +519,29 @@ def _scalar_eval(p, xi):
     return sum(vals, 0j), sum(abs(v) for v in vals)
 
 
-def test_eval_at_and_shifted_match_scalar_loop(a2, bc2):
+def test_evaluate_matches_scalar_loop(a2, bc2):
+    # one point at a time, and the same points stacked into one batch
     rng = np.random.default_rng(11)
     for rs in (a2, bc2):
         box = list(itertools.product(range(-3, 4), repeat=rs.rank))
         for p in (LaurentPoly(rs, _terms(box)), LaurentPoly.zero(rs)):
+            points = []
             for _ in range(4):
                 xi = rng.normal(size=rs.dim)
                 shift = rng.normal(size=rs.dim)
                 s = float(rng.uniform(0.1, 1.5))
-                for point, value in [(xi, p.eval_at(xi)),
-                                     (xi + 0.3j * shift, p.eval_at(xi + 0.3j * shift)),
-                                     (xi + 1j * s * shift, p.eval_shifted(xi, shift, s))]:
+                points.append([xi, xi + 0.3j * shift, xi + 1j * s * shift])
+            batch = p.evaluate(np.array(points))
+            assert batch.shape == (4, 3)
+            for row, values in zip(points, batch):
+                for point, batched in zip(row, values):
+                    value = p.evaluate(point)
                     ref, scale = _scalar_eval(p, point)
                     assert isinstance(value, complex)
                     assert abs(value - ref) <= 1e-13 * scale
+                    assert abs(batched - ref) <= 1e-13 * scale
                     if not p.terms:
-                        assert value == 0
+                        assert value == batched == 0
 
 
 def test_grid_budget_is_checked_before_allocating():

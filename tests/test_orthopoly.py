@@ -1,6 +1,8 @@
+import cmath
 import dataclasses
 import json
 import math
+import random
 
 import numpy as np
 import pytest
@@ -267,6 +269,94 @@ def test_pieri(a2, a2_macdonald, a2_system):
             assert pieri_residual(a2_macdonald, a2_system, (1, 1), xi, pi) < 1e-8
 
 
+def _terms_at(p, point):
+    """p at one complex ambient point summed term by term, and the sum of
+    the moduli of its terms."""
+    vals = [complex(c) * cmath.exp(1j * complex(np.dot(v, point)))
+            for c, v in zip(p.terms.values(), p.rs.float_weights(list(p.terms)))]
+    return sum(vals, 0j), sum(abs(v) for v in vals)
+
+
+def _difference_reference(params, system, lam, xi, pi_dual):
+    """The difference equation at one point, summed term by term, and the
+    sum of the moduli of its terms."""
+    rs, s, q = params.rs, params.s, params.q
+    rho, lam_vec = params.rho_g(), rs.float_weight(lam)
+    p = system.pbold(params, lam)
+    p_at, p_mod = _terms_at(p, xi)
+    lhs = rhs = 0j
+    moduli = 0.0
+    for nu in rs.dual().weyl_orbit(tuple(pi_dual)):
+        nu_vec = rs.dual().float_weight(nu)
+        a = 1.0 + 0j
+        for av, g, m in zip(rs.roots_f, params.g_roots, rs.coweight_pairings() @ nu):
+            za = float(np.dot(xi, av))
+            for l in range(max(int(m), 0)):
+                a *= cmath.sin(0.5 * (1j * s * (g + l) + za)) / cmath.sin(0.5 * (za + 1j * s * l))
+        shifted, shifted_mod = _terms_at(p, xi + 1j * s * nu_vec)
+        e = q ** float(nu_vec @ (lam_vec + rho)) - q ** float(nu_vec @ rho)
+        lhs += a * (shifted - p_at)
+        rhs += e * p_at
+        moduli += abs(a) * (shifted_mod + p_mod) + abs(e) * p_mod
+    return abs(lhs - rhs), moduli
+
+
+def _pieri_reference(params, system, lam, xi, pi):
+    """The Pieri relation at one point, summed term by term, and the sum of
+    the moduli of its terms."""
+    rs, q = params.rs, params.q
+    x = params.rho_g() + rs.float_weight(lam)
+    p_at, p_mod = _terms_at(system.pbold(params, lam), xi)
+    lhs = rhs = 0j
+    moduli = 0.0
+    for nu in rs.weyl_orbit(tuple(pi)):
+        nu_vec = rs.float_weight(nu)
+        e = q ** float(nu_vec @ params.rho_g_vee())
+        lhs += (cmath.exp(1j * float(nu_vec @ xi)) - e) * p_at
+        moduli += (1 + e) * p_mod
+        lam_nu = tuple(a + b for a, b in zip(lam, nu))
+        if rs.is_dominant(lam_nu):
+            v = hopping_coefficient(params, nu, x)
+            val, mod = _terms_at(system.pbold(params, lam_nu), xi)
+            rhs += v * (val - p_at)
+            moduli += abs(v) * (mod + p_mod)
+    return abs(lhs - rhs), moduli
+
+
+@pytest.mark.parametrize("label", ["A", "B", "G"])
+@pytest.mark.parametrize("n", [1, 20])
+def test_batched_residuals_match_one_point(label, n):
+    # N points in one call against one call per point, and both against
+    # the term-by-term sums, within 1e-14 of the terms' moduli
+    from alcove.cli import _regular_point
+    rs = build_root_system(label, 2)
+    # one coupling per root length, so that a root read with another's shows
+    lens = sorted(set(rs.positive_len2.tolist()))
+    par = MacdonaldParams.create(rs, {l: 0.9 + 0.5 * i for i, l in enumerate(lens)}, 0.5)
+    pis = rs.minuscule_weights() + [rs.quasi_minuscule_weight()]
+    dual = par.dual().rs
+    dual_pis = dual.minuscule_weights() + [dual.quasi_minuscule_weight()]
+    orbit = set().union(*[rs.weyl_orbit(tuple(pi)) for pi in pis])
+    lams = [(1, 0), (0, 1), (1, 1)]
+    tops = sorted({tuple(a + b for a, b in zip(lam, nu)) for lam in lams
+                   for nu in orbit if all(a + b >= 0 for a, b in zip(lam, nu))})
+    system = gram_schmidt(rs, par.cspec(), tops)
+    rng = random.Random(n)
+    xis = np.array([_regular_point(rs, rng) for _ in range(n)])
+    for lam in lams:
+        for fn, ref, weights in [(difference_equation_residual, _difference_reference, dual_pis),
+                                 (pieri_residual, _pieri_reference, pis)]:
+            for pi in weights:
+                batch = fn(par, system, lam, xis, pi)
+                assert isinstance(batch, np.ndarray) and batch.shape == (n,)
+                for xi, batched in zip(xis, batch):
+                    one = fn(par, system, lam, xi, pi)
+                    expected, moduli = ref(par, system, lam, xi, pi)
+                    assert isinstance(one, float)
+                    assert abs(batched - one) <= 1e-14 * (1 + moduli)
+                    assert abs(one - expected) <= 1e-14 * (1 + moduli)
+
+
 def test_functional_relation(a2, b2):
     rng = np.random.default_rng(3)
     for rs, g in [(a2, 1.3), (b2, {1.0: 0.9, 2.0: 1.4})]:
@@ -322,7 +412,7 @@ def test_monic_matches_rank1_ultraspherical(a1):
         pbold = system.monic((ell,)) * nd.c_lam
         for u in (0.3, 1.1, 2.2):
             xi_vec = u * _fvec(a1, (2,))  # xi = u * alpha, so <omega, xi> = u
-            mine = pbold.eval_at(xi_vec)
+            mine = pbold.evaluate(xi_vec)
             assert abs(mine - askey_wilson(ell, u, oracle)) < 1e-10
 
 

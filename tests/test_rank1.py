@@ -130,8 +130,8 @@ def test_cross_validation_with_general_bc1(bc1, bc1_koornwinder, bc1_system, par
         pnorm = bc1_system.monic((ell,)) * nd.orthonormal_scale
         for x in xis[:25]:
             xv = np.array([x])
-            assert abs(pbold.eval_at(xv) - askey_wilson(ell, x, params)) < 1e-10
-            wgen = complex(pnorm.eval_at(xv)) * \
+            assert abs(pbold.evaluate(xv) - askey_wilson(ell, x, params)) < 1e-10
+            wgen = complex(pnorm.evaluate(xv)) * \
                 math.sqrt(H.weight_function_eval(bc1_koornwinder.cspec(), xv)) * \
                 complex(H.eval_delta(bc1, xv))
             # the product-form denominator carries the global phase i
