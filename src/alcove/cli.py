@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .harmonic import QuadratureGrid, gram_matrix, orbit_symbol
+from .harmonic import QuadratureError, QuadratureGrid, gram_matrix, orbit_symbol
 from .laplacian import (LatticeFunction, apply_free, apply_free_closed,
                         apply_koornwinder, apply_macdonald_ruijsenaars,
                         operator_matrix)
@@ -29,8 +29,8 @@ from .orthopoly import (KoornwinderParams, MacdonaldParams, ParameterError,
                         symmetry_residual)
 from .qfun import unit_spec
 from .rootsys import BudgetExceededError, build_root_system
-from .scattering import (ScatteringContext, WaveTable, _kernel_bandwidth,
-                         convergence_report, root_half_phases, smatrix_factor,
+from .scattering import (ScatteringContext, WaveTable, convergence_report,
+                         grid_floor, root_half_phases, smatrix_factor,
                          smatrix_factor_direct)
 from .evolution import PacketError, TableDepthError, run_scattering_diagnostic
 
@@ -176,16 +176,21 @@ def grid_m(cfg: dict, default: int) -> int:
 
 
 def table_grid_m(cfg: dict, system, default: int | None = None) -> int:
-    """grid.M for a wave table of system: at least 2 * bandwidth + 2, so that
-    the inverse transforms do not alias.  Without a default it defaults to
-    2 * bandwidth + 32."""
-    band = _kernel_bandwidth(system)
-    m = grid_m(cfg, 2 * band + 32 if default is None else default)
-    if m < 2 * band + 2:
+    """grid.M for a wave table of system, at least grid_floor(system); without
+    a default it defaults to grid_floor(system) + 30."""
+    floor = grid_floor(system)
+    m = grid_m(cfg, floor + 30 if default is None else default)
+    if m < floor:
         raise ConfigError(
-            f"grid.M={m} cannot resolve the kernel frequencies up to {band} of "
-            f"the polynomial table; the smallest M that works is {2 * band + 2}")
+            f"grid.M={m} cannot resolve the kernel frequencies of the polynomial "
+            f"table; the smallest M that works is {floor}")
     return m
+
+
+def check_record(name: str, residual, tolerance) -> dict:
+    """One entry of a suite's report: it passes when residual <= tolerance."""
+    return {"check": name, "residual": float(residual), "tolerance": tolerance,
+            "pass": bool(residual <= tolerance)}
 
 
 def _report(out_path, payload, cfg):
@@ -227,8 +232,7 @@ def _suite_appendix_a(rs, params, spec, cfg, tol):
     checks = []
 
     def add(name, value, bound):
-        checks.append({"check": name, "residual": float(value),
-                       "tolerance": bound, "pass": bool(value <= bound)})
+        checks.append(check_record(name, value, bound))
 
     for lam in test_lams:
         add(f"specialization {lam}", specialization_residual(params, system, lam),
@@ -279,9 +283,7 @@ def _suite_orthonormality(rs, params, spec, cfg, tol):
     polys = [system.poly(lam) for lam in system.weights]
     gram = gram_matrix(polys, spec, QuadratureGrid(rs, system.grid_m))
     off = float(np.max(np.abs(gram - np.eye(len(polys)))))
-    checks = [{"check": "orthonormality", "residual": off,
-               "tolerance": tol["orthonormality"],
-               "pass": bool(off <= tol["orthonormality"])}]
+    checks = [check_record("orthonormality", off, tol["orthonormality"])]
     if params is not None:
         from .harmonic import inner_product
         for lam in system.weights:
@@ -289,9 +291,7 @@ def _suite_orthonormality(rs, params, spec, cfg, tol):
             pb = system.pbold(params, lam)
             val = inner_product(pb, pb, spec).real
             res = abs(val - nd.n0 / nd.delta) / (nd.n0 / nd.delta)
-            checks.append({"check": f"closed norm {lam}", "residual": res,
-                           "tolerance": tol["norms"],
-                           "pass": bool(res <= tol["norms"])})
+            checks.append(check_record(f"closed norm {lam}", res, tol["norms"]))
     return checks
 
 
@@ -308,15 +308,13 @@ def _suite_free_laplacian(rs, params, spec, cfg, tol):
             f = LatticeFunction.indicator(rs, lam)
             d = (apply_free(rs, pi, f) - apply_free_closed(rs, pi, f)).norm()
             worst = max(worst, d)
-    checks.append({"check": "boundary rule (fold vs closed form)",
-                   "residual": worst, "tolerance": tol["free"],
-                   "pass": bool(worst <= tol["free"])})
+    checks.append(check_record("boundary rule (fold vs closed form)", worst,
+                               tol["free"]))
     if rs.label.startswith("BC"):
         pi = tuple(1 if j == 0 else 0 for j in range(rs.rank))
         out = apply_free(rs, pi, LatticeFunction.indicator(rs, (0,) * rs.rank))
         origin = abs(out.get((0,) * rs.rank))
-        checks.append({"check": "hard wall phi_{-1}=0", "residual": origin,
-                       "tolerance": 0.0, "pass": origin == 0.0})
+        checks.append(check_record("hard wall phi_{-1}=0", origin, 0.0))
     return checks
 
 
@@ -331,12 +329,9 @@ def _suite_smatrix(rs, params, spec, cfg, tol):
         direct = max(direct, float(np.max(np.abs(
             sw - smatrix_factor_direct(spec, w, grid)))))
     count = len(rs.positive_roots_1)
-    return [{"check": name, "residual": value, "tolerance": tol["smatrix"],
-             "pass": bool(value <= tol["smatrix"])}
-            for name, value in [
-                ("unitarity |S_w| = 1", unitarity),
-                (f"S_w from its {count} root factors vs C(w xi)/C(-w xi)",
-                 direct)]]
+    return [check_record("unitarity |S_w| = 1", unitarity, tol["smatrix"]),
+            check_record(f"S_w from its {count} root factors vs C(w xi)/C(-w xi)",
+                         direct, tol["smatrix"])]
 
 
 SUITES = {
@@ -433,11 +428,10 @@ def cmd_scatter(args) -> int:
             tops = [(lmax,), (lmax - 1,)]
         system = gram_schmidt(rs, spec, tops)
         if center is None:
-            grid0 = QuadratureGrid(
-                rs, max(4 * (lmax + 2), 2 * _kernel_bandwidth(system) + 2))
+            grid0 = QuadratureGrid(rs, max(4 * (lmax + 2), grid_floor(system)))
             ctx0 = ScatteringContext(WaveTable(system, grid0), sym)
-            depth = np.abs(ctx0.gradient @ ctx0._coroot_mat).min(axis=1)
-            center = grid0.xi[int(np.argmax(np.where(ctx0.regular_mask, depth, -1)))]
+            depth = np.where(ctx0.regular_mask, ctx0.wall_distance, -1)
+            center = grid0.xi[int(np.argmax(depth))]
         rep = run_scattering_diagnostic(system, sym, center, radius, sign, times)
         payload = json.loads(rep.to_json())
         _report(args.out, {"evolution": payload}, cfg)
@@ -496,8 +490,7 @@ def cmd_export(args) -> int:
             wr = csv.writer(fh)
             wr.writerow([f"xi_{i}" for i in range(rs.dim)] + ["re", "im"])
             for k in ks:
-                w = ctx.regular_sector_element(int(k))
-                val = ctx._half_factor(w)[k] ** 2
+                val = ctx.smatrix_at(int(k))
                 wr.writerow([repr(float(x)) for x in grid.xi[k]]
                             + [repr(float(val.real)), repr(float(val.imag))])
         return EXIT_OK
@@ -513,9 +506,9 @@ def main(argv=None) -> int:
         description="Orthogonal polynomials on Weyl alcoves, lattice "
                     "Laplacians, and their scattering theory.",
         epilog="Exit codes: 0 ok; 2 config/parameter error; 3 size budget "
-               "exceeded (Weyl group, grid or Gram ladder bytes); 4 verification "
-               "failed; 5 window leakage or a packet outside the regular sector; "
-               "1 unexpected error.")
+               "exceeded (Weyl group, grid, Gram ladder bytes or max_m); 4 "
+               "verification failed; 5 window leakage or a packet outside the "
+               "regular sector; 1 unexpected error.")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="verb", required=True)
 
@@ -549,7 +542,7 @@ def main(argv=None) -> int:
     except (ConfigError, ParameterError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except BudgetExceededError as exc:
+    except (BudgetExceededError, QuadratureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except TableDepthError as exc:

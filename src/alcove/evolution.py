@@ -23,7 +23,7 @@ from .harmonic import LaurentPoly, QuadratureGrid
 from .laplacian import LatticeFunction
 from .orthopoly import OrthoPolySystem
 from .scattering import (ScatteringContext, SpectralFunction, WaveTable,
-                         _linear_fit, asymptotic_wave_values, spectral_norm)
+                         asymptotic_wave_values, grid_floor, linear_fit, spectral_norm)
 
 
 # fraction of the bump radius on which the profile is 1
@@ -214,7 +214,8 @@ def asymptotic_packet(packet: WavePacket, sign: int, t: float,
     scattered = packet.ctx.smatrix_apply(packet.spectral(), -0.5 * sign)
     vals = scattered.values * np.exp(-1j * t * packet.ctx.symbol_values)
     vals = np.where(packet.grid.alcove_mask, vals, 0.0)
-    kernels = asymptotic_wave_values(packet.ctx.table.spec, window, packet.grid)
+    kernels = asymptotic_wave_values(packet.ctx.table.spec, window, packet.grid,
+                                     packet.ctx.halves)
     out = {}
     for lam, kern in zip(window, kernels):
         c = complex(np.mean(vals * kern))
@@ -267,8 +268,8 @@ class EvolutionReport:
             if good.sum() < 2:
                 continue
             lt, ly = np.log(t[good]), np.log(y[good])
-            p_slope, _, p_res = _linear_fit(lt, ly)
-            e_slope, _, e_res = _linear_fit(t[good], ly)
+            p_slope, _, p_res = linear_fit(lt, ly)
+            e_slope, _, e_res = linear_fit(t[good], ly)
             self.fits[name] = {
                 "power_exponent": p_slope, "power_rss": p_res,
                 "exp_rate": e_slope, "exp_rss": e_res,
@@ -289,20 +290,20 @@ class EvolutionReport:
         return json.dumps(payload, indent=2, sort_keys=True)
 
 
-def suggest_subdivision(symbol: LaurentPoly, tmax: float, kernel_bandwidth: int) -> int:
+def suggest_subdivision(symbol: LaurentPoly, tmax: float, floor: int) -> int:
     """Grid subdivision resolving both the oscillatory phase up to time tmax
-    and the largest Fourier kernel frequency of the polynomial table."""
+    and the kernel frequencies of the polynomial table (floor, its grid_floor)."""
     rs = symbol.rs
     vmax = 0.0
     for j in range(rs.rank):
         vmax = max(vmax, sum(abs(complex(c)) * abs(mu[j])
                              for mu, c in symbol.terms.items()))
-    m = max(MIN_SUBDIVISION, int(math.ceil(8.0 * tmax * vmax)), 2 * kernel_bandwidth + 4)
+    m = max(MIN_SUBDIVISION, int(math.ceil(8.0 * tmax * vmax)), floor + 2)
     return m + m % 2
 
 
-def _diagnostic_snapshot(system, symbol, center, radius, sign, t, fmax):
-    grid = QuadratureGrid(system.rs, suggest_subdivision(symbol, t, fmax))
+def _diagnostic_snapshot(system, symbol, center, radius, sign, t, floor):
+    grid = QuadratureGrid(system.rs, suggest_subdivision(symbol, abs(t), floor))
     ctx = ScatteringContext(WaveTable(system, grid), symbol)
     packet = WavePacket(ctx, center, radius)
     # the moving box window truncates the packet's intrinsic band tail, so
@@ -330,8 +331,9 @@ def _diagnostic_snapshot(system, symbol, center, radius, sign, t, fmax):
 def run_scattering_diagnostic(system: OrthoPolySystem, symbol: LaurentPoly,
                               center, radius: float, sign: int,
                               times) -> EvolutionReport:
-    """Compare the four packet evolutions across a ladder of times.
+    """Compare the four packet evolutions across a ladder of positive times.
 
+    Each snapshot is taken at sign * t: Omega_- is the limit t -> -infinity.
     The polynomial table must already contain every window site of the
     largest time; a shallow table raises TableDepthError.
     """
@@ -341,10 +343,8 @@ def run_scattering_diagnostic(system: OrthoPolySystem, symbol: LaurentPoly,
              "projected_interacting_vs_asymptotic"]
     meta = {"sign": sign, "center": [float(c) for c in center], "radius": radius,
             "times": list(times)}
-    from .scattering import _kernel_bandwidth
-    fmax = _kernel_bandwidth(system)
-
-    snaps = [_diagnostic_snapshot(system, symbol, center, radius, sign, t, fmax)
+    floor = grid_floor(system)
+    snaps = [_diagnostic_snapshot(system, symbol, center, radius, sign, sign * t, floor)
              for t in times]
 
     norms = {n: [s[n] for s in snaps] for n in names}

@@ -569,8 +569,10 @@ def check_ladder(rs: RootSystem, spec: CFunctionSpec, n: int, m: int,
     checked, and each rung against max_m; a unit ladder stops at the first."""
     for rung in (m,) if spec.is_unit else (m, 2 * m):
         if rung > max_m:
-            raise QuadratureError(f"Gram ladder from M={m} needs M={rung}, "
-                                  f"above the largest grid M={max_m}")
+            raise QuadratureError(
+                f"Gram ladder needs M={rung} for its "
+                f"{'first' if rung == m else 'second'} rung, above the largest "
+                f"grid max_m={max_m}")
         _check_gram_bytes(rs, n, rung)
         _check_grid_points(rs, rung)
 

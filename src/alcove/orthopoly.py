@@ -270,8 +270,6 @@ class NormData:
     delta: float
     n0: float
     c_lam: float
-    cplus_shift: float
-    cminus_shift: float
 
     @property
     def orthonormal_scale(self) -> float:
@@ -292,8 +290,7 @@ def norm_constants(params: PolyParams, lam) -> NormData:
     x = rho + params.rs.float_weight(lam)
     cp0, cm0 = params.rho_constants
     cpl, cml = params.cplus(x), params.cminus(x)
-    data = NormData(delta=(cp0 * cm0) / (cpl * cml), n0=cm0 / cp0,
-                    c_lam=cpl / cp0, cplus_shift=cpl, cminus_shift=cml)
+    data = NormData(delta=(cp0 * cm0) / (cpl * cml), n0=cm0 / cp0, c_lam=cpl / cp0)
     if not (data.delta > 0 and data.n0 > 0 and math.isfinite(data.delta)):
         raise ParameterError(f"invalid norm constants at lam={lam}: {data}")
     params._norm_data[key] = data

@@ -17,6 +17,7 @@ period cell consists of |W| copies of the alcove.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,12 +40,12 @@ def symbol_is_real(sym: LaurentPoly) -> bool:
 
 
 def symbol_gradient(sym: LaurentPoly, grid: QuadratureGrid) -> np.ndarray:
-    """grad E(xi) over the grid, shape (npoints, ambient_dim)."""
+    """grad E(xi) of a real symbol over the grid, shape (npoints, ambient_dim)."""
     rs = sym.rs
     out = np.zeros((grid.size, rs.dim), dtype=complex)
     for (mu, c), vec in zip(sym.terms.items(), rs.float_weights(list(sym.terms))):
         out += (1j * complex(c) * grid.exponential(mu))[:, None] * vec
-    return out.real if symbol_is_real(sym) else out
+    return out.real
 
 
 @dataclass
@@ -102,11 +103,10 @@ class WaveTable:
         self.rs = system.rs
         self.spec: CFunctionSpec = system.spec
         self.grid = grid
-        self.kernel_bandwidth = _kernel_bandwidth(system)
-        if grid.M <= 2 * self.kernel_bandwidth + 1:
-            raise ValueError(
-                f"grid M={grid.M} cannot resolve kernel frequencies up to "
-                f"{self.kernel_bandwidth}; inverse transforms would alias")
+        floor = grid_floor(system)
+        if grid.M < floor:
+            raise ValueError(f"grid M={grid.M} cannot resolve the kernel frequencies "
+                             f"of the table; the smallest M that works is {floor}")
         self.sqrt_weight = 1.0 / np.abs(chat_values(self.spec, grid))
         self.delta = delta_values(self.rs, grid)
         self._mono_vals = None
@@ -194,6 +194,11 @@ def _kernel_bandwidth(system: OrthoPolySystem) -> int:
                for lam in system.weights)
 
 
+def grid_floor(system: OrthoPolySystem) -> int:
+    """Smallest grid M on which the table's inverse transforms do not alias."""
+    return 2 * _kernel_bandwidth(system) + 2
+
+
 def plane_wave_values(rs: RootSystem, lam, grid: QuadratureGrid) -> np.ndarray:
     shifted = tuple(a + b for a, b in zip(rs.rho_coords, tuple(lam)))
     return alternating_sum(rs, shifted).eval_grid(grid)
@@ -221,8 +226,7 @@ def smatrix_factor_half(spec: CFunctionSpec, w: WeylElement,
     roots sent to negatives by w.  halves, if given, is
     root_half_phases(spec, grid), shared by the calls for every w."""
     rs = grid.rs
-    if halves is None:
-        halves = root_half_phases(spec, grid)
+    halves = root_half_phases(spec, grid) if halves is None else halves
     out = np.ones(grid.size, dtype=complex)
     for ac, h in halves:
         if rs._ext_key(w.act(ac)) > 0:
@@ -254,12 +258,12 @@ def smatrix_factor_direct(spec: CFunctionSpec, w: WeylElement,
 
 
 def asymptotic_wave_values(spec: CFunctionSpec, lambdas,
-                           grid: QuadratureGrid) -> list:
+                           grid: QuadratureGrid, halves=None) -> list:
     """Psi^infty_lam = sum_w det(w) S_w^{1/2}(xi) e^{i<rho+lam, w xi>} for
-    each lam of lambdas; each S_w^{1/2} is computed once per call, from
-    per-root phases computed once."""
+    each lam of lambdas; each S_w^{1/2} is computed once per call, from the
+    per-root phases halves (root_half_phases(spec, grid) if not given)."""
     rs = grid.rs
-    halves = root_half_phases(spec, grid)
+    halves = root_half_phases(spec, grid) if halves is None else halves
     terms = [(w.sign * smatrix_factor_half(spec, w, grid, halves), w.inverse())
              for w in rs.weyl_group()]
     values = []
@@ -281,14 +285,14 @@ def convergence_report(table: WaveTable, lambdas) -> dict:
         ms.append(float(table.rs.min_coroot_pairing(tuple(lam))))
         norms.append(spectral_norm(diff))
     y = np.log(np.maximum(norms, 1e-300))
-    slope, intercept, ss_res = _linear_fit(np.array(ms), y)
+    slope, intercept, ss_res = linear_fit(np.array(ms), y)
     ss_tot = float(np.sum((y - np.mean(y)) ** 2))
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
     return {"lambdas": [tuple(l) for l in lambdas], "m": ms, "norms": norms,
             "slope": slope, "intercept": intercept, "r_squared": r2}
 
 
-def _linear_fit(x: np.ndarray, y: np.ndarray):
+def linear_fit(x: np.ndarray, y: np.ndarray):
     """Least-squares line y ~ slope x + intercept; returns it with its RSS."""
     a = np.vstack([x, np.ones_like(x)]).T
     coef, *_ = np.linalg.lstsq(a, y, rcond=None)
@@ -303,8 +307,8 @@ class RegularSectorError(ValueError):
     pass
 
 
-# a grid point is regular when grad E pairs with every positive coroot to
-# more than this in absolute value
+# a grid point is regular when its wall_distance, the minimum over R+ of
+# |<grad E, alpha^vee>|, is above this
 REGULARITY_TOL = 1e-10
 
 
@@ -326,17 +330,15 @@ class ScatteringContext:
         self.symbol = symbol
         self.symbol_values = symbol.eval_grid(self.grid).real
         self.gradient = symbol_gradient(symbol, self.grid)
-        self._coroot_mat = self.rs.positive_coroots_f.T
-        pair = self.gradient @ self._coroot_mat
-        self.regular_mask = self.grid.alcove_mask & \
-            (np.min(np.abs(pair), axis=1) > REGULARITY_TOL)
+        pair = self.gradient @ self.rs.positive_coroots_f.T
+        self.wall_distance = np.min(np.abs(pair), axis=1)
+        self.regular_mask = self.grid.alcove_mask & (self.wall_distance > REGULARITY_TOL)
         regular = np.nonzero(self.regular_mask)[0]
         _, first, labels = np.unique(pair[regular] > 0, axis=0, return_index=True,
                                      return_inverse=True)
         self.sector_labels = np.full(self.grid.size, -1)
         self.sector_labels[regular] = labels.reshape(-1)
         self.sector_elements = [self.sector_element(int(k)) for k in regular[first]]
-        self._halves = None
         self._half_cache: dict = {}
 
     def sector_element(self, k: int) -> WeylElement:
@@ -354,14 +356,20 @@ class ScatteringContext:
             raise RegularSectorError(f"grid point {k} is not in the regular sector")
         return self.sector_elements[label]
 
+    @functools.cached_property
+    def halves(self) -> list:
+        return root_half_phases(self.table.spec, self.grid)
+
     def _half_factor(self, w: WeylElement) -> np.ndarray:
         arr = self._half_cache.get(w.matrix)
         if arr is None:
-            if self._halves is None:
-                self._halves = root_half_phases(self.table.spec, self.grid)
-            arr = smatrix_factor_half(self.table.spec, w, self.grid, self._halves)
+            arr = smatrix_factor_half(self.table.spec, w, self.grid, self.halves)
             self._half_cache[w.matrix] = arr
         return arr
+
+    def smatrix_at(self, k: int) -> complex:
+        """S_L at regular grid point k, the square of its S_w^{1/2}(xi_k)."""
+        return self._half_factor(self.regular_sector_element(k))[k] ** 2
 
     def smatrix_apply(self, fhat: SpectralFunction, power: float) -> SpectralFunction:
         """(S_L^p fhat)(xi) = S_{w_xi}^p(xi) fhat(xi) on the regular sector.
@@ -378,16 +386,9 @@ class ScatteringContext:
         labels = self.sector_labels[active]
         for label in sorted(set(labels.tolist())):
             ks = active[labels == label]
-            h = self._half_factor(self.sector_elements[label])
-            if power == 0.5:
-                f = h[ks]
-            elif power == -0.5:
-                f = np.conjugate(h[ks])
-            elif power == 1.0:
-                f = h[ks] ** 2
-            else:
-                f = np.conjugate(h[ks]) ** 2
-            out[ks] = f * vals[ks]
+            f = self._half_factor(self.sector_elements[label])[ks]
+            f = np.conjugate(f) if power < 0 else f
+            out[ks] = (f ** 2 if abs(power) == 1.0 else f) * vals[ks]
         return SpectralFunction(self.grid, out, "alcove")
 
     # -- wave and scattering operators ---------------------------------

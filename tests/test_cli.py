@@ -494,3 +494,77 @@ def test_scatter_evolve(tmp_path, capsys):
     assert main(["scatter", "--evolve", "--config", cfg,
                  "--out", str(tmp_path / "shallow_out.json")]) == 2
     assert "task.evolve.lattice_depth" in capsys.readouterr().err
+
+
+# the benchmark's tiny evolve-bc1 configuration, at couplings (0.9, 0.7)
+BC1_EVOLVE_TINY = {
+    "root_system": {"label": "BC", "rank": 1},
+    "cfunctions": {"family": "koornwinder", "ghat": 1.0,
+                   "g0123": [0.9, 0.7, 0.6, 0.8], "q": 0.45},
+    "task": {"evolve": {"times": [8, 16], "radius": 1.0, "lattice_depth": 60}},
+}
+
+
+def test_evolve_sign_minus_one_matches_plus_one(tmp_path):
+    # Omega_- is the t -> -infinity limit: sign -1 takes its snapshots at -t
+    # and reports the same positive times; it used to always exit 4
+    series = {}
+    for sign in (1, -1):
+        config = json.loads(json.dumps(BC1_EVOLVE_TINY))
+        config["task"]["evolve"]["sign"] = sign
+        cfg = _cfg(tmp_path, f"config{sign}.json", config)
+        out = tmp_path / f"sign{sign}.json"
+        assert main(["scatter", "--evolve", "--config", cfg, "--out", str(out)]) == 0
+        ev = json.loads(out.read_text())["evolution"]
+        assert ev["times"] == [8.0, 16.0] and ev["meta"]["sign"] == sign
+        series[sign] = ev["norms"]
+    assert sorted(series[1]) == sorted(series[-1])
+    for name, plus in series[1].items():
+        for a, b in zip(plus, series[-1][name], strict=True):
+            assert abs(a - b) <= 1e-12
+    for a, b in zip(series[1]["interacting_vs_free"], series[-1]["interacting_vs_free"]):
+        assert abs(a - b) <= 1e-12 * abs(a)
+
+
+def test_root_half_phases_once_per_snapshot_context(tmp_path, monkeypatch):
+    # each snapshot's context computes its per-root halves once and shares
+    # them between S_L^{-+1/2} and the asymptotic kernels; the center search
+    # context never needs them
+    import alcove.scattering as scattering
+    contexts, halves = [], []
+    root_half_phases = scattering.root_half_phases
+    init = scattering.ScatteringContext.__init__
+
+    def recording_init(self, table, symbol):
+        contexts.append(table.grid)
+        init(self, table, symbol)
+
+    def recording(spec, grid):
+        halves.append(grid)
+        return root_half_phases(spec, grid)
+
+    monkeypatch.setattr(scattering.ScatteringContext, "__init__", recording_init)
+    monkeypatch.setattr(scattering, "root_half_phases", recording)
+    cfg = _cfg(tmp_path, "bc1.json", BC1_EVOLVE_TINY)
+    assert main(["scatter", "--evolve", "--config", cfg,
+                 "--out", str(tmp_path / "e.json")]) == 0
+    times = BC1_EVOLVE_TINY["task"]["evolve"]["times"]
+    assert len(contexts) == len(times) + 1
+    assert [id(g) for g in halves] == [id(g) for g in contexts[1:]]
+
+
+@pytest.mark.parametrize("argv,patch", [
+    (["export", "polynomials"], {"weights": {"tops": [[1100]]}}),
+    (["scatter", "--evolve"], {"task": {"evolve": {"lattice_depth": 1100}}}),
+])
+def test_gram_ladder_above_max_m_is_a_budget_exit(tmp_path, capsys, argv, patch):
+    # 1101 weights on BC1 need a first rung at M=4406, above max_m=4096;
+    # refused before any grid is built, with the budget exit, not exit 1
+    config = {**{k: v for k, v in BC1_EVOLVE_TINY.items() if k != "task"}, **patch}
+    start = time.perf_counter()
+    assert main(argv + ["--config", _cfg(tmp_path, "deep.json", config),
+                        "--out", str(tmp_path / "out")]) == 3
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert "M=4406 for its first rung" in err and "max_m=4096" in err
+    assert "unexpected" not in err

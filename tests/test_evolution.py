@@ -167,14 +167,14 @@ def test_reversal_symmetry_b2(b2):
     tops = [(10, 10), (11, 9), (9, 11), (12, 8), (8, 12)]
     system = gram_schmidt(b2, par.cspec(), tops)
     sym = orbit_symbol(b2, (1, 0))
-    from alcove.scattering import _kernel_bandwidth
-    grid = QuadratureGrid(b2, max(2 * _kernel_bandwidth(system) + 6, 160))
+    from alcove.scattering import grid_floor
+    grid = QuadratureGrid(b2, max(grid_floor(system) + 4, 160))
     ctx = ScatteringContext(WaveTable(system, grid), sym)
     # center a small bump deep inside one component: filter by the pairing
     # depth of grad E, then take the point farthest from the singular set
     bad = grid.xi[~ctx.regular_mask]
     good = np.nonzero(ctx.regular_mask)[0]
-    pairdepth = np.abs(ctx.gradient @ ctx._coroot_mat).min(axis=1)
+    pairdepth = ctx.wall_distance
     cand = good[pairdepth[good] >= 0.6 * pairdepth[good].max()]
     dmin = np.array([np.min(np.linalg.norm(bad - grid.xi[k], axis=1))
                      for k in cand])

@@ -155,7 +155,6 @@ def test_cross_validation_smatrix(bc1, bc1_koornwinder, bc1_table, params):
     ctx = ScatteringContext(bc1_table, orbit_symbol(bc1, (1,)))
     ks = np.nonzero(ctx.regular_mask)[0][3:200:11]
     for k in ks:
-        w = ctx.regular_sector_element(int(k))
         x = float(bc1_table.grid.xi[k][0])
-        sgen = ctx._half_factor(w)[k] ** 2
+        sgen = ctx.smatrix_at(int(k))
         assert abs(sgen - rank1_smatrix(x, params)) < 1e-12

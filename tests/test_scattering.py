@@ -12,7 +12,7 @@ from alcove.rootsys import build_root_system
 from alcove.scattering import (RegularSectorError, ScatteringContext,
                                SpectralFunction, WaveTable, _kernel_bandwidth,
                                asymptotic_wave_values, convergence_report,
-                               plane_wave_values, root_half_phases,
+                               grid_floor, plane_wave_values, root_half_phases,
                                smatrix_factor, smatrix_factor_direct,
                                smatrix_factor_half, spectral_inner,
                                spectral_norm)
@@ -133,10 +133,16 @@ def test_root_half_phases_keep_per_w_bits(a2, a2_system, bc2):
     expected = np.zeros(grid.size, dtype=complex)
     for w in a2.weyl_group():
         old = _per_w_half(a2_system.spec, w, grid)
-        assert _same_bits(ctx._half_factor(w), old)
+        assert _same_bits(smatrix_factor_half(a2_system.spec, w, grid, ctx.halves), old)
         expected += (w.sign * old) * grid.exponential(w.inverse().act(shifted))
     got, = asymptotic_wave_values(a2_system.spec, [lam], grid)
     assert _same_bits(got, expected)
+    got, = asymptotic_wave_values(a2_system.spec, [lam], grid, ctx.halves)
+    assert _same_bits(got, expected)
+    # S_L at a regular point squares the cached half factor of its element
+    for k in np.nonzero(ctx.regular_mask)[0].tolist():
+        old = _per_w_half(a2_system.spec, ctx.regular_sector_element(k), grid)
+        assert _same_bits(np.array([ctx.smatrix_at(k)]), np.array([old[k] ** 2]))
 
 
 def test_asymptotic_wave_unit_equals_plane_wave(a2):
@@ -242,7 +248,7 @@ def test_sector_labels_match_per_point_elements(label, monkeypatch):
     # labelled element is the one its own dominantization finds
     rs = build_root_system(label, 2)
     system = gram_schmidt(rs, unit_spec(rs), [(2, 2)])
-    table = WaveTable(system, QuadratureGrid(rs, 2 * _kernel_bandwidth(system) + 8))
+    table = WaveTable(system, QuadratureGrid(rs, grid_floor(system) + 6))
     calls = []
     original = ScatteringContext.sector_element
 
@@ -267,7 +273,7 @@ def test_sector_elements_map_gradients_into_the_open_chamber(label):
     # element takes the coordinates <grad E, b_j^vee> to positive ones
     rs = build_root_system(label, 2)
     system = gram_schmidt(rs, unit_spec(rs), [(2, 2)])
-    table = WaveTable(system, QuadratureGrid(rs, 2 * _kernel_bandwidth(system) + 8))
+    table = WaveTable(system, QuadratureGrid(rs, grid_floor(system) + 6))
     ctx = ScatteringContext(table, orbit_symbol(rs, (1, 0)))
     regular = np.nonzero(ctx.regular_mask)[0].tolist()
     assert regular
@@ -296,6 +302,15 @@ def test_smatrix_apply_unitary(a1_ctx):
     for p in (1.0, -1.0, 0.5, -0.5):
         out = a1_ctx.smatrix_apply(fhat, p)
         assert abs(spectral_norm(out) - spectral_norm(fhat)) < 1e-12
+        # on a real packet S^-p is the conjugate of S^p
+        assert np.max(np.abs(a1_ctx.smatrix_apply(fhat, -p).values
+                             - np.conjugate(out.values))) <= 1e-15
+    # S_L is the square of S_L^{1/2}, and smatrix_at on the support
+    full = a1_ctx.smatrix_apply(fhat, 1.0).values
+    twice = a1_ctx.smatrix_apply(a1_ctx.smatrix_apply(fhat, 0.5), 0.5).values
+    assert np.max(np.abs(twice - full)) <= 1e-15
+    for k in pk.support.tolist():
+        assert abs(full[k] - a1_ctx.smatrix_at(k) * fhat.values[k]) <= 1e-15
     with pytest.raises(ValueError):
         a1_ctx.smatrix_apply(fhat, 0.25)
 
