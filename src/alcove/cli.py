@@ -51,16 +51,19 @@ class ConfigError(ValueError):
 
 
 def _number(value, key: str, kind=float):
-    """kind(value) for the config value at key, or a ConfigError; NaN and
-    +-Infinity are refused, and for kind int so is a float with a fractional
-    part (8.0 reads as 8, 2.9 is refused rather than truncated)."""
+    """kind(value) for the config number at key, or a ConfigError.  Only a
+    JSON number is one: a bool or a string is refused, as are NaN and
+    +-Infinity, and for kind int a float with a fractional part (8.0 reads
+    as 8, 2.9 is refused rather than truncated)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{key} must be a number, got {value!r}")
     try:
         out = kind(value)
-    except (TypeError, ValueError, OverflowError) as exc:
+    except (ValueError, OverflowError) as exc:
         raise ConfigError(f"{key} must be a finite number, got {value!r}") from exc
     if isinstance(out, float) and not math.isfinite(out):
         raise ConfigError(f"{key} must be a finite number, got {value!r}")
-    if kind is int and isinstance(value, float) and out != value:
+    if kind is int and out != value:
         raise ConfigError(f"{key} must be an integer, got {value!r}")
     return out
 
@@ -80,6 +83,56 @@ def _nonnegative(value, key: str) -> int:
     return n
 
 
+TOLERANCES = {"specialization": 1e-10, "symmetry": 1e-9, "macdonald_identity": 1e-12,
+              "difference_equation": 1e-8, "pieri": 1e-8, "orthonormality": 1e-8,
+              "norms": 1e-8, "smatrix": 1e-13, "free": 0.0}
+
+# the keys of each c-function family besides "family"
+FAMILY_KEYS = {"unit": (), "macdonald": ("g", "q"), "koornwinder": ("ghat", "g0123", "q")}
+
+# every key some verb reads; a dict is a section, None a value
+CONFIG_KEYS = {
+    "root_system": {"label": None, "rank": None},
+    "cfunctions": None,  # "family" and its FAMILY_KEYS (see check_keys)
+    "weights": {"tops": None, "max_height": None},
+    "grid": {"M": None},
+    "task": {"ray": {"direction": None, "steps": None},
+             "evolve": dict.fromkeys(("times", "orbit", "radius", "center", "sign",
+                                      "lattice_depth"))},
+    "tolerances": dict.fromkeys(TOLERANCES),
+    "seed": None,
+    "n_spectral_points": None,
+    "max_lambdas": None,
+}
+
+
+def _section(cfg: dict, key: str, where: str = "") -> dict:
+    """The config object cfg[key] ({} when absent), or a ConfigError; where
+    is the key path of cfg, for the message."""
+    value = cfg.get(key, {})
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where}{key} must be an object, got {value!r}")
+    return value
+
+
+def _check_keys(cfg: dict, schema: dict, where: str) -> None:
+    for key in cfg:
+        if key not in schema:
+            raise ConfigError(f"unknown config key {where + key!r}; have {sorted(schema)}")
+        if schema[key] is not None:
+            _check_keys(_section(cfg, key, where), schema[key], f"{where}{key}.")
+
+
+def check_keys(cfg: dict) -> None:
+    """Refuse a key that no verb reads, or a c-function key that the family
+    given does not read, naming its key path; an unknown family is left to
+    build_system."""
+    family = _section(cfg, "cfunctions").get("family", "unit")
+    keys = FAMILY_KEYS.get(family) if isinstance(family, str) else None
+    cfunctions = None if keys is None else dict.fromkeys(("family",) + keys)
+    _check_keys(cfg, {**CONFIG_KEYS, "cfunctions": cfunctions}, "")
+
+
 def load_config(path: str) -> dict:
     try:
         with open(path) as fh:
@@ -89,25 +142,34 @@ def load_config(path: str) -> dict:
     if not isinstance(cfg, dict):
         raise ConfigError(f"config {path} must hold a JSON object, "
                           f"got {type(cfg).__name__}")
+    check_keys(cfg)
     return cfg
 
 
+def _length_key(text: str) -> float:
+    """A key of the per-length g object: a squared root length, as a string."""
+    try:
+        return float(text)
+    except ValueError as exc:
+        raise ConfigError(f"cfunctions.g keys must be squared root lengths, "
+                          f"got {text!r}") from exc
+
+
 def build_system(cfg: dict):
-    rsc = cfg.get("root_system", {})
+    rsc = _section(cfg, "root_system")
     try:
         rs = build_root_system(rsc.get("label", "A"),
                                _number(rsc.get("rank", 1), "root_system.rank", int))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    cf = cfg.get("cfunctions", {"family": "unit"})
+    cf = _section(cfg, "cfunctions")
     family = cf.get("family", "unit")
     if family == "unit":
         return rs, None, unit_spec(rs)
     if family == "macdonald":
         g = cf.get("g", 1.0)
         if isinstance(g, dict):
-            g = {_number(k, "cfunctions.g"): _number(v, "cfunctions.g")
-                 for k, v in g.items()}
+            g = {_length_key(k): _number(v, f"cfunctions.g.{k}") for k, v in g.items()}
         else:
             g = _number(g, "cfunctions.g")
         q = _number(cf.get("q", 0.5), "cfunctions.q")
@@ -126,7 +188,7 @@ def build_system(cfg: dict):
 
 
 def weight_tops(cfg: dict, rs) -> list:
-    wc = cfg.get("weights", {})
+    wc = _section(cfg, "weights")
     if "tops" in wc:
         if not isinstance(wc["tops"], list) or not wc["tops"]:
             raise ConfigError("weights.tops must be a nonempty list of weights, "
@@ -147,29 +209,19 @@ def weight_tops(cfg: dict, rs) -> list:
 
 
 def tolerances(cfg: dict) -> dict:
-    out = {"specialization": 1e-10, "symmetry": 1e-9, "macdonald_identity": 1e-12,
-           "difference_equation": 1e-8, "pieri": 1e-8, "orthonormality": 1e-8,
-           "norms": 1e-8, "smatrix": 1e-13, "free": 0.0}
-    given = cfg.get("tolerances", {})
-    if not isinstance(given, dict):
-        raise ConfigError(f"tolerances must be an object, got {given!r}")
+    given = _section(cfg, "tolerances")
     for key, value in given.items():
-        if key not in out:
-            raise ConfigError(f"unknown tolerance {key!r}; have {sorted(out)}")
-        # compared as given, so a numeric string is refused too
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"tolerances.{key} must be a number, got {value!r}")
+        if key not in TOLERANCES:
+            raise ConfigError(f"unknown tolerance {key!r}; have {sorted(TOLERANCES)}")
         # NaN would fail every check, and Infinity would pass every one
-        if not 0 <= value < math.inf:
-            raise ConfigError(f"tolerances.{key} must be finite and nonnegative, "
-                              f"got {value!r}")
-    out.update(given)
-    return out
+        if _number(value, f"tolerances.{key}") < 0:
+            raise ConfigError(f"tolerances.{key} must be nonnegative, got {value!r}")
+    return {**TOLERANCES, **given}
 
 
 def grid_m(cfg: dict, default: int) -> int:
     """grid.M of the configuration, or default when it is not given."""
-    m = _number(cfg.get("grid", {}).get("M", default), "grid.M", int)
+    m = _number(_section(cfg, "grid").get("M", default), "grid.M", int)
     if m < 2:
         raise ConfigError(f"grid.M must be at least 2, got {m}")
     return m
@@ -298,7 +350,7 @@ def _suite_orthonormality(rs, params, spec, cfg, tol):
 def _suite_free_laplacian(rs, params, spec, cfg, tol):
     import itertools
     checks = []
-    h = _nonnegative(cfg.get("weights", {}).get("max_height", 4), "weights.max_height")
+    h = _nonnegative(_section(cfg, "weights").get("max_height", 4), "weights.max_height")
     pis = [tuple(m) for m in rs.minuscule_weights()] + [rs.quasi_minuscule_weight()]
     worst = 0.0
     for pi in pis:
@@ -345,9 +397,8 @@ SUITES = {
 def cmd_verify(args) -> int:
     cfg = load_config(args.config) if args.config else {}
     if args.tol:
-        given = cfg.setdefault("tolerances", {})
-        if not isinstance(given, dict):
-            raise ConfigError(f"tolerances must be an object, got {given!r}")
+        given = _section(cfg, "tolerances")
+        cfg["tolerances"] = given
         try:
             given.update(json.loads(args.tol))
         except (TypeError, ValueError) as exc:
@@ -369,11 +420,11 @@ def cmd_verify(args) -> int:
 def cmd_scatter(args) -> int:
     cfg = load_config(args.config) if args.config else {}
     rs, params, spec = build_system(cfg)
-    task = cfg.get("task", {})
+    task = _section(cfg, "task")
     if args.ray and args.evolve:
         raise ConfigError("scatter takes one of --ray and --evolve, not both")
     if args.ray:
-        ray = task.get("ray", {})
+        ray = _section(task, "ray", "task.")
         direction = tuple(_numbers(ray.get("direction", (1,) * rs.rank),
                                    "task.ray.direction", int))
         if len(direction) != rs.rank or not rs.is_dominant(direction) \
@@ -397,7 +448,7 @@ def cmd_scatter(args) -> int:
         _report(None, {"ray": rep}, cfg)
         return EXIT_OK
     if args.evolve:
-        ev = task.get("evolve", {})
+        ev = _section(task, "evolve", "task.")
         times = _numbers(ev.get("times", [4, 8, 16, 32]), "task.evolve.times")
         if not times:
             raise ConfigError("task.evolve.times must not be empty")

@@ -20,9 +20,7 @@ bandwidth.
 
 from __future__ import annotations
 
-import contextlib
 import itertools
-import math
 from fractions import Fraction
 
 import numpy as np
@@ -235,17 +233,17 @@ def weyl_character_extended(rs: RootSystem, lam) -> LaurentPoly:
     return chi if sign == 1 else -chi
 
 
-def _pairings(axes, mus: np.ndarray, out: np.ndarray, offset: int = 0) -> np.ndarray:
-    """Fill out (int64, one row per point of the product of the grid
-    coordinates in axes, last axis fastest; one column per mu of mus) with
-    the exact integers k = <index, mu> - offset: the products axes[j] * mu_j
-    are broadcast over the grid axes, one add per axis, and the offset is
-    taken from the first axis's products."""
-    k = out.reshape(tuple(len(a) for a in axes) + (len(mus),))
-    for j, (a, mu) in enumerate(zip(axes, mus.T)):
+def _pairings(M: int, mus: np.ndarray, out: np.ndarray, offset: int = 0) -> np.ndarray:
+    """Fill out (int64, one row per point of the M^rank grid in C order, one
+    column per mu of mus) with the exact integers k = <index, mu> - offset:
+    the products arange(M) * mu_j are broadcast over the grid axes, one add
+    per axis, and the offset is taken from the first axis's products."""
+    k = out.reshape((M,) * mus.shape[1] + (len(mus),))
+    axis = np.arange(M)
+    for j, mu in enumerate(mus.T):
         shape = [1] * k.ndim
-        shape[j], shape[-1] = len(a), len(mu)
-        term = np.multiply.outer(a, mu).reshape(shape)
+        shape[j], shape[-1] = M, len(mu)
+        term = np.multiply.outer(axis, mu).reshape(shape)
         if j == 0:
             np.subtract(term, offset, out=k)
         else:
@@ -253,23 +251,13 @@ def _pairings(axes, mus: np.ndarray, out: np.ndarray, offset: int = 0) -> np.nda
     return out
 
 
-def _phase_span(axes, mus) -> tuple:
-    """The least and greatest k = <index, mu> over the product of the
-    ascending coordinates in axes and the weights mus, exactly: on a
-    product of axes the extremes of a sum are the sums of the per-axis
-    extremes, which sit at an axis's first or last coordinate."""
-    ends = [(int(a[0]), int(a[-1])) for a in axes]
-    least, greatest = [], []
-    for mu in mus:
-        low = high = 0
-        for (first, last), m in zip(ends, mu):
-            if m >= 0:
-                low, high = low + m * first, high + m * last
-            else:
-                low, high = low + m * last, high + m * first
-        least.append(low)
-        greatest.append(high)
-    return min(least), max(greatest)
+def _phase_span(M: int, mus: np.ndarray) -> tuple:
+    """The least and greatest k = <index, mu> over the M^rank grid and the
+    weights mus, exactly: every index coordinate runs from 0 to M - 1, so
+    the extremes are M - 1 times a weight's sum of negative (least) or
+    positive (greatest) coordinates."""
+    return (int(np.minimum(mus, 0).sum(axis=1).min()) * (M - 1),
+            int(np.maximum(mus, 0).sum(axis=1).max()) * (M - 1))
 
 
 class _Scratch:
@@ -321,40 +309,26 @@ class QuadratureGrid:
         self._alcove = None
         self._table = np.empty(0, dtype=complex)
         self._table_lo = 0
-        self._scratch = None
 
-    def eval_terms(self, terms: dict, axes=None) -> np.ndarray:
-        """sum_mu c_mu e^{i<mu, xi>} over the product of the integer grid
-        coordinates in axes (one ascending array per axis; default every
-        point), flat in C order, in blocks of 64 terms.  The phases and
-        roots of the blocks are written into scratch, shared by the calls
-        made inside reused_scratch(); each block's phase range comes from
-        its per-axis products, not from a pass over its phases."""
-        if axes is None:
-            axes = (np.arange(self.M),) * self.rs.rank
-        points = math.prod(len(a) for a in axes)
-        out = np.zeros(points, dtype=complex)
-        scratch = self._scratch or _Scratch()
+    def eval_terms(self, terms: dict, scratch: _Scratch | None = None) -> np.ndarray:
+        """sum_mu c_mu e^{i<mu, xi>} over the grid, flat in C order, in
+        blocks of 64 terms.  The phases and roots of the blocks are written
+        into scratch (eval_polys passes one for all its rows); each block's
+        phase range comes from its weights, not from a pass over its
+        phases."""
+        out = np.zeros(self.size, dtype=complex)
+        scratch = scratch or _Scratch()
         items = list(terms.items())
         for start in range(0, len(items), 64):
             block = items[start:start + 64]
             mus = np.array([mu for mu, _ in block], dtype=np.int64)
             coeffs = np.array([complex(c) for _, c in block])
-            k, roots = scratch.arrays(points, len(block))
+            k, roots = scratch.arrays(self.size, len(block))
             roots = self.roots_of_unity(
-                lambda offset: _pairings(axes, mus, k, offset), out=roots,
-                span=_phase_span(axes, [mu for mu, _ in block]))
+                lambda offset: _pairings(self.M, mus, k, offset), out=roots,
+                span=_phase_span(self.M, mus))
             out += roots @ coeffs
         return out
-
-    @contextlib.contextmanager
-    def reused_scratch(self):
-        """eval_terms calls made inside share one scratch, dropped on exit."""
-        self._scratch = _Scratch()
-        try:
-            yield
-        finally:
-            self._scratch = None
 
     def eval_polys(self, polys, out=None) -> np.ndarray:
         """(len(polys), size) array, row j the values of polys[j]; out may be
@@ -362,9 +336,9 @@ class QuadratureGrid:
         (size, len(polys)) one."""
         if out is None:
             out = np.empty((len(polys), self.size), dtype=complex)
-        with self.reused_scratch():
-            for j, p in enumerate(polys):
-                out[j] = self.eval_terms(p.terms)
+        scratch = _Scratch()
+        for j, p in enumerate(polys):
+            out[j] = self.eval_terms(p.terms, scratch)
         return out
 
     def exponential(self, mu) -> np.ndarray:
@@ -531,28 +505,34 @@ def gram_ladder(polys, spec: CFunctionSpec, m: int, tol: float, max_m: int):
     M doubles from the caller's first rung m (first_rung of the polys, or
     orbit_first_rung of their weights for orbit sums) until two successive
     Gram matrices agree within tol * (1 + max|G|); the first rung is exact
-    for unit weights.  No grid above max_m is built, and no rung whose
-    arrays would exceed GRAM_BYTES_BUDGET; a ladder that cannot reach its
-    second rung is refused before the first (see check_ladder).  Each
-    rung's values become the even points of the next (see refine_rung), so
-    every grid point is evaluated once; the coarse rung is dropped before
-    the odd points are evaluated.
+    for unit weights, so a unit ladder stops there.  No grid above max_m is
+    built, and no rung whose arrays would exceed GRAM_BYTES_BUDGET; a ladder
+    that cannot reach its second rung is refused before the first (see
+    check_ladder).  A non-unit ladder evaluates the polys on the rung 2m
+    and reads the rung m off its even points: the points k of the rung at M
+    are the points 2k of the rung at 2M with the same phase bits, since
+    2pi/(2M) is 2pi/M halved exactly.  Later rungs are evaluated afresh.
     """
-    rs = polys[0].rs
-    check_ladder(rs, spec, len(polys), m, max_m)
-    gram = vals = None
-    while m <= max_m:
-        _check_gram_bytes(rs, len(polys), m)
-        grid = QuadratureGrid(rs, m)
-        if vals is not None:
-            vals = refine_rung(vals, grid)
-        vals = rung_values(polys, grid, vals)
-        cur = gram_matrix(polys, spec, grid, vals)
-        if spec.is_unit or (gram is not None and np.max(np.abs(cur - gram))
-                            <= tol * (1.0 + np.max(np.abs(cur)))):
-            return cur, m
-        gram, m = cur, 2 * m
-    raise QuadratureError(f"Gram matrix did not stabilize below M={max_m}")
+    rs, n = polys[0].rs, len(polys)
+    check_ladder(rs, spec, n, m, max_m)
+    grid = QuadratureGrid(rs, m)
+    if spec.is_unit:
+        return gram_matrix(polys, spec, grid), m
+    fine = QuadratureGrid(rs, 2 * m)
+    vals = fine.eval_polys(polys)
+    even = (slice(None),) + (slice(0, None, 2),) * rs.rank
+    # a copy of the even points: gram_matrix conjugates its values in place
+    gram = gram_matrix(polys, spec, grid,
+                       vals.reshape((n,) + (2 * m,) * rs.rank)[even].copy().reshape(n, -1))
+    while True:
+        cur = gram_matrix(polys, spec, fine, vals)
+        if np.max(np.abs(cur - gram)) <= tol * (1.0 + np.max(np.abs(cur))):
+            return cur, fine.M
+        gram, vals, m = cur, None, 2 * fine.M
+        if m > max_m:
+            raise QuadratureError(f"Gram matrix did not stabilize below M={max_m}")
+        _check_gram_bytes(rs, n, m)
+        fine = QuadratureGrid(rs, m)
 
 
 def gram_bytes(n: int, size: int) -> int:
@@ -583,41 +563,6 @@ def _check_gram_bytes(rs: RootSystem, n: int, m: int) -> None:
         raise BudgetExceededError(
             f"Gram ladder of {n} weights on {rs._name()} at M={m}", required,
             GRAM_BYTES_BUDGET, "bytes")
-
-
-def refine_rung(coarse: np.ndarray, grid: QuadratureGrid) -> np.ndarray:
-    """An (n, size) array for grid whose even coset holds the conjugated rows
-    of the rung at M/2 (as gram_matrix leaves them), conjugated back; the
-    odd cosets are left for rung_values.
-
-    The points k of the M/2 rung are the points 2k here, with the same phase
-    bits: (2pi/M) is (2pi/(M/2)) / 2 exactly, so (2pi/M) * 2k rounds like
-    (2pi/(M/2)) * k, and conj is exact.
-    """
-    n, M = grid.rs.rank, grid.M
-    vals = np.empty((len(coarse),) + (M,) * n, dtype=complex)
-    even = (slice(None),) + (slice(0, None, 2),) * n
-    np.conjugate(coarse.reshape((len(coarse),) + (M // 2,) * n), out=vals[even])
-    return vals.reshape(len(coarse), -1)
-
-
-def rung_values(polys, grid: QuadratureGrid, vals=None) -> np.ndarray:
-    """grid.eval_polys(polys), bit for bit.  vals, if given, is the array of
-    refine_rung with the even coset filled; only the 2^rank - 1 odd cosets
-    are evaluated, one polynomial at a time straight into it."""
-    if vals is None:
-        return grid.eval_polys(polys)
-    n, M = grid.rs.rank, grid.M
-    cube = vals.reshape((len(polys),) + (M,) * n)
-    with grid.reused_scratch():
-        for offset in itertools.product((0, 1), repeat=n):
-            if not any(offset):
-                continue
-            axes = [np.arange(o, M, 2) for o in offset]
-            coset = tuple(slice(o, None, 2) for o in offset)
-            for j, p in enumerate(polys):
-                cube[(j,) + coset] = grid.eval_terms(p.terms, axes).reshape((M // 2,) * n)
-    return vals
 
 
 def inner_product(f: LaurentPoly, g: LaurentPoly, spec: CFunctionSpec,

@@ -345,6 +345,29 @@ def test_unknown_suite(tmp_path):
     (["scatter", "--ray"], {"grid": {"M": float("inf")}}),
     (["scatter", "--evolve"], {"task": {"evolve": {"radius": float("nan")}}}),
     (["scatter", "--evolve"], {"task": {"evolve": {"times": [4, float("nan")]}}}),
+    # sections that are not objects (each exited 1)
+    (["scatter", "--ray"], {"task": [1]}),
+    (["scatter", "--ray"], {"task": {"ray": 3}}),
+    (["verify"], {"root_system": "A"}),
+    (["verify"], {"cfunctions": []}),
+    (["scatter", "--ray"], {"grid": 5}),
+    (["verify"], {"weights": 3}),
+    (["export", "operator"], {"weights": 3}),
+    # booleans and strings where a number belongs (each ran)
+    (["verify"], {"root_system": {"label": "A", "rank": True}}),
+    (["verify"], {"cfunctions": {"family": "macdonald", "g": 2.0, "q": "0.5"}}),
+    (["scatter", "--ray"], {"grid": {"M": "40"}}),
+    (["scatter", "--ray"], {"task": {"ray": {"steps": True}}}),
+    (["verify"], {"tolerances": {"norms": "1e-8"}}),
+    # keys that no verb reads, or that the family does not read (each ignored)
+    (["scatter", "--ray"], {"task": {"ray": {"step": 2}}}),
+    (["scatter", "--evolve"], {"task": {"evolve": {"time": [4]}}}),
+    (["verify"], {"tolerance": {"norms": 1e-8}}),
+    (["verify"], {"cfunctions": {"family": "macdonald", "g": 2.0, "q": 0.5,
+                                 "ghat": 1.1}}),
+    (["export", "polynomials"], {"root_system": {"label": "BC", "rank": 1},
+                                 "cfunctions": {"family": "koornwinder", "g": 1.0}}),
+    (["verify", "--suite", "free-laplacian"], {"cfunctions": {"family": "unit", "q": 0.5}}),
 ])
 def test_bad_task_values_are_config_errors(tmp_path, argv, patch):
     base = {"root_system": {"label": "A", "rank": 1},
@@ -352,6 +375,24 @@ def test_bad_task_values_are_config_errors(tmp_path, argv, patch):
     cfg = _cfg(tmp_path, "bad.json",
                {**base, **patch} if isinstance(patch, dict) else patch)
     assert main(argv + ["--config", cfg, "--out", str(tmp_path / "out")]) == 2
+
+
+@pytest.mark.parametrize("argv,patch,message", [
+    (["scatter", "--ray"], {"task": {"ray": {"step": 2}}},
+     "unknown config key 'task.ray.step'"),
+    (["verify"], {"tolerance": {"norms": 1e-8}}, "unknown config key 'tolerance'"),
+    (["verify"], {"cfunctions": {"family": "macdonald", "g": 2.0, "ghat": 1.1}},
+     "unknown config key 'cfunctions.ghat'; have ['family', 'g', 'q']"),
+    (["scatter", "--ray"], {"task": {"ray": [2]}}, "task.ray must be an object"),
+    (["verify"], {"weights": 3}, "weights must be an object"),
+    (["scatter", "--ray"], {"grid": {"M": "40"}}, "grid.M must be a number"),
+])
+def test_config_errors_name_the_key_path(tmp_path, capsys, argv, patch, message):
+    base = {"root_system": {"label": "A", "rank": 1},
+            "cfunctions": {"family": "macdonald", "g": 2.0, "q": 0.5}}
+    cfg = _cfg(tmp_path, "bad.json", {**base, **patch})
+    assert main(argv + ["--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv,patch,key", [
@@ -551,6 +592,30 @@ def test_root_half_phases_once_per_snapshot_context(tmp_path, monkeypatch):
     times = BC1_EVOLVE_TINY["task"]["evolve"]["times"]
     assert len(contexts) == len(times) + 1
     assert [id(g) for g in halves] == [id(g) for g in contexts[1:]]
+
+
+def test_evolve_packet_near_the_singular_set_exits_5(tmp_path, capsys):
+    # a center 0.3 from the wall at 0: the packet support meets the singular set
+    config = json.loads(json.dumps(BC1_EVOLVE_TINY))
+    config["task"]["evolve"]["center"] = [0.3]
+    out = tmp_path / "e.json"
+    start = time.perf_counter()
+    assert main(["scatter", "--evolve", "--config", _cfg(tmp_path, "c.json", config),
+                 "--out", str(out)]) == 5
+    assert time.perf_counter() - start < 1.0
+    assert "within 2 cells of the singular set" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_evolve_leakage_exits_5_and_writes_its_report(tmp_path, monkeypatch):
+    # leakage above LEAK_TOL marks the report invalid; it is still written
+    import alcove.evolution
+    monkeypatch.setattr(alcove.evolution, "LEAK_TOL", 0.0)
+    out = tmp_path / "e.json"
+    assert main(["scatter", "--evolve", "--config", _cfg(tmp_path, "e.json", BC1_EVOLVE_TINY),
+                 "--out", str(out)]) == 5
+    invalid = json.loads(out.read_text())["evolution"]["meta"]["invalid"]
+    assert invalid.startswith("window leakage above 0.0 at t=")
 
 
 @pytest.mark.parametrize("argv,patch", [

@@ -388,42 +388,35 @@ def test_ladder_gram_matches_fresh_grid_bitwise(label, rank, monkeypatch):
 
 @pytest.mark.parametrize("label,rank", [("B", 2), ("BC", 1), ("A", 3)])
 def test_ladder_evaluates_each_point_once(label, rank, monkeypatch):
-    # mapped onto the last rung, the points each polynomial is evaluated at
-    # over the whole ladder cover that grid exactly once
+    # the first rung is read off the even points of the second: over the
+    # whole ladder each polynomial is evaluated once on every rung from 2m
+    # on, and never on the first rung m
     rs, spec, polys = _ladder_case(label, rank)
     m0 = first_rung(rs, [p.support() for p in polys])
-    last = 4 * m0
-    hits = {id(p.terms): np.zeros((last,) * rank, dtype=int) for p in polys}
+    calls = []
     original = QuadratureGrid.eval_terms
 
-    def counting(grid, terms, axes=None):
-        axes = (np.arange(grid.M),) * rank if axes is None else axes
-        scaled = np.ix_(*[np.asarray(a) * (last // grid.M) for a in axes])
-        hits[id(terms)][scaled] += 1
-        return original(grid, terms, axes)
+    def counting(grid, terms, scratch=None):
+        calls.append((id(terms), grid.M))
+        return original(grid, terms, scratch)
 
     monkeypatch.setattr(QuadratureGrid, "eval_terms", counting)
     with pytest.raises(QuadratureError):
-        gram_ladder(polys, spec, m0, 0.0, last)
-    for count in hits.values():
-        assert np.all(count == 1)
+        gram_ladder(polys, spec, m0, 0.0, 4 * m0)
+    assert sorted(calls) == sorted((id(p.terms), m) for p in polys
+                                   for m in (2 * m0, 4 * m0))
 
 
 @pytest.mark.parametrize("label,rank,m", [("A", 2, 30), ("B", 2, 44), ("G", 2, 36),
                                           ("BC", 1, 64), ("BC", 2, 40), ("A", 3, 14)])
 def test_coset_phases_match_direct_sum(label, rank, m):
-    # eval_terms on every parity coset (the broadcast phases k = <index, mu>
-    # and the block sums) against the direct sum on the full grid
+    # eval_terms (the broadcast phases k = <index, mu> and the block sums)
+    # against the direct sum on the full grid
     rs = build_root_system(label, rank)
     grid = QuadratureGrid(rs, m)
     box = itertools.product(range(-4, 5), repeat=rank)
     terms = _terms(list(box)[:150])
-    direct = _direct_sum(grid, terms).reshape((m,) * rank)
-    assert _same_bits(grid.eval_terms(terms), direct.ravel())
-    for offset in itertools.product((0, 1), repeat=rank):
-        axes = [np.arange(o, m, 2) for o in offset]
-        coset = direct[tuple(slice(o, None, 2) for o in offset)]
-        assert _same_bits(grid.eval_terms(terms, axes), coset.ravel())
+    assert _same_bits(grid.eval_terms(terms), _direct_sum(grid, terms))
 
 
 @pytest.mark.parametrize("label,m", [("B", 37), ("BC", 26)])
@@ -443,9 +436,9 @@ def test_blocked_gram_matches_one_call_product(label, m):
 
 
 def test_gram_ladder_holds_values_and_one_block(b2):
-    # no weighted copy of the values, and the coarse rung is dropped before
-    # the odd cosets: the traced peak stays near the last rung's values plus
-    # one block of rows (two blocks of 21 and 22 here)
+    # no weighted copy of the values: the traced peak stays near the last
+    # rung's values plus one block of rows (two blocks of 21 and 22 here),
+    # also while the first rung's copy of their even points is held
     import tracemalloc
     spec = MacdonaldParams.create(b2, {1: 0.9, 2: 1.4}, 0.5).cspec()
     polys = [monomial_symmetric(b2, mu) for mu in b2.saturated_weights([(6, 6)])]

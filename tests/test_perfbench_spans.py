@@ -14,6 +14,7 @@ import numpy as np
 
 import alcove.harmonic as harmonic
 import alcove.qfun as qfun
+from alcove.cli import check_keys
 from alcove.harmonic import QuadratureGrid
 from alcove.orthopoly import MacdonaldParams, gram_schmidt
 
@@ -55,9 +56,9 @@ def test_gram_schmidt_reaches_gram_matrix_once_per_rung(b2, monkeypatch):
         gram_rungs.append(grid.M)
         return gram_matrix(polys, spec, grid, values)
 
-    def recording_eval(grid, terms, axes=None):
+    def recording_eval(grid, terms, scratch=None):
         eval_calls.append(grid.M)
-        return eval_terms(grid, terms, axes)
+        return eval_terms(grid, terms, scratch)
 
     monkeypatch.setattr(harmonic, "QuadratureGrid", RecordingGrid)
     monkeypatch.setattr(harmonic, "gram_matrix", recording_gram)
@@ -66,7 +67,8 @@ def test_gram_schmidt_reaches_gram_matrix_once_per_rung(b2, monkeypatch):
     system = gram_schmidt(b2, spec, [(2, 2)])
     assert len(built) >= 2 and gram_rungs == built
     assert system.grid_m == built[-1]
-    assert set(eval_calls) == set(built)
+    # the first rung is read off the even points of the second
+    assert set(eval_calls) == set(built[1:])
 
 
 def test_gram_schmidt_reaches_qpochhammer_per_distinct_phase(b2, monkeypatch):
@@ -76,19 +78,18 @@ def test_gram_schmidt_reaches_qpochhammer_per_distinct_phase(b2, monkeypatch):
     workloads = _load_perfbench(monkeypatch, WORKLOADS)
     assert all("qfun.qpochhammer_inf" in w.reaches for w in workloads.WORKLOADS.values())
     rungs, calls = [], []
-    qpochhammer_inf = qfun.qpochhammer_inf
+    qpochhammer_inf, measure_values = qfun.qpochhammer_inf, harmonic.measure_values
 
-    class RecordingGrid(QuadratureGrid):
-        def __init__(self, rs, M):
-            super().__init__(rs, M)
-            rungs.append(self)
+    def measuring(spec, grid):
+        rungs.append(grid)
+        return measure_values(spec, grid)
 
     def recording(z, q, tol=1e-15):
         calls.append((rungs[-1], np.size(z)))
         return qpochhammer_inf(z, q, tol)
 
     spec = MacdonaldParams.create(b2, {1: 0.9, 2: 1.4}, 0.5).cspec()
-    monkeypatch.setattr(harmonic, "QuadratureGrid", RecordingGrid)
+    monkeypatch.setattr(harmonic, "measure_values", measuring)
     monkeypatch.setattr(qfun, "qpochhammer_inf", recording)
     gram_schmidt(b2, spec, [(2, 2)])
     assert len(rungs) >= 2 and {grid for grid, _ in calls} == set(rungs)
@@ -123,3 +124,13 @@ def test_every_required_span_fires(tmp_path, monkeypatch):
             fired.update(dump["names"][span[1]] for span in dump["spans"])
         silent[name] = sorted(set(workload.reaches) - fired)
     assert silent and not any(silent.values()), silent
+
+
+def test_every_workload_config_passes_the_key_check(monkeypatch):
+    # each benchmark configuration, tiny and full, over seeds 0 to 9, reads
+    # only keys that some verb reads; nothing is run
+    workloads = _load_perfbench(monkeypatch, WORKLOADS).WORKLOADS
+    for workload in workloads.values():
+        for seed in range(10):
+            for tiny in (False, True):
+                check_keys(json.loads(json.dumps(workload.config(seed, tiny=tiny))))
