@@ -28,7 +28,8 @@ from .orthopoly import (KoornwinderParams, MacdonaldParams, ParameterError,
                         pieri_residual, specialization_residual,
                         symmetry_residual)
 from .qfun import unit_spec
-from .rootsys import BudgetExceededError, build_root_system
+from .rootsys import (DEFAULT_WEYL_BUDGET, LABELS, BudgetExceededError, build_root_system,
+                      weyl_order)
 from .scattering import (ScatteringContext, WaveTable, convergence_report,
                          grid_floor, root_half_phases, smatrix_factor,
                          smatrix_factor_direct)
@@ -157,9 +158,16 @@ def _length_key(text: str) -> float:
 
 def build_system(cfg: dict):
     rsc = _section(cfg, "root_system")
+    label = rsc.get("label", "A")
+    rank = _number(rsc.get("rank", 1), "root_system.rank", int)
     try:
-        rs = build_root_system(rsc.get("label", "A"),
-                               _number(rsc.get("rank", 1), "root_system.rank", int))
+        # a Weyl group over the budget is refused from its order, before
+        # anything is built (a huge rank stops the product early)
+        order = weyl_order(label, rank, DEFAULT_WEYL_BUDGET) if label in LABELS else 0
+        if order > DEFAULT_WEYL_BUDGET:
+            raise BudgetExceededError(f"Weyl group of {label}{rank}", order,
+                                      DEFAULT_WEYL_BUDGET, at_least=True)
+        rs = build_root_system(label, rank)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     cf = _section(cfg, "cfunctions")

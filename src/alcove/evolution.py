@@ -102,6 +102,7 @@ class WavePacket:
         if self.eps_chamber <= 0:
             raise PacketError(
                 "velocity box touches a chamber wall; shrink the packet")
+        self._kernels = None
 
     def _check_wall_margin(self, cells: int):
         offsets = np.array(list(itertools.product(range(-cells, cells + 1),
@@ -120,6 +121,15 @@ class WavePacket:
             for row in self.rs._pos_coroot_pairings:
                 eps = min(eps, float(sum(p * c for p, c in zip(row, coords))))
         return eps
+
+    def asymptotic_kernels(self, window) -> list:
+        """asymptotic_wave_values of the window on the packet's grid, built
+        on the first call and kept for later calls with the same window."""
+        key = [tuple(lam) for lam in window]
+        if self._kernels is None or self._kernels[0] != key:
+            self._kernels = (key, asymptotic_wave_values(
+                self.ctx.table.spec, window, self.grid, self.ctx.halves))
+        return self._kernels[1]
 
     def spectral(self) -> SpectralFunction:
         return SpectralFunction(self.grid, self.values.astype(complex), "alcove")
@@ -214,10 +224,8 @@ def asymptotic_packet(packet: WavePacket, sign: int, t: float,
     scattered = packet.ctx.smatrix_apply(packet.spectral(), -0.5 * sign)
     vals = scattered.values * np.exp(-1j * t * packet.ctx.symbol_values)
     vals = np.where(packet.grid.alcove_mask, vals, 0.0)
-    kernels = asymptotic_wave_values(packet.ctx.table.spec, window, packet.grid,
-                                     packet.ctx.halves)
     out = {}
-    for lam, kern in zip(window, kernels):
+    for lam, kern in zip(window, packet.asymptotic_kernels(window)):
         c = complex(np.mean(vals * kern))
         if c != 0:
             out[tuple(lam)] = c
@@ -302,10 +310,17 @@ def suggest_subdivision(symbol: LaurentPoly, tmax: float, floor: int) -> int:
     return m + m % 2
 
 
-def _diagnostic_snapshot(system, symbol, center, radius, sign, t, floor):
-    grid = QuadratureGrid(system.rs, suggest_subdivision(symbol, abs(t), floor))
-    ctx = ScatteringContext(WaveTable(system, grid), symbol)
-    packet = WavePacket(ctx, center, radius)
+def _diagnostic_snapshot(system, symbol, center, radius, sign, t, floor, packets):
+    """The norms and leakages at time t.  packets maps a grid M to the packet
+    built on it: times that share a grid share its table, context, packet
+    and asymptotic kernels.  Only the latest grid is kept, since the times
+    ascend and M never falls."""
+    m = suggest_subdivision(symbol, abs(t), floor)
+    if m not in packets:
+        packets.clear()
+        ctx = ScatteringContext(WaveTable(system, QuadratureGrid(system.rs, m)), symbol)
+        packets[m] = WavePacket(ctx, center, radius)
+    packet = packets[m]
     # the moving box window truncates the packet's intrinsic band tail, so
     # mass bookkeeping runs on the full table window instead
     box = set(window_sites(packet, t))
@@ -344,7 +359,9 @@ def run_scattering_diagnostic(system: OrthoPolySystem, symbol: LaurentPoly,
     meta = {"sign": sign, "center": [float(c) for c in center], "radius": radius,
             "times": list(times)}
     floor = grid_floor(system)
-    snaps = [_diagnostic_snapshot(system, symbol, center, radius, sign, sign * t, floor)
+    packets: dict = {}
+    snaps = [_diagnostic_snapshot(system, symbol, center, radius, sign, sign * t, floor,
+                                  packets)
              for t in times]
 
     norms = {n: [s[n] for s in snaps] for n in names}

@@ -21,6 +21,7 @@ bandwidth.
 from __future__ import annotations
 
 import itertools
+import os
 from fractions import Fraction
 
 import numpy as np
@@ -31,6 +32,16 @@ from .rootsys import (GRAM_BYTES_BUDGET, GRID_POINT_BUDGET, BudgetExceededError,
 
 # rows of one weighted block of the Gram product (see _row_blocks)
 GRAM_BLOCK_ROWS = 32
+# the grid sums and Gram blocks split into at most this many parts, which run
+# at the same time (see _split and _run)
+_PARTS = 2
+# grid points per part: a kernel on a grid of fewer than 2 * _GRAIN points
+# (such as an A2 rung at M=136, 18,496 points) runs on the calling thread alone
+_GRAIN = 10_000
+# least rows of one part of a Gram block: a product of one row moves the last
+# bits of its entries (numpy and OpenBLAS compute it another way); 8 leaves a
+# margin
+_PART_ROWS = 8
 
 
 class LaurentPoly:
@@ -233,16 +244,19 @@ def weyl_character_extended(rs: RootSystem, lam) -> LaurentPoly:
     return chi if sign == 1 else -chi
 
 
-def _pairings(M: int, mus: np.ndarray, out: np.ndarray, offset: int = 0) -> np.ndarray:
+def _pairings(M: int, mus: np.ndarray, out: np.ndarray, offset: int = 0,
+              rows: range | None = None) -> np.ndarray:
     """Fill out (int64, one row per point of the M^rank grid in C order, one
     column per mu of mus) with the exact integers k = <index, mu> - offset:
     the products arange(M) * mu_j are broadcast over the grid axes, one add
-    per axis, and the offset is taken from the first axis's products."""
-    k = out.reshape((M,) * mus.shape[1] + (len(mus),))
-    axis = np.arange(M)
+    per axis, and the offset is taken from the first axis's products.  With
+    rows, out holds only the points whose first index coordinate is in rows."""
+    rows = range(M) if rows is None else rows
+    k = out.reshape((len(rows),) + (M,) * (mus.shape[1] - 1) + (len(mus),))
     for j, mu in enumerate(mus.T):
         shape = [1] * k.ndim
-        shape[j], shape[-1] = M, len(mu)
+        shape[j], shape[-1] = k.shape[j], len(mu)
+        axis = np.arange(rows.start, rows.stop) if j == 0 else np.arange(M)
         term = np.multiply.outer(axis, mu).reshape(shape)
         if j == 0:
             np.subtract(term, offset, out=k)
@@ -275,6 +289,50 @@ class _Scratch:
             self.roots = np.empty(count, dtype=complex)
         return (self.k[:count].reshape(points, width),
                 self.roots[:count].reshape(points, width))
+
+
+_pool = None  # helper threads of _run, started on the first split kernel
+
+
+def _cpu_count() -> int:
+    return len(os.sched_getaffinity(0))
+
+
+def _split(count: int, points: int, least: int = 1) -> list:
+    """Edges of near-equal contiguous parts of range(count), for a kernel
+    over a grid of points: _PARTS parts, fewer on a grid of fewer than
+    _GRAIN points per part or where a part would get fewer than least items.
+    The edges depend on the sizes only, never on the CPU count, so neither
+    do the bits."""
+    parts = max(1, min(_PARTS, points // _GRAIN, count // least))
+    return [count * i // parts for i in range(parts + 1)]
+
+
+def _run(part, edges) -> None:
+    """part(a, b) for each pair of consecutive edges, at the same time: the
+    first on the calling thread, the others on helper threads.  A single
+    part, or a single CPU, runs on the calling thread alone.  part calls
+    numpy kernels only, which release the GIL, and writes disjoint rows of
+    the caller's arrays."""
+    global _pool
+    parts = list(zip(edges, edges[1:]))
+    if len(parts) == 1 or _cpu_count() == 1:
+        for a, b in parts:
+            part(a, b)
+        return
+    if _pool is None:
+        from concurrent.futures import ThreadPoolExecutor
+        _pool = ThreadPoolExecutor(min(_PARTS, _cpu_count()) - 1,
+                                   thread_name_prefix="alcove-grid")
+    pending = [_pool.submit(part, a, b) for a, b in parts[1:]]
+    try:
+        part(*parts[0])
+    finally:
+        # the parts share the caller's arrays: all end before this returns
+        errors = [f.exception() for f in pending]
+    for exc in errors:
+        if exc is not None:
+            raise exc
 
 
 def _check_grid_points(rs: RootSystem, M: int) -> None:
@@ -310,42 +368,62 @@ class QuadratureGrid:
         self._table = np.empty(0, dtype=complex)
         self._table_lo = 0
 
-    def eval_terms(self, terms: dict, scratch: _Scratch | None = None) -> np.ndarray:
+    def eval_terms(self, terms: dict, scratch: _Scratch | None = None,
+                   out: np.ndarray | None = None) -> np.ndarray:
         """sum_mu c_mu e^{i<mu, xi>} over the grid, flat in C order, in
-        blocks of 64 terms.  The phases and roots of the blocks are written
-        into scratch (eval_polys passes one for all its rows); each block's
-        phase range comes from its weights, not from a pass over its
-        phases."""
-        out = np.zeros(self.size, dtype=complex)
-        scratch = scratch or _Scratch()
+        blocks of 64 terms, written into out (a new array by default).  The
+        phases and roots of the blocks are written into scratch (eval_polys
+        passes one for all its rows); each block's phase range comes from its
+        weights, not from a pass over its phases.  A block on a large grid is
+        split by rows of the grid (_split over the first index coordinate)
+        into parts that run at the same time; every row is the same dot
+        product whatever the split, so the bits do not depend on it."""
+        if out is None:
+            out = np.empty(self.size, dtype=complex)
         items = list(terms.items())
+        if not items:
+            out[...] = 0
+            return out
+        scratch = scratch or _Scratch()
+        plane = self.size // self.M
+        edges = _split(self.M, self.size)
         for start in range(0, len(items), 64):
             block = items[start:start + 64]
             mus = np.array([mu for mu, _ in block], dtype=np.int64)
             coeffs = np.array([complex(c) for _, c in block])
             k, roots = scratch.arrays(self.size, len(block))
-            roots = self.roots_of_unity(
-                lambda offset: _pairings(self.M, mus, k, offset), out=roots,
-                span=_phase_span(self.M, mus))
-            out += roots @ coeffs
+            # the table is extended here, before any part reads it
+            base = self._table_start(*_phase_span(self.M, mus), k.size)
+
+            def part(a, b):
+                at = slice(a * plane, b * plane)
+                _pairings(self.M, mus, k[at], base or 0, range(a, b))
+                self.roots_of_unity(k[at], roots[at], table=base is not None)
+                if start:
+                    out[at] += roots[at] @ coeffs
+                else:
+                    # adding to 0.0, as a sum from zero does, turns -0.0 into 0.0
+                    np.add(np.matmul(roots[at], coeffs, out=out[at]), 0.0, out=out[at])
+
+            _run(part, edges)
         return out
 
     def eval_polys(self, polys, out=None) -> np.ndarray:
         """(len(polys), size) array, row j the values of polys[j]; out may be
         any array of that shape, such as the transpose of a C-ordered
-        (size, len(polys)) one."""
+        (size, len(polys)) one.  Each row is written in place."""
         if out is None:
             out = np.empty((len(polys), self.size), dtype=complex)
         scratch = _Scratch()
-        for j, p in enumerate(polys):
-            out[j] = self.eval_terms(p.terms, scratch)
+        for row, p in zip(out, polys):
+            self.eval_terms(p.terms, scratch, row)
         return out
 
     def exponential(self, mu) -> np.ndarray:
         """e^{i<mu, xi>} over the grid (mu given by weight coordinates)."""
         return self.roots_of_unity(self.index @ np.asarray(mu, dtype=np.int64))
 
-    def roots_of_unity(self, k, out=None, span=None) -> np.ndarray:
+    def roots_of_unity(self, k, out=None, table=None) -> np.ndarray:
         """e^{2 pi i k / M} for an integer array k; every grid exponential
         comes from here.
 
@@ -356,30 +434,35 @@ class QuadratureGrid:
         bit.  Folding k mod M would be exact in the mathematics but would
         move the last bits of every grid sum.
 
-        With span = (lo, hi), the exact least and greatest phase, k is
-        instead a function that writes the phases less a given offset into
-        a scratch array of out's shape: the offset is the table's start on
-        the table path and 0 on the direct one, so no pass over the phases
-        is spent on their range or on the offset.
+        eval_terms makes that choice once per block (_table_start) and passes
+        it as table to each part of the block: True when k holds the phases
+        less the table's start, False when it holds the phases.  Then the
+        table is only read, so parts may run on several threads.
         """
-        def exp(k, out=None):
+        if table is None:
+            start = self._table_start(int(k.min()), int(k.max()), k.size)
+            table = start is not None
+            if table:
+                k = k - start
+        if not table:
             return np.exp(1j * ((2.0 * np.pi / self.M) * k), out=out)
+        # mode="clip" gathers straight into out; "raise" would buffer it
+        return np.take(self._table, k, out=out, mode="clip")
 
-        if span is None:
-            lo, hi, size = int(k.min()), int(k.max()), k.size
-        else:
-            (lo, hi), size = span, out.size
-        if hi - lo >= size:
-            return exp(k if span is None else k(0), out)
+    def _table_start(self, lo: int, hi: int, count: int) -> int | None:
+        """The first phase of the table, extended to cover the phases lo to
+        hi, or None when hi - lo >= count: then count values of phases in
+        that range are computed directly, and nothing is tabulated."""
+        if hi - lo >= count:
+            return None
         start = self._table_lo if self._table.size else lo
         stop = start + self._table.size
         if lo < start or hi >= stop:
-            self._table = np.concatenate([exp(np.arange(lo, start)), self._table,
-                                          exp(np.arange(stop, hi + 1))])
+            self._table = np.concatenate([
+                self.roots_of_unity(np.arange(lo, start), table=False), self._table,
+                self.roots_of_unity(np.arange(stop, hi + 1), table=False)])
             self._table_lo = min(lo, start)
-        # mode="clip" gathers straight into out; "raise" would buffer it
-        offsets = k - self._table_lo if span is None else k(self._table_lo)
-        return np.take(self._table, offsets, out=out, mode="clip")
+        return self._table_lo
 
     def phase_values(self, mu, fn) -> np.ndarray:
         """fn(k) over the grid, k = <index, mu> the integer phase of
@@ -594,7 +677,9 @@ def gram_matrix(polys, spec: CFunctionSpec, grid: QuadratureGrid,
     conjugated in place.  The weighted rows E * w are formed one block of
     rows at a time, so besides the values only one block is held; each
     block's product with conj(E).T has the bits of the one-call product
-    (E * w) @ conj(E).T.
+    (E * w) @ conj(E).T.  On a large grid each block is split into parts of
+    at least _PART_ROWS rows that are weighted and multiplied at the same
+    time, into their rows of the one block buffer.
     """
     rs = polys[0].rs
     w = measure_values(spec, grid) / (grid.size * rs.weyl_order())
@@ -604,7 +689,11 @@ def gram_matrix(polys, spec: CFunctionSpec, grid: QuadratureGrid,
     scratch = np.empty((_block_rows(edges), grid.size), dtype=complex)
     gram = np.empty((len(polys), len(polys)), dtype=complex)
     for a, b in zip(edges, edges[1:]):
-        block = np.conjugate(conj[a:b], out=scratch[:b - a])
-        block *= w
-        np.matmul(block, conj.T, out=gram[a:b])
+
+        def part(s, t):
+            block = np.conjugate(conj[a + s:a + t], out=scratch[s:t])
+            block *= w
+            np.matmul(block, conj.T, out=gram[a + s:a + t])
+
+        _run(part, _split(b - a, grid.size, _PART_ROWS))
     return gram

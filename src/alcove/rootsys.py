@@ -54,8 +54,10 @@ GRAM_BYTES_BUDGET = 2 << 30
 class BudgetExceededError(RuntimeError):
     """An enumeration or allocation would exceed its size budget."""
 
-    def __init__(self, what: str, required: int, budget: int, unit: str = "elements"):
-        super().__init__(f"{what} has {required} {unit}, budget is {budget}")
+    def __init__(self, what: str, required: int, budget: int, unit: str = "elements",
+                 at_least: bool = False):
+        has = "has at least" if at_least else "has"
+        super().__init__(f"{what} {has} {required} {unit}, budget is {budget}")
         self.required = required
         self.budget = budget
 
@@ -492,10 +494,10 @@ class RootSystem:
     def weyl_group(self, max_order: int = DEFAULT_WEYL_BUDGET) -> tuple[WeylElement, ...]:
         """Enumerate W by breadth-first closure under simple reflections."""
         if self._weyl is None:
-            order_bound = weyl_order(self.label, self.rank)
+            order_bound = weyl_order(self.label, self.rank, max_order)
             if order_bound > max_order:
                 raise BudgetExceededError(f"Weyl group of {self._name()}",
-                                          order_bound, max_order)
+                                          order_bound, max_order, at_least=True)
             ident = self.element(())
             refls = [self.element((i,)) for i in range(self.rank)]
             seen = {ident.matrix: ident}
@@ -632,25 +634,39 @@ def _determinant(mat) -> Fraction:
     return det
 
 
-def weyl_order(label: str, rank: int) -> int:
-    """Classical order formula for W, used to guard enumeration budgets."""
+def weyl_order(label: str, rank: int, limit: int | None = None) -> int:
+    """Classical order formula for W, used to guard enumeration budgets.
+
+    The order is a product of factors; with a limit the product stops at
+    the first partial product above it, which is returned (the order is at
+    least that), so a huge rank costs a few steps rather than a factorial.
+    """
     n = rank
     if label == "A":
-        return math.factorial(n + 1)
-    if label in ("B", "C", "BC"):
-        return 2 ** n * math.factorial(n)
-    if label == "D":
-        return 2 ** (n - 1) * math.factorial(n)
-    if label == "E":
-        return {6: 51840, 7: 2903040, 8: 696729600}[n]
-    if label == "F":
-        return 1152
-    if label == "G":
-        return 12
-    # dual systems share the order of the original
-    if label.endswith("v"):
-        return weyl_order(label[:-1], rank)
-    raise ValueError(f"unknown Cartan label {label!r}")
+        factors = range(2, n + 2)                 # (n + 1)!
+    elif label in ("B", "C", "BC"):
+        factors = range(2, 2 * n + 1, 2)          # 2^n n!
+    elif label == "D":
+        factors = range(4, 2 * n + 1, 2)          # 2^(n-1) n!
+    elif label == "E":
+        if n not in (6, 7, 8):
+            raise ValueError("E_N needs N in {6,7,8}")
+        factors = ({6: 51840, 7: 2903040, 8: 696729600}[n],)
+    elif label == "F":
+        factors = (1152,)
+    elif label == "G":
+        factors = (12,)
+    elif label.endswith("v"):
+        # dual systems share the order of the original
+        return weyl_order(label[:-1], rank, limit)
+    else:
+        raise ValueError(f"unknown Cartan label {label!r}")
+    order = 1
+    for f in factors:
+        order *= f
+        if limit is not None and order > limit:
+            break
+    return order
 
 
 @lru_cache(maxsize=None)

@@ -113,6 +113,27 @@ def test_budget_exit_code(tmp_path):
     assert main(["verify", "--suite", "orthonormality", "--config", cfg]) == 3
 
 
+@pytest.mark.parametrize("label,rank,weights", [
+    ("A", 30, {}),                       # weight_tops would scan a 3^30 box
+    ("A", 10 ** 29, {}),                 # too large for an index
+    ("E", 8, {"max_height": 1}),         # orbits for over a minute
+])
+def test_weyl_budget_exits_before_anything_is_built(tmp_path, capsys, monkeypatch,
+                                                    label, rank, weights):
+    import alcove.cli as cli
+
+    def refuse(*args):
+        raise AssertionError("root system built")
+
+    monkeypatch.setattr(cli, "build_root_system", refuse)
+    cfg = _cfg(tmp_path, "big.json", {"root_system": {"label": label, "rank": rank},
+                                      "weights": weights})
+    start = time.perf_counter()
+    assert main(["verify", "--suite", "orthonormality", "--config", cfg]) == 3
+    assert time.perf_counter() - start < 1.0
+    assert f"Weyl group of {label}{rank} has at least" in capsys.readouterr().err
+
+
 def test_grid_budget_exit_code(tmp_path, capsys):
     # E6 at the default M=48 would need 48^6 grid points
     cfg = _cfg(tmp_path, "e6.json", {

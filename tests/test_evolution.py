@@ -161,6 +161,31 @@ def test_diagnostic_report(a1_setup):
     assert "norms" in payload and "fits" in payload
 
 
+def test_diagnostic_builds_once_per_grid(a1_setup, monkeypatch):
+    # times 4, 8 and 16 share one grid M: one table, context, packet and
+    # set of asymptotic kernels serve them, with the norms of snapshots
+    # built afresh for each time
+    import alcove.evolution as evolution
+    system, sym, ctx, packet = a1_setup
+    floor = evolution.grid_floor(system)
+    times = [4, 8, 16, 32]
+    grids = [evolution.suggest_subdivision(sym, t, floor) for t in times]
+    assert grids[0] == grids[1] == grids[2] != grids[3]
+    fresh = [evolution._diagnostic_snapshot(system, sym, packet.center, 1.0, +1, t,
+                                            floor, {}) for t in times]
+    tables, kernels = [], []
+    table, wave_values = evolution.WaveTable, evolution.asymptotic_wave_values
+    monkeypatch.setattr(evolution, "WaveTable",
+                        lambda *args: tables.append(args[1].M) or table(*args))
+    monkeypatch.setattr(evolution, "asymptotic_wave_values",
+                        lambda *args: kernels.append(args[2].M) or wave_values(*args))
+    rep = run_scattering_diagnostic(system, sym, packet.center, 1.0, +1, times)
+    assert tables == kernels == [grids[0], grids[3]]
+    for name, series in rep.norms.items():
+        assert series == [snap[name] for snap in fresh]
+    assert rep.leakages["free"] == [snap["leak_free"] for snap in fresh]
+
+
 def test_reversal_symmetry_b2(b2):
     # with -1 in W and a real bump, phi_-(-t) = det(w0) conj(phi_+(t))
     par = MacdonaldParams.create(b2, {1.0: 0.9, 2.0: 1.4}, 0.5)

@@ -1,5 +1,9 @@
 import itertools
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -396,9 +400,9 @@ def test_ladder_evaluates_each_point_once(label, rank, monkeypatch):
     calls = []
     original = QuadratureGrid.eval_terms
 
-    def counting(grid, terms, scratch=None):
+    def counting(grid, terms, scratch=None, out=None):
         calls.append((id(terms), grid.M))
-        return original(grid, terms, scratch)
+        return original(grid, terms, scratch, out)
 
     monkeypatch.setattr(QuadratureGrid, "eval_terms", counting)
     with pytest.raises(QuadratureError):
@@ -453,6 +457,110 @@ def test_gram_ladder_holds_values_and_one_block(b2):
     finally:
         tracemalloc.stop()
     assert peak <= 1.25 * gram_bytes(n, size)
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """cpus(n): the grid kernels see n CPUs from now on, with a pool of
+    their own; every pool started here is shut down afterwards."""
+    import alcove.harmonic as harmonic
+    monkeypatch.setattr(harmonic, "_pool", None)
+    started = []
+
+    def use(count):
+        started.append(harmonic._pool)
+        harmonic._pool = None
+        monkeypatch.setattr(harmonic, "_cpu_count", lambda: count)
+
+    yield use
+    for pool in started + [harmonic._pool]:
+        if pool is not None:
+            pool.shutdown()
+
+
+def _split_case(label, m):
+    """A grid above 2 * _GRAIN points, on which the rows of every eval_terms
+    block and of every Gram block split into two parts, and 121 orbit sums."""
+    import alcove.harmonic as harmonic
+    rs, spec, _ = _ladder_case(label, 2)
+    grid = QuadratureGrid(rs, m)
+    assert len(harmonic._split(grid.M, grid.size)) == 3
+    polys = [monomial_symmetric(rs, mu) for mu in rs.saturated_weights([(12, 12)])[:121]]
+    return rs, spec, grid, polys
+
+
+SPLIT_GRAM_ROWS = (5, 27, 79, 121)
+
+
+@pytest.mark.parametrize("label,m", [("B", 150), ("BC", 144)])
+def test_split_gram_keeps_its_bits_on_any_cpu_count(label, m, cpus):
+    # values, also written through a transposed view, and Gram matrices are
+    # the same bits for 1, 2 and 3 CPUs
+    import alcove.harmonic as harmonic
+    rs, spec, grid, polys = _split_case(label, m)
+    runs = []
+    for count in (1, 2, 3):
+        cpus(count)
+        E = grid.eval_polys(polys)
+        columns = np.empty((grid.size, 5), dtype=complex)
+        grid.eval_polys(polys[:5], out=columns.T)
+        assert _same_bits(np.ascontiguousarray(columns.T), E[:5])
+        runs.append((E, [gram_matrix(polys[:n], spec, grid, E[:n].copy())
+                         for n in SPLIT_GRAM_ROWS]))
+        assert (harmonic._pool is None) == (count == 1)
+    E, grams = runs[0]
+    for other, other_grams in runs[1:]:
+        assert _same_bits(other, E)
+        assert all(_same_bits(a, b) for a, b in zip(other_grams, grams))
+
+
+def test_split_gram_matches_one_call_product_with_one_blas_thread():
+    # with one BLAS thread every part's product keeps the bits of the
+    # one-call product (E * w) @ conj(E).T (OpenBLAS SkylakeX; see
+    # README.md); a threaded BLAS splits the one-call product its own way,
+    # so this runs in a child with one BLAS thread
+    code = """
+import numpy as np
+from test_harmonic import SPLIT_GRAM_ROWS, _same_bits, _split_case
+from alcove.harmonic import gram_matrix, measure_values
+for label, m in [("B", 150), ("BC", 144)]:
+    rs, spec, grid, polys = _split_case(label, m)
+    w = measure_values(spec, grid) / (grid.size * rs.weyl_order())
+    E = grid.eval_polys(polys)
+    for n in SPLIT_GRAM_ROWS:
+        gram = gram_matrix(polys[:n], spec, grid, E[:n].copy())
+        assert _same_bits(gram, (E[:n] * w) @ np.conjugate(E[:n]).T), (label, n)
+"""
+    tests = Path(__file__).resolve().parent
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join([str(tests.parent / "src"), str(tests)])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_split_grid_sums_match_direct_sum_on_any_cpu_count(b2, bc1, cpus):
+    # blocks crossing the grain, on the table path (B2, 150 terms in three
+    # blocks) and on the direct path (BC1 weights whose phases span more
+    # integers than the block has values); the threads switch every
+    # microsecond, so a part that read or wrote another's rows would show
+    box = [mu for mu in itertools.product(range(-6, 7), repeat=2) if any(mu)]
+    cases = [(b2, 150, _terms(np.random.default_rng(3).permutation(box)[:150])),
+             (bc1, 24000, _terms([(s * mu,) for mu in range(40, 100) for s in (1, -1)]))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for rs, m, terms in cases:
+            values = []
+            for count in (1, 2, 3):
+                cpus(count)
+                grid = QuadratureGrid(rs, m)
+                values += [grid.eval_terms(terms) for _ in range(3)]
+                assert (grid._table.size > 0) == (rs.rank == 2)
+            direct = _direct_sum(grid, terms)
+            assert all(_same_bits(v, direct) for v in values)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_gram_budget_is_checked_before_a_rung_allocates(b2, monkeypatch):

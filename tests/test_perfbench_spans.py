@@ -8,13 +8,14 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 
 import alcove.harmonic as harmonic
 import alcove.qfun as qfun
-from alcove.cli import check_keys
+from alcove.cli import check_keys, main
 from alcove.harmonic import QuadratureGrid
 from alcove.orthopoly import MacdonaldParams, gram_schmidt
 
@@ -56,9 +57,9 @@ def test_gram_schmidt_reaches_gram_matrix_once_per_rung(b2, monkeypatch):
         gram_rungs.append(grid.M)
         return gram_matrix(polys, spec, grid, values)
 
-    def recording_eval(grid, terms, scratch=None):
+    def recording_eval(grid, terms, scratch=None, out=None):
         eval_calls.append(grid.M)
-        return eval_terms(grid, terms, scratch)
+        return eval_terms(grid, terms, scratch, out)
 
     monkeypatch.setattr(harmonic, "QuadratureGrid", RecordingGrid)
     monkeypatch.setattr(harmonic, "gram_matrix", recording_gram)
@@ -134,3 +135,101 @@ def test_every_workload_config_passes_the_key_check(monkeypatch):
         for seed in range(10):
             for tiny in (False, True):
                 check_keys(json.loads(json.dumps(workload.config(seed, tiny=tiny))))
+
+
+def _wrap_targets(spans, monkeypatch, seen):
+    """Wrap every trace target, and every module-level name bound to one,
+    so that each call appends (span, on the main thread) to seen."""
+    def wrap(name, fn):
+        def recording(*args, **kwargs):
+            seen.append((name, threading.current_thread() is threading.main_thread()))
+            return fn(*args, **kwargs)
+        return recording
+
+    originals = {}
+    for t in spans.TARGETS:
+        owner = importlib.import_module(f"alcove.{t.module}")
+        *path, attr = t.attr.split(".")
+        for part in path:
+            owner = getattr(owner, part)
+        original = inspect.getattr_static(owner, attr)
+        if isinstance(original, property):
+            monkeypatch.setattr(owner, attr, property(wrap(t.span, original.fget)))
+            continue
+        wrapped = wrap(t.span, original)
+        monkeypatch.setattr(owner, attr, wrapped)
+        if not path:
+            originals[id(original)] = (original, wrapped)
+    for name, module in list(sys.modules.items()):
+        if name == "alcove" or name.startswith("alcove."):
+            for key, value in list(vars(module).items()):
+                hit = originals.get(id(value))
+                if hit is not None and hit[0] is value:
+                    monkeypatch.setattr(module, key, hit[1])
+
+
+def _outputs(out):
+    return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+
+
+def test_trace_targets_stay_on_the_main_thread(tmp_path, monkeypatch, capsys):
+    # the tiny ray-b2 and export-bc2 runs, once with a grain so large that
+    # nothing splits and once with one so small that every grid sum and Gram
+    # block splits across two CPUs: every trace target is entered on the
+    # main thread only, and both give the same bytes
+    spans = _load_perfbench(monkeypatch)
+    workloads = _load_perfbench(monkeypatch, WORKLOADS).WORKLOADS
+    monkeypatch.setattr(harmonic, "_cpu_count", lambda: 2)
+    outputs = {}
+    for grain in (10 ** 12, 64):
+        monkeypatch.setattr(harmonic, "_GRAIN", grain)
+        monkeypatch.setattr(harmonic, "_pool", None)
+        for name in ("ray-b2", "export-bc2"):
+            workload = workloads[name]
+            out = tmp_path / f"{name}-{grain}"
+            out.mkdir()
+            config = out / "config.json"
+            config.write_text(json.dumps(workload.config(3, tiny=True)))
+            seen = []
+            with monkeypatch.context() as patch:
+                _wrap_targets(spans, patch, seen)
+                for run in workload.runs(str(config), out):
+                    assert main(run.argv) == 0
+            capsys.readouterr()
+            config.unlink()
+            outputs[name, grain] = _outputs(out)
+            assert seen and all(on_main for _, on_main in seen), name
+            assert {"harmonic.eval_terms", "harmonic.gram_matrix"} <= {s for s, _ in seen}
+        pool = harmonic._pool
+        assert (pool is None) == (grain > 10 ** 6)
+        if pool is not None:
+            pool.shutdown()
+    for name in ("ray-b2", "export-bc2"):
+        assert outputs[name, 64] == outputs[name, 10 ** 12]
+
+
+def test_small_workloads_start_no_thread(tmp_path, monkeypatch):
+    # verify-a2 and evolve-bc1, tiny and full, as seen by a host with two
+    # CPUs: every grid kernel stays under the grain, so no thread starts
+    workloads = _load_perfbench(monkeypatch, WORKLOADS).WORKLOADS
+    argvs = []
+    for name in ("verify-a2", "evolve-bc1"):
+        for tiny in (True, False):
+            out = tmp_path / f"{name}-{tiny}"
+            out.mkdir()
+            config = out / "config.json"
+            config.write_text(json.dumps(workloads[name].config(3, tiny=tiny)))
+            argvs += [run.argv for run in workloads[name].runs(str(config), out)]
+    code = f"""
+import threading
+import alcove.harmonic
+from alcove.cli import main
+alcove.harmonic._cpu_count = lambda: 2
+codes = [main(argv) for argv in {argvs!r}]
+print(codes, threading.active_count())
+"""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "OPENBLAS_NUM_THREADS": "1"}
+    proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split()[-1] == "1" and "[0, 0, 0, 0] " in proc.stdout
