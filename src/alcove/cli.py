@@ -18,7 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .harmonic import QuadratureError, QuadratureGrid, gram_matrix, orbit_symbol
+from .harmonic import (MAX_M, QuadratureError, QuadratureGrid, check_ladder, gram_matrix,
+                       orbit_first_rung, orbit_symbol)
 from .laplacian import (LatticeFunction, apply_free, apply_free_closed,
                         apply_koornwinder, apply_macdonald_ruijsenaars,
                         operator_matrix)
@@ -339,6 +340,10 @@ def _regular_point(rs, rng):
 
 def _suite_orthonormality(rs, params, spec, cfg, tol):
     tops = weight_tops(cfg, rs)
+    if spec.is_unit:
+        # refuse an oversized rung before gram_schmidt divides the characters
+        weights = rs.saturated_weights(tops)
+        check_ladder(rs, spec, len(weights), orbit_first_rung(rs, weights), MAX_M)
     system = gram_schmidt(rs, spec, tops)
     polys = [system.poly(lam) for lam in system.weights]
     gram = gram_matrix(polys, spec, QuadratureGrid(rs, system.grid_m))

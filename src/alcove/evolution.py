@@ -115,10 +115,11 @@ class WavePacket:
     def _chamber_margin(self) -> float:
         corners = itertools.product(*zip(self.v_lo, self.v_hi))
         eps = math.inf
+        rows = self.rs.coroot_pairings[self.rs.positive_rows].tolist()
         for corner in corners:
             # <w v, alpha^vee> from the weight coordinates of w v
             coords = self.what.act(self.rs.basis_coroots_f @ corner)
-            for row in self.rs._pos_coroot_pairings:
+            for row in rows:
                 eps = min(eps, float(sum(p * c for p, c in zip(row, coords))))
         return eps
 
@@ -141,7 +142,7 @@ class WavePacket:
         """The Weyl element whose chamber carries the packet at time t."""
         if t > 0:
             return self.what
-        return self.rs.longest_element() * self.what
+        return self.rs.element(self.rs.longest_element().word + self.what.word)
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,8 @@
 
 A LaurentPoly is a finite sum  sum_mu c_mu e^{i<mu, xi>}  with exponents mu
 in the weight lattice, stored sparsely by fundamental-weight coordinates.
-Coefficients may be exact (int / Fraction) or complex; Weyl characters are
-built exactly by long division of alternating sums.
+Coefficients may be exact (int) or complex; Weyl characters are built
+exactly by long division of alternating sums, in Python ints.
 
 All normalized alcove integrals are realized as averages over the torus
 E / 2pi Q^vee on a uniform grid in a coroot-lattice basis.  The alcove of
@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import itertools
 import os
-from fractions import Fraction
 
 import numpy as np
 
@@ -30,6 +29,8 @@ from .qfun import CFunctionSpec
 from .rootsys import (GRAM_BYTES_BUDGET, GRID_POINT_BUDGET, BudgetExceededError,
                       RootSystem, WeylElement)
 
+# the largest grid M a Gram ladder builds unless its caller says otherwise
+MAX_M = 4096
 # rows of one weighted block of the Gram product (see _row_blocks)
 GRAM_BLOCK_ROWS = 32
 # the grid sums and Gram blocks split into at most this many parts, which run
@@ -184,14 +185,18 @@ def eval_delta(rs: RootSystem, xi) -> complex:
 def laurent_divide(num: LaurentPoly, den: LaurentPoly, tol: float = 0.0) -> LaurentPoly:
     """Exact long division num/den along the lexicographic exponent order.
 
-    With tol == 0 the coefficients must cancel exactly (int/Fraction input);
-    a positive tol prunes float residue below tol * max|coeff|.
+    The leading coefficient of den must be +-1, as the Weyl denominator's
+    is, so integer coefficients divide exactly in Python ints.  With
+    tol == 0 the coefficients must cancel exactly; a positive tol prunes
+    float residue below tol * max|coeff|.
     """
+    dlead = max(den.terms)
+    dcoeff = den.terms[dlead]
+    if dcoeff not in (1, -1):
+        raise ValueError(f"leading coefficient of the divisor must be +-1, got {dcoeff}")
     rem = dict(num.terms)
     if not rem:
         return LaurentPoly(num.rs, {})
-    dlead = max(den.terms)
-    dcoeff = den.terms[dlead]
     scale = max(abs(complex(c)) for c in rem.values())
     quot: dict = {}
     steps = 0
@@ -206,8 +211,7 @@ def laurent_divide(num: LaurentPoly, den: LaurentPoly, tol: float = 0.0) -> Laur
         if tol > 0 and abs(complex(c)) <= tol * scale:
             continue
         e = tuple(a - b for a, b in zip(m, dlead))
-        q = Fraction(c, dcoeff) if isinstance(c, int) and isinstance(dcoeff, int) \
-            else c / dcoeff
+        q = c * dcoeff if isinstance(c, int) else c / dcoeff
         quot[e] = quot.get(e, 0) + q
         for k, v in den.terms.items():
             if k == dlead:
@@ -218,8 +222,6 @@ def laurent_divide(num: LaurentPoly, den: LaurentPoly, tol: float = 0.0) -> Laur
                 rem.pop(kk, None)
             else:
                 rem[kk] = nv
-    if all(isinstance(c, Fraction) and c.denominator == 1 for c in quot.values()):
-        quot = {k: int(c) for k, c in quot.items()}
     return LaurentPoly(num.rs, quot)
 
 
@@ -649,7 +651,7 @@ def _check_gram_bytes(rs: RootSystem, n: int, m: int) -> None:
 
 
 def inner_product(f: LaurentPoly, g: LaurentPoly, spec: CFunctionSpec,
-                  tol: float = 1e-10, max_m: int = 4096) -> complex:
+                  tol: float = 1e-10, max_m: int = MAX_M) -> complex:
     """(f, g) with respect to the weight Delta |delta|^2, alcove-normalized:
     entry [0, 1] of the Gram matrix of [f, g] on the doubling ladder."""
     gram, _ = gram_ladder([f, g], spec, first_rung(f.rs, [f.support(), g.support()]),

@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .harmonic import (LaurentPoly, QuadratureGrid, check_ladder, gram_ladder,
+from .harmonic import (MAX_M, LaurentPoly, QuadratureGrid, check_ladder, gram_ladder,
                        laurent_divide, monomial_symmetric, orbit_first_rung,
                        weyl_character, weyl_denominator)
 from .qfun import (CFunctionSpec, koornwinder_factors, koornwinder_spec,
@@ -389,7 +389,7 @@ def _validate_order(rs, weights) -> list:
 
 
 def gram_schmidt(rs: RootSystem, spec: CFunctionSpec, tops, order=None,
-                 tol: float = 1e-11, max_m: int = 4096) -> OrthoPolySystem:
+                 tol: float = 1e-11, max_m: int = MAX_M) -> OrthoPolySystem:
     """Orthonormalize the monomial basis below the given top weight(s).
 
     For the unit weight the orthonormal polynomials are the Weyl characters

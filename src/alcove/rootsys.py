@@ -34,7 +34,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -128,12 +128,6 @@ def _solve(mat: list[list[Fraction]], rhs: list[list[Fraction]]) -> list[list[Fr
     return [row[n:n + m] for row in a]
 
 
-def _mat_mul(a, b):
-    n = len(a)
-    bt = list(zip(*b))
-    return tuple(tuple(dot(a[i], bt[j]) for j in range(n)) for i in range(n))
-
-
 @dataclass(frozen=True)
 class WeylElement:
     """Weyl group element: a word in the simple reflections with the integer
@@ -159,11 +153,6 @@ class WeylElement:
 
     def inverse(self) -> "WeylElement":
         return WeylElement(tuple(reversed(self.word)), self.inverse_matrix, self.matrix)
-
-    def __mul__(self, other: "WeylElement") -> "WeylElement":
-        return WeylElement(self.word + other.word,
-                           _mat_mul(self.matrix, other.matrix),
-                           _mat_mul(other.inverse_matrix, self.inverse_matrix))
 
 
 def _simple_root_data(label: str, rank: int):
@@ -303,15 +292,6 @@ class RootSystem:
         self.rho: Vec = _scale(Fraction(1, 2), rho)
         self.rho_coords: Coords = self.vector_coords(self.rho)
 
-        # Weyl elements by word, seeded with the identity and the simple
-        # reflections (involutions, so each is its own inverse)
-        ident = tuple(tuple(int(i == j) for j in range(rank)) for i in range(rank))
-        self._elements: dict[tuple[int, ...], WeylElement] = {
-            (): WeylElement((), ident, ident)}
-        for i, row in enumerate(self._refl_rows):
-            refl = tuple(tuple(ident[j][r] - ident[r][i] * row[j] for r in range(rank))
-                         for j in range(rank))
-            self._elements[(i,)] = WeylElement((i,), refl, refl)
         # coroots in roots order, and over the positive roots
         self._coroots = tuple(coroot(a) for a in self.roots)
         coroot_of = dict(zip(self.roots, self._coroots))
@@ -482,34 +462,43 @@ class RootSystem:
         lam, word = self.dominantize(mu)
         return lam, -1 if len(word) % 2 else 1, all(c != 0 for c in lam)
 
+    def _times_simple(self, w: WeylElement, i: int) -> WeylElement:
+        """w r_i, in O(rank^2) integer steps.  r_i is I - A_i e_i^T with
+        A_i = _refl_rows[i], so column i of w's matrix loses w A_i, and row j
+        of r_i w^{-1} loses A_ij times row i of w^{-1}."""
+        a = self._refl_rows[i]
+        matrix = tuple(row[:i] + (row[i] - dot(row, a),) + row[i + 1:] for row in w.matrix)
+        top = w.inverse_matrix[i]
+        inverse = tuple(tuple(x - aj * y for x, y in zip(row, top)) if aj else row
+                        for row, aj in zip(w.inverse_matrix, a))
+        return WeylElement(w.word + (i,), matrix, inverse)
+
     def element(self, word) -> WeylElement:
-        """The Weyl element r_{i_1} ... r_{i_k} of the word (i_1, ..., i_k)."""
-        word = tuple(word)
-        w = self._elements.get(word)
-        if w is None:
-            w = self.element(word[:-1]) * self._elements[word[-1:]]
-            self._elements[word] = w
-        return w
+        """The Weyl element r_{i_1} ... r_{i_k} of the word (i_1, ..., i_k),
+        folded from the identity one simple reflection at a time."""
+        ident = tuple(tuple(int(i == j) for j in range(self.rank)) for i in range(self.rank))
+        return reduce(self._times_simple, word, WeylElement((), ident, ident))
 
     def weyl_group(self, max_order: int = DEFAULT_WEYL_BUDGET) -> tuple[WeylElement, ...]:
-        """Enumerate W by breadth-first closure under simple reflections."""
+        """Enumerate W by breadth-first closure under right multiplication by
+        the simple reflections.  rho is regular, so w is fixed by w^{-1}(rho),
+        and (w r_i)^{-1}(rho) = r_i(w^{-1}(rho)): the closure runs on that
+        orbit and builds each element's matrices once."""
         if self._weyl is None:
             order_bound = weyl_order(self.label, self.rank, max_order)
             if order_bound > max_order:
                 raise BudgetExceededError(f"Weyl group of {self._name()}",
                                           order_bound, max_order, at_least=True)
-            ident = self.element(())
-            refls = [self.element((i,)) for i in range(self.rank)]
-            seen = {ident.matrix: ident}
-            frontier = [ident]
+            seen = {self.rho_coords: self.element(())}
+            frontier = [self.rho_coords]
             while frontier:
                 nxt = []
-                for w in frontier:
-                    for r in refls:
-                        prod = w * r
-                        if prod.matrix not in seen:
-                            seen[prod.matrix] = prod
-                            nxt.append(prod)
+                for key in frontier:
+                    for i in range(self.rank):
+                        img = self.simple_reflection_coords(i, key)
+                        if img not in seen:
+                            seen[img] = self._times_simple(seen[key], i)
+                            nxt.append(img)
                 frontier = nxt
             self._weyl = tuple(seen.values())
         if len(self._weyl) > max_order:

@@ -144,6 +144,24 @@ def test_grid_budget_exit_code(tmp_path, capsys):
     assert f"{48 ** 6} points" in capsys.readouterr().err
 
 
+def test_unit_orthonormality_refuses_its_rung_before_any_character(tmp_path, capsys,
+                                                                    monkeypatch):
+    # A7 unit with max_height 1: 7 weights whose rung M=34 needs 34^7 grid
+    # points; refused before a Weyl character (|W| = 40,320) is divided
+    import alcove.orthopoly as orthopoly
+
+    def refuse(*args):
+        raise AssertionError("character built")
+
+    monkeypatch.setattr(orthopoly, "weyl_character", refuse)
+    cfg = _cfg(tmp_path, "a7.json", {"root_system": {"label": "A", "rank": 7},
+                                     "weights": {"max_height": 1}})
+    start = time.perf_counter()
+    assert main(["verify", "--suite", "orthonormality", "--config", cfg]) == 3
+    assert time.perf_counter() - start < 2.0
+    assert "Gram ladder of 7 weights on A7 at M=34" in capsys.readouterr().err
+
+
 # the example configuration of README.md
 README_EXAMPLE = {
     "root_system": {"label": "A", "rank": 2},

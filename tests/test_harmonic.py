@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 
 from alcove.harmonic import (LaurentPoly, QuadratureError, QuadratureGrid,
-                             chat_values, delta_values, eval_delta, first_rung,
+                             alternating_sum, chat_values, delta_values, eval_delta, first_rung,
                              gram_bytes, gram_ladder, gram_matrix, inner_product,
-                             measure_values, monomial_symmetric, orbit_first_rung,
+                             laurent_divide, measure_values, monomial_symmetric, orbit_first_rung,
                              weight_function_eval, weight_function_values,
                              weyl_character, weyl_character_extended,
                              weyl_denominator)
@@ -68,6 +68,47 @@ def test_characters(a2):
     chith = weyl_character(a2, (1, 1))
     mth = monomial_symmetric(a2, (1, 1))
     assert (chith - mth).terms == {(0, 0): 2}
+
+
+def _fraction_divide(num, den):
+    """Long division num/den carried in Fractions, as laurent_divide once
+    did, with integral quotients read back as ints."""
+    rem = {k: Fraction(c) for k, c in num.terms.items()}
+    dlead = max(den.terms)
+    quot = {}
+    while rem:
+        m = max(rem)
+        q = rem.pop(m) / den.terms[dlead]
+        e = tuple(a - b for a, b in zip(m, dlead))
+        quot[e] = q
+        for k, v in den.terms.items():
+            if k != dlead:
+                kk = tuple(a + b for a, b in zip(e, k))
+                rem[kk] = rem.get(kk, 0) - q * v
+                if rem[kk] == 0:
+                    del rem[kk]
+    assert all(c.denominator == 1 for c in quot.values())
+    return {k: int(c) for k, c in quot.items()}
+
+
+@pytest.mark.parametrize("label,rank", [("A", 3), ("B", 3), ("G", 2), ("D", 4)])
+def test_characters_divide_in_ints(label, rank):
+    rs = build_root_system(label, rank)
+    den = weyl_denominator(rs)
+    units = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
+    for lam in units + [(1,) * rank, tuple(2 * c for c in units[-1])]:
+        chi = weyl_character(rs, lam)
+        num = alternating_sum(rs, tuple(a + b for a, b in zip(rs.rho_coords, lam)))
+        assert list(chi.terms.items()) == list(_fraction_divide(num, den).items())
+        assert all(type(c) is int for c in chi.terms.values())
+
+
+def test_laurent_divide_needs_a_unit_leading_coefficient(a2):
+    num = LaurentPoly(a2, {(2, 0): 2, (0, 0): -2})
+    with pytest.raises(ValueError, match="leading coefficient"):
+        laurent_divide(num, LaurentPoly(a2, {(1, 0): 2, (0, 0): 2}))
+    quot = laurent_divide(num, LaurentPoly(a2, {(1, 0): -1, (0, 0): 1}))
+    assert quot.terms == {(1, 0): -2, (0, 0): -2}
 
 
 def test_character_recurrence_with_boundary_rule(a2, b2):

@@ -1,5 +1,6 @@
-"""cli and evolution reach scattering only through its public names: the
-grid floor, the wall distance and S_L^{1/2} each have one owner there."""
+"""cli and evolution reach scattering and rootsys only through their public
+names: the grid floor, the wall distance and S_L^{1/2} each have one owner in
+scattering, and the coroot pairings are read from rootsys's public table."""
 
 import ast
 from pathlib import Path
@@ -28,12 +29,12 @@ def _private_definitions(tree: ast.Module) -> set:
     return {n for n in names if n.startswith("_") and not n.endswith("__")}
 
 
-def _uses(source: str, private: set) -> list:
-    """(line, name) of every use in source of a name of scattering in private,
-    or of any _ name imported from scattering."""
+def _uses(source: str, private: set, module: str = "scattering") -> list:
+    """(line, name) of every use in source of a name of module in private,
+    or of any _ name imported from module."""
     hits = []
     for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("scattering"):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").endswith(module):
             hits += [(node.lineno, a.name) for a in node.names if a.name.startswith("_")]
         elif isinstance(node, ast.Attribute) and node.attr in private:
             hits.append((node.lineno, node.attr))
@@ -58,3 +59,22 @@ def test_scan_finds_the_private_scattering_names():
 @pytest.mark.parametrize("module", ["cli.py", "evolution.py"])
 def test_module_uses_no_private_scattering_name(module):
     assert _uses((PACKAGE / module).read_text(), _scattering_private()) == []
+
+
+def _rootsys_private() -> set:
+    return _private_definitions(ast.parse((PACKAGE / "rootsys.py").read_text()))
+
+
+def test_scan_finds_the_private_rootsys_names():
+    private = _rootsys_private()
+    assert {"_pos_coroot_pairings", "_refl_rows", "_times_simple", "_weyl"} <= private
+    assert _uses("eps = rs._pos_coroot_pairings\n", private, "rootsys") \
+        == [(1, "_pos_coroot_pairings")]
+    assert _uses("from .rootsys import RootSystem, _solve\n", private, "rootsys") \
+        == [(1, "_solve")]
+    assert _uses("rows = rs.coroot_pairings[rs.positive_rows]\n", private, "rootsys") == []
+
+
+@pytest.mark.parametrize("module", ["cli.py", "evolution.py"])
+def test_module_uses_no_private_rootsys_name(module):
+    assert _uses((PACKAGE / module).read_text(), _rootsys_private(), "rootsys") == []

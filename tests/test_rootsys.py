@@ -2,6 +2,7 @@ import ast
 import itertools
 import math
 import re
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import alcove
-from alcove.rootsys import (BudgetExceededError, build_root_system, coroot,
+from alcove.rootsys import (BudgetExceededError, RootSystem, build_root_system, coroot,
                             dot, weyl_order, _determinant, _solve)
 
 
@@ -125,7 +126,7 @@ def test_group_closure_and_root_permutation(b2):
     mats = {w.matrix for w in group}
     for w in group[:4]:
         for v in group:
-            assert (w * v).matrix in mats
+            assert b2.element(w.word + v.word).matrix in mats
 
 
 def test_sign_equals_matrix_determinant(b2):
@@ -439,7 +440,81 @@ def test_integer_weyl_action_matches_exact_reflections(case):
         assert _determinant([[Fraction(x) for x in row] for row in w.matrix]) == w.sign
         # composition, checked on a basis (both sides are linear)
         v = elements[(7 * k + 3) % len(elements)]
-        assert [(w * v).act(e) for e in units] == [w.act(v.act(e)) for e in units]
+        assert [rs.element(w.word + v.word).act(e) for e in units] == \
+            [w.act(v.act(e)) for e in units]
+
+
+def _reference_mul(a, b):
+    """The general r x r integer product."""
+    cols = list(zip(*b))
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in cols) for row in a)
+
+
+def _reference_reflections(rs):
+    """Integer matrices of the simple reflections on weight coordinates,
+    r_i(c)_j = c_j - c_i <b_i, b_j^vee>, from the exact roots."""
+    n = rs.rank
+    return [tuple(tuple(int(j == k) - int(k == i) * int(dot(b, rs.basis_coroots[j]))
+                        for k in range(n)) for j in range(n))
+            for i, b in enumerate(rs.simple_roots)]
+
+
+def _reference_weyl_group(rs):
+    """(word, matrix, inverse_matrix) of each element of W, from the closure
+    weyl_group replaced: breadth-first under w -> w r_i with the general
+    product, deduplicated by matrix."""
+    refls = _reference_reflections(rs)
+    ident = tuple(tuple(int(i == j) for j in range(rs.rank)) for i in range(rs.rank))
+    seen = {ident: ((), ident, ident)}
+    frontier = [seen[ident]]
+    while frontier:
+        nxt = []
+        for word, mat, inv in frontier:
+            for i, r in enumerate(refls):
+                prod = _reference_mul(mat, r)
+                if prod not in seen:
+                    seen[prod] = (word + (i,), prod, _reference_mul(r, inv))
+                    nxt.append(seen[prod])
+        frontier = nxt
+    return list(seen.values())
+
+
+# every system with |W| <= 5,040
+SMALL_GROUPS = ([("A", n) for n in range(1, 7)] + [("B", n) for n in range(2, 6)]
+                + [("C", n) for n in range(2, 6)] + [("BC", n) for n in range(1, 6)]
+                + [("D", n) for n in range(3, 6)] + [("F", 4), ("G", 2)])
+
+
+@pytest.mark.parametrize("case", SMALL_GROUPS, ids=_case_id)
+def test_weyl_group_matches_the_matrix_closure(case):
+    rs = RootSystem(*case)
+    group = rs.weyl_group()
+    assert [(w.word, w.matrix, w.inverse_matrix) for w in group] == \
+        _reference_weyl_group(rs)
+
+
+@pytest.mark.parametrize("case", SMALL_GROUPS, ids=_case_id)
+def test_element_of_a_word_is_the_product_of_its_reflections(case):
+    rs = build_root_system(*case)
+    refls = _reference_reflections(rs)
+    rng = np.random.default_rng(11)
+    for n in rng.integers(0, 3 * len(rs.positive_roots) + 1, size=12):
+        word = tuple(int(i) for i in rng.integers(0, rs.rank, size=n))
+        mat = inv = tuple(tuple(int(i == j) for j in range(rs.rank)) for i in range(rs.rank))
+        for i in word:
+            mat, inv = _reference_mul(mat, refls[i]), _reference_mul(refls[i], inv)
+        w = rs.element(word)
+        assert (w.word, w.matrix, w.inverse_matrix) == (word, mat, inv)
+
+
+@pytest.mark.parametrize("case", [("D", 6), ("E", 6), ("A", 7)], ids=_case_id)
+def test_large_weyl_groups_close_in_seconds(case):
+    rs = RootSystem(*case)
+    start = time.perf_counter()
+    group = rs.weyl_group()
+    assert time.perf_counter() - start < 5.0
+    assert len(group) == weyl_order(*case)
+    assert len({w.matrix for w in group}) == len(group)
 
 
 # names of the ambient Weyl action, which integer matrices on weight
