@@ -33,6 +33,8 @@ from .rootsys import (GRAM_BYTES_BUDGET, GRID_POINT_BUDGET, BudgetExceededError,
 MAX_M = 4096
 # rows of one weighted block of the Gram product (see _row_blocks)
 GRAM_BLOCK_ROWS = 32
+# terms of one block of eval_terms, whose phases and roots are held at once
+_EVAL_TERMS = 64
 # the grid sums and Gram blocks split into at most this many parts, which run
 # at the same time (see _split and _run)
 _PARTS = 2
@@ -277,12 +279,14 @@ def _phase_span(M: int, mus: np.ndarray) -> tuple:
 
 
 class _Scratch:
-    """The int64 phases and complex roots of eval_terms' blocks, grown to the
-    largest block asked for and reused by the calls that share it."""
+    """The int64 phases and complex roots of eval_terms' blocks, reused by
+    the calls that share it: made for count values (eval_polys asks for its
+    widest block, so the arrays are never remade while the old ones are
+    held) and grown to any larger block asked for."""
 
-    def __init__(self):
-        self.k = np.empty(0, dtype=np.int64)
-        self.roots = np.empty(0, dtype=complex)
+    def __init__(self, count: int = 0):
+        self.k = np.empty(count, dtype=np.int64)
+        self.roots = np.empty(count, dtype=complex)
 
     def arrays(self, points: int, width: int):
         count = points * width
@@ -373,13 +377,14 @@ class QuadratureGrid:
     def eval_terms(self, terms: dict, scratch: _Scratch | None = None,
                    out: np.ndarray | None = None) -> np.ndarray:
         """sum_mu c_mu e^{i<mu, xi>} over the grid, flat in C order, in
-        blocks of 64 terms, written into out (a new array by default).  The
-        phases and roots of the blocks are written into scratch (eval_polys
-        passes one for all its rows); each block's phase range comes from its
-        weights, not from a pass over its phases.  A block on a large grid is
-        split by rows of the grid (_split over the first index coordinate)
-        into parts that run at the same time; every row is the same dot
-        product whatever the split, so the bits do not depend on it."""
+        blocks of _EVAL_TERMS terms, written into out (a new array by
+        default).  The phases and roots of the blocks are written into scratch
+        (eval_polys passes one for all its rows); each block's phase range
+        comes from its weights, not from a pass over its phases.  A block on a
+        large grid is split by rows of the grid (_split over the first index
+        coordinate) into parts that run at the same time; every row is the
+        same dot product whatever the split, so the bits do not depend on
+        it."""
         if out is None:
             out = np.empty(self.size, dtype=complex)
         items = list(terms.items())
@@ -389,8 +394,8 @@ class QuadratureGrid:
         scratch = scratch or _Scratch()
         plane = self.size // self.M
         edges = _split(self.M, self.size)
-        for start in range(0, len(items), 64):
-            block = items[start:start + 64]
+        for start in range(0, len(items), _EVAL_TERMS):
+            block = items[start:start + _EVAL_TERMS]
             mus = np.array([mu for mu, _ in block], dtype=np.int64)
             coeffs = np.array([complex(c) for _, c in block])
             k, roots = scratch.arrays(self.size, len(block))
@@ -416,7 +421,8 @@ class QuadratureGrid:
         (size, len(polys)) one.  Each row is written in place."""
         if out is None:
             out = np.empty((len(polys), self.size), dtype=complex)
-        scratch = _Scratch()
+        width = max((min(len(p), _EVAL_TERMS) for p in polys), default=0)
+        scratch = _Scratch(self.size * width)
         for row, p in zip(out, polys):
             self.eval_terms(p.terms, scratch, row)
         return out
@@ -593,57 +599,78 @@ def gram_ladder(polys, spec: CFunctionSpec, m: int, tol: float, max_m: int):
     for unit weights, so a unit ladder stops there.  No grid above max_m is
     built, and no rung whose arrays would exceed GRAM_BYTES_BUDGET; a ladder
     that cannot reach its second rung is refused before the first (see
-    check_ladder).  A non-unit ladder evaluates the polys on the rung 2m
-    and reads the rung m off its even points: the points k of the rung at M
-    are the points 2k of the rung at 2M with the same phase bits, since
-    2pi/(2M) is 2pi/M halved exactly.  Later rungs are evaluated afresh.
+    check_ladder).  A non-unit ladder evaluates the polys on the rung 2m,
+    takes its Gram matrix, and then reads the rung m off its even points,
+    in place (see _even_points): the points k of the rung at M are the
+    points 2k of the rung at 2M with the same phase bits, since 2pi/(2M) is
+    2pi/M halved exactly.  Later rungs are evaluated afresh.
     """
     rs, n = polys[0].rs, len(polys)
-    check_ladder(rs, spec, n, m, max_m)
+    terms = max(map(len, polys))
+    check_ladder(rs, spec, n, m, max_m, terms)
     grid = QuadratureGrid(rs, m)
     if spec.is_unit:
         return gram_matrix(polys, spec, grid), m
     fine = QuadratureGrid(rs, 2 * m)
     vals = fine.eval_polys(polys)
-    even = (slice(None),) + (slice(0, None, 2),) * rs.rank
-    # a copy of the even points: gram_matrix conjugates its values in place
-    gram = gram_matrix(polys, spec, grid,
-                       vals.reshape((n,) + (2 * m,) * rs.rank)[even].copy().reshape(n, -1))
+    cur = gram_matrix(polys, spec, fine, vals)
+    gram = gram_matrix(polys, spec, grid, _even_points(rs, vals, m))
     while True:
-        cur = gram_matrix(polys, spec, fine, vals)
         if np.max(np.abs(cur - gram)) <= tol * (1.0 + np.max(np.abs(cur))):
             return cur, fine.M
         gram, vals, m = cur, None, 2 * fine.M
         if m > max_m:
             raise QuadratureError(f"Gram matrix did not stabilize below M={max_m}")
-        _check_gram_bytes(rs, n, m)
+        _check_gram_bytes(rs, n, m, terms)
         fine = QuadratureGrid(rs, m)
+        cur = gram_matrix(polys, spec, fine)
 
 
-def gram_bytes(n: int, size: int) -> int:
+def _even_points(rs: RootSystem, vals: np.ndarray, m: int) -> np.ndarray:
+    """The values of the rung m, read off the (n, (2m)^rank) values vals of
+    the rung 2m, which gram_matrix left conjugated: the even points of each
+    row are moved into the head of the same buffer and conjugated back, and
+    the (n, m^rank) head is returned.  Row i's target ends before row i + 1's
+    source begins, so only row 0, whose target overlaps its own source, goes
+    through a copy."""
+    n, rank = len(vals), rs.rank
+    head = vals.reshape(-1)[:n * m ** rank].reshape((n,) + (m,) * rank)
+    for i, row in enumerate(vals.reshape((n,) + (2 * m,) * rank)):
+        even = row[(slice(0, None, 2),) * rank]
+        head[i] = even.copy() if i == 0 else even
+    return np.conjugate(head, out=head).reshape(n, -1)
+
+
+def gram_bytes(n: int, size: int, terms: int) -> int:
     """Bytes of one rung of the Gram ladder: the (n, size) complex values
-    and the largest weighted row block of gram_matrix."""
-    return 16 * size * (n + _block_rows(_row_blocks(n)))
+    and the larger of the largest weighted row block of gram_matrix and the
+    scratch of eval_polys (int64 phases and complex roots of one block of
+    eval_terms) for polynomials of up to terms terms."""
+    scratch = 24 * min(terms, _EVAL_TERMS)
+    return size * (16 * n + max(16 * _block_rows(_row_blocks(n)), scratch))
 
 
 def check_ladder(rs: RootSystem, spec: CFunctionSpec, n: int, m: int,
-                 max_m: int) -> None:
-    """Refuse a Gram ladder of n polynomials from the first rung m before
-    anything is built.  A non-unit ladder compares two rungs, so it always
-    builds the rung 2m too: the bytes and grid points of both rungs are
-    checked, and each rung against max_m; a unit ladder stops at the first."""
+                 max_m: int, terms: int | None = None) -> None:
+    """Refuse a Gram ladder of n polynomials of up to terms terms from the
+    first rung m before anything is built; terms defaults to |W|, which
+    bounds the terms of an orbit sum before any orbit is built.  A non-unit
+    ladder compares two rungs, so it always builds the rung 2m too: the
+    bytes and grid points of both rungs are checked, and each rung against
+    max_m; a unit ladder stops at the first."""
+    terms = rs.weyl_order() if terms is None else terms
     for rung in (m,) if spec.is_unit else (m, 2 * m):
         if rung > max_m:
             raise QuadratureError(
                 f"Gram ladder needs M={rung} for its "
                 f"{'first' if rung == m else 'second'} rung, above the largest "
                 f"grid max_m={max_m}")
-        _check_gram_bytes(rs, n, rung)
+        _check_gram_bytes(rs, n, rung, terms)
         _check_grid_points(rs, rung)
 
 
-def _check_gram_bytes(rs: RootSystem, n: int, m: int) -> None:
-    required = gram_bytes(n, m ** rs.rank)
+def _check_gram_bytes(rs: RootSystem, n: int, m: int, terms: int) -> None:
+    required = gram_bytes(n, m ** rs.rank, terms)
     if required > GRAM_BYTES_BUDGET:
         raise BudgetExceededError(
             f"Gram ladder of {n} weights on {rs._name()} at M={m}", required,

@@ -2,11 +2,12 @@
 
 Everything here is written directly from the explicit one-variable
 formulas: Askey-Wilson polynomials as terminating basic hypergeometric
-sums, the tridiagonal lattice operator with its four-factor hopping rate,
-the wave function built from the scalar weight, and the reflection
-scattering phase.  Apart from the q-Pochhammer primitive this module
-shares no code with the general-rank machinery, so agreement between the
-two is a meaningful cross-check rather than a tautology.
+sums (expanded once per degree into a cosine series), the tridiagonal
+lattice operator with its four-factor hopping rate, the wave function
+built from the scalar weight, and the reflection scattering phase.
+Apart from the q-Pochhammer primitive this module shares no code with the
+general-rank machinery, so agreement between the two is a meaningful
+cross-check rather than a tautology.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+
+import numpy as np
 
 from .qfun import qpochhammer_inf
 
@@ -62,10 +65,25 @@ def duality_matrix_is_involution() -> bool:
     return sq == [[Fraction(i == j) for j in range(4)] for i in range(4)]
 
 
-def askey_wilson(ell: int, xi, p: Rank1Params) -> complex:
-    """The terminating 4phi3 normalized to 1 at the specialization point."""
+def askey_wilson(ell: int, xi, p: Rank1Params):
+    """The terminating 4phi3 normalized to 1 at the specialization point: a
+    complex for one xi, an array for an array of xi.  The sum is expanded
+    once per degree (_askey_wilson_cosines); each point costs one cosine
+    series in numpy, b_0 + 2 sum_m b_m cos(m xi)."""
     if ell < 0:
         raise ValueError("degree must be nonnegative")
+    b = _askey_wilson_cosines(ell, p)
+    xi = np.asarray(xi, dtype=complex)
+    values = b[0] + 2.0 * np.cos(np.multiply.outer(xi, np.arange(1, ell + 1))) @ b[1:]
+    return complex(values) if xi.ndim == 0 else values
+
+
+@lru_cache(maxsize=None)
+def _askey_wilson_cosines(ell: int, p: Rank1Params) -> np.ndarray:
+    """b_0, ..., b_ell with P_ell = sum_{|m| <= ell} b_|m| z^m, z = e^{i xi}:
+    the terminating 4phi3 summed term by term in mpmath, each term a
+    Laurent polynomial in z, since its factors (1 - a3 q^n)(1 - a4 q^n) with
+    a3 = q^gh0 z and a4 = q^gh0 / z are 1 + c^2 - c (z + 1/z), c = q^(gh0 + n)."""
     import mpmath
 
     # intermediate terms reach ~ q^{-ell(ell-1)/2} and cancel to O(1);
@@ -77,12 +95,12 @@ def askey_wilson(ell: int, xi, p: Rank1Params) -> complex:
         half = mpmath.mpf("0.5")
         a1 = q ** (-ell)
         a2 = q ** (2 * g0 + ell)
-        z = mpmath.exp(1j * mpmath.mpmathify(xi))
-        a3 = q ** mpmath.mpf(p.gh0) * z
-        a4 = q ** mpmath.mpf(p.gh0) / z
+        c = q ** mpmath.mpf(p.gh0)
         bs = (-(q ** (g0 + g1)), q ** (g0 + g2 + half), -(q ** (g0 + g3 + half)))
-        total = mpmath.mpc(1)
-        term = mpmath.mpc(1)
+        # coefficients of z^-ell, ..., z^ell
+        term = [mpmath.mpf(0)] * (2 * ell + 1)
+        term[ell] = mpmath.mpf(1)
+        total = list(term)
         for n in range(ell):
             den = 1 - q ** (n + 1)
             for b in bs:
@@ -91,10 +109,14 @@ def askey_wilson(ell: int, xi, p: Rank1Params) -> complex:
                     raise ZeroDivisionError(
                         f"lower Pochhammer vanished at n={n} before termination")
                 den *= factor
-            term *= (1 - a1 * q ** n) * (1 - a2 * q ** n) \
-                * (1 - a3 * q ** n) * (1 - a4 * q ** n) * q / den
-            total += term
-        return complex(total)
+            scale = (1 - a1 * q ** n) * (1 - a2 * q ** n) * q / den
+            cn = c * q ** n
+            term = [scale * ((1 + cn * cn) * t - cn * (lo + hi))
+                    for t, lo, hi in zip(term, [0] + term[:-1], term[1:] + [0])]
+            total = [s + t for s, t in zip(total, term)]
+        cosines = np.array([float(t) for t in total[ell:]])
+    cosines.setflags(write=False)  # shared by every call through the cache
+    return cosines
 
 
 def askey_wilson_recurrence(ell: int, xi, p: Rank1Params) -> complex:

@@ -53,6 +53,42 @@ def test_series_vs_recurrence(params):
             assert abs(a - b) < 1e-11
 
 
+def _pointwise_sum(ell, xi, p):
+    """The terminating 4phi3 summed at one point in mpmath, term by term."""
+    import mpmath
+    with mpmath.workdps(25 + int(0.6 * ell * (ell + 1) * (-math.log10(p.q)))):
+        q = mpmath.mpf(p.q)
+        g0, g1, g2, g3 = (mpmath.mpf(x) for x in p.dual)
+        half = mpmath.mpf("0.5")
+        z = mpmath.exp(1j * mpmath.mpmathify(xi))
+        tops = (q ** (-ell), q ** (2 * g0 + ell), q ** mpmath.mpf(p.gh0) * z,
+                q ** mpmath.mpf(p.gh0) / z)
+        bottoms = (-(q ** (g0 + g1)), q ** (g0 + g2 + half), -(q ** (g0 + g3 + half)))
+        total = term = mpmath.mpc(1)
+        for n in range(ell):
+            for a in tops:
+                term *= 1 - a * q ** n
+            for b in bottoms:
+                term /= 1 - b * q ** n
+            term *= q / (1 - q ** (n + 1))
+            total += term
+        return complex(total)
+
+
+def test_cosine_series_matches_pointwise_sum():
+    # the series expanded once per degree against the sum at each point, on
+    # real points, the specialization point and a complex point
+    rng = np.random.default_rng(5)
+    for p in (Rank1Params(0.45, 0.9, 0.7, 0.6, 0.8), Rank1Params(0.3, 1.2, 0.4, 0.9, 0.5)):
+        for ell in range(21):
+            xis = [*rng.uniform(0.0, math.pi, 3), 1j * p.s * p.gh0, 0.3 + 0.2j]
+            series = askey_wilson(ell, np.array(xis), p)
+            for xi, value in zip(xis, series):
+                ref = _pointwise_sum(ell, xi, p)
+                assert abs(value - ref) < 1e-13
+                assert abs(askey_wilson(ell, xi, p) - ref) < 1e-13
+
+
 def test_orthonormality(params):
     n = 4096
     xs = np.arange(1, n) * math.pi / n
