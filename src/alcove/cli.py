@@ -20,9 +20,6 @@ import numpy as np
 from . import __version__
 from .harmonic import (MAX_M, QuadratureError, QuadratureGrid, check_ladder, gram_matrix,
                        orbit_first_rung, orbit_symbol)
-from .laplacian import (LatticeFunction, apply_free, apply_free_closed,
-                        apply_koornwinder, apply_macdonald_ruijsenaars,
-                        operator_matrix)
 from .orthopoly import (KoornwinderParams, MacdonaldParams, ParameterError,
                         difference_equation_residual, gram_schmidt,
                         macdonald_identity_residual, norm_constants,
@@ -31,10 +28,9 @@ from .orthopoly import (KoornwinderParams, MacdonaldParams, ParameterError,
 from .qfun import unit_spec
 from .rootsys import (DEFAULT_WEYL_BUDGET, LABELS, BudgetExceededError, build_root_system,
                       weyl_order)
-from .scattering import (ScatteringContext, WaveTable, convergence_report,
-                         grid_floor, root_half_phases, smatrix_factor,
-                         smatrix_factor_direct)
-from .evolution import PacketError, TableDepthError, run_scattering_diagnostic
+
+# laplacian, scattering and evolution are imported by the verbs and suites
+# that run them, so a process loads only what its verb needs
 
 EXIT_OK = 0
 EXIT_UNEXPECTED = 1
@@ -239,6 +235,7 @@ def grid_m(cfg: dict, default: int) -> int:
 def table_grid_m(cfg: dict, system, default: int | None = None) -> int:
     """grid.M for a wave table of system, at least grid_floor(system); without
     a default it defaults to grid_floor(system) + 30."""
+    from .scattering import grid_floor
     floor = grid_floor(system)
     m = grid_m(cfg, floor + 30 if default is None else default)
     if m < floor:
@@ -362,6 +359,7 @@ def _suite_orthonormality(rs, params, spec, cfg, tol):
 
 def _suite_free_laplacian(rs, params, spec, cfg, tol):
     import itertools
+    from .laplacian import LatticeFunction, apply_free, apply_free_closed
     checks = []
     h = _nonnegative(_section(cfg, "weights").get("max_height", 4), "weights.max_height")
     pis = [tuple(m) for m in rs.minuscule_weights()] + [rs.quasi_minuscule_weight()]
@@ -384,6 +382,7 @@ def _suite_free_laplacian(rs, params, spec, cfg, tol):
 
 
 def _suite_smatrix(rs, params, spec, cfg, tol):
+    from .scattering import root_half_phases, smatrix_factor, smatrix_factor_direct
     grid = QuadratureGrid(rs, grid_m(cfg, 48))
     unitarity = 0.0
     direct = 0.0
@@ -431,6 +430,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_scatter(args) -> int:
+    from .scattering import ScatteringContext, WaveTable, convergence_report, grid_floor
     cfg = load_config(args.config) if args.config else {}
     rs, params, spec = build_system(cfg)
     task = _section(cfg, "task")
@@ -461,6 +461,7 @@ def cmd_scatter(args) -> int:
         _report(None, {"ray": rep}, cfg)
         return EXIT_OK
     if args.evolve:
+        from .evolution import run_scattering_diagnostic
         ev = _section(task, "evolve", "task.")
         times = _numbers(ev.get("times", [4, 8, 16, 32]), "task.evolve.times")
         if not times:
@@ -524,6 +525,8 @@ def cmd_export(args) -> int:
             json.dumps(payload, indent=2, sort_keys=True))
         return EXIT_OK
     if what == "operator":
+        from .laplacian import (apply_free, apply_koornwinder, apply_macdonald_ruijsenaars,
+                                operator_matrix)
         sites = rs.saturated_weights(tops)
         if params is None:
             pi = rs.quasi_minuscule_weight()
@@ -545,6 +548,7 @@ def cmd_export(args) -> int:
                                      repr(float(mat[i, j].imag))])
         return EXIT_OK
     if what == "smatrix":
+        from .scattering import ScatteringContext, WaveTable
         system = gram_schmidt(rs, spec, tops)
         grid = QuadratureGrid(rs, table_grid_m(cfg, system, default=48))
         sym = orbit_symbol(rs, rs.quasi_minuscule_weight())
@@ -562,6 +566,14 @@ def cmd_export(args) -> int:
 
 
 # ---------------------------------------------------------------------------
+
+
+def _evolution_error(name: str):
+    """evolution's exception class called name, or () (which no except
+    clause matches) while evolution is not loaded: only evolution raises
+    it, so main need not import evolution to map it to its exit code."""
+    evolution = sys.modules.get(f"{__package__}.evolution")
+    return () if evolution is None else getattr(evolution, name)
 
 
 def main(argv=None) -> int:
@@ -609,10 +621,10 @@ def main(argv=None) -> int:
     except (BudgetExceededError, QuadratureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except TableDepthError as exc:
+    except _evolution_error("TableDepthError") as exc:
         print(f"error: {exc}; raise task.evolve.lattice_depth", file=sys.stderr)
         return EXIT_CONFIG
-    except PacketError as exc:
+    except _evolution_error("PacketError") as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_LEAKAGE
     except Exception as exc:  # pragma: no cover - defensive

@@ -641,13 +641,17 @@ def _even_points(rs: RootSystem, vals: np.ndarray, m: int) -> np.ndarray:
     return np.conjugate(head, out=head).reshape(n, -1)
 
 
-def gram_bytes(n: int, size: int, terms: int) -> int:
-    """Bytes of one rung of the Gram ladder: the (n, size) complex values
-    and the larger of the largest weighted row block of gram_matrix and the
-    scratch of eval_polys (int64 phases and complex roots of one block of
-    eval_terms) for polynomials of up to terms terms."""
+def gram_bytes(n: int, size: int, terms: int, rank: int) -> int:
+    """Bytes of one rung of the Gram ladder on size points of a rank-rank
+    grid: the (n, size) complex values; the larger of the largest weighted
+    row block of gram_matrix and the scratch of eval_polys (int64 phases and
+    complex roots of one block of eval_terms) for polynomials of up to terms
+    terms; the float measure w; and the int64 index arrays of the rung's grid
+    and of the next coarser one, which is still held while this rung is
+    built."""
     scratch = 24 * min(terms, _EVAL_TERMS)
-    return size * (16 * n + max(16 * _block_rows(_row_blocks(n)), scratch))
+    index = 8 * rank * (size + size // 2 ** rank)
+    return size * (16 * n + max(16 * _block_rows(_row_blocks(n)), scratch) + 8) + index
 
 
 def check_ladder(rs: RootSystem, spec: CFunctionSpec, n: int, m: int,
@@ -670,7 +674,7 @@ def check_ladder(rs: RootSystem, spec: CFunctionSpec, n: int, m: int,
 
 
 def _check_gram_bytes(rs: RootSystem, n: int, m: int, terms: int) -> None:
-    required = gram_bytes(n, m ** rs.rank, terms)
+    required = gram_bytes(n, m ** rs.rank, terms, rs.rank)
     if required > GRAM_BYTES_BUDGET:
         raise BudgetExceededError(
             f"Gram ladder of {n} weights on {rs._name()} at M={m}", required,

@@ -1,6 +1,18 @@
 import numpy as np
 import pytest
 
+# every submodule is imported before any test runs: the CLI imports some of
+# them on first use, and a first import under a monkeypatch would bind the
+# patched name for the rest of the session
+import alcove.cli
+import alcove.evolution
+import alcove.harmonic
+import alcove.laplacian
+import alcove.orthopoly
+import alcove.qfun
+import alcove.rank1
+import alcove.rootsys
+import alcove.scattering
 from alcove.harmonic import QuadratureGrid
 from alcove.orthopoly import KoornwinderParams, MacdonaldParams, gram_schmidt
 from alcove.rootsys import build_root_system

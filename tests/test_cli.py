@@ -191,7 +191,7 @@ def test_readme_evolve_exits_on_gram_budget(tmp_path, capsys, monkeypatch):
                  "--out", str(tmp_path / "e.json")]) == 3
     assert time.perf_counter() - start < 5.0
     assert not built and not orbits and not (tmp_path / "e.json").exists()
-    required = harmonic.gram_bytes(20201, 1610 ** 2, 6)
+    required = harmonic.gram_bytes(20201, 1610 ** 2, 6, 2)
     assert required > 780 * 2 ** 30
     assert (f"Gram ladder of 20201 weights on A2 at M=1610 has {required} bytes"
             in capsys.readouterr().err)
@@ -514,6 +514,49 @@ def test_runs_leave_numpy_submodules_unloaded(tmp_path, argv, config, module):
     assert proc.stdout.split() == ["0", "False"], proc.stderr
 
 
+IMPORT_GRAPH_CONFIG = {**A2_MACDONALD, "task": {"ray": {"direction": [1, 1], "steps": 2}}}
+NO_LAPLACIAN = {"laplacian", "scattering", "evolution"}
+# each path, and the modules it must leave unloaded
+IMPORT_PATHS = {
+    "build_system": (None, NO_LAPLACIAN),  # as the benchmark's set-up probe
+    "version": (["--version"], NO_LAPLACIAN),
+    "verify-appendixA": (["verify", "--suite", "appendixA"], NO_LAPLACIAN),
+    "verify-orthonormality": (["verify", "--suite", "orthonormality"], NO_LAPLACIAN),
+    "export-polynomials": (["export", "polynomials"], NO_LAPLACIAN),
+    "verify-free-laplacian": (["verify", "--suite", "free-laplacian"],
+                              {"scattering", "evolution"}),
+    "export-operator": (["export", "operator"], {"scattering", "evolution"}),
+    "verify-smatrix": (["verify", "--suite", "smatrix"], {"evolution"}),
+    "scatter-ray": (["scatter", "--ray"], {"evolution"}),
+    "export-smatrix": (["export", "smatrix"], {"evolution"}),
+}
+
+
+@pytest.mark.parametrize("path", IMPORT_PATHS)
+def test_each_verb_loads_only_the_modules_it_runs(tmp_path, path):
+    # a fresh process imports the CLI and runs one path; the modules that
+    # path never runs stay out of sys.modules
+    import alcove
+    argv, unloaded = IMPORT_PATHS[path]
+    cfg = _cfg(tmp_path, "run.json", IMPORT_GRAPH_CONFIG)
+    if argv is None:
+        run = f"from alcove.cli import build_system, load_config\nbuild_system(load_config({cfg!r}))"
+    else:
+        if argv[0] != "--version":
+            argv = argv + ["--config", cfg, "--out", str(tmp_path / "out")]
+        run = (f"from alcove.cli import main\ntry:\n    assert main({argv!r}) == 0\n"
+               "except SystemExit as exc:\n    assert exc.code == 0")
+    code = (f"import sys\n{run}\n"
+            "print(' '.join(sorted(m for m in sys.modules if m.startswith('alcove'))))")
+    src = str(Path(alcove.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=120, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.strip().splitlines()[-1].split())
+    assert {"alcove.cli", "alcove.orthopoly", "alcove.harmonic"} <= loaded
+    assert not {f"alcove.{m}" for m in unloaded} & loaded
+
+
 BC2_KOORNWINDER = {
     "root_system": {"label": "BC", "rank": 2},
     "cfunctions": {"family": "koornwinder", "ghat": 1.1,
@@ -532,9 +575,9 @@ def test_smatrix_factor_row_checks_direct_factor(tmp_path, monkeypatch, config):
     assert "root factors" in row["check"]
     assert row["pass"] and row["residual"] <= row["tolerance"] == 1e-13
 
-    import alcove.cli
-    direct = alcove.cli.smatrix_factor_direct
-    monkeypatch.setattr(alcove.cli, "smatrix_factor_direct",
+    import alcove.scattering
+    direct = alcove.scattering.smatrix_factor_direct
+    monkeypatch.setattr(alcove.scattering, "smatrix_factor_direct",
                         lambda spec, w, grid: direct(spec, w, grid) + 1e-12)
     assert main(argv) == 4
     row = json.loads(out.read_text())["checks"][1]
