@@ -278,6 +278,18 @@ def _phase_span(M: int, mus: np.ndarray) -> tuple:
             int(np.maximum(mus, 0).sum(axis=1).max()) * (M - 1))
 
 
+def _real_valued(polys) -> bool:
+    """Whether every poly is real on the torus: its terms are closed under
+    mu -> -mu with conjugate coefficients (orbit sums, when -1 is in W)."""
+    return all(p.terms.get(tuple(-x for x in mu)) == c.conjugate()
+               for p in polys for mu, c in p.terms.items())
+
+
+def _half(rows: np.ndarray, i: int) -> np.ndarray:
+    """Re of polynomial i in the packed rows of QuadratureGrid.eval_real."""
+    return (rows.real, rows.imag)[i % 2][i // 2]
+
+
 class _Scratch:
     """The int64 phases and complex roots of eval_terms' blocks, reused by
     the calls that share it: made for count values (eval_polys asks for its
@@ -426,6 +438,19 @@ class QuadratureGrid:
         for row, p in zip(out, polys):
             self.eval_terms(p.terms, scratch, row)
         return out
+
+    def eval_real(self, polys) -> np.ndarray:
+        """Packed values of real-valued polys: row j of ceil(n/2) complex rows
+        is Re polys[2j] + i Re polys[2j + 1], zero past the last (two rows
+        for n = 2: one would make the Gram product a gemv, whose lanes sum
+        otherwise).  Each is evaluated into one row and its real part kept."""
+        n = len(polys)
+        rows = np.zeros((max((n + 1) // 2, min(n, 2)), self.size), dtype=complex)
+        value = np.empty(self.size, dtype=complex)
+        scratch = _Scratch(self.size * min(max(map(len, polys)), _EVAL_TERMS))
+        for i, p in enumerate(polys):
+            _half(rows, i)[...] = self.eval_terms(p.terms, scratch, value).real
+        return rows
 
     def exponential(self, mu) -> np.ndarray:
         """e^{i<mu, xi>} over the grid (mu given by weight coordinates)."""
@@ -603,7 +628,8 @@ def gram_ladder(polys, spec: CFunctionSpec, m: int, tol: float, max_m: int):
     takes its Gram matrix, and then reads the rung m off its even points,
     in place (see _even_points): the points k of the rung at M are the
     points 2k of the rung at 2M with the same phase bits, since 2pi/(2M) is
-    2pi/M halved exactly.  Later rungs are evaluated afresh.
+    2pi/M halved exactly.  Later rungs are evaluated afresh.  A real-valued
+    family (_real_valued) is held in the packed rows of eval_real.
     """
     rs, n = polys[0].rs, len(polys)
     terms = max(map(len, polys))
@@ -612,9 +638,10 @@ def gram_ladder(polys, spec: CFunctionSpec, m: int, tol: float, max_m: int):
     if spec.is_unit:
         return gram_matrix(polys, spec, grid), m
     fine = QuadratureGrid(rs, 2 * m)
-    vals = fine.eval_polys(polys)
+    real = _real_valued(polys)
+    vals = fine.eval_real(polys) if real else fine.eval_polys(polys)
     cur = gram_matrix(polys, spec, fine, vals)
-    gram = gram_matrix(polys, spec, grid, _even_points(rs, vals, m))
+    gram = gram_matrix(polys, spec, grid, _even_points(rs, vals, m, not real))
     while True:
         if np.max(np.abs(cur - gram)) <= tol * (1.0 + np.max(np.abs(cur))):
             return cur, fine.M
@@ -626,10 +653,10 @@ def gram_ladder(polys, spec: CFunctionSpec, m: int, tol: float, max_m: int):
         cur = gram_matrix(polys, spec, fine)
 
 
-def _even_points(rs: RootSystem, vals: np.ndarray, m: int) -> np.ndarray:
+def _even_points(rs: RootSystem, vals: np.ndarray, m: int, conj: bool) -> np.ndarray:
     """The values of the rung m, read off the (n, (2m)^rank) values vals of
-    the rung 2m, which gram_matrix left conjugated: the even points of each
-    row are moved into the head of the same buffer and conjugated back, and
+    the rung 2m: the even points of each row are moved into the head of the
+    same buffer, conjugated back when gram_matrix left them conjugated, and
     the (n, m^rank) head is returned.  Row i's target ends before row i + 1's
     source begins, so only row 0, whose target overlaps its own source, goes
     through a copy."""
@@ -638,7 +665,7 @@ def _even_points(rs: RootSystem, vals: np.ndarray, m: int) -> np.ndarray:
     for i, row in enumerate(vals.reshape((n,) + (2 * m,) * rank)):
         even = row[(slice(0, None, 2),) * rank]
         head[i] = even.copy() if i == 0 else even
-    return np.conjugate(head, out=head).reshape(n, -1)
+    return (np.conjugate(head, out=head) if conj else head).reshape(n, -1)
 
 
 def gram_bytes(n: int, size: int, terms: int, rank: int) -> int:
@@ -648,7 +675,8 @@ def gram_bytes(n: int, size: int, terms: int, rank: int) -> int:
     complex roots of one block of eval_terms) for polynomials of up to terms
     terms; the float measure w; and the int64 index arrays of the rung's grid
     and of the next coarser one, which is still held while this rung is
-    built."""
+    built.  The packed rows of a real-valued family take half the values'
+    bytes, so for them this is an upper bound."""
     scratch = 24 * min(terms, _EVAL_TERMS)
     index = 8 * rank * (size + size // 2 ** rank)
     return size * (16 * n + max(16 * _block_rows(_row_blocks(n)), scratch) + 8) + index
@@ -713,20 +741,32 @@ def gram_matrix(polys, spec: CFunctionSpec, grid: QuadratureGrid,
     (E * w) @ conj(E).T.  On a large grid each block is split into parts of
     at least _PART_ROWS rows that are weighted and multiplied at the same
     time, into their rows of the one block buffer.
+
+    A real-valued family (_real_valued) gets the real part of that product,
+    to the bit, from the packed rows grid.eval_real(polys) (values, if given,
+    left as they are): blocks Re E_i * w + 0i times the packed rows put
+    G[i, 2j] and G[i, 2j + 1] in the lanes of entry (i, j), which zgemm sums
+    as the complex product's real lane, less Im * Im terms of rounding size.
     """
-    rs = polys[0].rs
+    rs, n, real = polys[0].rs, len(polys), _real_valued(polys)
     w = measure_values(spec, grid) / (grid.size * rs.weyl_order())
-    E = grid.eval_polys(polys) if values is None else values
-    conj = np.conjugate(E, out=E)
-    edges = _row_blocks(len(polys))
-    scratch = np.empty((_block_rows(edges), grid.size), dtype=complex)
-    gram = np.empty((len(polys), len(polys)), dtype=complex)
+    if values is None:
+        values = grid.eval_real(polys) if real else grid.eval_polys(polys)
+    E = values if real else np.conjugate(values, out=values)
+    edges = _row_blocks(n)
+    # the real path writes the real parts only: the imaginary ones stay 0
+    scratch = np.zeros((_block_rows(edges), grid.size), dtype=complex)
+    gram = np.empty((n, len(E)), dtype=complex)
     for a, b in zip(edges, edges[1:]):
 
         def part(s, t):
-            block = np.conjugate(conj[a + s:a + t], out=scratch[s:t])
-            block *= w
-            np.matmul(block, conj.T, out=gram[a + s:a + t])
+            block = scratch[s:t]
+            if real:
+                for r in range(s, t):
+                    np.multiply(_half(E, a + r), w, out=scratch[r].real)
+            else:
+                np.multiply(np.conjugate(E[a + s:a + t], out=block), w, out=block)
+            np.matmul(block, E.T, out=gram[a + s:a + t])
 
         _run(part, _split(b - a, grid.size, _PART_ROWS))
-    return gram
+    return gram.view(float)[:, :n] if real else gram

@@ -376,13 +376,15 @@ def test_gram_schmidt_passes_its_first_rung_to_the_ladder(label, monkeypatch):
 
 
 def test_gram_matrix_matches_column_stack_formula(b2):
+    # B2 and BC2 orbit sums are real-valued: the real Gram matrix has the
+    # bits of the real part of the column-stack product
     spec = MacdonaldParams.create(b2, {1: 0.9, 2: 1.4}, 0.5).cspec()
     system = gram_schmidt(b2, spec, [(3, 3)])
     grid = QuadratureGrid(b2, 40)
     polys = system.monomials
     w = measure_values(spec, grid) / (grid.size * b2.weyl_order())
     E = np.column_stack([p.eval_grid(grid) for p in polys])
-    assert _same_bits(gram_matrix(polys, spec, grid), (E * w[:, None]).T @ E.conj())
+    assert _same_bits(gram_matrix(polys, spec, grid), ((E * w[:, None]).T @ E.conj()).real)
     assert _same_bits(system.monomial_values(grid), E)
     bc2 = build_root_system("BC", 2)
     spec = koornwinder_spec(bc2, 1.1, (0.9, 0.7, 0.6, 0.8), 0.45)
@@ -390,7 +392,7 @@ def test_gram_matrix_matches_column_stack_formula(b2):
     grid = QuadratureGrid(bc2, 24)
     w = measure_values(spec, grid) / (grid.size * bc2.weyl_order())
     E = np.column_stack([p.eval_grid(grid) for p in polys])
-    assert _same_bits(gram_matrix(polys, spec, grid), (E * w[:, None]).T @ E.conj())
+    assert _same_bits(gram_matrix(polys, spec, grid), ((E * w[:, None]).T @ E.conj()).real)
 
 
 def _ladder_case(label, rank):
@@ -468,9 +470,9 @@ def test_coset_phases_match_direct_sum(label, rank, m):
 @pytest.mark.parametrize("label,m", [("B", 37), ("BC", 26)])
 def test_blocked_gram_matches_one_call_product(label, m):
     # above 32 rows gram_matrix weights and multiplies the rows in near-equal
-    # blocks; every block's product keeps the bits of the one-call product
-    # (a property of the BLAS kernel: OpenBLAS's SkylakeX kernel has it, its
-    # Haswell kernel does not; see README.md)
+    # blocks; every block's product keeps the bits of the real part of the
+    # one-call product (a property of the BLAS kernel: OpenBLAS's SkylakeX
+    # kernel has it, its Haswell kernel does not; see README.md)
     rs, spec, _ = _ladder_case(label, 2)
     weights = rs.saturated_weights([(12, 12)])
     grid = QuadratureGrid(rs, m)
@@ -478,7 +480,97 @@ def test_blocked_gram_matches_one_call_product(label, m):
     for n in (5, 27, 79, 121):
         polys = [monomial_symmetric(rs, mu) for mu in weights[:n]]
         E = grid.eval_polys(polys)
-        assert _same_bits(gram_matrix(polys, spec, grid), (E * w) @ np.conjugate(E).T)
+        assert _same_bits(gram_matrix(polys, spec, grid), ((E * w) @ np.conjugate(E).T).real)
+
+
+# real-valued families (-1 is in W) on grids below the split of the kernels
+REAL_CASES = [("B", 2, 37), ("C", 2, 40), ("G", 2, 30), ("BC", 1, 300), ("BC", 2, 36)]
+REAL_ROWS = (1, 2, 3, 43, 121)
+
+
+def _real_case(label, rank, m):
+    """The first 121 orbit sums below (12, 12), or (130,) on rank one."""
+    rs, spec, _ = _ladder_case(label, rank)
+    weights = rs.saturated_weights([(12, 12)] if rank == 2 else [(130,)])
+    polys = [monomial_symmetric(rs, mu) for mu in weights[:max(REAL_ROWS)]]
+    return rs, spec, QuadratureGrid(rs, m), polys
+
+
+def test_real_valued_families(a2, b2):
+    # terms closed under mu -> -mu with conjugate coefficients
+    from alcove.harmonic import _real_valued
+    assert _real_valued([monomial_symmetric(b2, (2, 1)), monomial_symmetric(a2, (1, 1))])
+    assert not _real_valued([monomial_symmetric(b2, (1, 0)), monomial_symmetric(a2, (1, 0))])
+    assert _real_valued([LaurentPoly(a2, {(1, 0): 2 - 1j, (-1, 0): 2 + 1j,
+                                          (0, 0): Fraction(1, 3)})])
+    assert not _real_valued([LaurentPoly(a2, {(1, 0): 1j, (-1, 0): 1j})])
+    assert not _real_valued([LaurentPoly(a2, {(0, 0): 1j})])
+
+
+@pytest.mark.parametrize("label,rank,m", REAL_CASES)
+def test_real_gram_matches_real_part_of_one_call_product(label, rank, m):
+    # two real rows go into one complex row; the real Gram matrix has the
+    # bits of the real part of the complex one-call product, also for odd n,
+    # which leaves half of the last packed row empty
+    rs, spec, grid, polys = _real_case(label, rank, m)
+    w = measure_values(spec, grid) / (grid.size * rs.weyl_order())
+    for n in REAL_ROWS:
+        E = grid.eval_polys(polys[:n])
+        gram = gram_matrix(polys[:n], spec, grid)
+        assert gram.dtype == float and gram.shape == (n, n)
+        assert _same_bits(gram, ((E * w) @ np.conjugate(E).T).real), n
+
+
+@pytest.mark.parametrize("label,rank,m", [("B", 2, 37), ("BC", 1, 300), ("BC", 2, 36)])
+def test_one_complex_poly_keeps_the_complex_gram(label, rank, m):
+    # one polynomial that is not real, e^{i<mu, xi>}, sends the family down
+    # the complex path, with the bits of the complex one-call product (in
+    # blocks above 32 rows: OpenBLAS's SkylakeX kernel; see README.md)
+    rs, spec, grid, polys = _real_case(label, rank, m)
+    w = measure_values(spec, grid) / (grid.size * rs.weyl_order())
+    for n in REAL_ROWS:
+        family = polys[:n - 1] + [LaurentPoly.monomial(rs, (1,) * rank)]
+        E = grid.eval_polys(family)
+        gram = gram_matrix(family, spec, grid)
+        assert gram.dtype == complex
+        assert _same_bits(gram, (E * w) @ np.conjugate(E).T), n
+
+
+@pytest.mark.parametrize("label,rank", [("B", 2), ("G", 2), ("BC", 1), ("BC", 2)])
+def test_real_ladder_takes_its_grams_from_packed_rungs(label, rank, monkeypatch):
+    # a real family's ladder holds ceil(n/2) packed rows per rung, reads the
+    # rung m off the rung 2m's packed rows, and still evaluates each
+    # polynomial once on every rung but the first
+    import alcove.harmonic as harmonic
+    rs, spec, _ = _ladder_case(label, rank)
+    tops = {1: [(4,)], 2: [(2, 1)]}[rank]
+    polys = [monomial_symmetric(rs, mu) for mu in rs.saturated_weights(tops)]
+    m0 = first_rung(rs, [p.support() for p in polys])
+    seen, calls = [], []
+    original = QuadratureGrid.eval_terms
+
+    def recording(polys, spec, grid, values=None):
+        shape = None if values is None else values.shape
+        seen.append((grid.M, shape, gram_matrix(polys, spec, grid, values)))
+        return seen[-1][-1]
+
+    def counting(grid, terms, scratch=None, out=None):
+        calls.append((id(terms), grid.M))
+        return original(grid, terms, scratch, out)
+
+    monkeypatch.setattr(harmonic, "gram_matrix", recording)
+    monkeypatch.setattr(QuadratureGrid, "eval_terms", counting)
+    with pytest.raises(QuadratureError):
+        gram_ladder(polys, spec, m0, 0.0, 4 * m0)
+    monkeypatch.undo()
+    rows = (len(polys) + 1) // 2
+    assert [(m, shape) for m, shape, _ in seen] == [
+        (2 * m0, (rows, (2 * m0) ** rank)), (m0, (rows, m0 ** rank)), (4 * m0, None)]
+    assert set(calls) == {(id(p.terms), m) for p in polys for m in (2 * m0, 4 * m0)}
+    assert len(calls) == 2 * len(polys)
+    for m, _, gram in seen:
+        assert gram.dtype == float
+        assert _same_bits(gram, gram_matrix(polys, spec, QuadratureGrid(rs, m)))
 
 
 def _ladder_peak(polys, spec, m):
@@ -525,6 +617,38 @@ def test_gram_ladder_reads_the_first_rung_in_place(b2):
     assert n == 197 and gram_bytes(n, (2 * m) ** 2, 8, 2) == (2 * m) ** 2 * (16 * (n + 29) + 28)
     peak, checked = _ladder_peak(polys, spec, m)
     assert peak <= LADDER_MARGIN * checked
+
+
+def test_complex_ladder_reads_the_first_rung_in_place(a2):
+    # the same on A2, whose orbit sums are not real: the even points are
+    # read into the head of the conjugated values and conjugated back
+    spec = MacdonaldParams.create(a2, 0.9, 0.5).cspec()
+    polys = [monomial_symmetric(a2, mu) for mu in a2.saturated_weights([(14, 14)])]
+    n, m = len(polys), 64
+    assert n == 113 and gram_bytes(n, (2 * m) ** 2, 6, 2) == (2 * m) ** 2 * (16 * (n + 29) + 28)
+    peak, checked = _ladder_peak(polys, spec, m)
+    assert peak <= LADDER_MARGIN * checked
+
+
+@pytest.mark.parametrize("top,m,n", [((6, 6), None, 43), ((14, 14), 64, 197)])
+def test_real_ladder_holds_half_the_values(b2, top, m, n):
+    # packed rows take 8 B per value: the traced peak stays near ceil(n/2)
+    # complex rows plus one block and the grids (the measure and the index
+    # arrays of both rungs), and well below the complex layout's bytes,
+    # which check_ladder still counts
+    import alcove.harmonic as harmonic
+    spec = MacdonaldParams.create(b2, {1: 0.9, 2: 1.4}, 0.5).cspec()
+    polys = [monomial_symmetric(b2, mu) for mu in b2.saturated_weights([top])]
+    m = m or first_rung(b2, [p.support() for p in polys])
+    size = (2 * m) ** 2
+    block = harmonic._block_rows(harmonic._row_blocks(n))
+    grids = 8 * size + 8 * 2 * (size + size // 4)
+    real = 16 * size * ((n + 1) // 2 + block) + grids
+    assert len(polys) == n
+    peak, checked = _ladder_peak(polys, spec, m)
+    assert checked - real == 16 * size * (n - (n + 1) // 2)
+    assert peak <= LADDER_MARGIN * real
+    assert peak <= 0.75 * checked
 
 
 def test_a3_ladder_holds_values_and_its_evaluation_scratch():
@@ -592,8 +716,8 @@ SPLIT_GRAM_ROWS = (5, 27, 79, 121)
 
 @pytest.mark.parametrize("label,m", [("B", 150), ("BC", 144)])
 def test_split_gram_keeps_its_bits_on_any_cpu_count(label, m, cpus):
-    # values, also written through a transposed view, and Gram matrices are
-    # the same bits for 1, 2 and 3 CPUs
+    # values, also written through a transposed view, packed rows and Gram
+    # matrices are the same bits for 1, 2 and 3 CPUs
     import alcove.harmonic as harmonic
     rs, spec, grid, polys = _split_case(label, m)
     runs = []
@@ -603,8 +727,12 @@ def test_split_gram_keeps_its_bits_on_any_cpu_count(label, m, cpus):
         columns = np.empty((grid.size, 5), dtype=complex)
         grid.eval_polys(polys[:5], out=columns.T)
         assert _same_bits(np.ascontiguousarray(columns.T), E[:5])
-        runs.append((E, [gram_matrix(polys[:n], spec, grid, E[:n].copy())
-                         for n in SPLIT_GRAM_ROWS]))
+        packed = [grid.eval_real(polys[:n]) for n in SPLIT_GRAM_ROWS]
+        assert _same_bits(packed[-1].real, E[0::2].real)
+        assert _same_bits(packed[-1].imag[:-1], E[1::2].real)
+        assert not packed[-1].imag[-1].any()
+        runs.append((E, [gram_matrix(polys[:n], spec, grid, rows)
+                         for n, rows in zip(SPLIT_GRAM_ROWS, packed)]))
         assert (harmonic._pool is None) == (count == 1)
     E, grams = runs[0]
     for other, other_grams in runs[1:]:
@@ -613,10 +741,10 @@ def test_split_gram_keeps_its_bits_on_any_cpu_count(label, m, cpus):
 
 
 def test_split_gram_matches_one_call_product_with_one_blas_thread():
-    # with one BLAS thread every part's product keeps the bits of the
-    # one-call product (E * w) @ conj(E).T (OpenBLAS SkylakeX; see
-    # README.md); a threaded BLAS splits the one-call product its own way,
-    # so this runs in a child with one BLAS thread
+    # with one BLAS thread every part's product keeps the bits of the real
+    # part of the one-call product (E * w) @ conj(E).T (OpenBLAS SkylakeX;
+    # see README.md); a threaded BLAS splits the one-call product its own
+    # way, so this runs in a child with one BLAS thread
     code = """
 import numpy as np
 from test_harmonic import SPLIT_GRAM_ROWS, _same_bits, _split_case
@@ -626,11 +754,58 @@ for label, m in [("B", 150), ("BC", 144)]:
     w = measure_values(spec, grid) / (grid.size * rs.weyl_order())
     E = grid.eval_polys(polys)
     for n in SPLIT_GRAM_ROWS:
-        gram = gram_matrix(polys[:n], spec, grid, E[:n].copy())
-        assert _same_bits(gram, (E[:n] * w) @ np.conjugate(E[:n]).T), (label, n)
+        gram = gram_matrix(polys[:n], spec, grid, grid.eval_real(polys[:n]))
+        one_call = (E[:n] * w) @ np.conjugate(E[:n]).T
+        assert _same_bits(gram, one_call.real), (label, n)
 """
     tests = Path(__file__).resolve().parent
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join([str(tests.parent / "src"), str(tests)])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+
+
+def _openblas() -> bool:
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return "openblas" in blas.get("name", "").lower()
+
+
+def _avx2() -> bool:
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:
+        return False
+    return bool(__cpu_features__.get("AVX2"))
+
+
+@pytest.mark.skipif(not _openblas(), reason="numpy's BLAS is not OpenBLAS")
+@pytest.mark.parametrize("env", [
+    pytest.param({"OPENBLAS_CORETYPE": "Haswell", "OPENBLAS_NUM_THREADS": "1"},
+                 marks=pytest.mark.skipif(not _avx2(), reason="no AVX2")),
+    {"OPENBLAS_NUM_THREADS": "2"}], ids=["haswell", "two-blas-threads"])
+def test_real_gram_is_the_real_part_of_the_complex_gram_on_other_kernels(env):
+    # the real path rests on zgemm summing each lane of a product alike:
+    # on the AVX2 kernel, and with two BLAS threads, the real Gram matrices
+    # of ray-b2's two rungs are still the real parts of the complex path's
+    code = """
+import alcove.harmonic as harmonic
+from test_harmonic import _ladder_case, _same_bits
+from alcove.harmonic import QuadratureGrid, gram_matrix, monomial_symmetric
+rs, spec, _ = _ladder_case("B", 2)
+weights = rs.saturated_weights([(12, 12)])
+real_valued = harmonic._real_valued
+for m in (110, 220):
+    grid = QuadratureGrid(rs, m)
+    for n in (1, 2, 3, 43, 121):
+        polys = [monomial_symmetric(rs, mu) for mu in weights[:n]]
+        harmonic._real_valued = real_valued
+        gram = gram_matrix(polys, spec, grid)
+        harmonic._real_valued = lambda polys: False
+        assert _same_bits(gram, gram_matrix(polys, spec, grid).real), (m, n)
+"""
+    tests = Path(__file__).resolve().parent
+    env = {**os.environ, **env,
            "PYTHONPATH": os.pathsep.join([str(tests.parent / "src"), str(tests)])}
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=300)
