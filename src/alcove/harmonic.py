@@ -21,7 +21,6 @@ bandwidth.
 from __future__ import annotations
 
 import itertools
-import os
 
 import numpy as np
 
@@ -35,16 +34,6 @@ MAX_M = 4096
 GRAM_BLOCK_ROWS = 32
 # terms of one block of eval_terms, whose phases and roots are held at once
 _EVAL_TERMS = 64
-# the grid sums and Gram blocks split into at most this many parts, which run
-# at the same time (see _split and _run)
-_PARTS = 2
-# grid points per part: a kernel on a grid of fewer than 2 * _GRAIN points
-# (such as an A2 rung at M=136, 18,496 points) runs on the calling thread alone
-_GRAIN = 10_000
-# least rows of one part of a Gram block: a product of one row moves the last
-# bits of its entries (numpy and OpenBLAS compute it another way); 8 leaves a
-# margin
-_PART_ROWS = 8
 
 
 class LaurentPoly:
@@ -248,20 +237,16 @@ def weyl_character_extended(rs: RootSystem, lam) -> LaurentPoly:
     return chi if sign == 1 else -chi
 
 
-def _pairings(M: int, mus: np.ndarray, out: np.ndarray, offset: int = 0,
-              rows: range | None = None) -> np.ndarray:
+def _pairings(M: int, mus: np.ndarray, out: np.ndarray, offset: int = 0) -> np.ndarray:
     """Fill out (int64, one row per point of the M^rank grid in C order, one
     column per mu of mus) with the exact integers k = <index, mu> - offset:
     the products arange(M) * mu_j are broadcast over the grid axes, one add
-    per axis, and the offset is taken from the first axis's products.  With
-    rows, out holds only the points whose first index coordinate is in rows."""
-    rows = range(M) if rows is None else rows
-    k = out.reshape((len(rows),) + (M,) * (mus.shape[1] - 1) + (len(mus),))
+    per axis, and the offset is taken from the first axis's products."""
+    k = out.reshape((M,) * mus.shape[1] + (len(mus),))
     for j, mu in enumerate(mus.T):
         shape = [1] * k.ndim
-        shape[j], shape[-1] = k.shape[j], len(mu)
-        axis = np.arange(rows.start, rows.stop) if j == 0 else np.arange(M)
-        term = np.multiply.outer(axis, mu).reshape(shape)
+        shape[j], shape[-1] = M, len(mu)
+        term = np.multiply.outer(np.arange(M), mu).reshape(shape)
         if j == 0:
             np.subtract(term, offset, out=k)
         else:
@@ -309,50 +294,6 @@ class _Scratch:
                 self.roots[:count].reshape(points, width))
 
 
-_pool = None  # helper threads of _run, started on the first split kernel
-
-
-def _cpu_count() -> int:
-    return len(os.sched_getaffinity(0))
-
-
-def _split(count: int, points: int, least: int = 1) -> list:
-    """Edges of near-equal contiguous parts of range(count), for a kernel
-    over a grid of points: _PARTS parts, fewer on a grid of fewer than
-    _GRAIN points per part or where a part would get fewer than least items.
-    The edges depend on the sizes only, never on the CPU count, so neither
-    do the bits."""
-    parts = max(1, min(_PARTS, points // _GRAIN, count // least))
-    return [count * i // parts for i in range(parts + 1)]
-
-
-def _run(part, edges) -> None:
-    """part(a, b) for each pair of consecutive edges, at the same time: the
-    first on the calling thread, the others on helper threads.  A single
-    part, or a single CPU, runs on the calling thread alone.  part calls
-    numpy kernels only, which release the GIL, and writes disjoint rows of
-    the caller's arrays."""
-    global _pool
-    parts = list(zip(edges, edges[1:]))
-    if len(parts) == 1 or _cpu_count() == 1:
-        for a, b in parts:
-            part(a, b)
-        return
-    if _pool is None:
-        from concurrent.futures import ThreadPoolExecutor
-        _pool = ThreadPoolExecutor(min(_PARTS, _cpu_count()) - 1,
-                                   thread_name_prefix="alcove-grid")
-    pending = [_pool.submit(part, a, b) for a, b in parts[1:]]
-    try:
-        part(*parts[0])
-    finally:
-        # the parts share the caller's arrays: all end before this returns
-        errors = [f.exception() for f in pending]
-    for exc in errors:
-        if exc is not None:
-            raise exc
-
-
 def _check_grid_points(rs: RootSystem, M: int) -> None:
     points = M ** rs.rank
     if points > GRID_POINT_BUDGET:
@@ -392,11 +333,7 @@ class QuadratureGrid:
         blocks of _EVAL_TERMS terms, written into out (a new array by
         default).  The phases and roots of the blocks are written into scratch
         (eval_polys passes one for all its rows); each block's phase range
-        comes from its weights, not from a pass over its phases.  A block on a
-        large grid is split by rows of the grid (_split over the first index
-        coordinate) into parts that run at the same time; every row is the
-        same dot product whatever the split, so the bits do not depend on
-        it."""
+        comes from its weights, not from a pass over its phases."""
         if out is None:
             out = np.empty(self.size, dtype=complex)
         items = list(terms.items())
@@ -404,27 +341,19 @@ class QuadratureGrid:
             out[...] = 0
             return out
         scratch = scratch or _Scratch()
-        plane = self.size // self.M
-        edges = _split(self.M, self.size)
         for start in range(0, len(items), _EVAL_TERMS):
             block = items[start:start + _EVAL_TERMS]
             mus = np.array([mu for mu, _ in block], dtype=np.int64)
             coeffs = np.array([complex(c) for _, c in block])
             k, roots = scratch.arrays(self.size, len(block))
-            # the table is extended here, before any part reads it
             base = self._table_start(*_phase_span(self.M, mus), k.size)
-
-            def part(a, b):
-                at = slice(a * plane, b * plane)
-                _pairings(self.M, mus, k[at], base or 0, range(a, b))
-                self.roots_of_unity(k[at], roots[at], table=base is not None)
-                if start:
-                    out[at] += roots[at] @ coeffs
-                else:
-                    # adding to 0.0, as a sum from zero does, turns -0.0 into 0.0
-                    np.add(np.matmul(roots[at], coeffs, out=out[at]), 0.0, out=out[at])
-
-            _run(part, edges)
+            _pairings(self.M, mus, k, base or 0)
+            self.roots_of_unity(k, roots, table=base is not None)
+            if start:
+                out += roots @ coeffs
+            else:
+                # adding to 0.0, as a sum from zero does, turns -0.0 into 0.0
+                np.add(np.matmul(roots, coeffs, out=out), 0.0, out=out)
         return out
 
     def eval_polys(self, polys, out=None) -> np.ndarray:
@@ -467,10 +396,9 @@ class QuadratureGrid:
         bit.  Folding k mod M would be exact in the mathematics but would
         move the last bits of every grid sum.
 
-        eval_terms makes that choice once per block (_table_start) and passes
-        it as table to each part of the block: True when k holds the phases
-        less the table's start, False when it holds the phases.  Then the
-        table is only read, so parts may run on several threads.
+        eval_terms makes that choice once per block (_table_start), from the
+        block's weights, and passes it as table: True when k holds the phases
+        less the table's start, False when it holds the phases.
         """
         if table is None:
             start = self._table_start(int(k.min()), int(k.max()), k.size)
@@ -738,9 +666,7 @@ def gram_matrix(polys, spec: CFunctionSpec, grid: QuadratureGrid,
     conjugated in place.  The weighted rows E * w are formed one block of
     rows at a time, so besides the values only one block is held; each
     block's product with conj(E).T has the bits of the one-call product
-    (E * w) @ conj(E).T.  On a large grid each block is split into parts of
-    at least _PART_ROWS rows that are weighted and multiplied at the same
-    time, into their rows of the one block buffer.
+    (E * w) @ conj(E).T.
 
     A real-valued family (_real_valued) gets the real part of that product,
     to the bit, from the packed rows grid.eval_real(polys) (values, if given,
@@ -758,15 +684,11 @@ def gram_matrix(polys, spec: CFunctionSpec, grid: QuadratureGrid,
     scratch = np.zeros((_block_rows(edges), grid.size), dtype=complex)
     gram = np.empty((n, len(E)), dtype=complex)
     for a, b in zip(edges, edges[1:]):
-
-        def part(s, t):
-            block = scratch[s:t]
-            if real:
-                for r in range(s, t):
-                    np.multiply(_half(E, a + r), w, out=scratch[r].real)
-            else:
-                np.multiply(np.conjugate(E[a + s:a + t], out=block), w, out=block)
-            np.matmul(block, E.T, out=gram[a + s:a + t])
-
-        _run(part, _split(b - a, grid.size, _PART_ROWS))
+        block = scratch[:b - a]
+        if real:
+            for r in range(a, b):
+                np.multiply(_half(E, r), w, out=block[r - a].real)
+        else:
+            np.multiply(np.conjugate(E[a:b], out=block), w, out=block)
+        np.matmul(block, E.T, out=gram[a:b])
     return gram.view(float)[:, :n] if real else gram

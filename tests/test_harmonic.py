@@ -483,7 +483,7 @@ def test_blocked_gram_matches_one_call_product(label, m):
         assert _same_bits(gram_matrix(polys, spec, grid), ((E * w) @ np.conjugate(E).T).real)
 
 
-# real-valued families (-1 is in W) on grids below the split of the kernels
+# real-valued families (-1 is in W) on small grids
 REAL_CASES = [("B", 2, 37), ("C", 2, 40), ("G", 2, 30), ("BC", 1, 300), ("BC", 2, 36)]
 REAL_ROWS = (1, 2, 3, 43, 121)
 
@@ -575,10 +575,9 @@ def test_real_ladder_takes_its_grams_from_packed_rungs(label, rank, monkeypatch)
 
 def _ladder_peak(polys, spec, m):
     """(traced peak, checked bytes) of a ladder of polys from the rung m that
-    builds the rungs m and 2m only.  An untraced ladder runs first, so the
-    one-time start of the thread pool is not counted."""
+    builds the rungs m and 2m only.  Nothing is warmed up first: in a fresh
+    process the first ladder's peak is at most 40 kB above a second one's."""
     import tracemalloc
-    gram_ladder(polys, spec, m, np.inf, 2 * m)
     tracemalloc.start()
     try:
         with pytest.raises(QuadratureError):
@@ -681,79 +680,53 @@ def test_ladder_check_counts_the_grid_indices_and_the_measure():
     assert peak <= 1.01 * checked
 
 
-@pytest.fixture
-def cpus(monkeypatch):
-    """cpus(n): the grid kernels see n CPUs from now on, with a pool of
-    their own; every pool started here is shut down afterwards."""
-    import alcove.harmonic as harmonic
-    monkeypatch.setattr(harmonic, "_pool", None)
-    started = []
-
-    def use(count):
-        started.append(harmonic._pool)
-        harmonic._pool = None
-        monkeypatch.setattr(harmonic, "_cpu_count", lambda: count)
-
-    yield use
-    for pool in started + [harmonic._pool]:
-        if pool is not None:
-            pool.shutdown()
-
-
-def _split_case(label, m):
-    """A grid above 2 * _GRAIN points, on which the rows of every eval_terms
-    block and of every Gram block split into two parts, and 121 orbit sums."""
-    import alcove.harmonic as harmonic
+def _large_case(label, m):
+    """A grid of m^2 points, the size of ray-b2's rungs, and 121 orbit sums."""
     rs, spec, _ = _ladder_case(label, 2)
     grid = QuadratureGrid(rs, m)
-    assert len(harmonic._split(grid.M, grid.size)) == 3
     polys = [monomial_symmetric(rs, mu) for mu in rs.saturated_weights([(12, 12)])[:121]]
     return rs, spec, grid, polys
 
 
-SPLIT_GRAM_ROWS = (5, 27, 79, 121)
+LARGE_GRAM_ROWS = (5, 27, 79, 121)
 
 
 @pytest.mark.parametrize("label,m", [("B", 150), ("BC", 144)])
-def test_split_gram_keeps_its_bits_on_any_cpu_count(label, m, cpus):
-    # values, also written through a transposed view, packed rows and Gram
-    # matrices are the same bits for 1, 2 and 3 CPUs
-    import alcove.harmonic as harmonic
-    rs, spec, grid, polys = _split_case(label, m)
-    runs = []
-    for count in (1, 2, 3):
-        cpus(count)
-        E = grid.eval_polys(polys)
-        columns = np.empty((grid.size, 5), dtype=complex)
-        grid.eval_polys(polys[:5], out=columns.T)
-        assert _same_bits(np.ascontiguousarray(columns.T), E[:5])
-        packed = [grid.eval_real(polys[:n]) for n in SPLIT_GRAM_ROWS]
-        assert _same_bits(packed[-1].real, E[0::2].real)
-        assert _same_bits(packed[-1].imag[:-1], E[1::2].real)
-        assert not packed[-1].imag[-1].any()
-        runs.append((E, [gram_matrix(polys[:n], spec, grid, rows)
-                         for n, rows in zip(SPLIT_GRAM_ROWS, packed)]))
-        assert (harmonic._pool is None) == (count == 1)
-    E, grams = runs[0]
-    for other, other_grams in runs[1:]:
-        assert _same_bits(other, E)
-        assert all(_same_bits(a, b) for a, b in zip(other_grams, grams))
+def test_large_grid_rows_and_gram_keep_their_bits(label, m):
+    # values written through a transposed view are the rows of eval_polys,
+    # packed rows are the real parts of those rows, and the Gram matrix of
+    # given packed rows, which it leaves as they are, is the one gram_matrix
+    # forms from its own evaluation
+    rs, spec, grid, polys = _large_case(label, m)
+    E = grid.eval_polys(polys)
+    columns = np.empty((grid.size, 5), dtype=complex)
+    grid.eval_polys(polys[:5], out=columns.T)
+    assert _same_bits(np.ascontiguousarray(columns.T), E[:5])
+    packed = [grid.eval_real(polys[:n]) for n in LARGE_GRAM_ROWS]
+    assert _same_bits(packed[-1].real, E[0::2].real)
+    assert _same_bits(packed[-1].imag[:-1], E[1::2].real)
+    assert not packed[-1].imag[-1].any()
+    for n, rows in zip(LARGE_GRAM_ROWS, packed):
+        kept = rows.copy()
+        gram = gram_matrix(polys[:n], spec, grid, rows)
+        assert _same_bits(rows, kept)
+        assert _same_bits(gram, gram_matrix(polys[:n], spec, grid)), n
 
 
-def test_split_gram_matches_one_call_product_with_one_blas_thread():
-    # with one BLAS thread every part's product keeps the bits of the real
+def test_large_grid_gram_matches_one_call_product_with_one_blas_thread():
+    # with one BLAS thread every block's product keeps the bits of the real
     # part of the one-call product (E * w) @ conj(E).T (OpenBLAS SkylakeX;
     # see README.md); a threaded BLAS splits the one-call product its own
     # way, so this runs in a child with one BLAS thread
     code = """
 import numpy as np
-from test_harmonic import SPLIT_GRAM_ROWS, _same_bits, _split_case
+from test_harmonic import LARGE_GRAM_ROWS, _same_bits, _large_case
 from alcove.harmonic import gram_matrix, measure_values
 for label, m in [("B", 150), ("BC", 144)]:
-    rs, spec, grid, polys = _split_case(label, m)
+    rs, spec, grid, polys = _large_case(label, m)
     w = measure_values(spec, grid) / (grid.size * rs.weyl_order())
     E = grid.eval_polys(polys)
-    for n in SPLIT_GRAM_ROWS:
+    for n in LARGE_GRAM_ROWS:
         gram = gram_matrix(polys[:n], spec, grid, grid.eval_real(polys[:n]))
         one_call = (E[:n] * w) @ np.conjugate(E[:n]).T
         assert _same_bits(gram, one_call.real), (label, n)
@@ -812,28 +785,20 @@ for m in (110, 220):
     assert proc.returncode == 0, proc.stderr
 
 
-def test_split_grid_sums_match_direct_sum_on_any_cpu_count(b2, bc1, cpus):
-    # blocks crossing the grain, on the table path (B2, 150 terms in three
-    # blocks) and on the direct path (BC1 weights whose phases span more
-    # integers than the block has values); the threads switch every
-    # microsecond, so a part that read or wrote another's rows would show
+def test_large_grid_sums_match_direct_sum(b2, bc1):
+    # blocks on grids of over 20,000 points, on the table path (B2, 150
+    # terms in three blocks) and on the direct path (BC1 weights whose
+    # phases span more integers than the block has values); a grid's later
+    # sums read the table its first one built
     box = [mu for mu in itertools.product(range(-6, 7), repeat=2) if any(mu)]
     cases = [(b2, 150, _terms(np.random.default_rng(3).permutation(box)[:150])),
              (bc1, 24000, _terms([(s * mu,) for mu in range(40, 100) for s in (1, -1)]))]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for rs, m, terms in cases:
-            values = []
-            for count in (1, 2, 3):
-                cpus(count)
-                grid = QuadratureGrid(rs, m)
-                values += [grid.eval_terms(terms) for _ in range(3)]
-                assert (grid._table.size > 0) == (rs.rank == 2)
-            direct = _direct_sum(grid, terms)
-            assert all(_same_bits(v, direct) for v in values)
-    finally:
-        sys.setswitchinterval(interval)
+    for rs, m, terms in cases:
+        grid = QuadratureGrid(rs, m)
+        values = [grid.eval_terms(terms) for _ in range(3)]
+        assert (grid._table.size > 0) == (rs.rank == 2)
+        direct = _direct_sum(grid, terms)
+        assert all(_same_bits(v, direct) for v in values)
 
 
 def test_gram_budget_is_checked_before_a_rung_allocates(b2, monkeypatch):

@@ -535,23 +535,20 @@ def test_weyl_action_stays_on_weight_coordinates():
     assert not hits
 
 
-PER_WEIGHT_KERNEL_IDIOMS = re.compile(r"_invert|psi0|_psi0|ThreadPoolExecutor|workers")
+PER_WEIGHT_KERNEL_IDIOMS = re.compile(
+    r"_invert|psi0|_psi0|ThreadPoolExecutor|workers|threading|concurrent\.futures|"
+    r"multiprocessing|sched_getaffinity")
 
 
 def test_transforms_stay_on_one_fourier_transform():
-    # inverse transforms gather from one grid Fourier transform, and the
-    # evolve snapshots run in one thread; the one thread pool is harmonic's
-    # _run, which splits grid sums and Gram blocks into numpy-only parts
+    # inverse transforms gather from one grid Fourier transform, and every
+    # kernel, the evolve snapshots and the Gram ladder included, runs on the
+    # calling thread: no module of the package starts a thread or a process
     src = Path(alcove.__file__).parent
-    harmonic = src / "harmonic.py"
-    pool = next(node for node in ast.walk(ast.parse(harmonic.read_text()))
-                if isinstance(node, ast.FunctionDef) and node.name == "_run")
-    inside = range(pool.lineno, pool.end_lineno + 1)
-    hits = [f"{path.name}:{n}: {line.strip()}"
-            for path in sorted(src.glob("*.py"))
+    hits = [f"{path.relative_to(src)}:{n}: {line.strip()}"
+            for path in sorted(src.rglob("*.py"))
             for n, line in enumerate(path.read_text().splitlines(), 1)
-            if PER_WEIGHT_KERNEL_IDIOMS.search(line)
-            and not (path == harmonic and n in inside)]
+            if PER_WEIGHT_KERNEL_IDIOMS.search(line)]
     assert not hits
 
 
