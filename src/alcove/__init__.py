@@ -20,8 +20,8 @@ _EXPORTS = {
                      "gram_schmidt", "norm_constants"), "orthopoly"),
     **dict.fromkeys(("LatticeFunction", "apply_free", "apply_fourier_conjugated",
                      "apply_koornwinder", "apply_macdonald_ruijsenaars"), "laplacian"),
-    **dict.fromkeys(("ScatteringContext", "SpectralFunction", "WaveTable",
-                     "convergence_report"), "scattering"),
+    **dict.fromkeys(("ScatteringContext", "WaveTable", "convergence_report"),
+                    "scattering"),
     **dict.fromkeys(("WavePacket", "run_scattering_diagnostic"), "evolution"),
 }
 

@@ -510,18 +510,23 @@ def cmd_scatter(args) -> int:
 # export
 
 
+def _export_path(args, name: str) -> Path:
+    """--out/name, making --out only once a file is about to be written."""
+    outdir = Path(args.out or ".")
+    outdir.mkdir(parents=True, exist_ok=True)
+    return outdir / name
+
+
 def cmd_export(args) -> int:
     cfg = load_config(args.config) if args.config else {}
     rs, params, spec = build_system(cfg)
-    outdir = Path(args.out or ".")
-    outdir.mkdir(parents=True, exist_ok=True)
     tops = weight_tops(cfg, rs)
     what = args.what
     if what == "polynomials":
         system = gram_schmidt(rs, spec, tops)
         payload = {"version": __version__, "config": cfg,
                    "coefficients": system.export_table()}
-        (outdir / "polynomials.json").write_text(
+        _export_path(args, "polynomials.json").write_text(
             json.dumps(payload, indent=2, sort_keys=True))
         return EXIT_OK
     if what == "operator":
@@ -537,7 +542,7 @@ def cmd_export(args) -> int:
             pi = rs.quasi_minuscule_weight()
             apply_fn = lambda f: apply_macdonald_ruijsenaars(params, pi, f)
         mat = operator_matrix(apply_fn, rs, sites)
-        with open(outdir / "operator.csv", "w", newline="") as fh:
+        with open(_export_path(args, "operator.csv"), "w", newline="") as fh:
             wr = csv.writer(fh)
             wr.writerow(["row_weight", "col_weight", "value_re", "value_im"])
             for i, a in enumerate(sites):
@@ -554,7 +559,7 @@ def cmd_export(args) -> int:
         sym = orbit_symbol(rs, rs.quasi_minuscule_weight())
         ctx = ScatteringContext(WaveTable(system, grid), sym)
         ks = np.nonzero(ctx.regular_mask)[0]
-        with open(outdir / "smatrix.csv", "w", newline="") as fh:
+        with open(_export_path(args, "smatrix.csv"), "w", newline="") as fh:
             wr = csv.writer(fh)
             wr.writerow([f"xi_{i}" for i in range(rs.dim)] + ["re", "im"])
             for k in ks:

@@ -7,7 +7,9 @@ single-chamber classical packet transported at the group velocity, and the
 asymptotic packet (interacting kernel replaced by its plane-wave limit).
 The diagnostics measure the telescoping norms whose decay drives the
 existence of the wave operators, together with unitarity and window
-leakage, and fit power-law / exponential decay rates to each.
+leakage, and fit power-law / exponential decay rates to each.  A packet's
+spectral data is a plain alcove array, and its image under S_L^{-+1/2} is
+computed once per sign and shared by every time on its grid.
 """
 
 from __future__ import annotations
@@ -22,8 +24,8 @@ import numpy as np
 from .harmonic import LaurentPoly, QuadratureGrid
 from .laplacian import LatticeFunction
 from .orthopoly import OrthoPolySystem
-from .scattering import (ScatteringContext, SpectralFunction, WaveTable,
-                         asymptotic_wave_values, grid_floor, linear_fit, spectral_norm)
+from .scattering import (ScatteringContext, WaveTable, asymptotic_wave_values,
+                         grid_floor, linear_fit, spectral_norm)
 
 
 # fraction of the bump radius on which the profile is 1
@@ -63,7 +65,8 @@ class WavePacket:
     """Bump test function inside one component of the regular sector.
 
     Carries the component's Weyl element, the inflated velocity box of
-    grad E over the support, and the chamber-interior margin epsilon.
+    grad E over the support, and the chamber-interior margin epsilon.  Its
+    spectral data is real and zero off the regular sector.
     """
 
     def __init__(self, ctx: ScatteringContext, center, radius: float,
@@ -103,6 +106,7 @@ class WavePacket:
             raise PacketError(
                 "velocity box touches a chamber wall; shrink the packet")
         self._kernels = None
+        self._scattered: dict = {}
 
     def _check_wall_margin(self, cells: int):
         offsets = np.array(list(itertools.product(range(-cells, cells + 1),
@@ -132,8 +136,15 @@ class WavePacket:
                 self.ctx.table.spec, window, self.grid, self.ctx.halves))
         return self._kernels[1]
 
-    def spectral(self) -> SpectralFunction:
-        return SpectralFunction(self.grid, self.values.astype(complex), "alcove")
+    def spectral(self) -> np.ndarray:
+        return self.values.astype(complex)
+
+    def scattered(self, sign: int) -> np.ndarray:
+        """S_L^{-+1/2} of the packet (sign = +1 or -1), once per sign: it does
+        not depend on the time."""
+        if sign not in self._scattered:
+            self._scattered[sign] = self.ctx.smatrix_apply(self.spectral(), -0.5 * sign)
+        return self._scattered[sign]
 
     def norm(self) -> float:
         return spectral_norm(self.spectral())
@@ -205,8 +216,7 @@ def _phase_values(packet: WavePacket, t: float) -> np.ndarray:
 
 
 def free_packet(packet: WavePacket, t: float, window) -> LatticeFunction:
-    fhat = SpectralFunction(packet.grid, _phase_values(packet, t), "alcove")
-    return packet.ctx.table.inverse_free(fhat, window)
+    return packet.ctx.table.inverse_free(_phase_values(packet, t), window)
 
 
 def interacting_packet(packet: WavePacket, sign: int, t: float,
@@ -214,17 +224,13 @@ def interacting_packet(packet: WavePacket, sign: int, t: float,
     missing = [lam for lam in window if lam not in packet.ctx.table.system.index]
     if missing:
         raise TableDepthError(f"polynomial table too shallow for sites {missing[:3]}")
-    scattered = packet.ctx.smatrix_apply(packet.spectral(), -0.5 * sign)
-    vals = scattered.values * np.exp(-1j * t * packet.ctx.symbol_values)
-    fhat = SpectralFunction(packet.grid, vals, "alcove")
+    fhat = packet.scattered(sign) * np.exp(-1j * t * packet.ctx.symbol_values)
     return packet.ctx.table.inverse(fhat, window)
 
 
 def asymptotic_packet(packet: WavePacket, sign: int, t: float,
                       window) -> LatticeFunction:
-    scattered = packet.ctx.smatrix_apply(packet.spectral(), -0.5 * sign)
-    vals = scattered.values * np.exp(-1j * t * packet.ctx.symbol_values)
-    vals = np.where(packet.grid.alcove_mask, vals, 0.0)
+    vals = packet.scattered(sign) * np.exp(-1j * t * packet.ctx.symbol_values)
     out = {}
     for lam, kern in zip(window, packet.asymptotic_kernels(window)):
         c = complex(np.mean(vals * kern))

@@ -264,17 +264,12 @@ def apply_fourier_conjugated(table, symbol, phi: LatticeFunction,
     ``table`` is a scattering.WaveTable whose polynomial system must contain
     the support of phi and the requested window.
     """
-    rs = table.rs
     missing = [lam for lam in phi.support() if lam not in table.system.index]
     if missing:
         raise KeyError(f"polynomial table does not contain {missing[:3]}")
     if window is None:
         window = table.window()
-    fhat = table.forward(phi)
-    evals = symbol.eval_grid(table.grid)
-    from .scattering import SpectralFunction
-    prod = SpectralFunction(table.grid, evals * fhat.values, "covariant")
-    return table.inverse(prod, window)
+    return table.inverse(symbol.eval_grid(table.grid) * table.forward(phi), window)
 
 
 def commutator_residual(table, sym_a, sym_b, phi: LatticeFunction,

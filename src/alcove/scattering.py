@@ -1,24 +1,17 @@
 """Wave functions, Fourier pairings, and the factorized scattering matrix.
 
 The lattice Hilbert space is l^2 over the dominant cone; the spectral side
-is the alcove with the normalized Lebesgue measure.  Spectral data lives on
-a torus QuadratureGrid in one of two forms:
-
-* ``covariant``   -- globally defined values with f(w xi) = det(w) f(xi)
-                     (Fourier transforms of lattice functions are of this
-                     type); products of two covariant functions are
-                     W-invariant, so cell averages carry a 1/|W| factor.
-* ``alcove``      -- values supported on the open alcove and extended by
-                     zero (wave packets); cell averages need no 1/|W|.
-
-Both conventions realize the same normalized alcove integral because the
-period cell consists of |W| copies of the alcove.
+is L^2 of the alcove with the normalized Lebesgue measure.  Spectral data is
+a complex array over a torus QuadratureGrid that is zero off the open
+alcove, so its integral is the plain grid mean.  The Fourier transforms of
+lattice functions are W-covariant, f(w xi) = det(w) f(xi), so they vanish
+on every wall; the period cell is |W| copies of the alcove, and restricting
+them to the alcove loses nothing.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,44 +41,9 @@ def symbol_gradient(sym: LaurentPoly, grid: QuadratureGrid) -> np.ndarray:
     return out.real
 
 
-@dataclass
-class SpectralFunction:
-    """Grid-sampled element of the spectral Hilbert space."""
-
-    grid: QuadratureGrid
-    values: np.ndarray
-    kind: str  # "covariant" | "alcove"
-
-    def __post_init__(self):
-        if self.kind not in ("covariant", "alcove"):
-            raise ValueError(f"unknown kind {self.kind!r}")
-
-    def restrict_alcove(self) -> "SpectralFunction":
-        vals = np.where(self.grid.alcove_mask, self.values, 0.0)
-        return SpectralFunction(self.grid, vals, "alcove")
-
-    def __mul__(self, other):
-        if isinstance(other, SpectralFunction):
-            raise TypeError("multiply by plain arrays or scalars")
-        return SpectralFunction(self.grid, self.values * other, self.kind)
-
-    def __sub__(self, other: "SpectralFunction"):
-        assert self.kind == other.kind
-        return SpectralFunction(self.grid, self.values - other.values, self.kind)
-
-
-def spectral_inner(f: SpectralFunction, g: SpectralFunction) -> complex:
-    """(f, g) in the normalized spectral Hilbert space."""
-    if f.kind != g.kind:
-        raise ValueError("cannot pair covariant with alcove-supported data")
-    raw = complex(np.mean(f.values * np.conjugate(g.values)))
-    if f.kind == "covariant":
-        return raw / f.grid.rs.weyl_order()
-    return raw
-
-
-def spectral_norm(f: SpectralFunction) -> float:
-    return float(np.sqrt(max(spectral_inner(f, f).real, 0.0)))
+def spectral_norm(values: np.ndarray) -> float:
+    """Norm of spectral data (zero off the alcove) in L^2 of the alcove."""
+    return float(np.sqrt(np.mean(values * np.conjugate(values)).real))
 
 
 class WaveTable:
@@ -132,46 +90,39 @@ class WaveTable:
 
     # -- Fourier pairings ------------------------------------------------
 
-    def forward(self, phi: LatticeFunction) -> SpectralFunction:
+    def forward(self, phi: LatticeFunction) -> np.ndarray:
         rows = [self.system.index[lam] for lam, _ in phi.items()]
         c = np.array([v for _, v in phi.items()], dtype=complex)
         poly = self.monomial_values @ (np.conjugate(c) @ self.system.coeff[rows])
         vals = np.conjugate(self.sqrt_weight * self.delta * poly)
-        return SpectralFunction(self.grid, vals, "covariant")
+        return np.where(self.grid.alcove_mask, vals, 0.0)
 
-    def forward_free(self, phi: LatticeFunction) -> SpectralFunction:
+    def forward_free(self, phi: LatticeFunction) -> np.ndarray:
         terms: dict = {}
         for lam, c in phi.items():
             shifted = tuple(a + b for a, b in zip(self.rs.rho_coords, lam))
             for mu, s in alternating_sum(self.rs, shifted).terms.items():
                 terms[mu] = terms.get(mu, 0) + s * c.conjugate()
         vals = np.conjugate(self.grid.eval_terms(terms))
-        return SpectralFunction(self.grid, vals, "covariant")
+        return np.where(self.grid.alcove_mask, vals, 0.0)
 
-    def _pairing_values(self, fhat: SpectralFunction):
-        """Values an inverse transform averages, and the scale of the average."""
-        if fhat.kind == "covariant":
-            return fhat.values, 1.0 / self.rs.weyl_order()
-        return np.where(self.grid.alcove_mask, fhat.values, 0.0), 1.0
-
-    def inverse(self, fhat: SpectralFunction, window) -> LatticeFunction:
-        """Grid averages of fhat * Psi_lam for lam in the window."""
-        vals, scale = self._pairing_values(fhat)
+    def inverse(self, fhat: np.ndarray, window) -> LatticeFunction:
+        """Grid means of (fhat on the alcove) * Psi_lam for lam in the window."""
+        vals = np.where(self.grid.alcove_mask, fhat, 0.0)
         f = self.grid.fourier(vals * self.sqrt_weight * self.delta)
         orbit_sums = np.add.reduceat(f[self._orbit_index], self._orbit_starts)
         rows = [self.system.index[tuple(lam)] for lam in window]
         return LatticeFunction(self.rs, dict(zip(
-            map(tuple, window), scale * (self.system.coeff[rows] @ orbit_sums))))
+            map(tuple, window), self.system.coeff[rows] @ orbit_sums)))
 
-    def inverse_free(self, fhat: SpectralFunction, window) -> LatticeFunction:
-        """Grid averages of fhat * Psi0_lam for lam in the window."""
-        vals, scale = self._pairing_values(fhat)
-        f = self.grid.fourier(vals)
+    def inverse_free(self, fhat: np.ndarray, window) -> LatticeFunction:
+        """Grid means of (fhat on the alcove) * Psi0_lam for lam in the window."""
+        f = self.grid.fourier(np.where(self.grid.alcove_mask, fhat, 0.0))
         shifted = np.reshape(np.asarray(window, dtype=np.int64), (-1, self.rs.rank)) \
             + self.rs.rho_coords
         images = np.einsum("wij,nj->nwi", self._weyl_matrices, shifted)
         coeffs = f[self.grid.flat_index(images)] @ self._weyl_signs
-        return LatticeFunction(self.rs, dict(zip(map(tuple, window), scale * coeffs)))
+        return LatticeFunction(self.rs, dict(zip(map(tuple, window), coeffs)))
 
     def window(self) -> list:
         """Default inversion window: every weight of the polynomial table."""
@@ -281,9 +232,9 @@ def convergence_report(table: WaveTable, lambdas) -> dict:
     ms, norms = [], []
     asymptotic = asymptotic_wave_values(table.spec, lambdas, table.grid)
     for lam, psi_inf in zip(lambdas, asymptotic):
-        diff = SpectralFunction(table.grid, table.psi(lam) - psi_inf, "covariant")
         ms.append(float(table.rs.min_coroot_pairing(tuple(lam))))
-        norms.append(spectral_norm(diff))
+        norms.append(spectral_norm(
+            np.where(table.grid.alcove_mask, table.psi(lam) - psi_inf, 0.0)))
     y = np.log(np.maximum(norms, 1e-300))
     slope, intercept, ss_res = linear_fit(np.array(ms), y)
     ss_tot = float(np.sum((y - np.mean(y)) ** 2))
@@ -371,7 +322,7 @@ class ScatteringContext:
         """S_L at regular grid point k, the square of its S_w^{1/2}(xi_k)."""
         return self._half_factor(self.regular_sector_element(k))[k] ** 2
 
-    def smatrix_apply(self, fhat: SpectralFunction, power: float) -> SpectralFunction:
+    def smatrix_apply(self, fhat: np.ndarray, power: float) -> np.ndarray:
         """(S_L^p fhat)(xi) = S_{w_xi}^p(xi) fhat(xi) on the regular sector.
 
         Grid points outside the regular sector are zeroed; packets must keep
@@ -379,8 +330,7 @@ class ScatteringContext:
         """
         if power not in (1.0, -1.0, 0.5, -0.5):
             raise ValueError("power must be one of +-1, +-1/2")
-        fhat = fhat.restrict_alcove() if fhat.kind == "covariant" else fhat
-        vals = np.where(self.regular_mask, fhat.values, 0.0)
+        vals = np.where(self.regular_mask, fhat, 0.0)
         out = np.zeros_like(vals)
         active = np.nonzero(vals)[0]
         labels = self.sector_labels[active]
@@ -389,7 +339,7 @@ class ScatteringContext:
             f = self._half_factor(self.sector_elements[label])[ks]
             f = np.conjugate(f) if power < 0 else f
             out[ks] = (f ** 2 if abs(power) == 1.0 else f) * vals[ks]
-        return SpectralFunction(self.grid, out, "alcove")
+        return out
 
     # -- wave and scattering operators ---------------------------------
 
@@ -397,14 +347,12 @@ class ScatteringContext:
                             window=None) -> LatticeFunction:
         """Omega_{+-} phi = F^{-1} S_L^{-+1/2} F^{(0)} phi (sign = +1 or -1)."""
         window = self.table.window() if window is None else window
-        fhat = self.table.forward_free(phi).restrict_alcove()
-        fhat = self.smatrix_apply(fhat, -0.5 * sign)
+        fhat = self.smatrix_apply(self.table.forward_free(phi), -0.5 * sign)
         return self.table.inverse(fhat, window)
 
     def scattering_operator_apply(self, phi: LatticeFunction,
                                   window=None) -> LatticeFunction:
         """S_L phi = (F^{(0)})^{-1} S_L F^{(0)} phi."""
         window = self.table.window() if window is None else window
-        fhat = self.table.forward_free(phi).restrict_alcove()
-        fhat = self.smatrix_apply(fhat, 1.0)
+        fhat = self.smatrix_apply(self.table.forward_free(phi), 1.0)
         return self.table.inverse_free(fhat, window)

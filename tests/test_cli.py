@@ -416,6 +416,23 @@ def test_bad_task_values_are_config_errors(tmp_path, argv, patch):
     assert main(argv + ["--config", cfg, "--out", str(tmp_path / "out")]) == 2
 
 
+A2_NEGATIVE_TOP = {**A2_MACDONALD, "weights": {"tops": [[-1, 2]]}}
+BC2_SMALL_GRID = {"root_system": {"label": "BC", "rank": 2},
+                  "cfunctions": {"family": "koornwinder", "ghat": 1.1,
+                                 "g0123": [0.9, 0.7, 0.6, 0.8], "q": 0.45},
+                  "weights": {"tops": [[2, 1]]}, "grid": {"M": 4}}
+
+
+@pytest.mark.parametrize("what,config", [
+    ("polynomials", A2_NEGATIVE_TOP), ("operator", A2_NEGATIVE_TOP),
+    ("smatrix", BC2_SMALL_GRID)])
+def test_export_config_error_makes_no_out_directory(tmp_path, what, config):
+    out = tmp_path / "new" / "out"
+    assert main(["export", what, "--config", _cfg(tmp_path, "bad.json", config),
+                 "--out", str(out)]) == 2
+    assert not (tmp_path / "new").exists()
+
+
 @pytest.mark.parametrize("argv,patch,message", [
     (["scatter", "--ray"], {"task": {"ray": {"step": 2}}},
      "unknown config key 'task.ray.step'"),
@@ -674,6 +691,33 @@ def test_root_half_phases_once_per_snapshot_context(tmp_path, monkeypatch):
     times = BC1_EVOLVE_TINY["task"]["evolve"]["times"]
     assert len(contexts) == len(times) + 1
     assert [id(g) for g in halves] == [id(g) for g in contexts[1:]]
+
+
+def test_packet_scattered_once_per_snapshot_context(tmp_path, monkeypatch):
+    # S_L^{-+1/2} of a packet does not depend on t: the interacting and the
+    # asymptotic packets of every time on one grid share one smatrix_apply
+    import alcove.scattering as scattering
+    contexts, applied = [], []
+    init = scattering.ScatteringContext.__init__
+    smatrix_apply = scattering.ScatteringContext.smatrix_apply
+
+    def recording_init(self, table, symbol):
+        contexts.append(table.grid)
+        init(self, table, symbol)
+
+    def recording(self, fhat, power):
+        applied.append(self.grid)
+        return smatrix_apply(self, fhat, power)
+
+    monkeypatch.setattr(scattering.ScatteringContext, "__init__", recording_init)
+    monkeypatch.setattr(scattering.ScatteringContext, "smatrix_apply", recording)
+    config = json.loads(json.dumps(BC1_EVOLVE_TINY))
+    config["task"]["evolve"]["times"] = [4, 6, 16]
+    assert main(["scatter", "--evolve", "--config", _cfg(tmp_path, "bc1.json", config),
+                 "--out", str(tmp_path / "e.json")]) == 0
+    # the center search context and two snapshot grids: t = 4 and 6 share one
+    assert len(contexts) == 3
+    assert [id(g) for g in applied] == [id(g) for g in contexts[1:]]
 
 
 def test_evolve_packet_near_the_singular_set_exits_5(tmp_path, capsys):

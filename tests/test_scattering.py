@@ -1,21 +1,24 @@
+import ast
+import re
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import alcove
+from alcove.cli import build_system
 from alcove.harmonic import (QuadratureGrid, eval_delta, orbit_symbol,
                              weyl_character)
 from alcove.laplacian import LatticeFunction, apply_fourier_conjugated, operator_matrix
 from alcove.orthopoly import MacdonaldParams, gram_schmidt
 from alcove.qfun import koornwinder_spec, shat_sqrt, unit_spec
 from alcove.rootsys import build_root_system
-from alcove.scattering import (RegularSectorError, ScatteringContext,
-                               SpectralFunction, WaveTable, _kernel_bandwidth,
-                               asymptotic_wave_values, convergence_report,
-                               grid_floor, plane_wave_values, root_half_phases,
-                               smatrix_factor, smatrix_factor_direct,
-                               smatrix_factor_half, spectral_inner,
-                               spectral_norm)
+from alcove.scattering import (RegularSectorError, ScatteringContext, WaveTable,
+                               _kernel_bandwidth, asymptotic_wave_values,
+                               convergence_report, grid_floor, plane_wave_values,
+                               root_half_phases, smatrix_factor, smatrix_factor_direct,
+                               smatrix_factor_half, spectral_norm)
 
 
 @pytest.fixture(scope="module")
@@ -36,10 +39,10 @@ def test_wave_function_orthonormality(a2, a2_macdonald, a2_system):
     tab = WaveTable(a2_system, QuadratureGrid(a2, 64))
     lams = [lam for lam in [(0, 0), (1, 1), (2, 2), (1, 0), (0, 1)]
             if lam in a2_system.index]
+    mask = tab.grid.alcove_mask
     for i, a in enumerate(lams):
         for j, b in enumerate(lams):
-            val = spectral_inner(SpectralFunction(tab.grid, tab.psi(a), "covariant"),
-                                 SpectralFunction(tab.grid, tab.psi(b), "covariant"))
+            val = np.mean(np.where(mask, tab.psi(a) * np.conjugate(tab.psi(b)), 0.0))
             assert abs(val - (i == j)) < 1e-8
 
 
@@ -192,7 +195,8 @@ def test_fourier_roundtrip_free(a2):
     ind = LatticeFunction.indicator(a2, (1, 1))
     fhat = tab.forward_free(ind)
     psi0 = plane_wave_values(a2, (1, 1), tab.grid)
-    assert np.max(np.abs(fhat.values - np.conjugate(psi0))) < 1e-13
+    psi0 = np.where(tab.grid.alcove_mask, psi0, 0.0)
+    assert np.max(np.abs(fhat - np.conjugate(psi0))) < 1e-13
 
 
 def test_fourier_roundtrip_and_parseval_interacting(a2, a2_macdonald):
@@ -303,14 +307,14 @@ def test_smatrix_apply_unitary(a1_ctx):
         out = a1_ctx.smatrix_apply(fhat, p)
         assert abs(spectral_norm(out) - spectral_norm(fhat)) < 1e-12
         # on a real packet S^-p is the conjugate of S^p
-        assert np.max(np.abs(a1_ctx.smatrix_apply(fhat, -p).values
-                             - np.conjugate(out.values))) <= 1e-15
+        assert np.max(np.abs(a1_ctx.smatrix_apply(fhat, -p)
+                             - np.conjugate(out))) <= 1e-15
     # S_L is the square of S_L^{1/2}, and smatrix_at on the support
-    full = a1_ctx.smatrix_apply(fhat, 1.0).values
-    twice = a1_ctx.smatrix_apply(a1_ctx.smatrix_apply(fhat, 0.5), 0.5).values
+    full = a1_ctx.smatrix_apply(fhat, 1.0)
+    twice = a1_ctx.smatrix_apply(a1_ctx.smatrix_apply(fhat, 0.5), 0.5)
     assert np.max(np.abs(twice - full)) <= 1e-15
     for k in pk.support.tolist():
-        assert abs(full[k] - a1_ctx.smatrix_at(k) * fhat.values[k]) <= 1e-15
+        assert abs(full[k] - a1_ctx.smatrix_at(k) * fhat[k]) <= 1e-15
     with pytest.raises(ValueError):
         a1_ctx.smatrix_apply(fhat, 0.25)
 
@@ -326,7 +330,7 @@ def test_wave_and_scattering_operators(a1_ctx):
     assert abs(om_p.norm() - phi.norm()) < 1e-8
     assert abs(om_m.norm() - phi.norm()) < 1e-8
     # Omega_+^{-1} Omega_- equals the scattering operator
-    fhat = tab.forward(om_m).restrict_alcove()
+    fhat = tab.forward(om_m)
     comp = tab.inverse_free(a1_ctx.smatrix_apply(fhat, 0.5), tab.window())
     assert (comp - s_phi).norm() < 1e-8
 
@@ -362,7 +366,7 @@ def test_eigenfunction_property_and_intertwining(a2, a2_macdonald):
     # F intertwines the conjugated action with multiplication
     phi = LatticeFunction(a2, {(0, 0): 0.7, (1, 1): -0.2 + 0.1j})
     lhs = tab.forward(apply_fourier_conjugated(tab, sym, phi, sites))
-    rhs = SpectralFunction(tab.grid, evals * tab.forward(phi).values, "covariant")
+    rhs = evals * tab.forward(phi)
     assert spectral_norm(lhs - rhs) < 1e-7
 
 
@@ -402,19 +406,16 @@ def test_transforms_match_per_weight_kernels(rank2_table):
     rng = np.random.default_rng(7)
     values = rng.normal(size=grid.size) + 1j * rng.normal(size=grid.size)
     window = tab.window()
-    for kind, vals, scale in [
-            ("covariant", values, 1.0 / rs.weyl_order()),
-            ("alcove", np.where(grid.alcove_mask, values, 0.0), 1.0)]:
-        fhat = SpectralFunction(grid, values, kind)
-        ref = {lam: scale * np.mean(vals * tab.sqrt_weight * tab.delta
-                                    * tab.system.poly(lam).eval_grid(grid))
-               for lam in window}
-        assert _close_rel(tab.inverse(fhat, window), ref, window)
-        ref = {lam: scale * np.mean(vals * plane_wave_values(rs, lam, grid))
-               for lam in window}
-        assert _close_rel(tab.inverse_free(fhat, window), ref, window)
+    # the transforms read the values on the open alcove only
+    vals = np.where(grid.alcove_mask, values, 0.0)
+    ref = {lam: np.mean(vals * tab.sqrt_weight * tab.delta
+                        * tab.system.poly(lam).eval_grid(grid))
+           for lam in window}
+    assert _close_rel(tab.inverse(values, window), ref, window)
+    ref = {lam: np.mean(vals * plane_wave_values(rs, lam, grid)) for lam in window}
+    assert _close_rel(tab.inverse_free(values, window), ref, window)
     with pytest.raises(KeyError):
-        tab.inverse(SpectralFunction(grid, values, "covariant"), [(40, 40)])
+        tab.inverse(values, [(40, 40)])
 
 
 def test_classical_packet_matches_per_weight_kernels(rank2_table):
@@ -433,3 +434,66 @@ def test_classical_packet_matches_per_weight_kernels(rank2_table):
             kern = np.exp(1j * grid.angles(w.inverse().act(shifted)))
             ref[lam] = w.sign * np.mean(vals * kern)
         assert _close_rel(classical_packet(packet, t), ref, sites)
+
+
+def test_alcove_restriction_keeps_the_covariant_norm(rank2_table):
+    # F phi and F0 phi are W-covariant, so they vanish on every wall, and the
+    # torus is |W| copies of the alcove: the whole-torus mean of |F phi|^2
+    # over |W| is the alcove norm the transforms now return
+    tab = rank2_table
+    rs, grid = tab.rs, tab.grid
+    rng = np.random.default_rng(11)
+    phi = LatticeFunction(rs, {lam: complex(rng.normal(), rng.normal())
+                               for lam in tab.system.weights})
+    for forward, kernel in [(tab.forward, tab.psi),
+                            (tab.forward_free, lambda lam: plane_wave_values(rs, lam, grid))]:
+        fhat = forward(phi)
+        assert np.all(fhat[~grid.alcove_mask] == 0)
+        whole = sum(c * np.conjugate(kernel(lam)) for lam, c in phi.items())
+        covariant = np.mean(np.abs(whole) ** 2) / rs.weyl_order()
+        assert abs(spectral_norm(fhat) ** 2 - covariant) <= 1e-13 * covariant
+
+
+def test_alcove_restriction_keeps_the_ray_norms():
+    # the same along the B2 ray of the benchmark, for Psi_lam - Psi^infty_lam
+    rs, _, spec = build_system({
+        "root_system": {"label": "B", "rank": 2},
+        "cfunctions": {"family": "macdonald", "g": {"1": 0.9, "2": 1.4}, "q": 0.5}})
+    lambdas = [(l, l) for l in range(1, 9)]
+    system = gram_schmidt(rs, spec, lambdas[-1:-3:-1])
+    tab = WaveTable(system, QuadratureGrid(rs, grid_floor(system) + 30))
+    norms = convergence_report(tab, lambdas)["norms"]
+    for lam, norm, psi_inf in zip(lambdas, norms,
+                                  asymptotic_wave_values(spec, lambdas, tab.grid)):
+        covariant = np.sqrt(np.mean(np.abs(tab.psi(lam) - psi_inf) ** 2) / rs.weyl_order())
+        assert abs(norm - covariant) <= 1e-10 * covariant
+
+
+RETIRED_SPECTRAL = re.compile(
+    r"\b(SpectralFunction|spectral_inner|restrict_alcove|_pairing_values)\b")
+
+
+def _imported_modules(tree: ast.Module) -> list:
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names.append(node.module or "")
+        elif isinstance(node, ast.Import):
+            names += [a.name for a in node.names]
+    return names
+
+
+def test_spectral_data_is_one_plain_array():
+    # spectral data is a plain alcove array: no wrapper type, no second
+    # convention; and the lattice layer imports nothing from the spectral one
+    src = Path(alcove.__file__).parent
+    hits = [f"{path.name}:{n}: {line.strip()}"
+            for path in sorted(src.glob("*.py"))
+            for n, line in enumerate(path.read_text().splitlines(), 1)
+            if RETIRED_SPECTRAL.search(line)]
+    assert not hits
+    assert RETIRED_SPECTRAL.search("fhat = tab.forward(phi).restrict_alcove()")
+    assert RETIRED_SPECTRAL.search("vals, scale = self._pairing_values(fhat)")
+    imported = _imported_modules(ast.parse((src / "laplacian.py").read_text()))
+    assert "harmonic" in imported
+    assert not [m for m in imported if "scattering" in m.split(".")]
