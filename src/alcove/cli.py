@@ -233,11 +233,11 @@ def grid_m(cfg: dict, default: int) -> int:
 
 
 def table_grid_m(cfg: dict, system, default: int | None = None) -> int:
-    """grid.M for a wave table of system, at least grid_floor(system); without
-    a default it defaults to grid_floor(system) + 30."""
+    """grid.M for a wave table of system, at least grid_floor(system): the
+    config's grid.M, else default raised to that floor, or the floor + 30."""
     from .scattering import grid_floor
     floor = grid_floor(system)
-    m = grid_m(cfg, floor + 30 if default is None else default)
+    m = grid_m(cfg, floor + 30 if default is None else max(default, floor))
     if m < floor:
         raise ConfigError(
             f"grid.M={m} cannot resolve the kernel frequencies of the polynomial "
@@ -388,7 +388,7 @@ def _suite_smatrix(rs, params, spec, cfg, tol):
     direct = 0.0
     halves = root_half_phases(spec, grid)
     for w in rs.weyl_group():
-        sw = smatrix_factor(spec, w, grid, halves)
+        sw = smatrix_factor(w, grid, halves)
         unitarity = max(unitarity, float(np.max(np.abs(np.abs(sw) - 1.0))))
         direct = max(direct, float(np.max(np.abs(
             sw - smatrix_factor_direct(spec, w, grid)))))
@@ -440,16 +440,16 @@ def cmd_scatter(args) -> int:
         ray = _section(task, "ray", "task.")
         direction = tuple(_numbers(ray.get("direction", (1,) * rs.rank),
                                    "task.ray.direction", int))
+        # along a wall m(lambda) = 0 at every step, and the fit has no line
         if len(direction) != rs.rank or not rs.is_dominant(direction) \
-                or not any(direction):
-            raise ConfigError("task.ray.direction must be a nonzero dominant "
-                              f"weight of rank {rs.rank}, got {list(direction)}")
+                or rs.min_coroot_pairing(direction) == 0:
+            raise ConfigError("task.ray.direction must be a dominant weight of rank "
+                              f"{rs.rank} with no zero coordinate, got {list(direction)}")
         steps = _number(ray.get("steps", 6), "task.ray.steps", int)
-        if steps < 1:
-            raise ConfigError(f"task.ray.steps must be at least 1, got {steps}")
+        if steps < 2:
+            raise ConfigError(f"task.ray.steps must be at least 2 for a fit, got {steps}")
         lambdas = [tuple(l * d for d in direction) for l in range(1, steps + 1)]
-        tops = [lambdas[-1], lambdas[-2]] if steps > 1 else [lambdas[-1]]
-        system = gram_schmidt(rs, spec, tops)
+        system = gram_schmidt(rs, spec, [lambdas[-1], lambdas[-2]])
         m = table_grid_m(cfg, system)
         rep = convergence_report(WaveTable(system, QuadratureGrid(rs, m)), lambdas)
         if args.out:

@@ -133,7 +133,7 @@ class WavePacket:
         key = [tuple(lam) for lam in window]
         if self._kernels is None or self._kernels[0] != key:
             self._kernels = (key, asymptotic_wave_values(
-                self.ctx.table.spec, window, self.grid, self.ctx.halves))
+                window, self.grid, self.ctx.halves))
         return self._kernels[1]
 
     def spectral(self) -> np.ndarray:

@@ -569,7 +569,7 @@ def gram_ladder(polys, spec: CFunctionSpec, m: int, tol: float, max_m: int):
     real = _real_valued(polys)
     vals = fine.eval_real(polys) if real else fine.eval_polys(polys)
     cur = gram_matrix(polys, spec, fine, vals)
-    gram = gram_matrix(polys, spec, grid, _even_points(rs, vals, m, not real))
+    gram = gram_matrix(polys, spec, grid, _even_points(rs, vals, m))
     while True:
         if np.max(np.abs(cur - gram)) <= tol * (1.0 + np.max(np.abs(cur))):
             return cur, fine.M
@@ -581,19 +581,18 @@ def gram_ladder(polys, spec: CFunctionSpec, m: int, tol: float, max_m: int):
         cur = gram_matrix(polys, spec, fine)
 
 
-def _even_points(rs: RootSystem, vals: np.ndarray, m: int, conj: bool) -> np.ndarray:
+def _even_points(rs: RootSystem, vals: np.ndarray, m: int) -> np.ndarray:
     """The values of the rung m, read off the (n, (2m)^rank) values vals of
     the rung 2m: the even points of each row are moved into the head of the
-    same buffer, conjugated back when gram_matrix left them conjugated, and
-    the (n, m^rank) head is returned.  Row i's target ends before row i + 1's
-    source begins, so only row 0, whose target overlaps its own source, goes
-    through a copy."""
+    same buffer, and the (n, m^rank) head is returned.  Row i's target ends
+    before row i + 1's source begins, so only row 0, whose target overlaps
+    its own source, goes through a copy."""
     n, rank = len(vals), rs.rank
     head = vals.reshape(-1)[:n * m ** rank].reshape((n,) + (m,) * rank)
     for i, row in enumerate(vals.reshape((n,) + (2 * m,) * rank)):
         even = row[(slice(0, None, 2),) * rank]
         head[i] = even.copy() if i == 0 else even
-    return (np.conjugate(head, out=head) if conj else head).reshape(n, -1)
+    return head.reshape(n, -1)
 
 
 def gram_bytes(n: int, size: int, terms: int, rank: int) -> int:
@@ -662,23 +661,23 @@ def gram_matrix(polys, spec: CFunctionSpec, grid: QuadratureGrid,
                 values=None) -> np.ndarray:
     """Gram matrix of a family of Laurent polynomials on a fixed grid.
 
-    values, if given, are the rows grid.eval_polys(polys); they are
-    conjugated in place.  The weighted rows E * w are formed one block of
-    rows at a time, so besides the values only one block is held; each
-    block's product with conj(E).T has the bits of the one-call product
-    (E * w) @ conj(E).T.
+    values, if given, are the rows E = grid.eval_polys(polys); they are
+    only read.  The weighted rows conj(E) * w are formed one block of rows
+    at a time, so besides the values only one block is held, and each block
+    is multiplied by E.T.  Conjugating the finished matrix gives the bits
+    of the one-call product (E * w) @ conj(E).T: zgemm forms the same
+    products with negated imaginary parts.
 
     A real-valued family (_real_valued) gets the real part of that product,
-    to the bit, from the packed rows grid.eval_real(polys) (values, if given,
-    left as they are): blocks Re E_i * w + 0i times the packed rows put
-    G[i, 2j] and G[i, 2j + 1] in the lanes of entry (i, j), which zgemm sums
-    as the complex product's real lane, less Im * Im terms of rounding size.
+    to the bit, from the packed rows E = grid.eval_real(polys): blocks
+    Re E_i * w + 0i times the packed rows put G[i, 2j] and G[i, 2j + 1] in
+    the lanes of entry (i, j), which zgemm sums as the complex product's
+    real lane, less Im * Im terms of rounding size.
     """
     rs, n, real = polys[0].rs, len(polys), _real_valued(polys)
     w = measure_values(spec, grid) / (grid.size * rs.weyl_order())
-    if values is None:
-        values = grid.eval_real(polys) if real else grid.eval_polys(polys)
-    E = values if real else np.conjugate(values, out=values)
+    E = values if values is not None else (
+        grid.eval_real(polys) if real else grid.eval_polys(polys))
     edges = _row_blocks(n)
     # the real path writes the real parts only: the imaginary ones stay 0
     scratch = np.zeros((_block_rows(edges), grid.size), dtype=complex)
@@ -691,4 +690,4 @@ def gram_matrix(polys, spec: CFunctionSpec, grid: QuadratureGrid,
         else:
             np.multiply(np.conjugate(E[a:b], out=block), w, out=block)
         np.matmul(block, E.T, out=gram[a:b])
-    return gram.view(float)[:, :n] if real else gram
+    return gram.view(float)[:, :n] if real else np.conjugate(gram, out=gram)

@@ -171,13 +171,11 @@ def root_half_phases(spec: CFunctionSpec, grid: QuadratureGrid) -> list:
     return out
 
 
-def smatrix_factor_half(spec: CFunctionSpec, w: WeylElement,
-                        grid: QuadratureGrid, halves=None) -> np.ndarray:
+def smatrix_factor_half(w: WeylElement, grid: QuadratureGrid, halves) -> np.ndarray:
     """S_w^{1/2}(xi): one scalar phase per root of R1+, conjugated on the
-    roots sent to negatives by w.  halves, if given, is
-    root_half_phases(spec, grid), shared by the calls for every w."""
+    roots sent to negatives by w.  halves is root_half_phases(spec, grid),
+    shared by the calls for every w."""
     rs = grid.rs
-    halves = root_half_phases(spec, grid) if halves is None else halves
     out = np.ones(grid.size, dtype=complex)
     for ac, h in halves:
         if rs._ext_key(w.act(ac)) > 0:
@@ -187,9 +185,8 @@ def smatrix_factor_half(spec: CFunctionSpec, w: WeylElement,
     return out
 
 
-def smatrix_factor(spec: CFunctionSpec, w: WeylElement,
-                   grid: QuadratureGrid, halves=None) -> np.ndarray:
-    h = smatrix_factor_half(spec, w, grid, halves)
+def smatrix_factor(w: WeylElement, grid: QuadratureGrid, halves) -> np.ndarray:
+    h = smatrix_factor_half(w, grid, halves)
     return h * h
 
 
@@ -208,14 +205,12 @@ def smatrix_factor_direct(spec: CFunctionSpec, w: WeylElement,
     return num / den
 
 
-def asymptotic_wave_values(spec: CFunctionSpec, lambdas,
-                           grid: QuadratureGrid, halves=None) -> list:
+def asymptotic_wave_values(lambdas, grid: QuadratureGrid, halves) -> list:
     """Psi^infty_lam = sum_w det(w) S_w^{1/2}(xi) e^{i<rho+lam, w xi>} for
     each lam of lambdas; each S_w^{1/2} is computed once per call, from the
-    per-root phases halves (root_half_phases(spec, grid) if not given)."""
+    per-root phases halves = root_half_phases(spec, grid)."""
     rs = grid.rs
-    halves = root_half_phases(spec, grid) if halves is None else halves
-    terms = [(w.sign * smatrix_factor_half(spec, w, grid, halves), w.inverse())
+    terms = [(w.sign * smatrix_factor_half(w, grid, halves), w.inverse())
              for w in rs.weyl_group()]
     values = []
     for lam in lambdas:
@@ -230,7 +225,8 @@ def asymptotic_wave_values(spec: CFunctionSpec, lambdas,
 def convergence_report(table: WaveTable, lambdas) -> dict:
     """Norms ||Psi_lam - Psi^infty_lam|| along a ray, with a log-linear fit."""
     ms, norms = [], []
-    asymptotic = asymptotic_wave_values(table.spec, lambdas, table.grid)
+    asymptotic = asymptotic_wave_values(
+        lambdas, table.grid, root_half_phases(table.spec, table.grid))
     for lam, psi_inf in zip(lambdas, asymptotic):
         ms.append(float(table.rs.min_coroot_pairing(tuple(lam))))
         norms.append(spectral_norm(
@@ -314,7 +310,7 @@ class ScatteringContext:
     def _half_factor(self, w: WeylElement) -> np.ndarray:
         arr = self._half_cache.get(w.matrix)
         if arr is None:
-            arr = smatrix_factor_half(self.table.spec, w, self.grid, self.halves)
+            arr = smatrix_factor_half(w, self.grid, self.halves)
             self._half_cache[w.matrix] = arr
         return arr
 

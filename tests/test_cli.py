@@ -321,6 +321,11 @@ def test_unknown_suite(tmp_path):
     (["scatter", "--ray"], {"root_system": {"label": "A", "rank": 2},
                             "task": {"ray": {"direction": [-1, 1]}}}),
     (["scatter", "--ray"], {"task": {"ray": {"direction": [0]}}}),
+    # rays that fitted a line through fewer than two distinct m(lambda)
+    (["scatter", "--ray"], {"root_system": {"label": "B", "rank": 2},
+                            "cfunctions": {"family": "macdonald", "g": 2.0, "q": 0.3},
+                            "task": {"ray": {"direction": [1, 0], "steps": 4}}}),
+    (["scatter", "--ray"], {"task": {"ray": {"steps": 1}}}),
     (["scatter", "--evolve"], {"task": {"evolve": {"times": [0, 8]}}}),
     # weights and c-functions; a list patch is the whole config file
     (["verify"], {"root_system": {"label": "A", "rank": 2},
@@ -433,6 +438,19 @@ def test_export_config_error_makes_no_out_directory(tmp_path, what, config):
     assert not (tmp_path / "new").exists()
 
 
+def test_export_smatrix_default_grid_reaches_the_table_floor(tmp_path):
+    # the default M=48 is below this table's floor (80); without a grid
+    # section it is raised to the floor instead of being blamed for it
+    cfg = _cfg(tmp_path, "b2.json", {
+        "root_system": {"label": "B", "rank": 2},
+        "cfunctions": {"family": "macdonald", "g": {"1": 0.9, "2": 1.4}, "q": 0.5},
+        "weights": {"tops": [[12, 12]]}})
+    out = tmp_path / "out"
+    assert main(["export", "smatrix", "--config", cfg, "--out", str(out)]) == 0
+    rows = (out / "smatrix.csv").read_text().splitlines()
+    assert rows[0] == "xi_0,xi_1,re,im" and len(rows) > 1
+
+
 @pytest.mark.parametrize("argv,patch,message", [
     (["scatter", "--ray"], {"task": {"ray": {"step": 2}}},
      "unknown config key 'task.ray.step'"),
@@ -442,6 +460,11 @@ def test_export_config_error_makes_no_out_directory(tmp_path, what, config):
     (["scatter", "--ray"], {"task": {"ray": [2]}}, "task.ray must be an object"),
     (["verify"], {"weights": 3}, "weights must be an object"),
     (["scatter", "--ray"], {"grid": {"M": "40"}}, "grid.M must be a number"),
+    (["scatter", "--ray"], {"root_system": {"label": "B", "rank": 2},
+                            "task": {"ray": {"direction": [1, 0]}}},
+     "task.ray.direction must be a dominant weight of rank 2 with no zero coordinate"),
+    (["scatter", "--ray"], {"task": {"ray": {"steps": 1}}},
+     "task.ray.steps must be at least 2"),
 ])
 def test_config_errors_name_the_key_path(tmp_path, capsys, argv, patch, message):
     base = {"root_system": {"label": "A", "rank": 1},

@@ -178,7 +178,7 @@ def test_diagnostic_builds_once_per_grid(a1_setup, monkeypatch):
     monkeypatch.setattr(evolution, "WaveTable",
                         lambda *args: tables.append(args[1].M) or table(*args))
     monkeypatch.setattr(evolution, "asymptotic_wave_values",
-                        lambda *args: kernels.append(args[2].M) or wave_values(*args))
+                        lambda *args: kernels.append(args[1].M) or wave_values(*args))
     rep = run_scattering_diagnostic(system, sym, packet.center, 1.0, +1, times)
     assert tables == kernels == [grids[0], grids[3]]
     for name, series in rep.norms.items():

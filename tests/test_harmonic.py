@@ -483,6 +483,25 @@ def test_blocked_gram_matches_one_call_product(label, m):
         assert _same_bits(gram_matrix(polys, spec, grid), ((E * w) @ np.conjugate(E).T).real)
 
 
+def test_gram_matrix_reads_read_only_values(a2, a2_macdonald):
+    # given values are only read: read-only rows of a complex (A2) and a
+    # packed real (B2) family give the Gram matrix of a fresh evaluation
+    spec = a2_macdonald.cspec()
+    grid = QuadratureGrid(a2, 40)
+    polys = [monomial_symmetric(a2, mu) for mu in a2.saturated_weights([(4, 4)])]
+    E = grid.eval_polys(polys)
+    E.setflags(write=False)
+    w = measure_values(spec, grid) / (grid.size * a2.weyl_order())
+    gram = gram_matrix(polys, spec, grid, E)
+    assert gram.dtype == complex and len(polys) <= 32
+    assert _same_bits(gram, gram_matrix(polys, spec, grid))
+    assert _same_bits(gram, (E * w) @ np.conjugate(E).T)
+    rs, spec, grid, polys = _real_case("B", 2, 37)
+    rows = grid.eval_real(polys)
+    rows.setflags(write=False)
+    assert _same_bits(gram_matrix(polys, spec, grid, rows), gram_matrix(polys, spec, grid))
+
+
 # real-valued families (-1 is in W) on small grids
 REAL_CASES = [("B", 2, 37), ("C", 2, 40), ("G", 2, 30), ("BC", 1, 300), ("BC", 2, 36)]
 REAL_ROWS = (1, 2, 3, 43, 121)
@@ -760,11 +779,17 @@ def _avx2() -> bool:
 def test_real_gram_is_the_real_part_of_the_complex_gram_on_other_kernels(env):
     # the real path rests on zgemm summing each lane of a product alike:
     # on the AVX2 kernel, and with two BLAS threads, the real Gram matrices
-    # of ray-b2's two rungs are still the real parts of the complex path's
+    # of ray-b2's two rungs are still the real parts of the complex path's.
+    # The complex path conjugates its finished product, which rests on zgemm
+    # rounding negated imaginary parts alike: on A2 its Gram matrices keep
+    # the bits of the blocks (E * w) @ conj(E).T over the same row blocks
     code = """
+import numpy as np
 import alcove.harmonic as harmonic
 from test_harmonic import _ladder_case, _same_bits
-from alcove.harmonic import QuadratureGrid, gram_matrix, monomial_symmetric
+from alcove.harmonic import QuadratureGrid, gram_matrix, measure_values, monomial_symmetric
+from alcove.orthopoly import MacdonaldParams
+from alcove.rootsys import build_root_system
 rs, spec, _ = _ladder_case("B", 2)
 weights = rs.saturated_weights([(12, 12)])
 real_valued = harmonic._real_valued
@@ -776,6 +801,19 @@ for m in (110, 220):
         gram = gram_matrix(polys, spec, grid)
         harmonic._real_valued = lambda polys: False
         assert _same_bits(gram, gram_matrix(polys, spec, grid).real), (m, n)
+harmonic._real_valued = real_valued
+a2 = build_root_system("A", 2)
+spec = MacdonaldParams.create(a2, 1.3, float(np.exp(-0.7))).cspec()
+for top, n, m in [((8, 8), 41, 74), ((14, 14), 113, 128)]:
+    polys = [monomial_symmetric(a2, mu) for mu in a2.saturated_weights([top])]
+    assert len(polys) == n
+    grid = QuadratureGrid(a2, m)
+    w = measure_values(spec, grid) / (grid.size * a2.weyl_order())
+    E = grid.eval_polys(polys)
+    edges = harmonic._row_blocks(len(polys))
+    blocks = np.concatenate([(E[a:b] * w) @ np.conjugate(E).T
+                             for a, b in zip(edges, edges[1:])])
+    assert _same_bits(gram_matrix(polys, spec, grid), blocks), (top, m)
 """
     tests = Path(__file__).resolve().parent
     env = {**os.environ, **env,

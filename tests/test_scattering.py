@@ -88,8 +88,8 @@ def test_smatrix_factor_structure(a2, a2_macdonald):
     spec = a2_macdonald.cspec()
     grid = QuadratureGrid(a2, 24)
     for w in a2.weyl_group():
-        half = smatrix_factor_half(spec, w, grid)
-        full = smatrix_factor(spec, w, grid)
+        half = smatrix_factor_half(w, grid, root_half_phases(spec, grid))
+        full = smatrix_factor(w, grid, root_half_phases(spec, grid))
         direct = smatrix_factor_direct(spec, w, grid)
         assert np.max(np.abs(half * half - direct)) < 1e-12
         assert np.max(np.abs(np.abs(full) - 1.0)) < 1e-13
@@ -127,8 +127,8 @@ def test_root_half_phases_keep_per_w_bits(a2, a2_system, bc2):
         halves = root_half_phases(spec, grid)
         for w in grid.rs.weyl_group():
             old = _per_w_half(spec, w, grid)
-            assert _same_bits(smatrix_factor_half(spec, w, grid, halves), old)
-            assert _same_bits(smatrix_factor_half(spec, w, grid), old)
+            assert _same_bits(smatrix_factor_half(w, grid, halves), old)
+            assert _same_bits(smatrix_factor_half(w, grid, root_half_phases(spec, grid)), old)
     grid = QuadratureGrid(a2, 24)
     ctx = ScatteringContext(WaveTable(a2_system, grid), orbit_symbol(a2, (1, 0)))
     lam = (2, 1)
@@ -136,11 +136,11 @@ def test_root_half_phases_keep_per_w_bits(a2, a2_system, bc2):
     expected = np.zeros(grid.size, dtype=complex)
     for w in a2.weyl_group():
         old = _per_w_half(a2_system.spec, w, grid)
-        assert _same_bits(smatrix_factor_half(a2_system.spec, w, grid, ctx.halves), old)
+        assert _same_bits(smatrix_factor_half(w, grid, ctx.halves), old)
         expected += (w.sign * old) * grid.exponential(w.inverse().act(shifted))
-    got, = asymptotic_wave_values(a2_system.spec, [lam], grid)
+    got, = asymptotic_wave_values([lam], grid, root_half_phases(a2_system.spec, grid))
     assert _same_bits(got, expected)
-    got, = asymptotic_wave_values(a2_system.spec, [lam], grid, ctx.halves)
+    got, = asymptotic_wave_values([lam], grid, ctx.halves)
     assert _same_bits(got, expected)
     # S_L at a regular point squares the cached half factor of its element
     for k in np.nonzero(ctx.regular_mask)[0].tolist():
@@ -148,18 +148,34 @@ def test_root_half_phases_keep_per_w_bits(a2, a2_system, bc2):
         assert _same_bits(np.array([ctx.smatrix_at(k)]), np.array([old[k] ** 2]))
 
 
+def test_half_phases_are_only_read(a2, a2_system):
+    # read-only per-root phases give the bits of writeable ones
+    grid = QuadratureGrid(a2, 24)
+    halves = root_half_phases(a2_system.spec, grid)
+    frozen = [(ac, h.copy()) for ac, h in halves]
+    for _, h in frozen:
+        h.setflags(write=False)
+    for w in a2.weyl_group():
+        assert _same_bits(smatrix_factor_half(w, grid, frozen),
+                          smatrix_factor_half(w, grid, halves))
+    got, = asymptotic_wave_values([(2, 1)], grid, frozen)
+    assert _same_bits(got, asymptotic_wave_values([(2, 1)], grid, halves)[0])
+    assert all(_same_bits(h, k) for (_, h), (_, k) in zip(frozen, halves))
+
+
 def test_asymptotic_wave_unit_equals_plane_wave(a2):
     grid = QuadratureGrid(a2, 24)
     us = unit_spec(a2)
     for lam in [(0, 0), (2, 1)]:
-        assert np.max(np.abs(asymptotic_wave_values(us, [lam], grid)[0]
+        assert np.max(np.abs(asymptotic_wave_values([lam], grid, root_half_phases(us, grid))[0]
                              - plane_wave_values(a2, lam, grid))) < 1e-12
 
 
 def test_asymptotic_wave_bc1_closed_form(bc1, bc1_koornwinder, bc1_table):
     from alcove.rank1 import Rank1Params, rank1_asymptotic
     p = Rank1Params(0.45, 0.9, 0.7, 0.6, 0.8)
-    vals, = asymptotic_wave_values(bc1_koornwinder.cspec(), [(3,)], bc1_table.grid)
+    vals, = asymptotic_wave_values(
+        [(3,)], bc1_table.grid, root_half_phases(bc1_koornwinder.cspec(), bc1_table.grid))
     mask = bc1_table.grid.alcove_mask
     xs = bc1_table.grid.xi[mask][:, 0]
     oracle = np.array([rank1_asymptotic(3, x, p) for x in xs])
@@ -464,7 +480,8 @@ def test_alcove_restriction_keeps_the_ray_norms():
     tab = WaveTable(system, QuadratureGrid(rs, grid_floor(system) + 30))
     norms = convergence_report(tab, lambdas)["norms"]
     for lam, norm, psi_inf in zip(lambdas, norms,
-                                  asymptotic_wave_values(spec, lambdas, tab.grid)):
+                                  asymptotic_wave_values(
+                                      lambdas, tab.grid, root_half_phases(spec, tab.grid))):
         covariant = np.sqrt(np.mean(np.abs(tab.psi(lam) - psi_inf) ** 2) / rs.weyl_order())
         assert abs(norm - covariant) <= 1e-10 * covariant
 
