@@ -32,7 +32,7 @@ from .rootsys import (GRAM_BYTES_BUDGET, GRID_POINT_BUDGET, BudgetExceededError,
 MAX_M = 4096
 # rows of one weighted block of the Gram product (see _row_blocks)
 GRAM_BLOCK_ROWS = 32
-# terms of one block of eval_terms, whose phases and roots are held at once
+# terms of one block of eval_terms (see _lane_sum)
 _EVAL_TERMS = 64
 
 
@@ -237,23 +237,6 @@ def weyl_character_extended(rs: RootSystem, lam) -> LaurentPoly:
     return chi if sign == 1 else -chi
 
 
-def _pairings(M: int, mus: np.ndarray, out: np.ndarray, offset: int = 0) -> np.ndarray:
-    """Fill out (int64, one row per point of the M^rank grid in C order, one
-    column per mu of mus) with the exact integers k = <index, mu> - offset:
-    the products arange(M) * mu_j are broadcast over the grid axes, one add
-    per axis, and the offset is taken from the first axis's products."""
-    k = out.reshape((M,) * mus.shape[1] + (len(mus),))
-    for j, mu in enumerate(mus.T):
-        shape = [1] * k.ndim
-        shape[j], shape[-1] = M, len(mu)
-        term = np.multiply.outer(np.arange(M), mu).reshape(shape)
-        if j == 0:
-            np.subtract(term, offset, out=k)
-        else:
-            k += term
-    return out
-
-
 def _phase_span(M: int, mus: np.ndarray) -> tuple:
     """The least and greatest k = <index, mu> over the M^rank grid and the
     weights mus, exactly: every index coordinate runs from 0 to M - 1, so
@@ -275,23 +258,33 @@ def _half(rows: np.ndarray, i: int) -> np.ndarray:
     return (rows.real, rows.imag)[i % 2][i // 2]
 
 
-class _Scratch:
-    """The int64 phases and complex roots of eval_terms' blocks, reused by
-    the calls that share it: made for count values (eval_polys asks for its
-    widest block, so the arrays are never remade while the old ones are
-    held) and grown to any larger block asked for."""
+def _chain(value, signs, lane, out):
+    """(x, s) with s * x the terms value(i) * signs[i] of lane summed left to
+    right: x is out, or the lone term itself.  Negation is exact, so each
+    term is added or subtracted as its sign agrees with the first's, and
+    that sign is carried, not applied."""
+    x, s = value(lane[0]), signs[lane[0]]
+    for i in lane[1:]:
+        x = (np.add if signs[i] == s else np.subtract)(x, value(i), out=out)
+    return x, s
 
-    def __init__(self, count: int = 0):
-        self.k = np.empty(count, dtype=np.int64)
-        self.roots = np.empty(count, dtype=complex)
 
-    def arrays(self, points: int, width: int):
-        count = points * width
-        if self.k.size < count:
-            self.k = np.empty(count, dtype=np.int64)
-            self.roots = np.empty(count, dtype=complex)
-        return (self.k[:count].reshape(points, width),
-                self.roots[:count].reshape(points, width))
+def _lane_sum(value, signs, acc):
+    """(x, s) with s * x the sum of a block of w <= 64 terms value(i) *
+    signs[i], signs +1 or -1, in the order in which OpenBLAS's zgemv sums a
+    row of roots @ coeffs: with f = w - w % 4, lane A sums the terms 0, 2,
+    ..., f - 2 left to right and lane B the terms 1, 3, ..., f - 1, and the
+    terms f to w - 1, summed left to right, are added to A + B; below four
+    terms that is the terms left to right.  The lanes are summed in the rows
+    acc[0] and acc[1]."""
+    w = len(signs)
+    f = w - w % 4
+    lanes = [lane for lane in (range(0, f, 2), range(1, f, 2), range(f, w)) if lane]
+    total, s = _chain(value, signs, lanes[0], acc[0])
+    for lane in lanes[1:]:
+        x, t = _chain(value, signs, lane, acc[1])
+        total = (np.add if t == s else np.subtract)(total, x, out=acc[0])
+    return total, s
 
 
 def _check_grid_points(rs: RootSystem, M: int) -> None:
@@ -327,88 +320,97 @@ class QuadratureGrid:
         self._table = np.empty(0, dtype=complex)
         self._table_lo = 0
 
-    def eval_terms(self, terms: dict, scratch: _Scratch | None = None,
-                   out: np.ndarray | None = None) -> np.ndarray:
-        """sum_mu c_mu e^{i<mu, xi>} over the grid, flat in C order, in
-        blocks of _EVAL_TERMS terms, written into out (a new array by
-        default).  The phases and roots of the blocks are written into scratch
-        (eval_polys passes one for all its rows); each block's phase range
-        comes from its weights, not from a pass over its phases."""
+    def eval_terms(self, terms: dict, out: np.ndarray | None = None,
+                   acc: np.ndarray | None = None) -> np.ndarray:
+        """sum_mu c_mu e^{i<mu, xi>} over the grid, flat in C order, written
+        into out (a new array by default; a real out takes the real parts),
+        in blocks of _EVAL_TERMS terms.
+
+        A block's terms are read-only strided views of the table of roots
+        (_table_view), or on rank one and other long phase ranges are
+        computed directly; the choice is made per block from its weights
+        (_table_start).  Each block is summed in the fixed order of
+        _lane_sum, in the two rows of acc (eval_polys passes one pair for
+        all its rows), with no BLAS call: a coefficient +-1 adds or
+        subtracts its term, and any other multiplies it first.  With
+        coefficients +-1 every product is exact, so the sum has the bits of
+        the block's roots @ coeffs as OpenBLAS forms it."""
         if out is None:
             out = np.empty(self.size, dtype=complex)
         items = list(terms.items())
         if not items:
             out[...] = 0
             return out
-        scratch = scratch or _Scratch()
+        shape = (self.M,) * self.rs.rank
+        if acc is None:
+            acc = np.empty((2, self.size), dtype=complex)
+        acc, cube = acc.reshape((2,) + shape), out.reshape(shape)
         for start in range(0, len(items), _EVAL_TERMS):
             block = items[start:start + _EVAL_TERMS]
             mus = np.array([mu for mu, _ in block], dtype=np.int64)
-            coeffs = np.array([complex(c) for _, c in block])
-            k, roots = scratch.arrays(self.size, len(block))
-            base = self._table_start(*_phase_span(self.M, mus), k.size)
-            _pairings(self.M, mus, k, base or 0)
-            self.roots_of_unity(k, roots, table=base is not None)
-            if start:
-                out += roots @ coeffs
-            else:
-                # adding to 0.0, as a sum from zero does, turns -0.0 into 0.0
-                np.add(np.matmul(roots, coeffs, out=out), 0.0, out=out)
+            coeffs = [complex(c) for _, c in block]
+            base = self._table_start(*_phase_span(self.M, mus), self.size * len(block))
+
+            def value(i):
+                x = (self._table_view(mus[i], base) if base is not None else
+                     self.roots_of_unity(self.index @ mus[i], table=False).reshape(shape))
+                # in one written order: numpy's temporary elision would turn
+                # c * (a temporary) into (the temporary) * c above 256 KiB,
+                # and complex products with FMA are not bitwise commutative
+                return x if coeffs[i] in (1, -1) else np.multiply(coeffs[i], x)
+
+            total, sign = _lane_sum(value, [-1 if c == -1 else 1 for c in coeffs], acc)
+            if not np.iscomplexobj(out):
+                total = total.real
+            # the first block is added to 0.0, as a sum from zero is, which
+            # turns -0.0 into 0.0
+            (np.add if sign > 0 else np.subtract)(cube if start else 0.0, total, out=cube)
         return out
 
     def eval_polys(self, polys, out=None) -> np.ndarray:
         """(len(polys), size) array, row j the values of polys[j]; out may be
         any array of that shape, such as the transpose of a C-ordered
-        (size, len(polys)) one.  Each row is written in place."""
+        (size, len(polys)) one.  Each row is written in place, once per block
+        of terms; the lanes of every row are summed in one pair of rows."""
         if out is None:
             out = np.empty((len(polys), self.size), dtype=complex)
-        width = max((min(len(p), _EVAL_TERMS) for p in polys), default=0)
-        scratch = _Scratch(self.size * width)
+        acc = np.empty((2, self.size), dtype=complex)
         for row, p in zip(out, polys):
-            self.eval_terms(p.terms, scratch, row)
+            self.eval_terms(p.terms, row, acc)
         return out
 
     def eval_real(self, polys) -> np.ndarray:
         """Packed values of real-valued polys: row j of ceil(n/2) complex rows
         is Re polys[2j] + i Re polys[2j + 1], zero past the last (two rows
         for n = 2: one would make the Gram product a gemv, whose lanes sum
-        otherwise).  Each is evaluated into one row and its real part kept."""
+        otherwise).  Each real part is written in place, as in eval_polys."""
         n = len(polys)
         rows = np.zeros((max((n + 1) // 2, min(n, 2)), self.size), dtype=complex)
-        value = np.empty(self.size, dtype=complex)
-        scratch = _Scratch(self.size * min(max(map(len, polys)), _EVAL_TERMS))
+        acc = np.empty((2, self.size), dtype=complex)
         for i, p in enumerate(polys):
-            _half(rows, i)[...] = self.eval_terms(p.terms, scratch, value).real
+            self.eval_terms(p.terms, _half(rows, i), acc)
         return rows
 
     def exponential(self, mu) -> np.ndarray:
         """e^{i<mu, xi>} over the grid (mu given by weight coordinates)."""
         return self.roots_of_unity(self.index @ np.asarray(mu, dtype=np.int64))
 
-    def roots_of_unity(self, k, out=None, table=None) -> np.ndarray:
+    def roots_of_unity(self, k, out=None, table=True) -> np.ndarray:
         """e^{2 pi i k / M} for an integer array k; every grid exponential
-        comes from here.
+        comes from here or from the table it builds (_table_view).
 
         When the range of k is shorter than k.size, the values are gathered
         from one cached table over a contiguous range of k, extended as
-        needed; otherwise they are computed directly.  Both evaluate
-        exp(1j * ((2 pi / M) * k)) on the unreduced k, so they agree to the
-        bit.  Folding k mod M would be exact in the mathematics but would
-        move the last bits of every grid sum.
-
-        eval_terms makes that choice once per block (_table_start), from the
-        block's weights, and passes it as table: True when k holds the phases
-        less the table's start, False when it holds the phases.
+        needed; otherwise, or with table=False, they are computed directly.
+        Both evaluate exp(1j * ((2 pi / M) * k)) on the unreduced k, so they
+        agree to the bit.  Folding k mod M would be exact in the mathematics
+        but would move the last bits of every grid sum.
         """
-        if table is None:
-            start = self._table_start(int(k.min()), int(k.max()), k.size)
-            table = start is not None
-            if table:
-                k = k - start
-        if not table:
+        start = self._table_start(int(k.min()), int(k.max()), k.size) if table else None
+        if start is None:
             return np.exp(1j * ((2.0 * np.pi / self.M) * k), out=out)
         # mode="clip" gathers straight into out; "raise" would buffer it
-        return np.take(self._table, k, out=out, mode="clip")
+        return np.take(self._table, k - start, out=out, mode="clip")
 
     def _table_start(self, lo: int, hi: int, count: int) -> int | None:
         """The first phase of the table, extended to cover the phases lo to
@@ -422,8 +424,18 @@ class QuadratureGrid:
             self._table = np.concatenate([
                 self.roots_of_unity(np.arange(lo, start), table=False), self._table,
                 self.roots_of_unity(np.arange(stop, hi + 1), table=False)])
+            self._table.flags.writeable = False
             self._table_lo = min(lo, start)
         return self._table_lo
+
+    def _table_view(self, mu, start: int) -> np.ndarray:
+        """e^{i<mu, xi>} on the grid, shape (M,) * rank, as a read-only view
+        of the table whose first phase is start: the origin reads phase 0,
+        and a step along axis j moves mu_j entries (zero or negative
+        strides included).  The table must cover the phases of mu."""
+        item = self._table.itemsize
+        return np.ndarray((self.M,) * len(mu), self._table.dtype, self._table,
+                          -start * item, tuple(item * int(x) for x in mu))
 
     def phase_values(self, mu, fn) -> np.ndarray:
         """fn(k) over the grid, k = <index, mu> the integer phase of
@@ -560,8 +572,7 @@ def gram_ladder(polys, spec: CFunctionSpec, m: int, tol: float, max_m: int):
     family (_real_valued) is held in the packed rows of eval_real.
     """
     rs, n = polys[0].rs, len(polys)
-    terms = max(map(len, polys))
-    check_ladder(rs, spec, n, m, max_m, terms)
+    check_ladder(rs, spec, n, m, max_m)
     grid = QuadratureGrid(rs, m)
     if spec.is_unit:
         return gram_matrix(polys, spec, grid), m
@@ -576,7 +587,7 @@ def gram_ladder(polys, spec: CFunctionSpec, m: int, tol: float, max_m: int):
         gram, vals, m = cur, None, 2 * fine.M
         if m > max_m:
             raise QuadratureError(f"Gram matrix did not stabilize below M={max_m}")
-        _check_gram_bytes(rs, n, m, terms)
+        _check_gram_bytes(rs, n, m)
         fine = QuadratureGrid(rs, m)
         cur = gram_matrix(polys, spec, fine)
 
@@ -595,41 +606,39 @@ def _even_points(rs: RootSystem, vals: np.ndarray, m: int) -> np.ndarray:
     return head.reshape(n, -1)
 
 
-def gram_bytes(n: int, size: int, terms: int, rank: int) -> int:
+def gram_bytes(n: int, size: int, rank: int) -> int:
     """Bytes of one rung of the Gram ladder on size points of a rank-rank
     grid: the (n, size) complex values; the larger of the largest weighted
-    row block of gram_matrix and the scratch of eval_polys (int64 phases and
-    complex roots of one block of eval_terms) for polynomials of up to terms
-    terms; the float measure w; and the int64 index arrays of the rung's grid
-    and of the next coarser one, which is still held while this rung is
-    built.  The packed rows of a real-valued family take half the values'
-    bytes, so for them this is an upper bound."""
-    scratch = 24 * min(terms, _EVAL_TERMS)
+    row block of gram_matrix and the two accumulator rows of eval_polys
+    (its table terms are views, which hold no bytes); the float measure w,
+    and numpy's buffer of np.getbufsize() complex values in which a block
+    is weighted by it; and the int64 index arrays of the rung's grid and of
+    the next coarser one, which is still held while this rung is built.
+    The packed rows of a real-valued family take half the values' bytes,
+    so for them this is an upper bound."""
     index = 8 * rank * (size + size // 2 ** rank)
-    return size * (16 * n + max(16 * _block_rows(_row_blocks(n)), scratch) + 8) + index
+    rows = n + max(_block_rows(_row_blocks(n)), 2)
+    return size * (16 * rows + 8) + 16 * np.getbufsize() + index
 
 
-def check_ladder(rs: RootSystem, spec: CFunctionSpec, n: int, m: int,
-                 max_m: int, terms: int | None = None) -> None:
-    """Refuse a Gram ladder of n polynomials of up to terms terms from the
-    first rung m before anything is built; terms defaults to |W|, which
-    bounds the terms of an orbit sum before any orbit is built.  A non-unit
-    ladder compares two rungs, so it always builds the rung 2m too: the
-    bytes and grid points of both rungs are checked, and each rung against
-    max_m; a unit ladder stops at the first."""
-    terms = rs.weyl_order() if terms is None else terms
+def check_ladder(rs: RootSystem, spec: CFunctionSpec, n: int, m: int, max_m: int) -> None:
+    """Refuse a Gram ladder of n polynomials from the first rung m before
+    anything is built.  A non-unit ladder compares two rungs, so it always
+    builds the rung 2m too: the bytes and grid points of both rungs are
+    checked, and each rung against max_m; a unit ladder stops at the
+    first."""
     for rung in (m,) if spec.is_unit else (m, 2 * m):
         if rung > max_m:
             raise QuadratureError(
                 f"Gram ladder needs M={rung} for its "
                 f"{'first' if rung == m else 'second'} rung, above the largest "
                 f"grid max_m={max_m}")
-        _check_gram_bytes(rs, n, rung, terms)
+        _check_gram_bytes(rs, n, rung)
         _check_grid_points(rs, rung)
 
 
-def _check_gram_bytes(rs: RootSystem, n: int, m: int, terms: int) -> None:
-    required = gram_bytes(n, m ** rs.rank, terms, rs.rank)
+def _check_gram_bytes(rs: RootSystem, n: int, m: int) -> None:
+    required = gram_bytes(n, m ** rs.rank, rs.rank)
     if required > GRAM_BYTES_BUDGET:
         raise BudgetExceededError(
             f"Gram ladder of {n} weights on {rs._name()} at M={m}", required,

@@ -191,7 +191,7 @@ def test_readme_evolve_exits_on_gram_budget(tmp_path, capsys, monkeypatch):
                  "--out", str(tmp_path / "e.json")]) == 3
     assert time.perf_counter() - start < 5.0
     assert not built and not orbits and not (tmp_path / "e.json").exists()
-    required = harmonic.gram_bytes(20201, 1610 ** 2, 6, 2)
+    required = harmonic.gram_bytes(20201, 1610 ** 2, 2)
     assert required > 780 * 2 ** 30
     assert (f"Gram ladder of 20201 weights on A2 at M=1610 has {required} bytes"
             in capsys.readouterr().err)

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import os
 import subprocess
@@ -12,7 +13,7 @@ from alcove.harmonic import (LaurentPoly, QuadratureError, QuadratureGrid,
                              alternating_sum, chat_values, delta_values, eval_delta, first_rung,
                              gram_bytes, gram_ladder, gram_matrix, inner_product,
                              laurent_divide, measure_values, monomial_symmetric, orbit_first_rung,
-                             weight_function_eval, weight_function_values,
+                             orbit_symbol, weight_function_eval, weight_function_values,
                              weyl_character, weyl_character_extended,
                              weyl_denominator)
 from alcove.orthopoly import MacdonaldParams, gram_schmidt
@@ -239,15 +240,39 @@ def test_measure_values_nonnegative(bc2, bc1_koornwinder):
     assert np.all(w.real >= -1e-14) and np.max(np.abs(w.imag)) < 1e-12
 
 
+def _left_sum(values):
+    return functools.reduce(np.add, values)
+
+
 def _direct_sum(grid, terms):
     """sum_mu c_mu e^{i<mu, xi>} with one np.exp per term and grid point,
-    summed in blocks of 64 terms like QuadratureGrid.eval_terms."""
+    each times its coefficient, summed in the order QuadratureGrid.eval_terms
+    documents: blocks of 64 terms, the first added to 0.0 and each later one
+    to the sum so far; in a block of w terms, with f = w - w % 4, the even
+    terms below f summed left to right plus the odd ones, then plus the
+    terms from f on summed left to right."""
+    items = list(terms.items())
+    out = 0.0
+    for start in range(0, len(items), 64):
+        vals = [np.multiply(complex(c), np.exp(1j * grid.angles(mu)))
+                for mu, c in items[start:start + 64]]
+        f = len(vals) - len(vals) % 4
+        parts = [_left_sum(vals[0:f:2]) + _left_sum(vals[1:f:2])] if f else []
+        parts += [_left_sum(vals[f:])] if f < len(vals) else []
+        out = out + _left_sum(parts)
+    return out
+
+
+def _blas_sum(grid, terms):
+    """The same sum as the BLAS product of each block's roots with its
+    coefficients, roots @ coeffs, in blocks of 64 terms, the first added to
+    0.0: how eval_terms summed before it read its terms as views."""
     out = np.zeros(grid.size, dtype=complex)
     items = list(terms.items())
     for start in range(0, len(items), 64):
         block = items[start:start + 64]
-        vals = np.column_stack([np.exp(1j * grid.angles(mu)) for mu, _ in block])
-        out += vals @ np.array([complex(c) for _, c in block])
+        roots = np.column_stack([np.exp(1j * grid.angles(mu)) for mu, _ in block])
+        out += roots @ np.array([complex(c) for _, c in block])
     return out
 
 
@@ -444,9 +469,9 @@ def test_ladder_evaluates_each_point_once(label, rank, monkeypatch):
     calls = []
     original = QuadratureGrid.eval_terms
 
-    def counting(grid, terms, scratch=None, out=None):
+    def counting(grid, terms, out=None, acc=None):
         calls.append((id(terms), grid.M))
-        return original(grid, terms, scratch, out)
+        return original(grid, terms, out, acc)
 
     monkeypatch.setattr(QuadratureGrid, "eval_terms", counting)
     with pytest.raises(QuadratureError):
@@ -458,8 +483,8 @@ def test_ladder_evaluates_each_point_once(label, rank, monkeypatch):
 @pytest.mark.parametrize("label,rank,m", [("A", 2, 30), ("B", 2, 44), ("G", 2, 36),
                                           ("BC", 1, 64), ("BC", 2, 40), ("A", 3, 14)])
 def test_coset_phases_match_direct_sum(label, rank, m):
-    # eval_terms (the broadcast phases k = <index, mu> and the block sums)
-    # against the direct sum on the full grid
+    # eval_terms (the views of the table and the lane sums) against the
+    # direct sum on the full grid
     rs = build_root_system(label, rank)
     grid = QuadratureGrid(rs, m)
     box = itertools.product(range(-4, 5), repeat=rank)
@@ -573,9 +598,9 @@ def test_real_ladder_takes_its_grams_from_packed_rungs(label, rank, monkeypatch)
         seen.append((grid.M, shape, gram_matrix(polys, spec, grid, values)))
         return seen[-1][-1]
 
-    def counting(grid, terms, scratch=None, out=None):
+    def counting(grid, terms, out=None, acc=None):
         calls.append((id(terms), grid.M))
-        return original(grid, terms, scratch, out)
+        return original(grid, terms, out, acc)
 
     monkeypatch.setattr(harmonic, "gram_matrix", recording)
     monkeypatch.setattr(QuadratureGrid, "eval_terms", counting)
@@ -605,12 +630,14 @@ def _ladder_peak(polys, spec, m):
     finally:
         tracemalloc.stop()
     size = (2 * m) ** polys[0].rs.rank
-    return peak, gram_bytes(len(polys), size, max(map(len, polys)), polys[0].rs.rank)
+    return peak, gram_bytes(len(polys), size, polys[0].rs.rank)
 
 
 # the traced peak of a ladder over the bytes check_ladder refuses on: the
 # Gram matrices are not counted (measured: at most 1.016 in the cases below)
 LADDER_MARGIN = 1.03
+# numpy's buffer for the float measure cast to complex in a weighted block
+CAST_BUFFER = 16 * np.getbufsize()
 
 
 def test_gram_ladder_holds_values_and_one_block(b2):
@@ -620,7 +647,7 @@ def test_gram_ladder_holds_values_and_one_block(b2):
     polys = [monomial_symmetric(b2, mu) for mu in b2.saturated_weights([(6, 6)])]
     m0 = first_rung(b2, [p.support() for p in polys])
     n, size = len(polys), (2 * m0) ** 2
-    assert n == 43 and gram_bytes(n, size, 8, 2) == 16 * size * (n + 22) + 28 * size
+    assert n == 43 and gram_bytes(n, size, 2) == 16 * size * (n + 22) + 28 * size + CAST_BUFFER
     peak, checked = _ladder_peak(polys, spec, m0)
     assert peak <= LADDER_MARGIN * checked
 
@@ -632,7 +659,8 @@ def test_gram_ladder_reads_the_first_rung_in_place(b2):
     spec = MacdonaldParams.create(b2, {1: 0.9, 2: 1.4}, 0.5).cspec()
     polys = [monomial_symmetric(b2, mu) for mu in b2.saturated_weights([(14, 14)])]
     n, m = len(polys), 64
-    assert n == 197 and gram_bytes(n, (2 * m) ** 2, 8, 2) == (2 * m) ** 2 * (16 * (n + 29) + 28)
+    assert n == 197
+    assert gram_bytes(n, (2 * m) ** 2, 2) == (2 * m) ** 2 * (16 * (n + 29) + 28) + CAST_BUFFER
     peak, checked = _ladder_peak(polys, spec, m)
     assert peak <= LADDER_MARGIN * checked
 
@@ -643,7 +671,8 @@ def test_complex_ladder_reads_the_first_rung_in_place(a2):
     spec = MacdonaldParams.create(a2, 0.9, 0.5).cspec()
     polys = [monomial_symmetric(a2, mu) for mu in a2.saturated_weights([(14, 14)])]
     n, m = len(polys), 64
-    assert n == 113 and gram_bytes(n, (2 * m) ** 2, 6, 2) == (2 * m) ** 2 * (16 * (n + 29) + 28)
+    assert n == 113
+    assert gram_bytes(n, (2 * m) ** 2, 2) == (2 * m) ** 2 * (16 * (n + 29) + 28) + CAST_BUFFER
     peak, checked = _ladder_peak(polys, spec, m)
     assert peak <= LADDER_MARGIN * checked
 
@@ -664,37 +693,40 @@ def test_real_ladder_holds_half_the_values(b2, top, m, n):
     real = 16 * size * ((n + 1) // 2 + block) + grids
     assert len(polys) == n
     peak, checked = _ladder_peak(polys, spec, m)
-    assert checked - real == 16 * size * (n - (n + 1) // 2)
+    assert checked - real == 16 * size * (n - (n + 1) // 2) + CAST_BUFFER
     assert peak <= LADDER_MARGIN * real
     assert peak <= 0.75 * checked
 
 
 def test_a3_ladder_holds_values_and_its_evaluation_scratch():
-    # 24-term orbits and four rows: the phases and roots of one block of
-    # eval_terms outweigh a block of the Gram product, and the check counts
-    # them
+    # 24-term orbits and four rows: eval_terms reads its terms as views of
+    # the table and sums them in two accumulator rows, which a block of the
+    # Gram product (four rows) outweighs; the check counts the block and the
+    # buffer that weights it, 9.5 B per point of this small grid
     a3 = build_root_system("A", 3)
     spec = macdonald_spec(a3, {2.0: 0.9}, 0.5)
     polys = [monomial_symmetric(a3, mu) for mu in a3.saturated_weights([(1, 1, 1)])]
     size = 24 ** 3
     assert len(polys) == 4 and max(map(len, polys)) == 24
-    assert gram_bytes(4, size, 24, 3) == size * (16 * 4 + 24 * 24 + 8) + 24 * (size + size // 8)
+    assert gram_bytes(4, size, 3) == \
+        size * (16 * 4 + 16 * 4 + 8) + 24 * (size + size // 8) + CAST_BUFFER
     peak, checked = _ladder_peak(polys, spec, 12)
     assert peak <= LADDER_MARGIN * checked
 
 
 def test_ladder_check_counts_the_grid_indices_and_the_measure():
-    # the same A3 ladder: its peak passes the values, the scratch and one
-    # block by about 33 B per point, which the int64 index arrays of the
-    # rungs 24 and 12 (24 + 3 B per point of the rung 24) and the float
-    # measure (8 B) now account for (measured: the peak is 0.997 of the check)
+    # the same A3 ladder: its peak passes the values, one block and the
+    # buffer that weights it by about 35 B per point, which the int64 index
+    # arrays of the rungs 24 and 12 (24 + 3 B per point of the rung 24) and
+    # the float measure (8 B) account for (measured: the peak is 1.005 to
+    # 1.007 of the check)
     a3 = build_root_system("A", 3)
     spec = macdonald_spec(a3, {2.0: 0.9}, 0.5)
     polys = [monomial_symmetric(a3, mu) for mu in a3.saturated_weights([(1, 1, 1)])]
     size = 24 ** 3
     grids = 8 * 3 * (size + 12 ** 3) + 8 * size
     peak, checked = _ladder_peak(polys, spec, 12)
-    assert checked - grids == size * (16 * 4 + 24 * 24)
+    assert checked - grids == size * (16 * 4 + 16 * 4) + CAST_BUFFER
     assert peak > checked - grids + 30 * size
     assert peak <= 1.01 * checked
 
@@ -823,6 +855,69 @@ for top, n, m in [((8, 8), 41, 74), ((14, 14), 113, 128)]:
     assert proc.returncode == 0, proc.stderr
 
 
+@pytest.mark.skipif(not _openblas(), reason="numpy's BLAS is not OpenBLAS")
+def test_unit_coefficient_sums_keep_the_bits_of_the_blas_product():
+    # with coefficients +-1 every product is exact, so the order of the sum
+    # alone fixes its bits: eval_terms sums in the order of OpenBLAS's zgemv,
+    # so every block width, on the table path (B2) and the direct path
+    # (BC1), and every orbit sum, alternating sum and orbit symbol keeps the
+    # bits of roots @ coeffs, which the ray-b2 references were recorded with
+    rng = np.random.default_rng(5)
+    for label, rank, m, reach in [("B", 2, 30, 9), ("BC", 1, 200, 80)]:
+        grid = QuadratureGrid(build_root_system(label, rank), m)
+        box = list(itertools.product(range(-reach, reach + 1), repeat=rank))
+        for w in list(range(1, 65)) + [65, 100, 150]:
+            picks = rng.choice(len(box), size=w, replace=False)
+            signs = rng.choice([1, -1], size=w) if w % 2 else np.ones(w, dtype=int)
+            terms = {box[i]: int(s) for i, s in zip(picks, signs)}
+            assert _same_bits(grid.eval_terms(terms), _blas_sum(grid, terms)), (label, w)
+    for label, rank, top, m in [("A", 2, (3, 3), 20), ("B", 2, (3, 3), 22), ("G", 2, (2, 2), 26),
+                                ("BC", 1, (20,), 100), ("BC", 2, (3, 3), 22),
+                                ("A", 3, (1, 1, 1), 10), ("B", 3, (1, 1, 1), 8)]:
+        rs = build_root_system(label, rank)
+        grid = QuadratureGrid(rs, m)
+        for lam in rs.saturated_weights([top]):
+            shifted = tuple(a + b for a, b in zip(rs.rho_coords, lam))
+            for p in (monomial_symmetric(rs, lam), alternating_sum(rs, shifted),
+                      orbit_symbol(rs, lam)):
+                assert _same_bits(p.eval_grid(grid), _blas_sum(grid, p.terms)), (label, lam)
+
+
+@pytest.mark.skipif(not _openblas(), reason="numpy's BLAS is not OpenBLAS")
+def test_evaluation_keeps_its_bits_on_every_blas_kernel():
+    # eval_terms makes no BLAS call: ray-b2's family on its two rungs and
+    # the BC1 family of depth 150 on its two rungs evaluate to the same bits
+    # under the default kernel, the AVX2 kernel and two BLAS threads
+    code = """
+import hashlib
+from alcove.harmonic import QuadratureGrid, monomial_symmetric
+from alcove.rootsys import build_root_system
+digest = hashlib.sha256()
+for label, rank, tops, rungs in [("B", 2, [(8, 8), (7, 7)], (110, 220)),
+                                 ("BC", 1, [(150,), (149,)], (606, 1212))]:
+    rs = build_root_system(label, rank)
+    polys = [monomial_symmetric(rs, mu) for mu in rs.saturated_weights(tops)]
+    for m in rungs:
+        grid = QuadratureGrid(rs, m)
+        digest.update(grid.eval_polys(polys).tobytes())
+        digest.update(grid.eval_real(polys).tobytes())
+print(digest.hexdigest())
+"""
+    tests = Path(__file__).resolve().parent
+    base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+    base["PYTHONPATH"] = str(tests.parent / "src")
+    envs = [{"OPENBLAS_NUM_THREADS": "1"}, {"OPENBLAS_NUM_THREADS": "2"}]
+    if _avx2():
+        envs.append({"OPENBLAS_CORETYPE": "Haswell", "OPENBLAS_NUM_THREADS": "1"})
+    digests = []
+    for env in envs:
+        proc = subprocess.run([sys.executable, "-c", code], env={**base, **env},
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout)
+    assert len(set(digests)) == 1, envs
+
+
 def test_large_grid_sums_match_direct_sum(b2, bc1):
     # blocks on grids of over 20,000 points, on the table path (B2, 150
     # terms in three blocks) and on the direct path (BC1 weights whose
@@ -846,7 +941,7 @@ def test_gram_budget_is_checked_before_a_rung_allocates(b2, monkeypatch):
     m0 = first_rung(b2, [p.support() for p in polys])
     # the first rung fits, the second does not: a non-unit ladder always
     # builds the second, so neither is built
-    monkeypatch.setattr(harmonic, "GRAM_BYTES_BUDGET", gram_bytes(43, m0 ** 2, 8, 2))
+    monkeypatch.setattr(harmonic, "GRAM_BYTES_BUDGET", gram_bytes(43, m0 ** 2, 2))
     built = []
 
     class RecordingGrid(QuadratureGrid):
@@ -858,7 +953,7 @@ def test_gram_budget_is_checked_before_a_rung_allocates(b2, monkeypatch):
     with pytest.raises(BudgetExceededError) as err:
         gram_ladder(polys, spec, m0, 0.0, 4 * m0)
     assert built == []
-    required = gram_bytes(43, (2 * m0) ** 2, 8, 2)
+    required = gram_bytes(43, (2 * m0) ** 2, 2)
     assert err.value.required == required
     assert f"43 weights on B2 at M={2 * m0} has {required} bytes" in str(err.value)
 

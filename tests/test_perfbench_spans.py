@@ -57,9 +57,9 @@ def test_gram_schmidt_reaches_gram_matrix_once_per_rung(b2, monkeypatch):
         gram_rungs.append(grid.M)
         return gram_matrix(polys, spec, grid, values)
 
-    def recording_eval(grid, terms, scratch=None, out=None):
+    def recording_eval(grid, terms, out=None, acc=None):
         eval_calls.append(grid.M)
-        return eval_terms(grid, terms, scratch, out)
+        return eval_terms(grid, terms, out, acc)
 
     monkeypatch.setattr(harmonic, "QuadratureGrid", RecordingGrid)
     monkeypatch.setattr(harmonic, "gram_matrix", recording_gram)
