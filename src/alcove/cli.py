@@ -156,6 +156,8 @@ def _length_key(text: str) -> float:
 def build_system(cfg: dict):
     rsc = _section(cfg, "root_system")
     label = rsc.get("label", "A")
+    if not isinstance(label, str):
+        raise ConfigError(f"root_system.label must be a string, got {label!r}")
     rank = _number(rsc.get("rank", 1), "root_system.rank", int)
     try:
         # a Weyl group over the budget is refused from its order, before
@@ -412,9 +414,12 @@ def cmd_verify(args) -> int:
         given = _section(cfg, "tolerances")
         cfg["tolerances"] = given
         try:
-            given.update(json.loads(args.tol))
-        except (TypeError, ValueError) as exc:
+            tol = json.loads(args.tol)
+        except ValueError as exc:
             raise ConfigError(f"--tol must be a JSON object: {exc}") from exc
+        if not isinstance(tol, dict):
+            raise ConfigError(f"--tol must be a JSON object, got {args.tol}")
+        given.update(tol)
     rs, params, spec = build_system(cfg)
     suite = SUITES.get(args.suite)
     if suite is None:
@@ -464,8 +469,9 @@ def cmd_scatter(args) -> int:
         from .evolution import run_scattering_diagnostic
         ev = _section(task, "evolve", "task.")
         times = _numbers(ev.get("times", [4, 8, 16, 32]), "task.evolve.times")
-        if not times:
-            raise ConfigError("task.evolve.times must not be empty")
+        if len(set(times)) < 2:
+            raise ConfigError("task.evolve.times must hold at least two distinct "
+                              f"times for a fit, got {times}")
         if min(times) <= 0:
             raise ConfigError(f"task.evolve.times must be positive, got {times}")
         pi = tuple(_numbers(ev.get("orbit", ()), "task.evolve.orbit", int)) or \

@@ -111,7 +111,8 @@ class WavePacket:
     def _check_wall_margin(self, cells: int):
         offsets = np.array(list(itertools.product(range(-cells, cells + 1),
                                                   repeat=self.rs.rank)))
-        nbs = self.grid.index[self.support][:, None, :] + offsets[None, :, :]
+        points = np.stack(np.unravel_index(self.support, self.grid.shape), axis=-1)
+        nbs = points[:, None, :] + offsets[None, :, :]
         if not np.all(self.ctx.regular_mask[self.grid.flat_index(nbs)]):
             raise PacketError(
                 "packet support is within %d cells of the singular set" % cells)

@@ -20,6 +20,7 @@ bandwidth.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 import numpy as np
@@ -237,13 +238,13 @@ def weyl_character_extended(rs: RootSystem, lam) -> LaurentPoly:
     return chi if sign == 1 else -chi
 
 
-def _phase_span(M: int, mus: np.ndarray) -> tuple:
+def _phase_span(M: int, mus) -> tuple:
     """The least and greatest k = <index, mu> over the M^rank grid and the
-    weights mus, exactly: every index coordinate runs from 0 to M - 1, so
-    the extremes are M - 1 times a weight's sum of negative (least) or
-    positive (greatest) coordinates."""
-    return (int(np.minimum(mus, 0).sum(axis=1).min()) * (M - 1),
-            int(np.maximum(mus, 0).sum(axis=1).max()) * (M - 1))
+    integer weights mus, exactly: every index coordinate runs from 0 to
+    M - 1, so the extremes are M - 1 times a weight's sum of negative
+    (least) or positive (greatest) coordinates."""
+    return (min(sum(x for x in mu if x < 0) for mu in mus) * (M - 1),
+            max(sum(x for x in mu if x > 0) for mu in mus) * (M - 1))
 
 
 def _real_valued(polys) -> bool:
@@ -291,8 +292,7 @@ def _check_grid_points(rs: RootSystem, M: int) -> None:
     points = M ** rs.rank
     if points > GRID_POINT_BUDGET:
         raise BudgetExceededError(
-            f"quadrature grid of {rs._name()} at M={M} "
-            f"({points * rs.rank * 8} bytes of indices)", points, GRID_POINT_BUDGET,
+            f"quadrature grid of {rs._name()} at M={M}", points, GRID_POINT_BUDGET,
             "points")
 
 
@@ -302,7 +302,8 @@ class QuadratureGrid:
     Points are xi_k = (2pi/M) sum_j k_j beta_j with {beta_j} the coroots of
     the basis simple roots (a Z-basis of Q^vee).  Pairing a weight with
     beta_j gives exactly its j-th fundamental-weight coordinate, so phases
-    are (2pi/M) * (k . mu).
+    are (2pi/M) * (k . mu); the integer k . mu is computed from the shape
+    (phases), and no per-point array is held until xi or alcove_mask is read.
     """
 
     def __init__(self, rs: RootSystem, M: int):
@@ -310,11 +311,9 @@ class QuadratureGrid:
             raise ValueError("grid subdivision must be at least 2")
         self.rs = rs
         self.M = int(M)
-        n = rs.rank
         _check_grid_points(rs, self.M)
-        idx = np.indices((self.M,) * n).reshape(n, -1).T
-        self.index = np.ascontiguousarray(idx, dtype=np.int64)
-        self.size = self.index.shape[0]
+        self.shape = (self.M,) * rs.rank
+        self.size = self.M ** rs.rank
         self._xi = None
         self._alcove = None
         self._table = np.empty(0, dtype=complex)
@@ -341,19 +340,19 @@ class QuadratureGrid:
         if not items:
             out[...] = 0
             return out
-        shape = (self.M,) * self.rs.rank
         if acc is None:
             acc = np.empty((2, self.size), dtype=complex)
-        acc, cube = acc.reshape((2,) + shape), out.reshape(shape)
+        acc, cube = acc.reshape((2,) + self.shape), out.reshape(self.shape)
         for start in range(0, len(items), _EVAL_TERMS):
             block = items[start:start + _EVAL_TERMS]
             mus = np.array([mu for mu, _ in block], dtype=np.int64)
             coeffs = [complex(c) for _, c in block]
-            base = self._table_start(*_phase_span(self.M, mus), self.size * len(block))
+            base = self._table_start(*_phase_span(self.M, [mu for mu, _ in block]),
+                                     self.size * len(block))
 
             def value(i):
                 x = (self._table_view(mus[i], base) if base is not None else
-                     self.roots_of_unity(self.index @ mus[i], table=False).reshape(shape))
+                     self.roots_of_unity(self.phases(mus[i])).reshape(self.shape))
                 # in one written order: numpy's temporary elision would turn
                 # c * (a temporary) into (the temporary) * c above 256 KiB,
                 # and complex products with FMA are not bitwise commutative
@@ -392,25 +391,21 @@ class QuadratureGrid:
         return rows
 
     def exponential(self, mu) -> np.ndarray:
-        """e^{i<mu, xi>} over the grid (mu given by weight coordinates)."""
-        return self.roots_of_unity(self.index @ np.asarray(mu, dtype=np.int64))
-
-    def roots_of_unity(self, k, out=None, table=True) -> np.ndarray:
-        """e^{2 pi i k / M} for an integer array k; every grid exponential
-        comes from here or from the table it builds (_table_view).
-
-        When the range of k is shorter than k.size, the values are gathered
-        from one cached table over a contiguous range of k, extended as
-        needed; otherwise, or with table=False, they are computed directly.
-        Both evaluate exp(1j * ((2 pi / M) * k)) on the unreduced k, so they
-        agree to the bit.  Folding k mod M would be exact in the mathematics
-        but would move the last bits of every grid sum.
-        """
-        start = self._table_start(int(k.min()), int(k.max()), k.size) if table else None
+        """e^{i<mu, xi>} over the grid, flat (mu given by weight coordinates):
+        a copy of the table's view (_table_view), or computed directly where
+        _table_start says so, as a term of eval_terms is."""
+        mu = tuple(int(x) for x in mu)
+        start = self._table_start(*_phase_span(self.M, [mu]), self.size)
         if start is None:
-            return np.exp(1j * ((2.0 * np.pi / self.M) * k), out=out)
-        # mode="clip" gathers straight into out; "raise" would buffer it
-        return np.take(self._table, k - start, out=out, mode="clip")
+            return self.roots_of_unity(self.phases(mu))
+        return self._table_view(mu, start).ravel()
+
+    def roots_of_unity(self, k) -> np.ndarray:
+        """e^{2 pi i k / M} for an integer array k; every grid exponential
+        comes from here or from the table built here (_table_view).  It is
+        evaluated on the unreduced k: folding k mod M would be exact in the
+        mathematics but would move the last bits of every grid sum."""
+        return np.exp(1j * ((2.0 * np.pi / self.M) * k))
 
     def _table_start(self, lo: int, hi: int, count: int) -> int | None:
         """The first phase of the table, extended to cover the phases lo to
@@ -422,8 +417,8 @@ class QuadratureGrid:
         stop = start + self._table.size
         if lo < start or hi >= stop:
             self._table = np.concatenate([
-                self.roots_of_unity(np.arange(lo, start), table=False), self._table,
-                self.roots_of_unity(np.arange(stop, hi + 1), table=False)])
+                self.roots_of_unity(np.arange(lo, start)), self._table,
+                self.roots_of_unity(np.arange(stop, hi + 1))])
             self._table.flags.writeable = False
             self._table_lo = min(lo, start)
         return self._table_lo
@@ -434,16 +429,22 @@ class QuadratureGrid:
         and a step along axis j moves mu_j entries (zero or negative
         strides included).  The table must cover the phases of mu."""
         item = self._table.itemsize
-        return np.ndarray((self.M,) * len(mu), self._table.dtype, self._table,
+        return np.ndarray(self.shape, self._table.dtype, self._table,
                           -start * item, tuple(item * int(x) for x in mu))
 
+    def phases(self, mu) -> np.ndarray:
+        """The integer phase k = <index, mu> of e^{i<mu, xi>} over the grid,
+        flat int64 (its angle is (2 pi / M) k): the outer sum over the axes j
+        of the ramps 0, mu_j, ..., (M - 1) mu_j."""
+        ramp = np.arange(self.M, dtype=np.int64)
+        return functools.reduce(np.add.outer, [int(x) * ramp for x in mu]).reshape(-1)
+
     def phase_values(self, mu, fn) -> np.ndarray:
-        """fn(k) over the grid, k = <index, mu> the integer phase of
-        e^{i<mu, xi>} (its angle is (2 pi / M) k).  fn, elementwise in k, is
+        """fn(k) over the grid, k = phases(mu).  fn, elementwise in k, is
         evaluated once on the exact set of k that occurs and gathered onto
         the grid: a root has a few hundred phases on a grid of 10^4 points.
         """
-        k = self.index @ np.asarray(mu, dtype=np.int64)
+        k = self.phases(mu)
         lo = int(k.min())
         k -= lo
         seen = np.zeros(int(k.max()) + 1, dtype=bool)
@@ -454,7 +455,7 @@ class QuadratureGrid:
     def fourier(self, values: np.ndarray) -> np.ndarray:
         """Grid averages of values * e^{i<mu, xi>} for every mu mod M, flat;
         read entry mu at flat_index(mu)."""
-        cube = np.reshape(values, (self.M,) * self.rs.rank)
+        cube = np.reshape(values, self.shape)
         return np.fft.ifftn(cube).ravel()
 
     def flat_index(self, mus) -> np.ndarray:
@@ -465,13 +466,14 @@ class QuadratureGrid:
 
     def angles(self, mu) -> np.ndarray:
         """<mu, xi> over the grid (mu given by weight coordinates)."""
-        return (2.0 * np.pi / self.M) * (self.index @ np.asarray(mu, dtype=np.int64))
+        return (2.0 * np.pi / self.M) * self.phases(mu)
 
     @property
     def xi(self) -> np.ndarray:
         """Grid points as ambient vectors, shape (size, dim)."""
         if self._xi is None:
-            self._xi = (2.0 * np.pi / self.M) * (self.index @ self.rs.basis_coroots_f)
+            index = np.indices(self.shape, dtype=np.int64).reshape(self.rs.rank, -1).T.copy()
+            self._xi = (2.0 * np.pi / self.M) * (index @ self.rs.basis_coroots_f)
         return self._xi
 
     @property
@@ -480,7 +482,7 @@ class QuadratureGrid:
         if self._alcove is None:
             mask = np.ones(self.size, dtype=bool)
             for a in self.rs.positive_roots:
-                pai = self.index @ np.asarray(self.rs.root_coords(a), dtype=np.int64)
+                pai = self.phases(self.rs.root_coords(a))
                 mask &= (pai > 0) & (pai < self.M)
             self._alcove = mask
         return self._alcove
@@ -606,19 +608,17 @@ def _even_points(rs: RootSystem, vals: np.ndarray, m: int) -> np.ndarray:
     return head.reshape(n, -1)
 
 
-def gram_bytes(n: int, size: int, rank: int) -> int:
-    """Bytes of one rung of the Gram ladder on size points of a rank-rank
-    grid: the (n, size) complex values; the larger of the largest weighted
-    row block of gram_matrix and the two accumulator rows of eval_polys
-    (its table terms are views, which hold no bytes); the float measure w,
-    and numpy's buffer of np.getbufsize() complex values in which a block
-    is weighted by it; and the int64 index arrays of the rung's grid and of
-    the next coarser one, which is still held while this rung is built.
-    The packed rows of a real-valued family take half the values' bytes,
-    so for them this is an upper bound."""
-    index = 8 * rank * (size + size // 2 ** rank)
+def gram_bytes(n: int, size: int) -> int:
+    """Bytes of one rung of the Gram ladder on size grid points: the
+    (n, size) complex values; the larger of the largest weighted row block
+    of gram_matrix and the two accumulator rows of eval_polys (its table
+    terms are views, which hold no bytes); and the float measure w.  A grid
+    holds no per-point array of its own (QuadratureGrid.phases), and a
+    block is weighted without a cast (gram_matrix).  The packed rows of a
+    real-valued family take half the values' bytes, so for them this is an
+    upper bound."""
     rows = n + max(_block_rows(_row_blocks(n)), 2)
-    return size * (16 * rows + 8) + 16 * np.getbufsize() + index
+    return size * (16 * rows + 8)
 
 
 def check_ladder(rs: RootSystem, spec: CFunctionSpec, n: int, m: int, max_m: int) -> None:
@@ -638,7 +638,7 @@ def check_ladder(rs: RootSystem, spec: CFunctionSpec, n: int, m: int, max_m: int
 
 
 def _check_gram_bytes(rs: RootSystem, n: int, m: int) -> None:
-    required = gram_bytes(n, m ** rs.rank, rs.rank)
+    required = gram_bytes(n, m ** rs.rank)
     if required > GRAM_BYTES_BUDGET:
         raise BudgetExceededError(
             f"Gram ladder of {n} weights on {rs._name()} at M={m}", required,
@@ -673,7 +673,9 @@ def gram_matrix(polys, spec: CFunctionSpec, grid: QuadratureGrid,
     values, if given, are the rows E = grid.eval_polys(polys); they are
     only read.  The weighted rows conj(E) * w are formed one block of rows
     at a time, so besides the values only one block is held, and each block
-    is multiplied by E.T.  Conjugating the finished matrix gives the bits
+    is multiplied by E.T; a block's real and imaginary parts are scaled by
+    the float w in place, the products of a complex-by-real multiply with
+    no cast of w to complex.  Conjugating the finished matrix gives the bits
     of the one-call product (E * w) @ conj(E).T: zgemm forms the same
     products with negated imaginary parts.
 
@@ -697,6 +699,8 @@ def gram_matrix(polys, spec: CFunctionSpec, grid: QuadratureGrid,
             for r in range(a, b):
                 np.multiply(_half(E, r), w, out=block[r - a].real)
         else:
-            np.multiply(np.conjugate(E[a:b], out=block), w, out=block)
+            np.conjugate(E[a:b], out=block)
+            np.multiply(block.real, w, out=block.real)
+            np.multiply(block.imag, w, out=block.imag)
         np.matmul(block, E.T, out=gram[a:b])
     return gram.view(float)[:, :n] if real else np.conjugate(gram, out=gram)

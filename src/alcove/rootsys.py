@@ -44,7 +44,7 @@ Coords = tuple[int, ...]
 LABELS = ("A", "B", "C", "D", "E", "F", "G", "BC")
 
 DEFAULT_WEYL_BUDGET = 100_000
-# points of one quadrature grid, M^rank; checked before its index is allocated
+# points of one quadrature grid, M^rank; checked before the grid is built
 GRID_POINT_BUDGET = 1 << 24
 # bytes of one rung of the Gram ladder (values plus one weighted row block);
 # checked before the rung is allocated

@@ -191,7 +191,7 @@ def test_readme_evolve_exits_on_gram_budget(tmp_path, capsys, monkeypatch):
                  "--out", str(tmp_path / "e.json")]) == 3
     assert time.perf_counter() - start < 5.0
     assert not built and not orbits and not (tmp_path / "e.json").exists()
-    required = harmonic.gram_bytes(20201, 1610 ** 2, 2)
+    required = harmonic.gram_bytes(20201, 1610 ** 2)
     assert required > 780 * 2 ** 30
     assert (f"Gram ladder of 20201 weights on A2 at M=1610 has {required} bytes"
             in capsys.readouterr().err)
@@ -204,7 +204,7 @@ def test_b2_evolve_center_grid_resolves_the_table(tmp_path, capsys):
     cfg = _cfg(tmp_path, "b2.json", {
         "root_system": {"label": "B", "rank": 2},
         "cfunctions": {"family": "macdonald", "g": {"1": 0.9, "2": 1.4}, "q": 0.5},
-        "task": {"evolve": {"times": [1], "radius": 0.5, "lattice_depth": 6}}})
+        "task": {"evolve": {"times": [1, 2], "radius": 0.5, "lattice_depth": 6}}})
     code = main(["scatter", "--evolve", "--config", cfg,
                  "--out", str(tmp_path / "ev.json")])
     assert code != 1
@@ -327,6 +327,9 @@ def test_unknown_suite(tmp_path):
                             "task": {"ray": {"direction": [1, 0], "steps": 4}}}),
     (["scatter", "--ray"], {"task": {"ray": {"steps": 1}}}),
     (["scatter", "--evolve"], {"task": {"evolve": {"times": [0, 8]}}}),
+    # evolve runs that fitted a decay through fewer than two distinct times
+    (["scatter", "--evolve"], {"task": {"evolve": {"times": [4]}}}),
+    (["scatter", "--evolve"], {"task": {"evolve": {"times": [8, 8]}}}),
     # weights and c-functions; a list patch is the whole config file
     (["verify"], {"root_system": {"label": "A", "rank": 2},
                   "weights": {"tops": [[1]]}}),
@@ -379,6 +382,9 @@ def test_unknown_suite(tmp_path):
     (["verify", "--suite", "appendixA"], {"tolerances": {"pieri": float("inf")}}),
     # --tol merged into tolerances that are not an object
     (["verify", "--tol", '{"free": 0}'], {"tolerances": [1]}),
+    # --tol that is not an object (a list of pairs was applied)
+    (["verify", "--tol", '[["smatrix", 1]]'], {}),
+    (["verify", "--tol", '[]'], {}),
     # numbers that are not finite (json.dumps writes NaN and Infinity)
     (["verify"], {"cfunctions": {"family": "macdonald", "g": float("nan"), "q": 0.5}}),
     (["export", "polynomials"], {"cfunctions": {"family": "macdonald",
@@ -465,6 +471,14 @@ def test_export_smatrix_default_grid_reaches_the_table_floor(tmp_path):
      "task.ray.direction must be a dominant weight of rank 2 with no zero coordinate"),
     (["scatter", "--ray"], {"task": {"ray": {"steps": 1}}},
      "task.ray.steps must be at least 2"),
+    (["scatter", "--evolve"], {"task": {"evolve": {"times": [8, 8]}}},
+     "task.evolve.times must hold at least two distinct times"),
+    (["verify", "--tol", '[["smatrix", 1]]'], {}, "--tol must be a JSON object"),
+    # labels that are not strings (each exited 1 from the root-system cache)
+    (["verify"], {"root_system": {"label": ["A"], "rank": 1}},
+     "root_system.label must be a string"),
+    (["verify"], {"root_system": {"label": {"A": 1}, "rank": 1}},
+     "root_system.label must be a string"),
 ])
 def test_config_errors_name_the_key_path(tmp_path, capsys, argv, patch, message):
     base = {"root_system": {"label": "A", "rank": 1},

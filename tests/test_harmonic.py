@@ -630,14 +630,12 @@ def _ladder_peak(polys, spec, m):
     finally:
         tracemalloc.stop()
     size = (2 * m) ** polys[0].rs.rank
-    return peak, gram_bytes(len(polys), size, polys[0].rs.rank)
+    return peak, gram_bytes(len(polys), size)
 
 
 # the traced peak of a ladder over the bytes check_ladder refuses on: the
 # Gram matrices are not counted (measured: at most 1.016 in the cases below)
 LADDER_MARGIN = 1.03
-# numpy's buffer for the float measure cast to complex in a weighted block
-CAST_BUFFER = 16 * np.getbufsize()
 
 
 def test_gram_ladder_holds_values_and_one_block(b2):
@@ -647,7 +645,7 @@ def test_gram_ladder_holds_values_and_one_block(b2):
     polys = [monomial_symmetric(b2, mu) for mu in b2.saturated_weights([(6, 6)])]
     m0 = first_rung(b2, [p.support() for p in polys])
     n, size = len(polys), (2 * m0) ** 2
-    assert n == 43 and gram_bytes(n, size, 2) == 16 * size * (n + 22) + 28 * size + CAST_BUFFER
+    assert n == 43 and gram_bytes(n, size) == 16 * size * (n + 22) + 8 * size
     peak, checked = _ladder_peak(polys, spec, m0)
     assert peak <= LADDER_MARGIN * checked
 
@@ -660,7 +658,7 @@ def test_gram_ladder_reads_the_first_rung_in_place(b2):
     polys = [monomial_symmetric(b2, mu) for mu in b2.saturated_weights([(14, 14)])]
     n, m = len(polys), 64
     assert n == 197
-    assert gram_bytes(n, (2 * m) ** 2, 2) == (2 * m) ** 2 * (16 * (n + 29) + 28) + CAST_BUFFER
+    assert gram_bytes(n, (2 * m) ** 2) == (2 * m) ** 2 * (16 * (n + 29) + 8)
     peak, checked = _ladder_peak(polys, spec, m)
     assert peak <= LADDER_MARGIN * checked
 
@@ -672,7 +670,7 @@ def test_complex_ladder_reads_the_first_rung_in_place(a2):
     polys = [monomial_symmetric(a2, mu) for mu in a2.saturated_weights([(14, 14)])]
     n, m = len(polys), 64
     assert n == 113
-    assert gram_bytes(n, (2 * m) ** 2, 2) == (2 * m) ** 2 * (16 * (n + 29) + 28) + CAST_BUFFER
+    assert gram_bytes(n, (2 * m) ** 2) == (2 * m) ** 2 * (16 * (n + 29) + 8)
     peak, checked = _ladder_peak(polys, spec, m)
     assert peak <= LADDER_MARGIN * checked
 
@@ -680,20 +678,18 @@ def test_complex_ladder_reads_the_first_rung_in_place(a2):
 @pytest.mark.parametrize("top,m,n", [((6, 6), None, 43), ((14, 14), 64, 197)])
 def test_real_ladder_holds_half_the_values(b2, top, m, n):
     # packed rows take 8 B per value: the traced peak stays near ceil(n/2)
-    # complex rows plus one block and the grids (the measure and the index
-    # arrays of both rungs), and well below the complex layout's bytes,
-    # which check_ladder still counts
+    # complex rows plus one block and the measure, and well below the
+    # complex layout's bytes, which check_ladder still counts
     import alcove.harmonic as harmonic
     spec = MacdonaldParams.create(b2, {1: 0.9, 2: 1.4}, 0.5).cspec()
     polys = [monomial_symmetric(b2, mu) for mu in b2.saturated_weights([top])]
     m = m or first_rung(b2, [p.support() for p in polys])
     size = (2 * m) ** 2
     block = harmonic._block_rows(harmonic._row_blocks(n))
-    grids = 8 * size + 8 * 2 * (size + size // 4)
-    real = 16 * size * ((n + 1) // 2 + block) + grids
+    real = 16 * size * ((n + 1) // 2 + block) + 8 * size
     assert len(polys) == n
     peak, checked = _ladder_peak(polys, spec, m)
-    assert checked - real == 16 * size * (n - (n + 1) // 2) + CAST_BUFFER
+    assert checked - real == 16 * size * (n - (n + 1) // 2)
     assert peak <= LADDER_MARGIN * real
     assert peak <= 0.75 * checked
 
@@ -701,33 +697,28 @@ def test_real_ladder_holds_half_the_values(b2, top, m, n):
 def test_a3_ladder_holds_values_and_its_evaluation_scratch():
     # 24-term orbits and four rows: eval_terms reads its terms as views of
     # the table and sums them in two accumulator rows, which a block of the
-    # Gram product (four rows) outweighs; the check counts the block and the
-    # buffer that weights it, 9.5 B per point of this small grid
+    # Gram product (four rows) outweighs, and the check counts the block
     a3 = build_root_system("A", 3)
     spec = macdonald_spec(a3, {2.0: 0.9}, 0.5)
     polys = [monomial_symmetric(a3, mu) for mu in a3.saturated_weights([(1, 1, 1)])]
     size = 24 ** 3
     assert len(polys) == 4 and max(map(len, polys)) == 24
-    assert gram_bytes(4, size, 3) == \
-        size * (16 * 4 + 16 * 4 + 8) + 24 * (size + size // 8) + CAST_BUFFER
+    assert gram_bytes(4, size) == size * (16 * 4 + 16 * 4 + 8)
     peak, checked = _ladder_peak(polys, spec, 12)
     assert peak <= LADDER_MARGIN * checked
 
 
-def test_ladder_check_counts_the_grid_indices_and_the_measure():
-    # the same A3 ladder: its peak passes the values, one block and the
-    # buffer that weights it by about 35 B per point, which the int64 index
-    # arrays of the rungs 24 and 12 (24 + 3 B per point of the rung 24) and
-    # the float measure (8 B) account for (measured: the peak is 1.005 to
-    # 1.007 of the check)
+def test_ladder_check_counts_the_measure():
+    # the same A3 ladder: its peak passes the values and one block by about
+    # 9 B per point, which the float measure (8 B) accounts for (measured:
+    # 8.75 to 9.06 B per point, and the peak is 1.005 to 1.008 of the check)
     a3 = build_root_system("A", 3)
     spec = macdonald_spec(a3, {2.0: 0.9}, 0.5)
     polys = [monomial_symmetric(a3, mu) for mu in a3.saturated_weights([(1, 1, 1)])]
     size = 24 ** 3
-    grids = 8 * 3 * (size + 12 ** 3) + 8 * size
     peak, checked = _ladder_peak(polys, spec, 12)
-    assert checked - grids == size * (16 * 4 + 16 * 4) + CAST_BUFFER
-    assert peak > checked - grids + 30 * size
+    assert checked - 8 * size == size * (16 * 4 + 16 * 4)
+    assert peak > checked - 8 * size + 7 * size
     assert peak <= 1.01 * checked
 
 
@@ -941,7 +932,7 @@ def test_gram_budget_is_checked_before_a_rung_allocates(b2, monkeypatch):
     m0 = first_rung(b2, [p.support() for p in polys])
     # the first rung fits, the second does not: a non-unit ladder always
     # builds the second, so neither is built
-    monkeypatch.setattr(harmonic, "GRAM_BYTES_BUDGET", gram_bytes(43, m0 ** 2, 2))
+    monkeypatch.setattr(harmonic, "GRAM_BYTES_BUDGET", gram_bytes(43, m0 ** 2))
     built = []
 
     class RecordingGrid(QuadratureGrid):
@@ -953,7 +944,7 @@ def test_gram_budget_is_checked_before_a_rung_allocates(b2, monkeypatch):
     with pytest.raises(BudgetExceededError) as err:
         gram_ladder(polys, spec, m0, 0.0, 4 * m0)
     assert built == []
-    required = gram_bytes(43, (2 * m0) ** 2, 2)
+    required = gram_bytes(43, (2 * m0) ** 2)
     assert err.value.required == required
     assert f"43 weights on B2 at M={2 * m0} has {required} bytes" in str(err.value)
 
@@ -1021,4 +1012,4 @@ def test_grid_budget_is_checked_before_allocating():
     with pytest.raises(BudgetExceededError) as err:
         QuadratureGrid(e6, 48)
     assert err.value.required == 48 ** 6
-    assert "M=48" in str(err.value) and f"{48 ** 6 * 6 * 8} bytes" in str(err.value)
+    assert "M=48" in str(err.value) and f"{48 ** 6} points" in str(err.value)

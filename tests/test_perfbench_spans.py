@@ -96,7 +96,7 @@ def test_gram_schmidt_reaches_qpochhammer_per_distinct_phase(b2, monkeypatch):
     gram_schmidt(b2, spec, [(2, 2)])
     assert len(rungs) >= 2 and {grid for grid, _ in calls} == set(rungs)
     for grid, points in calls:
-        phases = max(len(np.unique(grid.index @ np.asarray(b2.root_coords(a))))
+        phases = max(len(np.unique(grid.phases(b2.root_coords(a))))
                      for a in b2.positive_roots_1)
         assert points <= phases < grid.size
 

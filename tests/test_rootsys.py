@@ -1,4 +1,5 @@
 import ast
+import inspect
 import itertools
 import math
 import re
@@ -569,6 +570,26 @@ def test_grid_exponentials_come_from_one_table():
     assert not hits
     assert any(GRID_EXP.search(line) for line in
                harmonic.read_text().splitlines()[table.lineno - 1:table.end_lineno])
+
+
+def test_grid_is_its_shape():
+    # a grid holds no per-point array until xi or alcove_mask is read: its
+    # integer phases come from its shape, and grid exponentials have one
+    # path (no gather from the table, no out or table knobs)
+    from alcove.harmonic import QuadratureGrid
+    for label, rank, mu in [("A", 1, (3,)), ("B", 2, (2, -5)), ("A", 3, (1, -2, 4))]:
+        grid = QuadratureGrid(build_root_system(label, rank), 12)
+        arrays = [v for v in vars(grid).values() if isinstance(v, np.ndarray)]
+        assert not hasattr(grid, "index") and grid.shape == (12,) * rank
+        assert all(a.size < grid.size for a in arrays)
+        index = np.indices(grid.shape).reshape(rank, -1).T
+        assert grid.phases(mu).dtype == np.int64
+        assert np.array_equal(grid.phases(mu), index @ np.asarray(mu))
+        assert grid.xi.shape[0] == grid.alcove_mask.size == grid.size
+    assert list(inspect.signature(QuadratureGrid.roots_of_unity).parameters) == ["self", "k"]
+    src = Path(alcove.__file__).parent
+    assert not [path.name for path in src.glob("*.py")
+                if re.search(r"np\.take\(\s*self\._table", path.read_text())]
 
 
 WHOLE_GRID_CFUNCTION = (re.compile(r"_eval_raw\(|shat_sqrt\("),

@@ -247,13 +247,13 @@ def test_regular_sector_locally_constant(a2, a2_macdonald):
     ks = np.nonzero(ctx.regular_mask)[0]
     # neighbours in the index lattice that are both regular and give the
     # same sector element witness local constancy
-    flat = {tuple(row): i for i, row in enumerate(tab.grid.index)}
+    shape = tab.grid.shape
     pairs = 0
     for k in ks[: 200]:
         base = ctx.regular_sector_element(int(k))
-        pt = tuple(tab.grid.index[k])
-        nb = flat.get(((pt[0] + 1) % tab.grid.M, pt[1]))
-        if nb is not None and ctx.regular_mask[nb]:
+        pt = np.unravel_index(k, shape)
+        nb = int(np.ravel_multi_index(((pt[0] + 1) % tab.grid.M, pt[1]), shape))
+        if ctx.regular_mask[nb]:
             grad_gap = np.linalg.norm(ctx.gradient[nb] - ctx.gradient[k])
             if grad_gap < 0.1 * np.linalg.norm(ctx.gradient[k]):
                 # neighbours well inside one component share the element
