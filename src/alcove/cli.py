@@ -474,8 +474,10 @@ def cmd_scatter(args) -> int:
                               f"times for a fit, got {times}")
         if min(times) <= 0:
             raise ConfigError(f"task.evolve.times must be positive, got {times}")
-        pi = tuple(_numbers(ev.get("orbit", ()), "task.evolve.orbit", int)) or \
-            tuple(1 if j == 0 else 0 for j in range(rs.rank))
+        # a key that is present is read even when empty; an absent key takes
+        # its default
+        pi = tuple(_numbers(ev["orbit"], "task.evolve.orbit", int)) if "orbit" in ev \
+            else tuple(1 if j == 0 else 0 for j in range(rs.rank))
         if len(pi) != rs.rank or not any(pi):
             raise ConfigError(f"task.evolve.orbit must be a nonzero weight of "
                               f"rank {rs.rank}, got {list(pi)}")
@@ -484,7 +486,7 @@ def cmd_scatter(args) -> int:
         if radius <= 0:
             raise ConfigError(f"task.evolve.radius must be positive, got {radius}")
         center = None
-        if ev.get("center"):
+        if "center" in ev:
             center = np.asarray(_numbers(ev["center"], "task.evolve.center"))
             if center.shape != (rs.dim,):
                 raise ConfigError(f"task.evolve.center must have {rs.dim} "
@@ -548,15 +550,13 @@ def cmd_export(args) -> int:
             pi = rs.quasi_minuscule_weight()
             apply_fn = lambda f: apply_macdonald_ruijsenaars(params, pi, f)
         mat = operator_matrix(apply_fn, rs, sites)
+        labels = [" ".join(map(str, s)) for s in sites]
+        rows, cols = np.nonzero(mat)  # row-major order
         with open(_export_path(args, "operator.csv"), "w", newline="") as fh:
             wr = csv.writer(fh)
             wr.writerow(["row_weight", "col_weight", "value_re", "value_im"])
-            for i, a in enumerate(sites):
-                for j, b in enumerate(sites):
-                    if mat[i, j] != 0:
-                        wr.writerow([" ".join(map(str, a)), " ".join(map(str, b)),
-                                     repr(float(mat[i, j].real)),
-                                     repr(float(mat[i, j].imag))])
+            for i, j, v in zip(rows.tolist(), cols.tolist(), mat[rows, cols].tolist()):
+                wr.writerow([labels[i], labels[j], repr(v.real), repr(v.imag)])
         return EXIT_OK
     if what == "smatrix":
         from .scattering import ScatteringContext, WaveTable

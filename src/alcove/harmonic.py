@@ -27,7 +27,7 @@ import numpy as np
 
 from .qfun import CFunctionSpec
 from .rootsys import (GRAM_BYTES_BUDGET, GRID_POINT_BUDGET, BudgetExceededError,
-                      RootSystem, WeylElement)
+                      RootSystem)
 
 # the largest grid M a Gram ladder builds unless its caller says otherwise
 MAX_M = 4096
@@ -86,17 +86,6 @@ class LaurentPoly:
     def __neg__(self):
         return LaurentPoly(self.rs, {mu: -c for mu, c in self.terms.items()})
 
-    def conjugate(self) -> "LaurentPoly":
-        """Pointwise complex conjugate for real xi: exponents negate."""
-        return LaurentPoly(self.rs, {
-            tuple(-x for x in mu): np.conjugate(c) if isinstance(c, complex) else c
-            for mu, c in self.terms.items()})
-
-    def compose_weyl(self, w: WeylElement) -> "LaurentPoly":
-        """f(xi) -> f(w(xi)); exponents are mapped by w^{-1}."""
-        winv = w.inverse()
-        return LaurentPoly(self.rs, {winv.act(mu): c for mu, c in self.terms.items()})
-
     def coeff(self, mu):
         return self.terms.get(tuple(mu), 0)
 
@@ -123,10 +112,6 @@ class LaurentPoly:
         points = np.asarray(points, dtype=complex)
         values = np.exp(1j * (points @ vecs.T)) @ coeffs
         return complex(values) if points.ndim == 1 else values
-
-    def prune(self, tol: float) -> "LaurentPoly":
-        return LaurentPoly(self.rs, {mu: c for mu, c in self.terms.items()
-                                     if abs(complex(c)) > tol})
 
     def __len__(self):
         return len(self.terms)
@@ -174,22 +159,18 @@ def eval_delta(rs: RootSystem, xi) -> complex:
     return out
 
 
-def laurent_divide(num: LaurentPoly, den: LaurentPoly, tol: float = 0.0) -> LaurentPoly:
+def laurent_divide(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
     """Exact long division num/den along the lexicographic exponent order.
 
     The leading coefficient of den must be +-1, as the Weyl denominator's
-    is, so integer coefficients divide exactly in Python ints.  With
-    tol == 0 the coefficients must cancel exactly; a positive tol prunes
-    float residue below tol * max|coeff|.
+    is, so integer coefficients divide exactly in Python ints and must
+    cancel exactly.
     """
     dlead = max(den.terms)
     dcoeff = den.terms[dlead]
     if dcoeff not in (1, -1):
         raise ValueError(f"leading coefficient of the divisor must be +-1, got {dcoeff}")
     rem = dict(num.terms)
-    if not rem:
-        return LaurentPoly(num.rs, {})
-    scale = max(abs(complex(c)) for c in rem.values())
     quot: dict = {}
     steps = 0
     limit = 40 * (len(rem) + 1) * (len(den.terms) + 1)
@@ -200,10 +181,8 @@ def laurent_divide(num: LaurentPoly, den: LaurentPoly, tol: float = 0.0) -> Laur
                                   "divisor does not divide the numerator")
         m = max(rem)
         c = rem.pop(m)
-        if tol > 0 and abs(complex(c)) <= tol * scale:
-            continue
         e = tuple(a - b for a, b in zip(m, dlead))
-        q = c * dcoeff if isinstance(c, int) else c / dcoeff
+        q = c * dcoeff  # dcoeff is +-1, its own inverse
         quot[e] = quot.get(e, 0) + q
         for k, v in den.terms.items():
             if k == dlead:
@@ -247,7 +226,7 @@ def _phase_span(M: int, mus) -> tuple:
             max(sum(x for x in mu if x > 0) for mu in mus) * (M - 1))
 
 
-def _real_valued(polys) -> bool:
+def real_valued(polys) -> bool:
     """Whether every poly is real on the torus: its terms are closed under
     mu -> -mu with conjugate coefficients (orbit sums, when -1 is in W)."""
     return all(p.terms.get(tuple(-x for x in mu)) == c.conjugate()
@@ -571,7 +550,7 @@ def gram_ladder(polys, spec: CFunctionSpec, m: int, tol: float, max_m: int):
     in place (see _even_points): the points k of the rung at M are the
     points 2k of the rung at 2M with the same phase bits, since 2pi/(2M) is
     2pi/M halved exactly.  Later rungs are evaluated afresh.  A real-valued
-    family (_real_valued) is held in the packed rows of eval_real.
+    family (real_valued) is held in the packed rows of eval_real.
     """
     rs, n = polys[0].rs, len(polys)
     check_ladder(rs, spec, n, m, max_m)
@@ -579,7 +558,7 @@ def gram_ladder(polys, spec: CFunctionSpec, m: int, tol: float, max_m: int):
     if spec.is_unit:
         return gram_matrix(polys, spec, grid), m
     fine = QuadratureGrid(rs, 2 * m)
-    real = _real_valued(polys)
+    real = real_valued(polys)
     vals = fine.eval_real(polys) if real else fine.eval_polys(polys)
     cur = gram_matrix(polys, spec, fine, vals)
     gram = gram_matrix(polys, spec, grid, _even_points(rs, vals, m))
@@ -679,13 +658,13 @@ def gram_matrix(polys, spec: CFunctionSpec, grid: QuadratureGrid,
     of the one-call product (E * w) @ conj(E).T: zgemm forms the same
     products with negated imaginary parts.
 
-    A real-valued family (_real_valued) gets the real part of that product,
+    A real-valued family (real_valued) gets the real part of that product,
     to the bit, from the packed rows E = grid.eval_real(polys): blocks
     Re E_i * w + 0i times the packed rows put G[i, 2j] and G[i, 2j + 1] in
     the lanes of entry (i, j), which zgemm sums as the complex product's
     real lane, less Im * Im terms of rounding size.
     """
-    rs, n, real = polys[0].rs, len(polys), _real_valued(polys)
+    rs, n, real = polys[0].rs, len(polys), real_valued(polys)
     w = measure_values(spec, grid) / (grid.size * rs.weyl_order())
     E = values if values is not None else (
         grid.eval_real(polys) if real else grid.eval_polys(polys))

@@ -7,7 +7,9 @@ Weyl characters, whose exact weight multiplicities are used directly.  For
 the q-Pochhammer weights the orthonormalized polynomials admit closed-form
 norm constants; those are implemented here together with residual checks
 for the classical identities they satisfy (specialization, symmetry,
-difference equation, recurrence).
+difference equation, recurrence).  Their plane-wave limit is not a
+polynomial here: scattering evaluates it on the grid, with the exact
+c-functions (asymptotic_wave_values).
 """
 
 from __future__ import annotations
@@ -20,8 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from .harmonic import (MAX_M, LaurentPoly, QuadratureGrid, check_ladder, gram_ladder,
-                       laurent_divide, monomial_symmetric, orbit_first_rung,
-                       weyl_character, weyl_denominator)
+                       monomial_symmetric, orbit_first_rung, weyl_character)
 from .qfun import (CFunctionSpec, koornwinder_factors, koornwinder_spec,
                    macdonald_factors, macdonald_spec, qpochhammer_inf)
 from .rootsys import RootSystem
@@ -632,39 +633,3 @@ def pieri_residual(params: PolyParams, system: OrthoPolySystem, lam, xi, pi):
             rhs += v * (system.pbold(params, lam_nu).evaluate(pts) - p_at)
     return _per_point(np.abs(lhs - rhs), xi)
 
-
-# ---------------------------------------------------------------------------
-# asymptotically free polynomials
-
-
-def truncated_overall_cfun(spec: CFunctionSpec, rs: RootSystem, degree: int) -> LaurentPoly:
-    """Taylor truncation of C(xi) = prod c(e^{-i<a,xi>}) as a Laurent polynomial."""
-    out = LaurentPoly.one(rs)
-    for a, cf in zip(rs.positive_roots_1, spec.cfunctions):
-        coeffs = cf.taylor(degree)
-        ac = rs.root_coords(a)
-        terms = {tuple(-k * x for x in ac): complex(c)
-                 for k, c in enumerate(coeffs) if c != 0.0}
-        out = out * LaurentPoly(rs, terms)
-    return out
-
-
-def asymptotic_polynomial(spec: CFunctionSpec, rs: RootSystem, lam,
-                          degree: int | None = None) -> LaurentPoly:
-    """P_lam^infty with the overall c-function replaced by its Taylor polynomial.
-
-    The default truncation degree is m(lam); by construction the result
-    expands triangularly over the monomials with unit leading coefficient.
-    """
-    lam = tuple(lam)
-    if degree is None:
-        degree = max(0, int(rs.min_coroot_pairing(lam)))
-    ctr = truncated_overall_cfun(spec, rs, degree)
-    dsum = LaurentPoly.zero(rs)
-    shifted = tuple(a + b for a, b in zip(rs.rho_coords, lam))
-    for w in rs.weyl_group():
-        cw = ctr.compose_weyl(w)
-        expw = LaurentPoly.monomial(rs, w.inverse().act(shifted), w.sign)
-        dsum = dsum + cw * expw
-    dsum = dsum.prune(1e-14)
-    return laurent_divide(dsum, weyl_denominator(rs), tol=1e-13)

@@ -4,10 +4,9 @@ The admissible c-functions are analytic, zero-free and normalized to 1 at
 the origin on a disc of certified radius ``rho > 1``.  Apart from the unit,
 each is a list of infinite q-Pochhammer factors with 0 < q < 1
 (QPochhammerC), which the lattice constants and hopping rates read too.
-Besides pointwise evaluation this module provides Taylor coefficients (via
-FFT on a circle inside the certified disc) and the scalar scattering phase
-s(theta) = c(e^{-i theta}) / c(e^{i theta}) together with its canonical
-square root.
+Besides pointwise evaluation this module provides the scalar scattering
+phase s(theta) = c(e^{-i theta}) / c(e^{i theta}) together with its
+canonical square root.
 """
 
 from __future__ import annotations
@@ -83,18 +82,6 @@ class CFunction:
     def rho(self) -> float:
         return _certified_radius(self)
 
-    def taylor(self, degree: int) -> np.ndarray:
-        """Real Taylor coefficients a_0..a_degree by FFT on a safe circle."""
-        if degree < 0:
-            raise ValueError("degree must be nonnegative")
-        r0 = min(1.1, 0.5 * (1.0 + self.rho))
-        n = 1 << max(8, (degree + 1).bit_length() + 2)
-        zs = r0 * np.exp(2j * np.pi * np.arange(n) / n)
-        vals = self._eval_raw(zs)
-        coeffs = np.fft.fft(vals) / n
-        a = coeffs[: degree + 1].real / r0 ** np.arange(degree + 1)
-        return a
-
 
 @dataclass(frozen=True)
 class UnitC(CFunction):
@@ -103,11 +90,6 @@ class UnitC(CFunction):
 
     def _radius_hint(self) -> float:
         return 4.0
-
-    def taylor(self, degree: int) -> np.ndarray:
-        a = np.zeros(degree + 1)
-        a[0] = 1.0
-        return a
 
 
 def macdonald_factors(g: float) -> tuple:

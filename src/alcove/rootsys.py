@@ -46,8 +46,8 @@ LABELS = ("A", "B", "C", "D", "E", "F", "G", "BC")
 DEFAULT_WEYL_BUDGET = 100_000
 # points of one quadrature grid, M^rank; checked before the grid is built
 GRID_POINT_BUDGET = 1 << 24
-# bytes of one rung of the Gram ladder (values plus one weighted row block);
-# checked before the rung is allocated
+# bytes of one dense allocation: a rung of the Gram ladder (values plus one
+# weighted row block) or an operator matrix; checked before it is allocated
 GRAM_BYTES_BUDGET = 2 << 30
 
 

@@ -16,20 +16,11 @@ import functools
 import numpy as np
 
 from .harmonic import (LaurentPoly, QuadratureGrid, alternating_sum,
-                       chat_values, delta_values)
+                       chat_values, delta_values, real_valued)
 from .laplacian import LatticeFunction
 from .orthopoly import OrthoPolySystem
 from .qfun import CFunctionSpec, shat_sqrt
 from .rootsys import RootSystem, WeylElement
-
-
-def symbol_is_real(sym: LaurentPoly) -> bool:
-    for mu, c in sym.terms.items():
-        neg = tuple(-x for x in mu)
-        if not np.isclose(complex(sym.terms.get(neg, 0)).real, complex(c).real) \
-           or abs(complex(c).imag) > 1e-14:
-            return False
-    return True
 
 
 def symbol_gradient(sym: LaurentPoly, grid: QuadratureGrid) -> np.ndarray:
@@ -269,7 +260,7 @@ class ScatteringContext:
     """
 
     def __init__(self, table: WaveTable, symbol: LaurentPoly):
-        if not symbol_is_real(symbol):
+        if not real_valued([symbol]):
             raise ValueError("scattering needs a real multiplication symbol")
         self.table = table
         self.rs = table.rs

@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import os
 import subprocess
@@ -290,6 +291,43 @@ def test_export_operator_matches_library(tmp_path, family):
         assert abs(entries.get((c, r), 0) - np.conj(v)) < 1e-10
 
 
+@pytest.mark.parametrize("seed", [3, 5, 11])
+def test_export_bc2_operator_csv_is_the_row_major_scan(tmp_path, monkeypatch, seed):
+    # the CSV is written from the matrix's nonzero pattern; on the
+    # benchmark's export-bc2 configuration its bytes are those of a
+    # row-major scan of every entry
+    from test_perfbench_spans import WORKLOADS, _load_perfbench
+    from alcove.laplacian import apply_koornwinder
+    config = _load_perfbench(monkeypatch, WORKLOADS).WORKLOADS["export-bc2"].config(seed)
+    cfg = _cfg(tmp_path, "bc2.json", config)
+    assert main(["export", "operator", "--config", cfg, "--out", str(tmp_path)]) == 0
+    rs, params, _ = build_system(config)
+    sites = rs.saturated_weights([tuple(t) for t in config["weights"]["tops"]])
+    mat = operator_matrix(lambda f: apply_koornwinder(params, f), rs, sites)
+    expected = io.StringIO(newline="")
+    wr = csv.writer(expected)
+    wr.writerow(["row_weight", "col_weight", "value_re", "value_im"])
+    for i, a in enumerate(sites):
+        for j, b in enumerate(sites):
+            if mat[i, j] != 0:
+                wr.writerow([" ".join(map(str, a)), " ".join(map(str, b)),
+                             repr(float(mat[i, j].real)), repr(float(mat[i, j].imag))])
+    assert (tmp_path / "operator.csv").read_bytes() == expected.getvalue().encode()
+
+
+def test_export_operator_exits_on_its_byte_budget_before_allocating(tmp_path, capsys):
+    # 20,201 sites: the dense complex matrix would take 16 * 20,201^2 bytes,
+    # above GRAM_BYTES_BUDGET; the run is refused once the sites are known
+    cfg = _cfg(tmp_path, "a2.json", {**A2_MACDONALD, "weights": {"tops": [[200, 200]]}})
+    start = time.perf_counter()
+    assert main(["export", "operator", "--config", cfg,
+                 "--out", str(tmp_path / "op")]) == 3
+    assert time.perf_counter() - start < 5
+    err = capsys.readouterr().err
+    assert "operator matrix on 20201 sites" in err and "6529286416 bytes" in err
+    assert not (tmp_path / "op").exists()
+
+
 def test_export_empty_weight_set(tmp_path):
     cfg = _cfg(tmp_path, "empty.json", {
         "root_system": {"label": "A", "rank": 2},
@@ -479,6 +517,19 @@ def test_export_smatrix_default_grid_reaches_the_table_floor(tmp_path):
      "root_system.label must be a string"),
     (["verify"], {"root_system": {"label": {"A": 1}, "rank": 1}},
      "root_system.label must be a string"),
+    # evolve keys that are present but empty (each ran with its default)
+    (["scatter", "--evolve"], {"task": {"evolve": {"orbit": []}}},
+     "task.evolve.orbit must be a nonzero weight of rank 1, got []"),
+    (["scatter", "--evolve"], {"task": {"evolve": {"center": []}}},
+     "task.evolve.center must have 2 entries, got []"),
+    (["scatter", "--evolve"], {"task": {"evolve": {"center": 0}}},
+     "task.evolve.center must be a list of numbers, got 0"),
+    (["scatter", "--evolve"], {"task": {"evolve": {"center": False}}},
+     "task.evolve.center must be a list of numbers, got False"),
+    (["scatter", "--evolve"], {"task": {"evolve": {"center": ""}}},
+     "task.evolve.center must be a list of numbers, got ''"),
+    (["scatter", "--evolve"], {"task": {"evolve": {"center": {}}}},
+     "task.evolve.center must be a list of numbers, got {}"),
 ])
 def test_config_errors_name_the_key_path(tmp_path, capsys, argv, patch, message):
     base = {"root_system": {"label": "A", "rank": 1},

@@ -542,13 +542,13 @@ def _real_case(label, rank, m):
 
 def test_real_valued_families(a2, b2):
     # terms closed under mu -> -mu with conjugate coefficients
-    from alcove.harmonic import _real_valued
-    assert _real_valued([monomial_symmetric(b2, (2, 1)), monomial_symmetric(a2, (1, 1))])
-    assert not _real_valued([monomial_symmetric(b2, (1, 0)), monomial_symmetric(a2, (1, 0))])
-    assert _real_valued([LaurentPoly(a2, {(1, 0): 2 - 1j, (-1, 0): 2 + 1j,
-                                          (0, 0): Fraction(1, 3)})])
-    assert not _real_valued([LaurentPoly(a2, {(1, 0): 1j, (-1, 0): 1j})])
-    assert not _real_valued([LaurentPoly(a2, {(0, 0): 1j})])
+    from alcove.harmonic import real_valued
+    assert real_valued([monomial_symmetric(b2, (2, 1)), monomial_symmetric(a2, (1, 1))])
+    assert not real_valued([monomial_symmetric(b2, (1, 0)), monomial_symmetric(a2, (1, 0))])
+    assert real_valued([LaurentPoly(a2, {(1, 0): 2 - 1j, (-1, 0): 2 + 1j,
+                                         (0, 0): Fraction(1, 3)})])
+    assert not real_valued([LaurentPoly(a2, {(1, 0): 1j, (-1, 0): 1j})])
+    assert not real_valued([LaurentPoly(a2, {(0, 0): 1j})])
 
 
 @pytest.mark.parametrize("label,rank,m", REAL_CASES)
@@ -815,16 +815,16 @@ from alcove.orthopoly import MacdonaldParams
 from alcove.rootsys import build_root_system
 rs, spec, _ = _ladder_case("B", 2)
 weights = rs.saturated_weights([(12, 12)])
-real_valued = harmonic._real_valued
+real_valued = harmonic.real_valued
 for m in (110, 220):
     grid = QuadratureGrid(rs, m)
     for n in (1, 2, 3, 43, 121):
         polys = [monomial_symmetric(rs, mu) for mu in weights[:n]]
-        harmonic._real_valued = real_valued
+        harmonic.real_valued = real_valued
         gram = gram_matrix(polys, spec, grid)
-        harmonic._real_valued = lambda polys: False
+        harmonic.real_valued = lambda polys: False
         assert _same_bits(gram, gram_matrix(polys, spec, grid).real), (m, n)
-harmonic._real_valued = real_valued
+harmonic.real_valued = real_valued
 a2 = build_root_system("A", 2)
 spec = MacdonaldParams.create(a2, 1.3, float(np.exp(-0.7))).cspec()
 for top, n, m in [((8, 8), 41, 74), ((14, 14), 113, 128)]:

@@ -9,10 +9,8 @@ import pytest
 
 from alcove.harmonic import (QuadratureGrid, gram_matrix, inner_product,
                              monomial_symmetric, weyl_character)
-from alcove.harmonic import chat_values
 from alcove.orthopoly import (KoornwinderParams,
                               MacdonaldParams, ParameterError,
-                              asymptotic_polynomial,
                               difference_equation_residual,
                               functional_relation_residual, gram_schmidt,
                               hopping_coefficient,
@@ -416,25 +414,9 @@ def test_monic_matches_rank1_ultraspherical(a1):
             assert abs(mine - askey_wilson(ell, u, oracle)) < 1e-10
 
 
-def test_asymptotic_polynomial(a1, a2):
-    # unit c-functions: P^infty = chi exactly
-    pu = asymptotic_polynomial(unit_spec(a2), a2, (2, 1), degree=3)
-    chi = weyl_character(a2, (2, 1))
-    for mu in pu.support() | chi.support():
-        assert abs(complex(pu.coeff(mu)) - complex(chi.coeff(mu))) < 1e-12
-    par = MacdonaldParams.create(a1, 2.0, 0.5)
-    spec = par.cspec()
-    for ell in (4, 5, 6):
-        p = asymptotic_polynomial(spec, a1, (ell,))
-        assert abs(complex(p.coeff((ell,))) - 1.0) < 1e-12
-        for mu in p.support():
-            if a1.is_dominant(mu):
-                assert a1.dominance_leq(mu, (ell,))
-
-
 def test_asymptotic_pairing(a1):
-    # <P^infty_lam, m_mu> ~ delta for mu <= lam, via the exact overall
-    # c-function on a grid (no Taylor truncation)
+    # <P^infty_lam, m_mu> ~ delta for mu <= lam, via the overall
+    # c-function on a grid
     g, q = 2.0, 0.5
     par = MacdonaldParams.create(a1, g, q)
     spec = par.cspec()
@@ -462,17 +444,6 @@ def test_asymptotic_pairing(a1):
             mvals = np.conjugate(H.monomial_symmetric(a1, (mu,)).eval_grid(grid))
             val = np.mean(psi_inf_w * mvals * weight * dconj) / a1.weyl_order()
             assert abs(val - (mu == ell)) < 1e-6
-
-
-def test_chat_taylor_truncation_consistency(a2, a2_macdonald):
-    # the truncated overall c-function converges to the grid evaluation
-    from alcove.orthopoly import truncated_overall_cfun
-    spec = a2_macdonald.cspec()
-    grid = QuadratureGrid(a2, 24)
-    exact = chat_values(spec, grid)
-    for deg, tol in [(4, 0.2), (10, 2e-3), (18, 1e-5)]:
-        approx = truncated_overall_cfun(spec, a2, deg).eval_grid(grid)
-        assert np.max(np.abs(approx - exact)) < tol
 
 
 def test_gram_schmidt_builds_no_grid_above_max_m(a2, monkeypatch):

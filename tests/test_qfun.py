@@ -34,7 +34,6 @@ def test_qpochhammer_bits_do_not_depend_on_array_size():
 def test_unit_cfunction():
     c = UnitC()
     assert c.eval(0.3 + 0.9j) == 1.0
-    assert list(c.taylor(4)) == [1.0, 0, 0, 0, 0]
 
 
 def test_macdonald_reduces_to_unit():
@@ -59,33 +58,6 @@ def test_certified_radius():
     assert np.min(np.abs(vals)) > 1e-6
     with pytest.raises(CFunctionError):
         c.eval(2.0 * c.rho)
-
-
-def test_taylor_first_coefficient():
-    # q-binomial theorem: (q^g z; q)/(q z; q) = sum (q^{g-1}; q)_n (qz)^n/(q;q)_n
-    for g, q in [(2.0, 0.5), (1.3, 0.6)]:
-        a = MacdonaldC(g=g, q=q).taylor(3)
-        assert abs(a[0] - 1.0) < 1e-13
-        assert abs(a[1] - (q - q**g) / (1 - q)) < 1e-12
-
-
-def test_taylor_reconstruction_and_reality():
-    c = KoornwinderShortC(0.9, 0.7, 0.6, 0.8, 0.45)
-    a = c.taylor(80)
-    rng = np.random.default_rng(0)
-    for _ in range(6):
-        z = rng.uniform(-0.7, 0.7) + 1j * rng.uniform(-0.7, 0.7)
-        series = sum(a[k] * z**k for k in range(len(a)))
-        assert abs(series - c.eval(z)) < 1e-12
-        assert abs(np.conj(c.eval(z)) - c.eval(np.conj(z))) < 1e-14
-
-
-def test_taylor_geometric_decay():
-    for c in (MacdonaldC(g=1.7, q=0.5), MacdonaldC(g=1.2, q=0.45)):
-        a = np.abs(c.taylor(40))
-        nz = np.nonzero(a > 1e-250)[0]
-        slope = np.polyfit(nz[1:], np.log(a[nz[1:]]), 1)[0]
-        assert slope < 0 and np.exp(slope) < 1.0 / 1.0001
 
 
 def test_shat_unitarity_and_symmetry():

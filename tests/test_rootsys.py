@@ -619,7 +619,8 @@ def test_grid_cfunctions_read_one_table_per_root():
 
 REMOVED_DUPLICATES = re.compile(
     r"_exact_unit_factorization|_ip_on_grid|KoornwinderLongC|eval_coords"
-    r"|cfun_taylor|_big_factorial")
+    r"|cfun_taylor|_big_factorial"
+    r"|asymptotic_polynomial|truncated_overall_cfun|symbol_is_real|def taylor|compose_weyl")
 
 
 def test_one_orthonormalization_route():

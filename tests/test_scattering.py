@@ -8,8 +8,8 @@ import pytest
 
 import alcove
 from alcove.cli import build_system
-from alcove.harmonic import (QuadratureGrid, eval_delta, orbit_symbol,
-                             weyl_character)
+from alcove.harmonic import (LaurentPoly, QuadratureGrid, eval_delta, monomial_symmetric,
+                             orbit_symbol, weyl_character)
 from alcove.laplacian import LatticeFunction, apply_fourier_conjugated, operator_matrix
 from alcove.orthopoly import MacdonaldParams, gram_schmidt
 from alcove.qfun import koornwinder_spec, shat_sqrt, unit_spec
@@ -314,6 +314,22 @@ def test_identity_sector_for_dominant_gradient(a1):
     ctx = ScatteringContext(tab, sym)
     k = int(np.nonzero(ctx.regular_mask)[0][5])
     assert ctx.regular_sector_element(k).word == ()
+
+
+def test_symbol_with_imaginary_coefficients_is_real(a2, a2_system):
+    # realness is exact: terms closed under mu -> -mu with conjugate
+    # coefficients, so i(m_w1 - m_w2) = -2 Im m_w1 is a real symbol
+    sym = 1j * (monomial_symmetric(a2, (1, 0)) - monomial_symmetric(a2, (0, 1)))
+    ctx = ScatteringContext(WaveTable(a2_system, QuadratureGrid(a2, 40)), sym)
+    assert np.max(np.abs(ctx.symbol_values - sym.eval_grid(ctx.grid))) <= 1e-15
+    assert np.count_nonzero(ctx.regular_mask) > 0
+
+
+def test_near_symmetric_float_symbol_is_refused(a1_ctx):
+    # |Im E| reaches 5e-6 on the torus, which taking .real would drop
+    near = LaurentPoly(a1_ctx.rs, {(2,): 1.0, (-2,): 1.000005})
+    with pytest.raises(ValueError, match="real multiplication symbol"):
+        ScatteringContext(a1_ctx.table, near)
 
 
 def test_smatrix_apply_unitary(a1_ctx):
