@@ -208,11 +208,17 @@ def weight_tops(cfg: dict, rs) -> list:
         return tops
     h = _nonnegative(wc.get("max_height", 2), "weights.max_height")
     import itertools
-    box = [c for c in itertools.product(range(h + 1), repeat=rs.rank)
-           if 0 < sum(c) <= h]
-    maximal = [c for c in box
-               if not any(c != d and rs.dominance_leq(c, d) for d in box)]
-    return maximal or [(0,) * rs.rank]
+    # the gaps between rs.rank bars among h + rs.rank slots: the points
+    # c >= 0 with sum(c) <= h, in lexicographic order, 0 first
+    bars = np.array(list(itertools.combinations(range(h + rs.rank), rs.rank)))
+    box = (np.diff(bars, axis=1, prepend=-1) - 1)[1:]
+    maximal = np.ones(len(box), dtype=bool)
+    for k, d in enumerate(box):
+        if maximal[k]:  # what lies below d lies below a maximal point
+            below = rs.dominance_leq(box, d)
+            below[k] = False
+            maximal &= ~below
+    return [tuple(c) for c in box[maximal].tolist()] or [(0,) * rs.rank]
 
 
 def tolerances(cfg: dict) -> dict:

@@ -205,18 +205,6 @@ def weyl_character(rs: RootSystem, lam) -> LaurentPoly:
     return laurent_divide(num, weyl_denominator(rs))
 
 
-def weyl_character_extended(rs: RootSystem, lam) -> LaurentPoly:
-    """chi_lambda for arbitrary lam in P, via the reflection boundary rule."""
-    lam = tuple(lam)
-    shifted = tuple(a + b for a, b in zip(rs.rho_coords, lam))
-    dom, sign, regular = rs.dominant_representative(shifted)
-    if not regular:
-        return LaurentPoly.zero(rs)
-    back = tuple(a - b for a, b in zip(dom, rs.rho_coords))
-    chi = weyl_character(rs, back)
-    return chi if sign == 1 else -chi
-
-
 def _phase_span(M: int, mus) -> tuple:
     """The least and greatest k = <index, mu> over the M^rank grid and the
     integer weights mus, exactly: every index coordinate runs from 0 to

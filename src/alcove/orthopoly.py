@@ -357,10 +357,6 @@ class OrthoPolySystem:
             self._pbold[key] = self.monic(lam) * norm_constants(params, lam).c_lam
         return self._pbold[key]
 
-    def normalized(self, params: PolyParams, lam) -> LaurentPoly:
-        """The closed-norm polynomial P_lam = N0^{-1/2} Delta^{1/2} c_lam p_lam."""
-        return self.monic(lam) * norm_constants(params, lam).orthonormal_scale
-
     def monomial_values(self, grid: QuadratureGrid) -> np.ndarray:
         """(grid.size, n) C-ordered, column j the values of monomials[j]."""
         out = np.empty((grid.size, len(self.monomials)), dtype=complex)
@@ -380,31 +376,17 @@ class OrthoPolySystem:
         return out
 
 
-def _validate_order(rs, weights) -> list:
-    order = list(weights)
-    for i, mu in enumerate(order):
-        for lam in order[i + 1:]:
-            if rs.dominance_leq(lam, mu) and lam != mu:
-                raise ValueError(f"order violates dominance: {lam} <= {mu}")
-    return order
-
-
-def gram_schmidt(rs: RootSystem, spec: CFunctionSpec, tops, order=None,
+def gram_schmidt(rs: RootSystem, spec: CFunctionSpec, tops,
                  tol: float = 1e-11, max_m: int = MAX_M) -> OrthoPolySystem:
-    """Orthonormalize the monomial basis below the given top weight(s).
+    """Orthonormalize the monomial basis below the given top weights, taken
+    in the one order of rs.saturated_weights (there is no custom order).
 
     For the unit weight the orthonormal polynomials are the Weyl characters
     (Weyl orthogonality), so coeff holds their exact integer weight
     multiplicities; otherwise the monomial Gram matrix from the quadrature
     ladder is Cholesky-factored.
     """
-    if tops and isinstance(tops[0], int):
-        tops = [tuple(tops)]
     weights = rs.saturated_weights([tuple(t) for t in tops])
-    if order is not None:
-        if set(order) != set(weights):
-            raise ValueError("custom order must contain exactly the saturated set")
-        weights = _validate_order(rs, order)
 
     m = orbit_first_rung(rs, weights)
     if not spec.is_unit:
@@ -588,27 +570,6 @@ def hopping_coefficient(params: PolyParams, nu, x: np.ndarray) -> float:
                 r = r * f(0.5 * s * (g + o + xa + l)) / den
             out *= r
     return out
-
-
-def functional_relation_residual(params: PolyParams, nu, x_vec) -> float:
-    """Defect of Delta(x+nu) V_{-nu}(rho_g+x+nu) = Delta(x) V_nu(rho_g+x).
-
-    Delta is the closed-form norm ratio evaluated at a real vector; since it
-    grows exponentially into the chamber the defect is normalized by the
-    magnitude of the two sides once they exceed unit size.
-    """
-    rho = params.rho_g()
-    x = np.asarray(x_vec, dtype=float)
-    nu_vec = params.rs.float_weight(nu)
-
-    def delta_at(v):
-        cp0, cm0 = params.rho_constants
-        return (cp0 * cm0) / (params.cplus(rho + v) * params.cminus(rho + v))
-
-    lhs = delta_at(x + nu_vec) * hopping_coefficient(
-        params, tuple(-c for c in nu), rho + x + nu_vec)
-    rhs = delta_at(x) * hopping_coefficient(params, nu, rho + x)
-    return abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
 
 
 def pieri_residual(params: PolyParams, system: OrthoPolySystem, lam, xi, pi):

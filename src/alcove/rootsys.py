@@ -513,11 +513,6 @@ class RootSystem:
         """w_0, found by dominantizing the negative of a regular weight."""
         return self.element(reversed(self.dominantize((-1,) * self.rank)[1]))
 
-    def minus_one_in_weyl_group(self) -> bool:
-        eye = range(self.rank)
-        return self.longest_element().matrix == tuple(
-            tuple(-int(i == j) for j in eye) for i in eye)
-
     # -- distinguished weights -------------------------------------------
 
     def minuscule_weights(self) -> list[Coords]:
@@ -533,12 +528,6 @@ class RootSystem:
         k = min((k for k, c in enumerate(coords) if self.is_dominant(c)),
                 key=lambda k: self.positive_len2[k])
         return coords[k]
-
-    def index_of_root_lattice(self) -> int:
-        """|P/Q| from the Q+ generators expressed in weight coordinates."""
-        mat = [list(self.vector_coords(a)) for a in self.gen_simples]
-        det = _determinant([[Fraction(x) for x in row] for row in mat])
-        return abs(int(det))
 
     # -- misc -------------------------------------------------------------
 
@@ -592,35 +581,11 @@ class RootSystem:
         # root it is positive exactly when the root is
         return sum(c * r for c, r in zip(mu, self._two_rho_vee))
 
-    def linear_extension(self, weights) -> list[Coords]:
-        """Sort weights by a fixed linear extension of the dominance order."""
-        return sorted(weights, key=lambda mu: (self._ext_key(mu), mu))
-
     def _name(self) -> str:
         return f"{self.label}{self.rank}"
 
     def __repr__(self) -> str:
         return f"RootSystem({self._name()}, |R+|={len(self.positive_roots)})"
-
-
-def _determinant(mat) -> Fraction:
-    n = len(mat)
-    a = [row[:] for row in mat]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = Fraction(1, 1) / a[col][col]
-        for r in range(col + 1, n):
-            if a[r][col] != 0:
-                f = a[r][col] * inv
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return det
 
 
 def weyl_order(label: str, rank: int, limit: int | None = None) -> int:

@@ -163,6 +163,41 @@ def test_unit_orthonormality_refuses_its_rung_before_any_character(tmp_path, cap
     assert "Gram ladder of 7 weights on A7 at M=34" in capsys.readouterr().err
 
 
+def _pairwise_tops(rs, h):
+    """The tops of weights.max_height h by the pairwise scan: the points of
+    the height box that lie below no other."""
+    import itertools
+    box = [c for c in itertools.product(range(h + 1), repeat=rs.rank)
+           if 0 < sum(c) <= h]
+    maximal = [c for c in box
+               if not any(c != d and rs.dominance_leq(c, d) for d in box)]
+    return maximal or [(0,) * rs.rank]
+
+
+@pytest.mark.parametrize("label,rank,heights", [
+    ("A", 2, (0, 2, 7, 20)), ("B", 2, (3, 9, 20)), ("G", 2, (5, 15)),
+    ("BC", 2, (4, 12)), ("A", 3, (3, 8)), ("C", 3, (4,))])
+def test_max_height_tops_match_the_pairwise_scan(label, rank, heights):
+    from alcove.cli import weight_tops
+    from alcove.rootsys import build_root_system
+    rs = build_root_system(label, rank)
+    for h in heights:
+        tops = weight_tops({"weights": {"max_height": h}}, rs)
+        assert tops == _pairwise_tops(rs, h)
+        assert all(type(c) is int for top in tops for c in top)
+
+
+def test_max_height_tops_on_a_tall_box():
+    # the pairwise scan took 11 s on A2 at h = 80
+    from alcove.cli import weight_tops
+    from alcove.rootsys import build_root_system
+    rs = build_root_system("A", 2)
+    start = time.perf_counter()
+    tops = weight_tops({"weights": {"max_height": 80}}, rs)
+    assert time.perf_counter() - start < 3.0
+    assert tops == [(k, 80 - k) for k in range(81)]
+
+
 # the example configuration of README.md
 README_EXAMPLE = {
     "root_system": {"label": "A", "rank": 2},

@@ -14,8 +14,7 @@ from alcove.harmonic import (LaurentPoly, QuadratureError, QuadratureGrid,
                              gram_bytes, gram_ladder, gram_matrix, inner_product,
                              laurent_divide, measure_values, monomial_symmetric, orbit_first_rung,
                              orbit_symbol, weight_function_eval, weight_function_values,
-                             weyl_character, weyl_character_extended,
-                             weyl_denominator)
+                             weyl_character, weyl_denominator)
 from alcove.orthopoly import MacdonaldParams, gram_schmidt
 from alcove.qfun import (MacdonaldC, koornwinder_spec, macdonald_spec,
                          qpochhammer_inf, shat_sqrt, unit_spec)
@@ -113,7 +112,9 @@ def test_laurent_divide_needs_a_unit_leading_coefficient(a2):
 
 
 def test_character_recurrence_with_boundary_rule(a2, b2):
-    # m_{omega_r} chi_lam = sum over the orbit with the reflection rule
+    # m_{omega_r} chi_lam = sum over the orbit of chi_{lam + nu}, with the
+    # reflection rule: chi_mu is sign(w) chi_{w(rho + mu) - rho} for the w
+    # that makes rho + mu dominant, and 0 when rho + mu lies on a wall
     for rs in (a2, b2):
         for lam in [(0, 0), (1, 0), (1, 1), (2, 1)]:
             for r in range(2):
@@ -121,8 +122,11 @@ def test_character_recurrence_with_boundary_rule(a2, b2):
                 lhs = monomial_symmetric(rs, omega) * weyl_character(rs, lam)
                 rhs = LaurentPoly.zero(rs)
                 for nu in rs.weyl_orbit(omega):
-                    shifted = tuple(a + b for a, b in zip(lam, nu))
-                    rhs = rhs + weyl_character_extended(rs, shifted)
+                    shifted = tuple(p + a + b for p, a, b in zip(rs.rho_coords, lam, nu))
+                    dom, sign, regular = rs.dominant_representative(shifted)
+                    if regular:
+                        chi = weyl_character(rs, tuple(a - p for a, p in zip(dom, rs.rho_coords)))
+                        rhs = rhs + chi if sign == 1 else rhs - chi
                 assert not (lhs - rhs).terms
 
 

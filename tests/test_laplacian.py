@@ -304,6 +304,21 @@ def test_operator_matrix_evaluates_each_rate_once(family, bc2, b2, monkeypatch):
 
 
 def test_all_names_resolve():
+    import importlib
+
+    import alcove
     import alcove.laplacian as laplacian
     missing = [name for name in laplacian.__all__ if not hasattr(laplacian, name)]
     assert not missing
+    # the package namespace: each exported name resolves through the PEP 562
+    # __getattr__ to its submodule's object, and dir() lists it
+    assert alcove.__all__ == sorted(alcove._EXPORTS)
+    for name, module in alcove._EXPORTS.items():
+        value = getattr(importlib.import_module(f"alcove.{module}"), name)
+        assert alcove.__getattr__(name) is value
+        assert getattr(alcove, name) is value
+    assert set(alcove.__all__) <= set(dir(alcove))
+    # a public name of a submodule that the package does not export
+    assert hasattr(importlib.import_module("alcove.harmonic"), "gram_ladder")
+    with pytest.raises(AttributeError, match="gram_ladder"):
+        alcove.gram_ladder

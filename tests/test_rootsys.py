@@ -12,7 +12,7 @@ import pytest
 
 import alcove
 from alcove.rootsys import (BudgetExceededError, RootSystem, build_root_system, coroot,
-                            dot, weyl_order, _determinant, _solve)
+                            dot, weyl_order, _solve)
 
 
 def test_basic_counts(a1, a2, bc2):
@@ -90,13 +90,9 @@ def test_minuscule_tables():
         rs = build_root_system(label, rank)
         assert set(rs.minuscule_weights()) == minus
         assert rs.quasi_minuscule_weight() == quasi
-        assert len(minus) == rs.index_of_root_lattice() - 1
 
 
-def test_longest_element(a1, a2, b2):
-    assert a1.minus_one_in_weyl_group()
-    assert not a2.minus_one_in_weyl_group()
-    assert b2.minus_one_in_weyl_group()
+def test_longest_element(a2, b2):
     # w0 maps the dominant chamber to its negative
     for rs in (a2, b2):
         w0 = rs.longest_element()
@@ -132,8 +128,7 @@ def test_group_closure_and_root_permutation(b2):
 
 def test_sign_equals_matrix_determinant(b2):
     for w in b2.weyl_group():
-        det = _determinant([list(row) for row in w.matrix])
-        assert det == w.sign
+        assert int(round(np.linalg.det(w.matrix))) == w.sign
 
 
 def test_dominant_rep_tracks_group(a2):
@@ -173,9 +168,9 @@ def test_saturated_weights(a2):
 
 
 def test_linear_extension_respects_dominance(b2):
+    # saturated_weights lists the weights in a linear extension of dominance
     sat = b2.saturated_weights([(3, 2), (2, 3)])
-    order = b2.linear_extension(sat)
-    pos = {mu: i for i, mu in enumerate(order)}
+    pos = {mu: i for i, mu in enumerate(sat)}
     for mu in sat:
         for nu in sat:
             if mu != nu and b2.dominance_leq(mu, nu):
@@ -335,7 +330,7 @@ def test_saturated_weights_match_per_candidate_scan(case):
             exp = rs.qplus_expansion(tuple(a - b for a, b in zip(top, cand)))
             if exp is not None and min(exp) >= 0:
                 found.add(cand)
-    assert rs.saturated_weights(tops) == rs.linear_extension(found)
+    assert rs.saturated_weights(tops) == sorted(found, key=lambda mu: (rs._ext_key(mu), mu))
     box = _box(rs, 3 if rs.rank <= 4 else 1)
     for top in tops:
         assert rs.dominance_leq(np.array(box), top).tolist() == \
@@ -438,7 +433,7 @@ def test_integer_weyl_action_matches_exact_reflections(case):
         assert rs.float_weights(images).tolist() == exact.tolist()
         winv = w.inverse()
         assert [winv.act(nu) for nu in images] == box
-        assert _determinant([[Fraction(x) for x in row] for row in w.matrix]) == w.sign
+        assert int(round(np.linalg.det(w.matrix))) == w.sign
         # composition, checked on a basis (both sides are linear)
         v = elements[(7 * k + 3) % len(elements)]
         assert [rs.element(w.word + v.word).act(e) for e in units] == \
@@ -620,7 +615,10 @@ def test_grid_cfunctions_read_one_table_per_root():
 REMOVED_DUPLICATES = re.compile(
     r"_exact_unit_factorization|_ip_on_grid|KoornwinderLongC|eval_coords"
     r"|cfun_taylor|_big_factorial"
-    r"|asymptotic_polynomial|truncated_overall_cfun|symbol_is_real|def taylor|compose_weyl")
+    r"|asymptotic_polynomial|truncated_overall_cfun|symbol_is_real|def taylor|compose_weyl"
+    r"|weyl_character_extended|index_of_root_lattice|minus_one_in_weyl_group|linear_extension"
+    r"|_validate_order|functional_relation_residual|def _determinant|def normalized\b"
+    r"|isinstance\(tops\[0\], int\)")
 
 
 def test_one_orthonormalization_route():
@@ -693,7 +691,7 @@ def test_dominantize_on_integer_boxes(case):
         assert w.act(mu) == image
         lam, sign, regular = rs.dominant_representative(mu)
         assert lam == image and regular == all(image)
-        assert sign == _determinant([[Fraction(x) for x in row] for row in w.matrix])
+        assert sign == int(round(np.linalg.det(w.matrix)))
 
 
 @pytest.mark.parametrize("case", VIEW_TYPES, ids=_case_id)
