@@ -346,7 +346,7 @@ def _regular_point(rs, rng):
 def _suite_orthonormality(rs, params, spec, cfg, tol):
     tops = weight_tops(cfg, rs)
     if spec.is_unit:
-        # refuse an oversized rung before gram_schmidt divides the characters
+        # refuse an oversized rung before gram_schmidt folds the characters
         weights = rs.saturated_weights(tops)
         check_ladder(rs, spec, len(weights), orbit_first_rung(rs, weights), MAX_M)
     system = gram_schmidt(rs, spec, tops)
@@ -500,8 +500,13 @@ def cmd_scatter(args) -> int:
         sign = _number(ev.get("sign", 1), "task.evolve.sign", int)
         if sign not in (1, -1):
             raise ConfigError(f"task.evolve.sign must be 1 or -1, got {sign}")
-        lmax = _nonnegative(ev.get("lattice_depth", 0), "task.evolve.lattice_depth") or \
-            int(3.2 * max(times) + 90.0 / radius) + 8
+        lmax = _nonnegative(ev.get("lattice_depth", 0), "task.evolve.lattice_depth")
+        if not lmax:
+            depth = 3.2 * max(times) + 90.0 / radius
+            if not math.isfinite(depth):
+                raise ConfigError(f"task.evolve.times {times} and radius {radius} give "
+                                  "no finite lattice depth; set task.evolve.lattice_depth")
+            lmax = int(depth) + 8
         tops = [(lmax,) * rs.rank]
         if rs.rank == 1:
             tops = [(lmax,), (lmax - 1,)]
@@ -599,9 +604,9 @@ def main(argv=None) -> int:
         description="Orthogonal polynomials on Weyl alcoves, lattice "
                     "Laplacians, and their scattering theory.",
         epilog="Exit codes: 0 ok; 2 config/parameter error; 3 size budget "
-               "exceeded (Weyl group, grid, Gram ladder bytes or max_m); 4 "
-               "verification failed; 5 window leakage or a packet outside the "
-               "regular sector; 1 unexpected error.")
+               "exceeded (Weyl group, weight box, grid, Gram ladder bytes or "
+               "max_m); 4 verification failed; 5 window leakage or a packet "
+               "outside the regular sector; 1 unexpected error.")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="verb", required=True)
 

@@ -2,8 +2,8 @@
 
 A LaurentPoly is a finite sum  sum_mu c_mu e^{i<mu, xi>}  with exponents mu
 in the weight lattice, stored sparsely by fundamental-weight coordinates.
-Coefficients may be exact (int) or complex; Weyl characters are built
-exactly by long division of alternating sums, in Python ints.
+Coefficients may be exact (int) or complex; Weyl characters carry integer
+multiplicities, found by folding Weyl orbits into the chamber.
 
 All normalized alcove integrals are realized as averages over the torus
 E / 2pi Q^vee on a uniform grid in a coroot-lattice basis.  The alcove of
@@ -159,50 +159,40 @@ def eval_delta(rs: RootSystem, xi) -> complex:
     return out
 
 
-def laurent_divide(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
-    """Exact long division num/den along the lexicographic exponent order.
+def weight_multiplicities(rs: RootSystem, weights) -> list:
+    """The integer matrix K with chi_nu = sum_mu K[nu][mu] m_mu, one row of
+    Python ints per weight; weights are saturated, in saturated_weights order.
 
-    The leading coefficient of den must be +-1, as the Weyl denominator's
-    is, so integer coefficients divide exactly in Python ints and must
-    cancel exactly.
+    m_nu delta is the sum of A_{eta + rho} over eta in the orbit of nu, and
+    dominant_representative folds each A_{eta + rho} to +-A_{mu + rho} or,
+    on a wall, to 0.  So m_nu is chi_nu plus +-chi_mu for the other folds,
+    each mu below nu and so earlier in weights: row nu is the unit vector
+    less sign times row mu for each of them.
     """
-    dlead = max(den.terms)
-    dcoeff = den.terms[dlead]
-    if dcoeff not in (1, -1):
-        raise ValueError(f"leading coefficient of the divisor must be +-1, got {dcoeff}")
-    rem = dict(num.terms)
-    quot: dict = {}
-    steps = 0
-    limit = 40 * (len(rem) + 1) * (len(den.terms) + 1)
-    while rem:
-        steps += 1
-        if steps > limit:
-            raise ArithmeticError("Laurent division did not terminate; "
-                                  "divisor does not divide the numerator")
-        m = max(rem)
-        c = rem.pop(m)
-        e = tuple(a - b for a, b in zip(m, dlead))
-        q = c * dcoeff  # dcoeff is +-1, its own inverse
-        quot[e] = quot.get(e, 0) + q
-        for k, v in den.terms.items():
-            if k == dlead:
-                continue
-            kk = tuple(a + b for a, b in zip(e, k))
-            nv = rem.get(kk, 0) - q * v
-            if nv == 0:
-                rem.pop(kk, None)
-            else:
-                rem[kk] = nv
-    return LaurentPoly(num.rs, quot)
+    index = {mu: i for i, mu in enumerate(weights)}
+    rho = rs.rho_coords
+    rows: list = []
+    for i, nu in enumerate(weights):
+        row = [int(j == i) for j in range(len(weights))]
+        for eta in rs.weyl_orbit(nu):
+            dom, sign, regular = rs.dominant_representative(
+                tuple(a + p for a, p in zip(eta, rho)))
+            mu = tuple(a - p for a, p in zip(dom, rho))
+            if regular and mu != nu:
+                row = [x - sign * y for x, y in zip(row, rows[index[mu]])]
+        rows.append(row)
+    return rows
 
 
 def weyl_character(rs: RootSystem, lam) -> LaurentPoly:
-    """chi_lambda by exact division of alternating sums (integer output)."""
-    lam = tuple(lam)
-    if not rs.is_dominant(lam):
-        raise ValueError(f"{lam} is not dominant")
-    num = alternating_sum(rs, tuple(a + b for a, b in zip(rs.rho_coords, lam)))
-    return laurent_divide(num, weyl_denominator(rs))
+    """chi_lambda with its integer multiplicities (weight_multiplicities),
+    terms in descending exponent order; saturated_weights refuses a lambda
+    that is not dominant."""
+    weights = rs.saturated_weights([tuple(lam)])
+    terms: dict = {}
+    for mu, k in zip(weights, weight_multiplicities(rs, weights)[-1]):
+        terms.update(dict.fromkeys(rs.weyl_orbit(mu), k))
+    return LaurentPoly(rs, dict(sorted(terms.items(), reverse=True)))
 
 
 def _phase_span(M: int, mus) -> tuple:

@@ -22,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from .harmonic import (MAX_M, LaurentPoly, QuadratureGrid, check_ladder, gram_ladder,
-                       monomial_symmetric, orbit_first_rung, weyl_character)
+                       monomial_symmetric, orbit_first_rung, weight_multiplicities)
 from .qfun import (CFunctionSpec, koornwinder_factors, koornwinder_spec,
                    macdonald_factors, macdonald_spec, qpochhammer_inf)
 from .rootsys import RootSystem
@@ -395,9 +395,7 @@ def gram_schmidt(rs: RootSystem, spec: CFunctionSpec, tops,
         check_ladder(rs, spec, len(weights), m, max_m)
     monos = [monomial_symmetric(rs, mu) for mu in weights]
     if spec.is_unit:
-        chars = [weyl_character(rs, lam) for lam in weights]
-        coeff = np.array([[chi.coeff(mu) for mu in weights] for chi in chars],
-                         dtype=float)
+        coeff = np.array(weight_multiplicities(rs, weights), dtype=float)
         return OrthoPolySystem(rs, spec, weights, monos, coeff, m, 1.0)
 
     gram, m = gram_ladder(monos, spec, m, tol, max_m)

@@ -47,7 +47,8 @@ DEFAULT_WEYL_BUDGET = 100_000
 # points of one quadrature grid, M^rank; checked before the grid is built
 GRID_POINT_BUDGET = 1 << 24
 # bytes of one dense allocation: a rung of the Gram ladder (values plus one
-# weighted row block) or an operator matrix; checked before it is allocated
+# weighted row block), an operator matrix or the candidate box of
+# saturated_weights; checked before it is allocated
 GRAM_BYTES_BUDGET = 2 << 30
 
 
@@ -568,10 +569,16 @@ class RootSystem:
                 raise ValueError(f"top weight {top} is not dominant")
             # squared lengths scaled by _weight_den**2 are integers; the
             # candidates are the box of coordinates c_j with
-            # c_j^2 |omega_j|^2 <= |top|^2
-            tv = np.asarray(top, dtype=np.int64) @ self._weight_num
-            norm2 = int(tv @ tv)
-            bounds = [math.isqrt(norm2 // int(w @ w)) + 1 for w in self._weight_num]
+            # c_j^2 |omega_j|^2 <= |top|^2, sized in Python ints before the
+            # box is built
+            num = self._weight_num.tolist()
+            tv = [sum(c * w for c, w in zip(top, col)) for col in zip(*num)]
+            norm2 = sum(x * x for x in tv)
+            bounds = [math.isqrt(norm2 // sum(x * x for x in w)) + 1 for w in num]
+            required = 8 * self.rank * math.prod(bounds)
+            if required > GRAM_BYTES_BUDGET:
+                raise BudgetExceededError(f"weight box below {top} on {self._name()}",
+                                          required, GRAM_BYTES_BUDGET, "bytes")
             box = np.indices(bounds).reshape(self.rank, -1).T
             found.update(map(tuple, box[self.dominance_leq(box, top)].tolist()))
         return sorted(found, key=lambda mu: (self._ext_key(mu), mu))

@@ -148,19 +148,71 @@ def test_grid_budget_exit_code(tmp_path, capsys):
 def test_unit_orthonormality_refuses_its_rung_before_any_character(tmp_path, capsys,
                                                                     monkeypatch):
     # A7 unit with max_height 1: 7 weights whose rung M=34 needs 34^7 grid
-    # points; refused before a Weyl character (|W| = 40,320) is divided
+    # points; refused before a weight multiplicity (|W| = 40,320) is folded
     import alcove.orthopoly as orthopoly
 
     def refuse(*args):
-        raise AssertionError("character built")
+        raise AssertionError("multiplicities built")
 
-    monkeypatch.setattr(orthopoly, "weyl_character", refuse)
+    monkeypatch.setattr(orthopoly, "weight_multiplicities", refuse)
     cfg = _cfg(tmp_path, "a7.json", {"root_system": {"label": "A", "rank": 7},
                                      "weights": {"max_height": 1}})
     start = time.perf_counter()
     assert main(["verify", "--suite", "orthonormality", "--config", cfg]) == 3
     assert time.perf_counter() - start < 2.0
     assert "Gram ladder of 7 weights on A7 at M=34" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("verb,payload,code,message", [
+    (["scatter", "--evolve"], {"root_system": {"label": "BC", "rank": 1},
+                               "task": {"evolve": {"times": [1e308, 1]}}},
+     2, "give no finite lattice depth"),
+    (["scatter", "--evolve"], {"root_system": {"label": "BC", "rank": 1},
+                               "task": {"evolve": {"radius": 1e-300}}},
+     3, "weight box below"),
+    (["scatter", "--evolve"], {"root_system": {"label": "A", "rank": 2},
+                               "task": {"evolve": {"radius": 1e-3}}},
+     3, "weight box below (90110, 90110) on A2 has 389755484416 bytes"),
+    (["scatter", "--ray"], {"root_system": {"label": "A", "rank": 2},
+                            "task": {"ray": {"steps": 100000}}},
+     3, "weight box below (100000, 100000) on A2"),
+    (["export", "polynomials"], {"root_system": {"label": "A", "rank": 2},
+                                 "weights": {"tops": [[1e22, 1]]}},
+     3, "weight box below (10000000000000000000000, 1) on A2"),
+    (["export", "operator"], {"root_system": {"label": "A", "rank": 2},
+                              "weights": {"tops": [[10000, 10000]]}},
+     3, "weight box below (10000, 10000) on A2 has 4800272656 bytes"),
+])
+def test_oversized_configs_are_refused_before_they_are_enumerated(tmp_path, capsys, verb,
+                                                                   payload, code, message):
+    cfg = _cfg(tmp_path, "big.json", payload)
+    start = time.perf_counter()
+    assert main(verb + ["--config", cfg, "--out", str(tmp_path / "out")]) == code
+    assert time.perf_counter() - start < 2.0
+    assert message in capsys.readouterr().err
+
+
+def test_unit_polynomials_of_e6(tmp_path):
+    # |W| = 51,840: the unit table is folded from the orbits, with no division
+    cfg = _cfg(tmp_path, "e6.json", {"root_system": {"label": "E", "rank": 6},
+                                     "weights": {"max_height": 1}})
+    start = time.perf_counter()
+    assert main(["export", "polynomials", "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert time.perf_counter() - start < 5.0
+    table = json.loads((tmp_path / "polynomials.json").read_text())["coefficients"]
+    # the 650-dimensional character: 20 + 5 * 72 + 270 over the orbits of
+    # 0, of the highest root and of the top
+    assert table["1,0,0,0,0,1"] == {"0,0,0,0,0,0": [20.0, 0.0], "0,1,0,0,0,0": [5.0, 0.0],
+                                    "1,0,0,0,0,1": [1.0, 0.0]}
+
+
+def test_unit_ray_of_g2_at_seventeen_steps(tmp_path, capsys):
+    # the table's top (17, 17) is past the weight where a step-limited
+    # Laurent division once gave up
+    cfg = _cfg(tmp_path, "g2.json", {"root_system": {"label": "G", "rank": 2},
+                                     "task": {"ray": {"direction": [1, 1], "steps": 17}}})
+    assert main(["scatter", "--ray", "--config", cfg]) == 0
+    assert json.loads(capsys.readouterr().out)["ray"]["lambdas"][-1] == [17, 17]
 
 
 def _pairwise_tops(rs, h):

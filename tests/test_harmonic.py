@@ -1,5 +1,7 @@
 import functools
 import itertools
+import math
+import operator
 import os
 import subprocess
 import sys
@@ -12,9 +14,9 @@ import pytest
 from alcove.harmonic import (LaurentPoly, QuadratureError, QuadratureGrid,
                              alternating_sum, chat_values, delta_values, eval_delta, first_rung,
                              gram_bytes, gram_ladder, gram_matrix, inner_product,
-                             laurent_divide, measure_values, monomial_symmetric, orbit_first_rung,
+                             measure_values, monomial_symmetric, orbit_first_rung,
                              orbit_symbol, weight_function_eval, weight_function_values,
-                             weyl_character, weyl_denominator)
+                             weight_multiplicities, weyl_character, weyl_denominator)
 from alcove.orthopoly import MacdonaldParams, gram_schmidt
 from alcove.qfun import (MacdonaldC, koornwinder_spec, macdonald_spec,
                          qpochhammer_inf, shat_sqrt, unit_spec)
@@ -71,8 +73,8 @@ def test_characters(a2):
 
 
 def _fraction_divide(num, den):
-    """Long division num/den carried in Fractions, as laurent_divide once
-    did, with integral quotients read back as ints."""
+    """Long division num/den along the lexicographic exponent order, carried
+    in Fractions, with integral quotients read back as ints."""
     rem = {k: Fraction(c) for k, c in num.terms.items()}
     dlead = max(den.terms)
     quot = {}
@@ -91,7 +93,8 @@ def _fraction_divide(num, den):
     return {k: int(c) for k, c in quot.items()}
 
 
-@pytest.mark.parametrize("label,rank", [("A", 3), ("B", 3), ("G", 2), ("D", 4)])
+@pytest.mark.parametrize("label,rank", [("A", 3), ("B", 3), ("G", 2), ("D", 4),
+                                        ("BC", 2), ("C", 2)])
 def test_characters_divide_in_ints(label, rank):
     rs = build_root_system(label, rank)
     den = weyl_denominator(rs)
@@ -103,12 +106,35 @@ def test_characters_divide_in_ints(label, rank):
         assert all(type(c) is int for c in chi.terms.values())
 
 
-def test_laurent_divide_needs_a_unit_leading_coefficient(a2):
-    num = LaurentPoly(a2, {(2, 0): 2, (0, 0): -2})
-    with pytest.raises(ValueError, match="leading coefficient"):
-        laurent_divide(num, LaurentPoly(a2, {(1, 0): 2, (0, 0): 2}))
-    quot = laurent_divide(num, LaurentPoly(a2, {(1, 0): -1, (0, 0): 1}))
-    assert quot.terms == {(1, 0): -2, (0, 0): -2}
+@pytest.mark.parametrize("label,rank,lam", [("A", 2, (26, 26)), ("B", 2, (22, 22)),
+                                            ("G", 2, (17, 17))])
+def test_character_times_delta_is_the_alternating_sum(label, rank, lam):
+    # the Weyl character formula chi delta = A_{lam + rho}, exactly, where a
+    # long division guarded by a step limit once gave up
+    rs = build_root_system(label, rank)
+    num = alternating_sum(rs, tuple(a + b for a, b in zip(rs.rho_coords, lam)))
+    assert not (weyl_character(rs, lam) * weyl_denominator(rs) - num).terms
+
+
+def _height_tops(rs, h):
+    return [c for c in itertools.product(range(h + 1), repeat=rs.rank) if 0 < sum(c) <= h]
+
+
+@pytest.mark.parametrize("label,rank,height", [
+    ("A", 7, 1), ("E", 6, 1), ("F", 4, 1), ("G", 2, 6), ("BC", 2, 6), ("B", 3, 3),
+    ("C", 3, 3), ("D", 4, 2)])
+def test_multiplicities_give_the_weyl_dimension(label, rank, height):
+    # sum_mu K[lam][mu] |W mu| = prod over R0+ of <lam + rho, a^vee> / <rho, a^vee>
+    rs = build_root_system(label, rank)
+    weights = rs.saturated_weights(_height_tops(rs, height))
+    for lam, row in zip(weights, weight_multiplicities(rs, weights)):
+        assert all(type(k) is int for k in row)
+        dim = sum(k * len(rs.weyl_orbit(mu)) for mu, k in zip(weights, row))
+        shifted = [a + p for a, p in zip(lam, rs.rho_coords)]
+        assert dim == math.prod(
+            Fraction(sum(map(operator.mul, shifted, pair)),
+                     sum(map(operator.mul, rs.rho_coords, pair)))
+            for pair in rs._pos0_coroot_pairings)
 
 
 def test_character_recurrence_with_boundary_rule(a2, b2):
