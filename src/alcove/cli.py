@@ -212,6 +212,9 @@ def weight_tops(cfg: dict, rs) -> list:
     # c >= 0 with sum(c) <= h, in lexicographic order, 0 first
     bars = np.array(list(itertools.combinations(range(h + rs.rank), rs.rank)))
     box = (np.diff(bars, axis=1, prepend=-1) - 1)[1:]
+    # theta_s is dominant and in Q+, so a point c with sum(c + theta_s) <= h
+    # lies below c + theta_s in the box: only the points above that can be tops
+    box = box[box.sum(axis=1) > h - sum(rs.quasi_minuscule_weight())]
     maximal = np.ones(len(box), dtype=bool)
     for k, d in enumerate(box):
         if maximal[k]:  # what lies below d lies below a maximal point
@@ -355,11 +358,10 @@ def _suite_orthonormality(rs, params, spec, cfg, tol):
     off = float(np.max(np.abs(gram - np.eye(len(polys)))))
     checks = [check_record("orthonormality", off, tol["orthonormality"])]
     if params is not None:
-        from .harmonic import inner_product
-        for lam in system.weights:
+        # p~_lam = (c_lam / leading) P_lam, and G[i, i] is (P_lam, P_lam)
+        for i, lam in enumerate(system.weights):
             nd = norm_constants(params, lam)
-            pb = system.pbold(params, lam)
-            val = inner_product(pb, pb, spec).real
+            val = (nd.c_lam / system.leading(lam)) ** 2 * gram[i, i].real
             res = abs(val - nd.n0 / nd.delta) / (nd.n0 / nd.delta)
             checks.append(check_record(f"closed norm {lam}", res, tol["norms"]))
     return checks
@@ -416,16 +418,6 @@ SUITES = {
 
 def cmd_verify(args) -> int:
     cfg = load_config(args.config) if args.config else {}
-    if args.tol:
-        given = _section(cfg, "tolerances")
-        cfg["tolerances"] = given
-        try:
-            tol = json.loads(args.tol)
-        except ValueError as exc:
-            raise ConfigError(f"--tol must be a JSON object: {exc}") from exc
-        if not isinstance(tol, dict):
-            raise ConfigError(f"--tol must be a JSON object, got {args.tol}")
-        given.update(tol)
     rs, params, spec = build_system(cfg)
     suite = SUITES.get(args.suite)
     if suite is None:
@@ -460,7 +452,12 @@ def cmd_scatter(args) -> int:
         if steps < 2:
             raise ConfigError(f"task.ray.steps must be at least 2 for a fit, got {steps}")
         lambdas = [tuple(l * d for d in direction) for l in range(1, steps + 1)]
-        system = gram_schmidt(rs, spec, [lambdas[-1], lambdas[-2]])
+        # step j lies below step k exactly when (k - j) d is in Q, so the
+        # last o steps top them all, o the least o >= 1 with o d in Q (or
+        # every step, when o is larger)
+        o = next((o for o, lam in enumerate(lambdas, 1)
+                  if rs.dominance_leq((0,) * rs.rank, lam)), steps)
+        system = gram_schmidt(rs, spec, lambdas[-o:])
         m = table_grid_m(cfg, system)
         rep = convergence_report(WaveTable(system, QuadratureGrid(rs, m)), lambdas)
         if args.out:
@@ -604,9 +601,9 @@ def main(argv=None) -> int:
         description="Orthogonal polynomials on Weyl alcoves, lattice "
                     "Laplacians, and their scattering theory.",
         epilog="Exit codes: 0 ok; 2 config/parameter error; 3 size budget "
-               "exceeded (Weyl group, weight box, grid, Gram ladder bytes or "
-               "max_m); 4 verification failed; 5 window leakage or a packet "
-               "outside the regular sector; 1 unexpected error.")
+               "exceeded (Weyl group, weight box, grid, Gram ladder or monomial "
+               "table bytes, or max_m); 4 verification failed; 5 window leakage "
+               "or a packet outside the regular sector; 1 unexpected error.")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="verb", required=True)
 
@@ -615,7 +612,6 @@ def main(argv=None) -> int:
                           choices=sorted(SUITES))
     p_verify.add_argument("--config", help="JSON configuration file")
     p_verify.add_argument("--out", help="write the JSON report here")
-    p_verify.add_argument("--tol", help="JSON dict overriding tolerances")
 
     p_scatter = sub.add_parser("scatter", help="convergence/evolution diagnostics")
     p_scatter.add_argument("--ray", action="store_true")

@@ -184,13 +184,8 @@ def window_sites(packet: WavePacket, t: float, inflation: float = 1.5,
                  margin: int = 10) -> list:
     """Dominant weights covering t * (inflated velocity box) plus a margin."""
     lo, hi = _coord_bounds(packet, t, inflation, margin)
-    rs = packet.rs
-    out = []
-    for c in itertools.product(*(range(int(l), int(h) + 1)
-                                 for l, h in zip(lo, hi))):
-        if rs.is_dominant(c):
-            out.append(tuple(int(x) for x in c))
-    return sorted(out)
+    # the bounds are clipped at 0, and the product of ascending ranges is sorted
+    return list(itertools.product(*map(range, lo.tolist(), (hi + 1).tolist())))
 
 
 def classical_support(packet: WavePacket, t: float) -> list:
@@ -232,12 +227,9 @@ def interacting_packet(packet: WavePacket, sign: int, t: float,
 def asymptotic_packet(packet: WavePacket, sign: int, t: float,
                       window) -> LatticeFunction:
     vals = packet.scattered(sign) * np.exp(-1j * t * packet.ctx.symbol_values)
-    out = {}
-    for lam, kern in zip(window, packet.asymptotic_kernels(window)):
-        c = complex(np.mean(vals * kern))
-        if c != 0:
-            out[tuple(lam)] = c
-    return LatticeFunction(packet.rs, out)
+    return LatticeFunction(packet.rs, {
+        lam: complex(np.mean(vals * kern))
+        for lam, kern in zip(window, packet.asymptotic_kernels(window))})
 
 
 def classical_packet(packet: WavePacket, t: float) -> LatticeFunction:

@@ -83,9 +83,6 @@ class LaurentPoly:
 
     __rmul__ = __mul__
 
-    def __neg__(self):
-        return LaurentPoly(self.rs, {mu: -c for mu, c in self.terms.items()})
-
     def coeff(self, mu):
         return self.terms.get(tuple(mu), 0)
 

@@ -46,22 +46,11 @@ class LatticeFunction:
     def norm(self) -> float:
         return math.sqrt(sum(abs(v) ** 2 for v in self.data.values()))
 
-    def __add__(self, other):
-        out = dict(self.data)
-        for k, v in other.data.items():
-            out[k] = out.get(k, 0j) + v
-        return LatticeFunction(self.rs, out)
-
     def __sub__(self, other):
         out = dict(self.data)
         for k, v in other.data.items():
             out[k] = out.get(k, 0j) - v
         return LatticeFunction(self.rs, out)
-
-    def __mul__(self, scalar):
-        return LatticeFunction(self.rs, {k: v * scalar for k, v in self.data.items()})
-
-    __rmul__ = __mul__
 
     def restricted(self, window) -> "LatticeFunction":
         win = {tuple(w) for w in window}

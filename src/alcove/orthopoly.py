@@ -25,7 +25,7 @@ from .harmonic import (MAX_M, LaurentPoly, QuadratureGrid, check_ladder, gram_la
                        monomial_symmetric, orbit_first_rung, weight_multiplicities)
 from .qfun import (CFunctionSpec, koornwinder_factors, koornwinder_spec,
                    macdonald_factors, macdonald_spec, qpochhammer_inf)
-from .rootsys import RootSystem
+from .rootsys import GRAM_BYTES_BUDGET, BudgetExceededError, RootSystem
 
 
 # ---------------------------------------------------------------------------
@@ -326,9 +326,6 @@ class OrthoPolySystem:
         self.cond = cond
         self._pbold: dict = {}
 
-    def __contains__(self, lam) -> bool:
-        return tuple(lam) in self.index
-
     def leading(self, lam) -> float:
         i = self.index[tuple(lam)]
         return float(self.coeff[i, i].real)
@@ -358,8 +355,14 @@ class OrthoPolySystem:
         return self._pbold[key]
 
     def monomial_values(self, grid: QuadratureGrid) -> np.ndarray:
-        """(grid.size, n) C-ordered, column j the values of monomials[j]."""
-        out = np.empty((grid.size, len(self.monomials)), dtype=complex)
+        """(grid.size, n) C-ordered, column j the values of monomials[j]; its
+        bytes are checked against GRAM_BYTES_BUDGET first."""
+        n = len(self.monomials)
+        if 16 * n * grid.size > GRAM_BYTES_BUDGET:
+            raise BudgetExceededError(
+                f"monomial table of {n} weights on {self.rs._name()} at M={grid.M}",
+                16 * n * grid.size, GRAM_BYTES_BUDGET, "bytes")
+        out = np.empty((grid.size, n), dtype=complex)
         grid.eval_polys(self.monomials, out=out.T)
         return out
 

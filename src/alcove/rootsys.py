@@ -47,8 +47,8 @@ DEFAULT_WEYL_BUDGET = 100_000
 # points of one quadrature grid, M^rank; checked before the grid is built
 GRID_POINT_BUDGET = 1 << 24
 # bytes of one dense allocation: a rung of the Gram ladder (values plus one
-# weighted row block), an operator matrix or the candidate box of
-# saturated_weights; checked before it is allocated
+# weighted row block), an operator matrix, a monomial table or the candidate
+# box of saturated_weights; checked before it is allocated
 GRAM_BYTES_BUDGET = 2 << 30
 
 
@@ -480,16 +480,16 @@ class RootSystem:
         ident = tuple(tuple(int(i == j) for j in range(self.rank)) for i in range(self.rank))
         return reduce(self._times_simple, word, WeylElement((), ident, ident))
 
-    def weyl_group(self, max_order: int = DEFAULT_WEYL_BUDGET) -> tuple[WeylElement, ...]:
+    def weyl_group(self) -> tuple[WeylElement, ...]:
         """Enumerate W by breadth-first closure under right multiplication by
         the simple reflections.  rho is regular, so w is fixed by w^{-1}(rho),
         and (w r_i)^{-1}(rho) = r_i(w^{-1}(rho)): the closure runs on that
         orbit and builds each element's matrices once."""
         if self._weyl is None:
-            order_bound = weyl_order(self.label, self.rank, max_order)
-            if order_bound > max_order:
+            order_bound = weyl_order(self.label, self.rank, DEFAULT_WEYL_BUDGET)
+            if order_bound > DEFAULT_WEYL_BUDGET:
                 raise BudgetExceededError(f"Weyl group of {self._name()}",
-                                          order_bound, max_order, at_least=True)
+                                          order_bound, DEFAULT_WEYL_BUDGET, at_least=True)
             seen = {self.rho_coords: self.element(())}
             frontier = [self.rho_coords]
             while frontier:
@@ -502,9 +502,6 @@ class RootSystem:
                             nxt.append(img)
                 frontier = nxt
             self._weyl = tuple(seen.values())
-        if len(self._weyl) > max_order:
-            raise BudgetExceededError(f"Weyl group of {self._name()}",
-                                      len(self._weyl), max_order)
         return self._weyl
 
     def weyl_order(self) -> int:

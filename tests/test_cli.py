@@ -215,6 +215,24 @@ def test_unit_ray_of_g2_at_seventeen_steps(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["ray"]["lambdas"][-1] == [17, 17]
 
 
+@pytest.mark.parametrize("config,steps", [
+    # (1, 2) has order 3 in P/Q: steps 3 and 6 are in one coset, 1 and 4 and
+    # 2 and 5 in two others, so the last two steps left 1 and 4 untopped
+    ({"root_system": {"label": "A", "rank": 2},
+      "cfunctions": {"family": "macdonald", "g": 1.3, "q": 0.5},
+      "task": {"ray": {"direction": [1, 2], "steps": 6}}}, 6),
+    # (1, 1, 2) has order 4 in P/Q = Z/4: every step is in its own coset
+    ({"root_system": {"label": "A", "rank": 3},
+      "task": {"ray": {"direction": [1, 1, 2], "steps": 3}}}, 3),
+])
+def test_ray_table_tops_every_coset_of_the_direction(tmp_path, capsys, config, steps):
+    cfg = _cfg(tmp_path, "ray.json", config)
+    assert main(["scatter", "--ray", "--config", cfg]) == 0
+    direction = config["task"]["ray"]["direction"]
+    rep = json.loads(capsys.readouterr().out)["ray"]
+    assert rep["lambdas"] == [[k * d for d in direction] for k in range(1, steps + 1)]
+
+
 def _pairwise_tops(rs, h):
     """The tops of weights.max_height h by the pairwise scan: the points of
     the height box that lie below no other."""
@@ -240,14 +258,16 @@ def test_max_height_tops_match_the_pairwise_scan(label, rank, heights):
 
 
 def test_max_height_tops_on_a_tall_box():
-    # the pairwise scan took 11 s on A2 at h = 80
+    # the pairwise scan took 11 s on A2 at h = 80, and the scan of the whole
+    # box 42 s at h = 1000
     from alcove.cli import weight_tops
     from alcove.rootsys import build_root_system
     rs = build_root_system("A", 2)
-    start = time.perf_counter()
-    tops = weight_tops({"weights": {"max_height": 80}}, rs)
-    assert time.perf_counter() - start < 3.0
-    assert tops == [(k, 80 - k) for k in range(81)]
+    for h in (80, 1000):
+        start = time.perf_counter()
+        tops = weight_tops({"weights": {"max_height": h}}, rs)
+        assert time.perf_counter() - start < 3.0
+        assert tops == [(k, h - k) for k in range(h + 1)]
 
 
 # the example configuration of README.md
@@ -476,7 +496,6 @@ def test_unknown_suite(tmp_path):
     (["scatter", "--evolve"], {"task": {"evolve": {"center": "c"}}}),
     (["scatter", "--ray"], {"grid": {"M": "m"}}),
     (["verify", "--suite", "smatrix"], {"tolerances": {"smatrix": "t"}}),
-    (["verify", "--tol", "x"], {}),
     (["scatter", "--evolve"], {"task": {"evolve": {"center": [1.0]}}}),
     # evolve values that crashed, and verify sizes that checked nothing
     (["scatter", "--evolve"], {"task": {"evolve": {"sign": 3}}}),
@@ -497,19 +516,13 @@ def test_unknown_suite(tmp_path):
     (["scatter", "--ray", "--evolve"], {}),
     # tolerances that were ignored (unknown keys) or failed every check (NaN)
     (["verify", "--suite", "appendixA"], {"tolerances": {"peiri": 1e-30}}),
-    (["verify", "--suite", "appendixA", "--tol", '{"peiri": 1e-30}'], {}),
     (["verify"], {"tolerances": {"norm": 1e-30}}),
     (["verify"], {"tolerances": {"norms": float("nan")}}),
-    (["verify", "--tol", '{"orthonormality": NaN}'], {}),
     (["verify"], {"tolerances": {"orthonormality": -1e-8}}),
     # infinite tolerances, which no residual can fail
-    (["verify", "--tol", '{"orthonormality": Infinity}'], {}),
     (["verify", "--suite", "appendixA"], {"tolerances": {"pieri": float("inf")}}),
-    # --tol merged into tolerances that are not an object
-    (["verify", "--tol", '{"free": 0}'], {"tolerances": [1]}),
-    # --tol that is not an object (a list of pairs was applied)
-    (["verify", "--tol", '[["smatrix", 1]]'], {}),
-    (["verify", "--tol", '[]'], {}),
+    # tolerances that are not an object
+    (["verify"], {"tolerances": [1]}),
     # numbers that are not finite (json.dumps writes NaN and Infinity)
     (["verify"], {"cfunctions": {"family": "macdonald", "g": float("nan"), "q": 0.5}}),
     (["export", "polynomials"], {"cfunctions": {"family": "macdonald",
@@ -598,7 +611,7 @@ def test_export_smatrix_default_grid_reaches_the_table_floor(tmp_path):
      "task.ray.steps must be at least 2"),
     (["scatter", "--evolve"], {"task": {"evolve": {"times": [8, 8]}}},
      "task.evolve.times must hold at least two distinct times"),
-    (["verify", "--tol", '[["smatrix", 1]]'], {}, "--tol must be a JSON object"),
+    (["verify"], {"tolerances": [1]}, "tolerances must be an object, got [1]"),
     # labels that are not strings (each exited 1 from the root-system cache)
     (["verify"], {"root_system": {"label": ["A"], "rank": 1}},
      "root_system.label must be a string"),
@@ -681,6 +694,19 @@ def test_b3_ray_exits_on_gram_budget_before_a_rung(tmp_path, capsys, monkeypatch
                  "--out", str(tmp_path / "ray.csv")]) == 3
     assert not built and not orbits and not (tmp_path / "ray.csv").exists()
     assert "117 weights on B3 at M=164" in capsys.readouterr().err
+
+
+def test_ray_exits_on_the_monomial_table_budget_before_allocating(tmp_path, capsys):
+    # 1406 weights at M=110: 16 n M^3 bytes, 27.9 GiB, used to be asked of
+    # np.empty (MemoryError, exit 1)
+    cfg = _cfg(tmp_path, "a3.json", {
+        "root_system": {"label": "A", "rank": 3},
+        "task": {"ray": {"direction": [2, 2, 2], "steps": 6}}})
+    assert main(["scatter", "--ray", "--config", cfg,
+                 "--out", str(tmp_path / "ray.csv")]) == 3
+    assert not (tmp_path / "ray.csv").exists()
+    assert ("monomial table of 1406 weights on A3 at M=110 has 29942176000 bytes"
+            in capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("argv,config,module", [
@@ -774,6 +800,55 @@ def test_smatrix_factor_row_checks_direct_factor(tmp_path, monkeypatch, config):
     assert main(argv) == 4
     row = json.loads(out.read_text())["checks"][1]
     assert not row["pass"] and row["residual"] > 9e-13
+
+
+@pytest.mark.parametrize("config", [
+    {**A2_MACDONALD, "weights": {"tops": [[2, 2]]}},
+    {**BC2_KOORNWINDER, "weights": {"tops": [[2, 1]]}}])
+def test_closed_norms_off_the_gram_match_the_quadrature(tmp_path, monkeypatch, config):
+    # with the closed form N0 / Delta replaced by the quadrature of
+    # (p~_lam, p~_lam) on its own ladder, each closed-norm residual is the
+    # distance of the suite's norm from that quadrature
+    import alcove.cli as cli
+    from alcove.harmonic import inner_product
+    from alcove.orthopoly import NormData, gram_schmidt, norm_constants
+    rs, params, spec = build_system(config)
+    system = gram_schmidt(rs, spec, config["weights"]["tops"])
+    quadrature = {lam: inner_product(system.pbold(params, lam), system.pbold(params, lam),
+                                     spec).real for lam in system.weights}
+    monkeypatch.setattr(cli, "norm_constants", lambda params, lam: NormData(
+        1.0, quadrature[tuple(lam)], norm_constants(params, lam).c_lam))
+    out = tmp_path / "o.json"
+    assert main(["verify", "--config", _cfg(tmp_path, "o.json", config),
+                 "--out", str(out)]) == 0
+    norms = [c for c in json.loads(out.read_text())["checks"]
+             if c["check"].startswith("closed norm")]
+    assert len(norms) == len(system.weights)
+    assert all(c["residual"] <= 1e-12 for c in norms)
+
+
+def test_orthonormality_suite_runs_one_gram_ladder(tmp_path, monkeypatch):
+    # the closed norms are read off the suite's Gram matrix: gram_schmidt's
+    # ladder is the only one
+    import alcove.harmonic as harmonic
+    import alcove.orthopoly as orthopoly
+    ladder = harmonic.gram_ladder
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(len(args[0]))
+        return ladder(*args, **kwargs)
+
+    monkeypatch.setattr(harmonic, "gram_ladder", counted)
+    monkeypatch.setattr(orthopoly, "gram_ladder", counted)
+    cfg = _cfg(tmp_path, "b2.json", {
+        "root_system": {"label": "B", "rank": 2},
+        "cfunctions": {"family": "macdonald", "g": {"1": 0.9, "2": 1.4}, "q": 0.5},
+        "weights": {"tops": [[3, 3]]}})
+    out = tmp_path / "o.json"
+    assert main(["verify", "--config", cfg, "--out", str(out)]) == 0
+    checks = json.loads(out.read_text())["checks"]
+    assert calls == [len(checks) - 1]
 
 
 @pytest.mark.parametrize("verb", [["verify"], ["export", "polynomials"],

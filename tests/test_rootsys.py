@@ -109,7 +109,7 @@ def test_weyl_enumeration_sizes(a2, bc2):
 def test_enumeration_budget():
     e7 = build_root_system("E", 7)
     with pytest.raises(BudgetExceededError) as err:
-        e7.weyl_group(max_order=100_000)
+        e7.weyl_group()
     assert err.value.required == 2903040
 
 
@@ -618,7 +618,7 @@ REMOVED_DUPLICATES = re.compile(
     r"|asymptotic_polynomial|truncated_overall_cfun|symbol_is_real|def taylor|compose_weyl"
     r"|weyl_character_extended|index_of_root_lattice|minus_one_in_weyl_group|linear_extension"
     r"|_validate_order|functional_relation_residual|def _determinant|def normalized\b"
-    r"|isinstance\(tops\[0\], int\)|laurent_divide|did not terminate")
+    r"|isinstance\(tops\[0\], int\)|laurent_divide|did not terminate|--tol|max_order")
 
 
 def test_one_orthonormalization_route():
