@@ -26,8 +26,7 @@ from .orthopoly import (KoornwinderParams, MacdonaldParams, ParameterError,
                         pieri_residual, specialization_residual,
                         symmetry_residual)
 from .qfun import unit_spec
-from .rootsys import (DEFAULT_WEYL_BUDGET, LABELS, BudgetExceededError, build_root_system,
-                      weyl_order)
+from .rootsys import LABELS, BudgetExceededError, build_root_system, check_weyl_order
 
 # laplacian, scattering and evolution are imported by the verbs and suites
 # that run them, so a process loads only what its verb needs
@@ -160,12 +159,8 @@ def build_system(cfg: dict):
         raise ConfigError(f"root_system.label must be a string, got {label!r}")
     rank = _number(rsc.get("rank", 1), "root_system.rank", int)
     try:
-        # a Weyl group over the budget is refused from its order, before
-        # anything is built (a huge rank stops the product early)
-        order = weyl_order(label, rank, DEFAULT_WEYL_BUDGET) if label in LABELS else 0
-        if order > DEFAULT_WEYL_BUDGET:
-            raise BudgetExceededError(f"Weyl group of {label}{rank}", order,
-                                      DEFAULT_WEYL_BUDGET, at_least=True)
+        if label in LABELS:
+            check_weyl_order(label, rank)
         rs = build_root_system(label, rank)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -208,13 +203,20 @@ def weight_tops(cfg: dict, rs) -> list:
         return tops
     h = _nonnegative(wc.get("max_height", 2), "weights.max_height")
     import itertools
-    # the gaps between rs.rank bars among h + rs.rank slots: the points
-    # c >= 0 with sum(c) <= h, in lexicographic order, 0 first
-    bars = np.array(list(itertools.combinations(range(h + rs.rank), rs.rank)))
-    box = (np.diff(bars, axis=1, prepend=-1) - 1)[1:]
-    # theta_s is dominant and in Q+, so a point c with sum(c + theta_s) <= h
-    # lies below c + theta_s in the box: only the points above that can be tops
-    box = box[box.sum(axis=1) > h - sum(rs.quasi_minuscule_weight())]
+    # theta_s is dominant and in Q+, so c with sum(c + theta_s) <= h lies below
+    # c + theta_s: only the shell low < sum(c) <= h can hold tops (0 is none),
+    # listed in lexicographic order, each head c_0 .. c_{rank-2} (the gaps
+    # between rank - 1 bars among h + rank - 1 slots) with its last coordinates
+    low = max(h - sum(rs.quasi_minuscule_weight()), 0)
+    bars = list(itertools.combinations(range(h + rs.rank - 1), rs.rank - 1))
+    heads = np.diff(np.array(bars, dtype=np.int64).reshape(len(bars), rs.rank - 1),
+                    axis=1, prepend=-1) - 1
+    sums = heads.sum(axis=1)
+    first = np.maximum(low + 1 - sums, 0)
+    counts = h + 1 - sums - first
+    box = np.column_stack([np.repeat(heads, counts, axis=0),
+                           np.repeat(first + counts - np.cumsum(counts), counts)
+                           + np.arange(counts.sum())])
     maximal = np.ones(len(box), dtype=bool)
     for k, d in enumerate(box):
         if maximal[k]:  # what lies below d lies below a maximal point
@@ -226,9 +228,7 @@ def weight_tops(cfg: dict, rs) -> list:
 
 def tolerances(cfg: dict) -> dict:
     given = _section(cfg, "tolerances")
-    for key, value in given.items():
-        if key not in TOLERANCES:
-            raise ConfigError(f"unknown tolerance {key!r}; have {sorted(TOLERANCES)}")
+    for key, value in given.items():  # check_keys refused every other key
         # NaN would fail every check, and Infinity would pass every one
         if _number(value, f"tolerances.{key}") < 0:
             raise ConfigError(f"tolerances.{key} must be nonnegative, got {value!r}")
@@ -416,13 +416,8 @@ SUITES = {
 }
 
 
-def cmd_verify(args) -> int:
-    cfg = load_config(args.config) if args.config else {}
-    rs, params, spec = build_system(cfg)
-    suite = SUITES.get(args.suite)
-    if suite is None:
-        raise ConfigError(f"unknown suite {args.suite!r}; have {sorted(SUITES)}")
-    checks = suite(rs, params, spec, cfg, tolerances(cfg))
+def cmd_verify(args, rs, params, spec, cfg) -> int:
+    checks = SUITES[args.suite](rs, params, spec, cfg, tolerances(cfg))
     ok = all(c["pass"] for c in checks)
     _report(args.out, {"suite": args.suite, "checks": checks, "pass": ok}, cfg)
     return EXIT_OK if ok else EXIT_CHECK_FAILED
@@ -432,94 +427,87 @@ def cmd_verify(args) -> int:
 # scatter
 
 
-def cmd_scatter(args) -> int:
-    from .scattering import ScatteringContext, WaveTable, convergence_report, grid_floor
-    cfg = load_config(args.config) if args.config else {}
-    rs, params, spec = build_system(cfg)
-    task = _section(cfg, "task")
-    if args.ray and args.evolve:
-        raise ConfigError("scatter takes one of --ray and --evolve, not both")
-    if args.ray:
-        ray = _section(task, "ray", "task.")
-        direction = tuple(_numbers(ray.get("direction", (1,) * rs.rank),
-                                   "task.ray.direction", int))
-        # along a wall m(lambda) = 0 at every step, and the fit has no line
-        if len(direction) != rs.rank or not rs.is_dominant(direction) \
-                or rs.min_coroot_pairing(direction) == 0:
-            raise ConfigError("task.ray.direction must be a dominant weight of rank "
-                              f"{rs.rank} with no zero coordinate, got {list(direction)}")
-        steps = _number(ray.get("steps", 6), "task.ray.steps", int)
-        if steps < 2:
-            raise ConfigError(f"task.ray.steps must be at least 2 for a fit, got {steps}")
-        lambdas = [tuple(l * d for d in direction) for l in range(1, steps + 1)]
-        # step j lies below step k exactly when (k - j) d is in Q, so the
-        # last o steps top them all, o the least o >= 1 with o d in Q (or
-        # every step, when o is larger)
-        o = next((o for o, lam in enumerate(lambdas, 1)
-                  if rs.dominance_leq((0,) * rs.rank, lam)), steps)
-        system = gram_schmidt(rs, spec, lambdas[-o:])
-        m = table_grid_m(cfg, system)
-        rep = convergence_report(WaveTable(system, QuadratureGrid(rs, m)), lambdas)
-        if args.out:
-            with open(args.out, "w", newline="") as fh:
-                wr = csv.writer(fh)
-                wr.writerow(["lambda", "m", "norm"])
-                for lam, mm, nn in zip(rep["lambdas"], rep["m"], rep["norms"]):
-                    wr.writerow([" ".join(map(str, lam)), mm, repr(float(nn))])
-        _report(None, {"ray": rep}, cfg)
-        return EXIT_OK
-    if args.evolve:
-        from .evolution import run_scattering_diagnostic
-        ev = _section(task, "evolve", "task.")
-        times = _numbers(ev.get("times", [4, 8, 16, 32]), "task.evolve.times")
-        if len(set(times)) < 2:
-            raise ConfigError("task.evolve.times must hold at least two distinct "
-                              f"times for a fit, got {times}")
-        if min(times) <= 0:
-            raise ConfigError(f"task.evolve.times must be positive, got {times}")
-        # a key that is present is read even when empty; an absent key takes
-        # its default
-        pi = tuple(_numbers(ev["orbit"], "task.evolve.orbit", int)) if "orbit" in ev \
-            else tuple(1 if j == 0 else 0 for j in range(rs.rank))
-        if len(pi) != rs.rank or not any(pi):
-            raise ConfigError(f"task.evolve.orbit must be a nonzero weight of "
-                              f"rank {rs.rank}, got {list(pi)}")
-        sym = orbit_symbol(rs, pi)
-        radius = _number(ev.get("radius", 1.0), "task.evolve.radius")
-        if radius <= 0:
-            raise ConfigError(f"task.evolve.radius must be positive, got {radius}")
-        center = None
-        if "center" in ev:
-            center = np.asarray(_numbers(ev["center"], "task.evolve.center"))
-            if center.shape != (rs.dim,):
-                raise ConfigError(f"task.evolve.center must have {rs.dim} "
-                                  f"entries, got {ev['center']!r}")
-        sign = _number(ev.get("sign", 1), "task.evolve.sign", int)
-        if sign not in (1, -1):
-            raise ConfigError(f"task.evolve.sign must be 1 or -1, got {sign}")
-        lmax = _nonnegative(ev.get("lattice_depth", 0), "task.evolve.lattice_depth")
-        if not lmax:
-            depth = 3.2 * max(times) + 90.0 / radius
-            if not math.isfinite(depth):
-                raise ConfigError(f"task.evolve.times {times} and radius {radius} give "
-                                  "no finite lattice depth; set task.evolve.lattice_depth")
-            lmax = int(depth) + 8
-        tops = [(lmax,) * rs.rank]
-        if rs.rank == 1:
-            tops = [(lmax,), (lmax - 1,)]
-        system = gram_schmidt(rs, spec, tops)
-        if center is None:
-            grid0 = QuadratureGrid(rs, max(4 * (lmax + 2), grid_floor(system)))
-            ctx0 = ScatteringContext(WaveTable(system, grid0), sym)
-            depth = np.where(ctx0.regular_mask, ctx0.wall_distance, -1)
-            center = grid0.xi[int(np.argmax(depth))]
-        rep = run_scattering_diagnostic(system, sym, center, radius, sign, times)
-        payload = json.loads(rep.to_json())
-        _report(args.out, {"evolution": payload}, cfg)
-        if rep.meta.get("invalid"):
-            return EXIT_LEAKAGE
-        return EXIT_OK if rep.success else EXIT_CHECK_FAILED
-    raise ConfigError("scatter needs --ray or --evolve")
+def cmd_ray(args, rs, params, spec, cfg) -> int:
+    from .scattering import WaveTable, convergence_report
+    ray = _section(_section(cfg, "task"), "ray", "task.")
+    direction = tuple(_numbers(ray.get("direction", (1,) * rs.rank),
+                               "task.ray.direction", int))
+    # along a wall m(lambda) = 0 at every step, and the fit has no line
+    if len(direction) != rs.rank or not rs.is_dominant(direction) \
+            or rs.min_coroot_pairing(direction) == 0:
+        raise ConfigError("task.ray.direction must be a dominant weight of rank "
+                          f"{rs.rank} with no zero coordinate, got {list(direction)}")
+    steps = _number(ray.get("steps", 6), "task.ray.steps", int)
+    if steps < 2:
+        raise ConfigError(f"task.ray.steps must be at least 2 for a fit, got {steps}")
+    lambdas = [tuple(l * d for d in direction) for l in range(1, steps + 1)]
+    # step j lies below step k exactly when (k - j) d is in Q, so the
+    # last o steps top them all, o the least o >= 1 with o d in Q (or
+    # every step, when o is larger)
+    o = next((o for o, lam in enumerate(lambdas, 1)
+              if rs.dominance_leq((0,) * rs.rank, lam)), steps)
+    system = gram_schmidt(rs, spec, lambdas[-o:])
+    m = table_grid_m(cfg, system)
+    rep = convergence_report(WaveTable(system, QuadratureGrid(rs, m)), lambdas)
+    if args.out:
+        with open(args.out, "w", newline="") as fh:
+            wr = csv.writer(fh)
+            wr.writerow(["lambda", "m", "norm"])
+            for lam, mm, nn in zip(rep["lambdas"], rep["m"], rep["norms"]):
+                wr.writerow([" ".join(map(str, lam)), mm, repr(float(nn))])
+    _report(None, {"ray": rep}, cfg)
+    return EXIT_OK
+
+
+def cmd_evolve(args, rs, params, spec, cfg) -> int:
+    from .evolution import run_scattering_diagnostic
+    from .scattering import grid_floor, symbol_geometry
+    ev = _section(_section(cfg, "task"), "evolve", "task.")
+    times = _numbers(ev.get("times", [4, 8, 16, 32]), "task.evolve.times")
+    if len(set(times)) < 2:
+        raise ConfigError("task.evolve.times must hold at least two distinct "
+                          f"times for a fit, got {times}")
+    if min(times) <= 0:
+        raise ConfigError(f"task.evolve.times must be positive, got {times}")
+    # a key that is present is read even when empty; an absent key takes
+    # its default
+    pi = tuple(_numbers(ev["orbit"], "task.evolve.orbit", int)) if "orbit" in ev \
+        else tuple(1 if j == 0 else 0 for j in range(rs.rank))
+    if len(pi) != rs.rank or not any(pi):
+        raise ConfigError(f"task.evolve.orbit must be a nonzero weight of "
+                          f"rank {rs.rank}, got {list(pi)}")
+    sym = orbit_symbol(rs, pi)
+    radius = _number(ev.get("radius", 1.0), "task.evolve.radius")
+    if radius <= 0:
+        raise ConfigError(f"task.evolve.radius must be positive, got {radius}")
+    center = None
+    if "center" in ev:
+        center = np.asarray(_numbers(ev["center"], "task.evolve.center"))
+        if center.shape != (rs.dim,):
+            raise ConfigError(f"task.evolve.center must have {rs.dim} "
+                              f"entries, got {ev['center']!r}")
+    sign = _number(ev.get("sign", 1), "task.evolve.sign", int)
+    if sign not in (1, -1):
+        raise ConfigError(f"task.evolve.sign must be 1 or -1, got {sign}")
+    lmax = _nonnegative(ev.get("lattice_depth", 0), "task.evolve.lattice_depth")
+    if not lmax:
+        depth = 3.2 * max(times) + 90.0 / radius
+        if not math.isfinite(depth):
+            raise ConfigError(f"task.evolve.times {times} and radius {radius} give "
+                              "no finite lattice depth; set task.evolve.lattice_depth")
+        lmax = int(depth) + 8
+    tops = [(lmax,), (lmax - 1,)] if rs.rank == 1 else [(lmax,) * rs.rank]
+    system = gram_schmidt(rs, spec, tops)
+    if center is None:
+        grid0 = QuadratureGrid(rs, max(4 * (lmax + 2), grid_floor(system)))
+        _, _, distance, regular = symbol_geometry(sym, grid0)
+        center = grid0.xi[int(np.argmax(np.where(regular, distance, -1)))]
+    rep = run_scattering_diagnostic(system, sym, center, radius, sign, times)
+    payload = json.loads(rep.to_json())
+    _report(args.out, {"evolution": payload}, cfg)
+    if rep.meta.get("invalid"):
+        return EXIT_LEAKAGE
+    return EXIT_OK if rep.success else EXIT_CHECK_FAILED
 
 
 # ---------------------------------------------------------------------------
@@ -533,9 +521,7 @@ def _export_path(args, name: str) -> Path:
     return outdir / name
 
 
-def cmd_export(args) -> int:
-    cfg = load_config(args.config) if args.config else {}
-    rs, params, spec = build_system(cfg)
+def cmd_export(args, rs, params, spec, cfg) -> int:
     tops = weight_tops(cfg, rs)
     what = args.what
     if what == "polynomials":
@@ -566,22 +552,20 @@ def cmd_export(args) -> int:
             for i, j, v in zip(rows.tolist(), cols.tolist(), mat[rows, cols].tolist()):
                 wr.writerow([labels[i], labels[j], repr(v.real), repr(v.imag)])
         return EXIT_OK
-    if what == "smatrix":
-        from .scattering import ScatteringContext, WaveTable
-        system = gram_schmidt(rs, spec, tops)
-        grid = QuadratureGrid(rs, table_grid_m(cfg, system, default=48))
-        sym = orbit_symbol(rs, rs.quasi_minuscule_weight())
-        ctx = ScatteringContext(WaveTable(system, grid), sym)
-        ks = np.nonzero(ctx.regular_mask)[0]
-        with open(_export_path(args, "smatrix.csv"), "w", newline="") as fh:
-            wr = csv.writer(fh)
-            wr.writerow([f"xi_{i}" for i in range(rs.dim)] + ["re", "im"])
-            for k in ks:
-                val = ctx.smatrix_at(int(k))
-                wr.writerow([repr(float(x)) for x in grid.xi[k]]
-                            + [repr(float(val.real)), repr(float(val.imag))])
-        return EXIT_OK
-    raise ConfigError(f"unknown export target {what!r}")
+    from .scattering import ScatteringContext, WaveTable  # what == "smatrix"
+    system = gram_schmidt(rs, spec, tops)
+    grid = QuadratureGrid(rs, table_grid_m(cfg, system, default=48))
+    sym = orbit_symbol(rs, rs.quasi_minuscule_weight())
+    ctx = ScatteringContext(WaveTable(system, grid), sym)
+    ks = np.nonzero(ctx.regular_mask)[0]
+    with open(_export_path(args, "smatrix.csv"), "w", newline="") as fh:
+        wr = csv.writer(fh)
+        wr.writerow([f"xi_{i}" for i in range(rs.dim)] + ["re", "im"])
+        for k in ks:
+            val = ctx.smatrix_at(int(k))
+            wr.writerow([repr(float(x)) for x in grid.xi[k]]
+                        + [repr(float(val.real)), repr(float(val.imag))])
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -595,15 +579,30 @@ def _evolution_error(name: str):
     return () if evolution is None else getattr(evolution, name)
 
 
+def check_out(args) -> None:
+    """Refuse an --out the verb cannot write, before any work: export makes
+    it a directory, and the other verbs write it as a file."""
+    if not args.out:
+        return
+    out = Path(args.out)
+    if args.verb == "export":
+        base = next(p for p in (out, *out.parents) if p.exists())
+        if not base.is_dir():
+            raise ConfigError(f"--out {args.out}: {base} is not a directory")
+    elif out.is_dir() or not out.parent.is_dir():
+        raise ConfigError(f"--out {args.out} must name a file in a directory that exists")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="alcove",
         description="Orthogonal polynomials on Weyl alcoves, lattice "
                     "Laplacians, and their scattering theory.",
-        epilog="Exit codes: 0 ok; 2 config/parameter error; 3 size budget "
-               "exceeded (Weyl group, weight box, grid, Gram ladder or monomial "
-               "table bytes, or max_m); 4 verification failed; 5 window leakage "
-               "or a packet outside the regular sector; 1 unexpected error.")
+        epilog="Exit codes: 0 ok; 2 config/parameter error or unwritable --out; "
+               "3 size budget exceeded (Weyl group, weight box, grid, Gram ladder, "
+               "monomial table or operator matrix bytes, or max_m); 4 verification "
+               "failed; 5 window leakage or a packet outside the regular sector; "
+               "1 unexpected error.")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="verb", required=True)
 
@@ -612,10 +611,12 @@ def main(argv=None) -> int:
                           choices=sorted(SUITES))
     p_verify.add_argument("--config", help="JSON configuration file")
     p_verify.add_argument("--out", help="write the JSON report here")
+    p_verify.set_defaults(run=cmd_verify)
 
     p_scatter = sub.add_parser("scatter", help="convergence/evolution diagnostics")
-    p_scatter.add_argument("--ray", action="store_true")
-    p_scatter.add_argument("--evolve", action="store_true")
+    task = p_scatter.add_mutually_exclusive_group(required=True)
+    task.add_argument("--ray", dest="run", action="store_const", const=cmd_ray)
+    task.add_argument("--evolve", dest="run", action="store_const", const=cmd_evolve)
     p_scatter.add_argument("--config")
     p_scatter.add_argument("--out")
 
@@ -623,16 +624,13 @@ def main(argv=None) -> int:
     p_export.add_argument("what", choices=["polynomials", "operator", "smatrix"])
     p_export.add_argument("--config")
     p_export.add_argument("--out")
+    p_export.set_defaults(run=cmd_export)
 
     args = parser.parse_args(argv)
     try:
-        if args.verb == "verify":
-            return cmd_verify(args)
-        if args.verb == "scatter":
-            return cmd_scatter(args)
-        if args.verb == "export":
-            return cmd_export(args)
-        parser.error("unknown verb")
+        check_out(args)
+        cfg = load_config(args.config) if args.config else {}
+        return args.run(args, *build_system(cfg), cfg)
     except (ConfigError, ParameterError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -648,7 +646,6 @@ def main(argv=None) -> int:
     except Exception as exc:  # pragma: no cover - defensive
         print(f"unexpected error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_UNEXPECTED
-    return EXIT_UNEXPECTED
 
 
 if __name__ == "__main__":

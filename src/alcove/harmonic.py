@@ -26,8 +26,7 @@ import itertools
 import numpy as np
 
 from .qfun import CFunctionSpec
-from .rootsys import (GRAM_BYTES_BUDGET, GRID_POINT_BUDGET, BudgetExceededError,
-                      RootSystem)
+from .rootsys import RootSystem, check_bytes, check_grid_points
 
 # the largest grid M a Gram ladder builds unless its caller says otherwise
 MAX_M = 4096
@@ -242,14 +241,6 @@ def _lane_sum(value, signs, acc):
     return total, s
 
 
-def _check_grid_points(rs: RootSystem, M: int) -> None:
-    points = M ** rs.rank
-    if points > GRID_POINT_BUDGET:
-        raise BudgetExceededError(
-            f"quadrature grid of {rs._name()} at M={M}", points, GRID_POINT_BUDGET,
-            "points")
-
-
 class QuadratureGrid:
     """Uniform M^N grid on the torus E / 2pi Q^vee.
 
@@ -265,7 +256,7 @@ class QuadratureGrid:
             raise ValueError("grid subdivision must be at least 2")
         self.rs = rs
         self.M = int(M)
-        _check_grid_points(rs, self.M)
+        check_grid_points(rs, self.M)
         self.shape = (self.M,) * rs.rank
         self.size = self.M ** rs.rank
         self._xi = None
@@ -518,7 +509,7 @@ def gram_ladder(polys, spec: CFunctionSpec, m: int, tol: float, max_m: int):
     orbit_first_rung of their weights for orbit sums) until two successive
     Gram matrices agree within tol * (1 + max|G|); the first rung is exact
     for unit weights, so a unit ladder stops there.  No grid above max_m is
-    built, and no rung whose arrays would exceed GRAM_BYTES_BUDGET; a ladder
+    built, and no rung whose arrays would exceed the byte budget; a ladder
     that cannot reach its second rung is refused before the first (see
     check_ladder).  A non-unit ladder evaluates the polys on the rung 2m,
     takes its Gram matrix, and then reads the rung m off its even points,
@@ -543,7 +534,8 @@ def gram_ladder(polys, spec: CFunctionSpec, m: int, tol: float, max_m: int):
         gram, vals, m = cur, None, 2 * fine.M
         if m > max_m:
             raise QuadratureError(f"Gram matrix did not stabilize below M={max_m}")
-        _check_gram_bytes(rs, n, m)
+        check_bytes(f"Gram ladder of {n} weights on {rs._name()} at M={m}",
+                    gram_bytes(n, m ** rs.rank))
         fine = QuadratureGrid(rs, m)
         cur = gram_matrix(polys, spec, fine)
 
@@ -587,16 +579,9 @@ def check_ladder(rs: RootSystem, spec: CFunctionSpec, n: int, m: int, max_m: int
                 f"Gram ladder needs M={rung} for its "
                 f"{'first' if rung == m else 'second'} rung, above the largest "
                 f"grid max_m={max_m}")
-        _check_gram_bytes(rs, n, rung)
-        _check_grid_points(rs, rung)
-
-
-def _check_gram_bytes(rs: RootSystem, n: int, m: int) -> None:
-    required = gram_bytes(n, m ** rs.rank)
-    if required > GRAM_BYTES_BUDGET:
-        raise BudgetExceededError(
-            f"Gram ladder of {n} weights on {rs._name()} at M={m}", required,
-            GRAM_BYTES_BUDGET, "bytes")
+        check_bytes(f"Gram ladder of {n} weights on {rs._name()} at M={rung}",
+                    gram_bytes(n, rung ** rs.rank))
+        check_grid_points(rs, rung)
 
 
 def inner_product(f: LaurentPoly, g: LaurentPoly, spec: CFunctionSpec,

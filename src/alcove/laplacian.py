@@ -18,7 +18,7 @@ import numpy as np
 from .harmonic import orbit_symbol
 from .orthopoly import (KoornwinderParams, MacdonaldParams, PolyParams,
                         hopping_coefficient)
-from .rootsys import GRAM_BYTES_BUDGET, BudgetExceededError, RootSystem
+from .rootsys import RootSystem, check_bytes
 
 
 class LatticeFunction:
@@ -275,12 +275,10 @@ def commutator_residual(table, sym_a, sym_b, phi: LatticeFunction,
 
 def operator_matrix(apply_fn, rs: RootSystem, sites) -> np.ndarray:
     """Matrix of a lattice operator on an explicit list of dominant sites;
-    its n^2 complex entries are checked against GRAM_BYTES_BUDGET first."""
+    its n^2 complex entries are checked against the byte budget first."""
     sites = [tuple(s) for s in sites]
     n = len(sites)
-    if 16 * n * n > GRAM_BYTES_BUDGET:
-        raise BudgetExceededError(f"operator matrix on {n} sites of {rs._name()}",
-                                  16 * n * n, GRAM_BYTES_BUDGET, "bytes")
+    check_bytes(f"operator matrix on {n} sites of {rs._name()}", 16 * n * n)
     index = {s: i for i, s in enumerate(sites)}
     mat = np.zeros((n, n), dtype=complex)
     for j, s in enumerate(sites):

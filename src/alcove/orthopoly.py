@@ -21,11 +21,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .harmonic import (MAX_M, LaurentPoly, QuadratureGrid, check_ladder, gram_ladder,
-                       monomial_symmetric, orbit_first_rung, weight_multiplicities)
+from .harmonic import (MAX_M, LaurentPoly, check_ladder, gram_ladder, monomial_symmetric,
+                       orbit_first_rung, weight_multiplicities)
 from .qfun import (CFunctionSpec, koornwinder_factors, koornwinder_spec,
                    macdonald_factors, macdonald_spec, qpochhammer_inf)
-from .rootsys import GRAM_BYTES_BUDGET, BudgetExceededError, RootSystem
+from .rootsys import RootSystem
 
 
 # ---------------------------------------------------------------------------
@@ -353,18 +353,6 @@ class OrthoPolySystem:
         if key not in self._pbold:
             self._pbold[key] = self.monic(lam) * norm_constants(params, lam).c_lam
         return self._pbold[key]
-
-    def monomial_values(self, grid: QuadratureGrid) -> np.ndarray:
-        """(grid.size, n) C-ordered, column j the values of monomials[j]; its
-        bytes are checked against GRAM_BYTES_BUDGET first."""
-        n = len(self.monomials)
-        if 16 * n * grid.size > GRAM_BYTES_BUDGET:
-            raise BudgetExceededError(
-                f"monomial table of {n} weights on {self.rs._name()} at M={grid.M}",
-                16 * n * grid.size, GRAM_BYTES_BUDGET, "bytes")
-        out = np.empty((grid.size, n), dtype=complex)
-        grid.eval_polys(self.monomials, out=out.T)
-        return out
 
     def export_table(self) -> dict:
         """JSON-ready coefficient table keyed by weight coordinates."""

@@ -63,6 +63,30 @@ class BudgetExceededError(RuntimeError):
         self.budget = budget
 
 
+# every size budget is checked here, by one function each
+def check_bytes(what: str, required: int) -> None:
+    """Refuse a dense allocation, what, of required bytes above the budget."""
+    if required > GRAM_BYTES_BUDGET:
+        raise BudgetExceededError(what, required, GRAM_BYTES_BUDGET, "bytes")
+
+
+def check_grid_points(rs: RootSystem, M: int) -> None:
+    """Refuse a quadrature grid of M^rank points above GRID_POINT_BUDGET."""
+    points = M ** rs.rank
+    if points > GRID_POINT_BUDGET:
+        raise BudgetExceededError(f"quadrature grid of {rs._name()} at M={M}", points,
+                                  GRID_POINT_BUDGET, "points")
+
+
+def check_weyl_order(label: str, rank: int) -> None:
+    """Refuse a Weyl group above DEFAULT_WEYL_BUDGET from its order formula,
+    before any element is built (a huge rank stops the product early)."""
+    order = weyl_order(label, rank, DEFAULT_WEYL_BUDGET)
+    if order > DEFAULT_WEYL_BUDGET:
+        raise BudgetExceededError(f"Weyl group of {label}{rank}", order,
+                                  DEFAULT_WEYL_BUDGET, at_least=True)
+
+
 def dot(x: Vec, y: Vec) -> Fraction:
     return sum(map(operator.mul, x, y))
 
@@ -486,10 +510,7 @@ class RootSystem:
         and (w r_i)^{-1}(rho) = r_i(w^{-1}(rho)): the closure runs on that
         orbit and builds each element's matrices once."""
         if self._weyl is None:
-            order_bound = weyl_order(self.label, self.rank, DEFAULT_WEYL_BUDGET)
-            if order_bound > DEFAULT_WEYL_BUDGET:
-                raise BudgetExceededError(f"Weyl group of {self._name()}",
-                                          order_bound, DEFAULT_WEYL_BUDGET, at_least=True)
+            check_weyl_order(self.label, self.rank)
             seen = {self.rho_coords: self.element(())}
             frontier = [self.rho_coords]
             while frontier:
@@ -572,10 +593,8 @@ class RootSystem:
             tv = [sum(c * w for c, w in zip(top, col)) for col in zip(*num)]
             norm2 = sum(x * x for x in tv)
             bounds = [math.isqrt(norm2 // sum(x * x for x in w)) + 1 for w in num]
-            required = 8 * self.rank * math.prod(bounds)
-            if required > GRAM_BYTES_BUDGET:
-                raise BudgetExceededError(f"weight box below {top} on {self._name()}",
-                                          required, GRAM_BYTES_BUDGET, "bytes")
+            check_bytes(f"weight box below {top} on {self._name()}",
+                        8 * self.rank * math.prod(bounds))
             box = np.indices(bounds).reshape(self.rank, -1).T
             found.update(map(tuple, box[self.dominance_leq(box, top)].tolist()))
         return sorted(found, key=lambda mu: (self._ext_key(mu), mu))

@@ -20,16 +20,7 @@ from .harmonic import (LaurentPoly, QuadratureGrid, alternating_sum,
 from .laplacian import LatticeFunction
 from .orthopoly import OrthoPolySystem
 from .qfun import CFunctionSpec, shat_sqrt
-from .rootsys import RootSystem, WeylElement
-
-
-def symbol_gradient(sym: LaurentPoly, grid: QuadratureGrid) -> np.ndarray:
-    """grad E(xi) of a real symbol over the grid, shape (npoints, ambient_dim)."""
-    rs = sym.rs
-    out = np.zeros((grid.size, rs.dim), dtype=complex)
-    for (mu, c), vec in zip(sym.terms.items(), rs.float_weights(list(sym.terms))):
-        out += (1j * complex(c) * grid.exponential(mu))[:, None] * vec
-    return out.real
+from .rootsys import RootSystem, WeylElement, check_bytes
 
 
 def spectral_norm(values: np.ndarray) -> float:
@@ -68,8 +59,14 @@ class WaveTable:
 
     @property
     def monomial_values(self) -> np.ndarray:
+        """(grid.size, n) C-ordered, column j the values of monomials[j],
+        built on the first read once its bytes are within the budget."""
         if self._mono_vals is None:
-            self._mono_vals = self.system.monomial_values(self.grid)
+            monos = self.system.monomials
+            check_bytes(f"monomial table of {len(monos)} weights on {self.rs._name()} "
+                        f"at M={self.grid.M}", 16 * len(monos) * self.grid.size)
+            self._mono_vals = np.empty((self.grid.size, len(monos)), dtype=complex)
+            self.grid.eval_polys(monos, out=self._mono_vals.T)
         return self._mono_vals
 
     def poly_values(self, lam) -> np.ndarray:
@@ -216,6 +213,7 @@ def asymptotic_wave_values(lambdas, grid: QuadratureGrid, halves) -> list:
 def convergence_report(table: WaveTable, lambdas) -> dict:
     """Norms ||Psi_lam - Psi^infty_lam|| along a ray, with a log-linear fit."""
     ms, norms = [], []
+    table.monomial_values  # built first: an oversized table is refused before the plane waves
     asymptotic = asymptotic_wave_values(
         lambdas, table.grid, root_half_phases(table.spec, table.grid))
     for lam, psi_inf in zip(lambdas, asymptotic):
@@ -250,6 +248,20 @@ class RegularSectorError(ValueError):
 REGULARITY_TOL = 1e-10
 
 
+def symbol_geometry(symbol: LaurentPoly, grid: QuadratureGrid):
+    """(gradient, pairings, wall_distance, regular_mask) of a real symbol E
+    over the grid: grad E, shape (npoints, ambient_dim), its pairings
+    <grad E, alpha^vee> with the positive coroots, their least modulus, and
+    the alcove points where that is above REGULARITY_TOL."""
+    rs = symbol.rs
+    grad = np.zeros((grid.size, rs.dim), dtype=complex)
+    for (mu, c), vec in zip(symbol.terms.items(), rs.float_weights(list(symbol.terms))):
+        grad += (1j * complex(c) * grid.exponential(mu))[:, None] * vec
+    pair = grad.real @ rs.positive_coroots_f.T
+    distance = np.min(np.abs(pair), axis=1)
+    return grad.real, pair, distance, grid.alcove_mask & (distance > REGULARITY_TOL)
+
+
 class ScatteringContext:
     """Wave table plus a real symbol: regular sector, S_L, wave operators.
 
@@ -267,10 +279,8 @@ class ScatteringContext:
         self.grid = table.grid
         self.symbol = symbol
         self.symbol_values = symbol.eval_grid(self.grid).real
-        self.gradient = symbol_gradient(symbol, self.grid)
-        pair = self.gradient @ self.rs.positive_coroots_f.T
-        self.wall_distance = np.min(np.abs(pair), axis=1)
-        self.regular_mask = self.grid.alcove_mask & (self.wall_distance > REGULARITY_TOL)
+        self.gradient, pair, self.wall_distance, self.regular_mask = \
+            symbol_geometry(symbol, self.grid)
         regular = np.nonzero(self.regular_mask)[0]
         _, first, labels = np.unique(pair[regular] > 0, axis=0, return_index=True,
                                      return_inverse=True)

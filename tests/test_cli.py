@@ -257,6 +257,27 @@ def test_max_height_tops_match_the_pairwise_scan(label, rank, heights):
         assert all(type(c) is int for top in tops for c in top)
 
 
+def test_max_height_tops_enumerate_only_the_top_shell():
+    # A3 at h = 200 has 401 tops: the whole height box, C(203, 3) = 1,394,204
+    # points, took 1.3 s, and 6.6 s with a 177 MB peak under tracemalloc; the
+    # shell of heights 199 and 200 takes 0.9 s, and 1.1 s with 4.8 MB (one
+    # process on a 2-vCPU Xeon)
+    import tracemalloc
+    from alcove.cli import weight_tops
+    from alcove.rootsys import build_root_system
+    rs = build_root_system("A", 3)
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        tops = weight_tops({"weights": {"max_height": 200}}, rs)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(tops) == 401 and all(sum(top) == 200 for top in tops)
+    assert elapsed < 4.0 and peak < 40e6
+
+
 def test_max_height_tops_on_a_tall_box():
     # the pairwise scan took 11 s on A2 at h = 80, and the scan of the whole
     # box 42 s at h = 1000
@@ -447,11 +468,14 @@ def test_export_empty_weight_set(tmp_path):
 
 
 def test_unknown_suite(tmp_path):
-    # argparse rejects an unknown suite with the config-error exit code
+    # argparse rejects an unknown suite, and scatter with neither or both of
+    # --ray and --evolve (only the ray used to run), with the config-error
+    # exit code
     cfg = _cfg(tmp_path, "a2.json", A2_MACDONALD)
-    with pytest.raises(SystemExit) as err:
-        main(["verify", "--suite", "nope", "--config", cfg])
-    assert err.value.code == 2
+    for argv in (["verify", "--suite", "nope"], ["scatter"], ["scatter", "--ray", "--evolve"]):
+        with pytest.raises(SystemExit) as err:
+            main(argv + ["--config", cfg])
+        assert err.value.code == 2
 
 
 @pytest.mark.parametrize("argv,patch", [
@@ -512,8 +536,8 @@ def test_unknown_suite(tmp_path):
     (["export", "polynomials"], {"weights": {"tops": []}}),
     (["export", "operator"], {"weights": {"tops": []}}),
     (["export", "smatrix"], {"weights": {"tops": []}}),
-    # both scatter tasks at once: only the ray used to run
-    (["scatter", "--ray", "--evolve"], {}),
+    # a ray direction of the wrong rank
+    (["scatter", "--ray"], {"task": {"ray": {"direction": [1, 1]}}}),
     # tolerances that were ignored (unknown keys) or failed every check (NaN)
     (["verify", "--suite", "appendixA"], {"tolerances": {"peiri": 1e-30}}),
     (["verify"], {"tolerances": {"norm": 1e-30}}),
@@ -580,6 +604,31 @@ def test_export_config_error_makes_no_out_directory(tmp_path, what, config):
     assert main(["export", what, "--config", _cfg(tmp_path, "bad.json", config),
                  "--out", str(out)]) == 2
     assert not (tmp_path / "new").exists()
+
+
+@pytest.mark.parametrize("argv,out", [
+    (["verify"], "missing/r.json"),
+    (["verify"], "."),
+    (["scatter", "--ray"], "missing/r.csv"),
+    (["scatter", "--evolve"], "missing/r.json"),
+    (["export", "polynomials"], "file"),
+    (["export", "smatrix"], "file/sub"),
+])
+def test_unwritable_out_is_refused_before_any_work(tmp_path, capsys, monkeypatch, argv, out):
+    # these ran the whole job and then exited 1 from the writer
+    import alcove.cli as cli
+
+    def refuse(*args):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(cli, "gram_schmidt", refuse)
+    (tmp_path / "file").write_text("kept")
+    cfg = _cfg(tmp_path, "a2.json", {**A2_MACDONALD, "task": {"ray": {"steps": 2}}})
+    before = sorted(tmp_path.rglob("*"))
+    assert main(argv + ["--config", cfg, "--out", str(tmp_path / out)]) == 2
+    assert f"--out {tmp_path / out}" in capsys.readouterr().err
+    assert sorted(tmp_path.rglob("*")) == before
+    assert (tmp_path / "file").read_text() == "kept"
 
 
 def test_export_smatrix_default_grid_reaches_the_table_floor(tmp_path):
@@ -696,9 +745,18 @@ def test_b3_ray_exits_on_gram_budget_before_a_rung(tmp_path, capsys, monkeypatch
     assert "117 weights on B3 at M=164" in capsys.readouterr().err
 
 
-def test_ray_exits_on_the_monomial_table_budget_before_allocating(tmp_path, capsys):
+def test_ray_exits_on_the_monomial_table_budget_before_allocating(tmp_path, capsys,
+                                                                   monkeypatch):
     # 1406 weights at M=110: 16 n M^3 bytes, 27.9 GiB, used to be asked of
-    # np.empty (MemoryError, exit 1)
+    # np.empty (MemoryError, exit 1); the table is refused before the plane
+    # waves are summed, which took 1.7 s of 4.0 s and 730 MB of its 867 MB
+    # peak (one child on a 2-vCPU Xeon)
+    import alcove.scattering as scattering
+
+    def refuse(*args):
+        raise AssertionError("plane waves summed")
+
+    monkeypatch.setattr(scattering, "asymptotic_wave_values", refuse)
     cfg = _cfg(tmp_path, "a3.json", {
         "root_system": {"label": "A", "rank": 3},
         "task": {"ray": {"direction": [2, 2, 2], "steps": 6}}})
@@ -895,6 +953,26 @@ BC1_EVOLVE_TINY = {
 }
 
 
+def test_evolve_center_builds_no_wave_table(tmp_path, monkeypatch):
+    # the benchmark's evolve-bc1 configuration: one wave table per snapshot
+    # grid (two), and none for the center search, which reads the symbol's
+    # geometry alone
+    from test_perfbench_spans import WORKLOADS, _load_perfbench
+    import alcove.scattering as scattering
+    config = _load_perfbench(monkeypatch, WORKLOADS).WORKLOADS["evolve-bc1"].config(3)
+    grids = []
+    init = scattering.WaveTable.__init__
+
+    def recording_init(self, system, grid):
+        grids.append(grid.M)
+        init(self, system, grid)
+
+    monkeypatch.setattr(scattering.WaveTable, "__init__", recording_init)
+    assert main(["scatter", "--evolve", "--config", _cfg(tmp_path, "bc1.json", config),
+                 "--out", str(tmp_path / "e.json")]) == 0
+    assert len(grids) == 2
+
+
 def test_evolve_sign_minus_one_matches_plus_one(tmp_path):
     # Omega_- is the t -> -infinity limit: sign -1 takes its snapshots at -t
     # and reports the same positive times; it used to always exit 4
@@ -919,7 +997,7 @@ def test_evolve_sign_minus_one_matches_plus_one(tmp_path):
 def test_root_half_phases_once_per_snapshot_context(tmp_path, monkeypatch):
     # each snapshot's context computes its per-root halves once and shares
     # them between S_L^{-+1/2} and the asymptotic kernels; the center search
-    # context never needs them
+    # builds no context
     import alcove.scattering as scattering
     contexts, halves = [], []
     root_half_phases = scattering.root_half_phases
@@ -939,8 +1017,8 @@ def test_root_half_phases_once_per_snapshot_context(tmp_path, monkeypatch):
     assert main(["scatter", "--evolve", "--config", cfg,
                  "--out", str(tmp_path / "e.json")]) == 0
     times = BC1_EVOLVE_TINY["task"]["evolve"]["times"]
-    assert len(contexts) == len(times) + 1
-    assert [id(g) for g in halves] == [id(g) for g in contexts[1:]]
+    assert len(contexts) == len(times)
+    assert [id(g) for g in halves] == [id(g) for g in contexts]
 
 
 def test_packet_scattered_once_per_snapshot_context(tmp_path, monkeypatch):
@@ -965,9 +1043,10 @@ def test_packet_scattered_once_per_snapshot_context(tmp_path, monkeypatch):
     config["task"]["evolve"]["times"] = [4, 6, 16]
     assert main(["scatter", "--evolve", "--config", _cfg(tmp_path, "bc1.json", config),
                  "--out", str(tmp_path / "e.json")]) == 0
-    # the center search context and two snapshot grids: t = 4 and 6 share one
-    assert len(contexts) == 3
-    assert [id(g) for g in applied] == [id(g) for g in contexts[1:]]
+    # two snapshot grids, t = 4 and 6 share one; the center search builds no
+    # context
+    assert len(contexts) == 2
+    assert [id(g) for g in applied] == [id(g) for g in contexts]
 
 
 def test_evolve_packet_near_the_singular_set_exits_5(tmp_path, capsys):

@@ -21,7 +21,7 @@ from alcove.orthopoly import MacdonaldParams, gram_schmidt
 from alcove.qfun import (MacdonaldC, koornwinder_spec, macdonald_spec,
                          qpochhammer_inf, shat_sqrt, unit_spec)
 from alcove.rootsys import BudgetExceededError, build_root_system
-from alcove.scattering import root_half_phases
+from alcove.scattering import WaveTable, root_half_phases
 
 
 def test_monomial_symmetric(a2):
@@ -440,7 +440,7 @@ def test_gram_matrix_matches_column_stack_formula(b2):
     w = measure_values(spec, grid) / (grid.size * b2.weyl_order())
     E = np.column_stack([p.eval_grid(grid) for p in polys])
     assert _same_bits(gram_matrix(polys, spec, grid), ((E * w[:, None]).T @ E.conj()).real)
-    assert _same_bits(system.monomial_values(grid), E)
+    assert _same_bits(WaveTable(system, grid).monomial_values, E)
     bc2 = build_root_system("BC", 2)
     spec = koornwinder_spec(bc2, 1.1, (0.9, 0.7, 0.6, 0.8), 0.45)
     polys = [monomial_symmetric(bc2, lam) for lam in [(0, 0), (1, 0), (2, 1), (3, 3)]]
@@ -957,12 +957,13 @@ def test_large_grid_sums_match_direct_sum(b2, bc1):
 
 def test_gram_budget_is_checked_before_a_rung_allocates(b2, monkeypatch):
     import alcove.harmonic as harmonic
+    import alcove.rootsys as rootsys
     spec = MacdonaldParams.create(b2, {1: 0.9, 2: 1.4}, 0.5).cspec()
     polys = [monomial_symmetric(b2, mu) for mu in b2.saturated_weights([(6, 6)])]
     m0 = first_rung(b2, [p.support() for p in polys])
     # the first rung fits, the second does not: a non-unit ladder always
     # builds the second, so neither is built
-    monkeypatch.setattr(harmonic, "GRAM_BYTES_BUDGET", gram_bytes(43, m0 ** 2))
+    monkeypatch.setattr(rootsys, "GRAM_BYTES_BUDGET", gram_bytes(43, m0 ** 2))
     built = []
 
     class RecordingGrid(QuadratureGrid):
@@ -983,6 +984,7 @@ def test_ladder_refuses_its_second_rung_before_the_first(b2, monkeypatch):
     # a second rung above max_m or above the grid point budget is refused
     # before any grid is built
     import alcove.harmonic as harmonic
+    import alcove.rootsys as rootsys
     spec = MacdonaldParams.create(b2, {1: 0.9, 2: 1.4}, 0.5).cspec()
     polys = [monomial_symmetric(b2, mu) for mu in b2.saturated_weights([(6, 6)])]
     m0 = first_rung(b2, [p.support() for p in polys])
@@ -997,7 +999,7 @@ def test_ladder_refuses_its_second_rung_before_the_first(b2, monkeypatch):
     with pytest.raises(QuadratureError) as err:
         gram_ladder(polys, spec, m0, 0.0, 2 * m0 - 1)
     assert f"needs M={2 * m0}" in str(err.value)
-    monkeypatch.setattr(harmonic, "GRID_POINT_BUDGET", m0 ** 2)
+    monkeypatch.setattr(rootsys, "GRID_POINT_BUDGET", m0 ** 2)
     with pytest.raises(BudgetExceededError) as err:
         gram_ladder(polys, spec, m0, 0.0, 4 * m0)
     assert err.value.required == (2 * m0) ** 2

@@ -618,7 +618,8 @@ REMOVED_DUPLICATES = re.compile(
     r"|asymptotic_polynomial|truncated_overall_cfun|symbol_is_real|def taylor|compose_weyl"
     r"|weyl_character_extended|index_of_root_lattice|minus_one_in_weyl_group|linear_extension"
     r"|_validate_order|functional_relation_residual|def _determinant|def normalized\b"
-    r"|isinstance\(tops\[0\], int\)|laurent_divide|did not terminate|--tol|max_order")
+    r"|isinstance\(tops\[0\], int\)|laurent_divide|did not terminate|--tol|max_order"
+    r"|_check_gram_bytes|needs --ray or --evolve|unknown export target|unknown tolerance")
 
 
 def test_one_orthonormalization_route():
@@ -631,6 +632,21 @@ def test_one_orthonormalization_route():
             if REMOVED_DUPLICATES.search(line)
             or (path.name == "orthopoly.py" and "Fraction" in line)]
     assert not hits
+
+
+BUDGETS = re.compile(r"GRAM_BYTES_BUDGET|GRID_POINT_BUDGET|DEFAULT_WEYL_BUDGET")
+
+
+def test_every_size_budget_is_read_in_rootsys_alone():
+    # rootsys.check_bytes, check_grid_points and check_weyl_order are the
+    # only readers of the budgets; no other module compares against one
+    src = Path(alcove.__file__).parent
+    hits = [f"{path.name}:{n}: {line.strip()}"
+            for path in sorted(src.glob("*.py")) if path.name != "rootsys.py"
+            for n, line in enumerate(path.read_text().splitlines(), 1)
+            if BUDGETS.search(line)]
+    assert not hits
+    assert len(BUDGETS.findall((src / "rootsys.py").read_text())) >= 3
 
 
 # the per-family copies of the q-Pochhammer factors; the Koornwinder offsets
