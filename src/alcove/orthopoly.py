@@ -14,7 +14,6 @@ c-functions (asymptotic_wave_values).
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -38,11 +37,16 @@ class ParameterError(ValueError):
 
 class _ClosedForms:
     """Closed-form data that depends only on the parameters, computed once per
-    parameter object and kept on it (see norm_constants).
+    parameter object and kept on it (rho_constants and the hop tables).
 
     root_factors holds one (coroot, factors, k) per root of R1+: the float
     coroot and the factor list of the root's c-function (qfun).
     """
+
+    @property
+    def s(self) -> float:
+        """s = -log q."""
+        return -math.log(self.q)
 
     def cplus(self, x: np.ndarray) -> float:
         out = 1.0
@@ -61,11 +65,6 @@ class _ClosedForms:
         """c^+(rho_g) and c^-(rho_g), the factors shared by every weight."""
         rho = self.rho_g()
         return self.cplus(rho), self.cminus(rho)
-
-    @cached_property
-    def _norm_data(self) -> dict:
-        """NormData of each weight tuple, filled by norm_constants."""
-        return {}
 
     @cached_property
     def _hop_factors(self) -> dict:
@@ -100,10 +99,6 @@ class MacdonaldParams(_ClosedForms):
         if any(gmap[l] <= 0 for l in lens):
             raise ParameterError("all coupling parameters g must be positive")
         return cls(rs, float(q), tuple(sorted(gmap.items())))
-
-    @property
-    def s(self) -> float:
-        return -math.log(self.q)
 
     @cached_property
     def g_roots(self) -> tuple:
@@ -195,10 +190,6 @@ class KoornwinderParams(_ClosedForms):
         return cls(rs, float(q), float(ghat), gh)
 
     @property
-    def s(self) -> float:
-        return -math.log(self.q)
-
-    @property
     def g(self) -> float:
         return self.ghat
 
@@ -279,14 +270,7 @@ class NormData:
 
 
 def norm_constants(params: PolyParams, lam) -> NormData:
-    """The closed form at lam, evaluated once per parameter object and weight.
-
-    Invalid constants raise ParameterError on every call; they are never stored.
-    """
-    key = tuple(lam)
-    data = params._norm_data.get(key)
-    if data is not None:
-        return data
+    """The closed form at lam; invalid constants raise ParameterError."""
     rho = params.rho_g()
     x = rho + params.rs.float_weight(lam)
     cp0, cm0 = params.rho_constants
@@ -294,7 +278,6 @@ def norm_constants(params: PolyParams, lam) -> NormData:
     data = NormData(delta=(cp0 * cm0) / (cpl * cml), n0=cm0 / cp0, c_lam=cpl / cp0)
     if not (data.delta > 0 and data.n0 > 0 and math.isfinite(data.delta)):
         raise ParameterError(f"invalid norm constants at lam={lam}: {data}")
-    params._norm_data[key] = data
     return data
 
 
@@ -444,31 +427,43 @@ def _per_point(residuals: np.ndarray, xi):
     return float(residuals[0]) if np.ndim(xi) == 1 else residuals
 
 
-def macdonald_identity_residual(params: MacdonaldParams, pi_dual, xi) -> float:
-    """Residual of the Macdonald identity for a minuscule weight of R^vee."""
-    rs = params.rs
-    rsd = rs.dual()
-    xi = np.asarray(xi, dtype=float)
-    s, q = params.s, params.q
-    rho_g = params.rho_g()
-    orbit = list(rsd.weyl_orbit(tuple(pi_dual)))
-    table = rs.coweight_pairings()
-    lhs = 0j
-    rhs = 0.0
-    for nu, nu_vec in zip(orbit, rsd.float_weights(orbit)):
-        term = 1.0 + 0j
-        pairings = (table @ nu).tolist()
-        for a, av, g, pairing in zip(rs.roots, rs.roots_f, params.g_roots, pairings):
-            if pairing == 1:
-                za = float(np.dot(xi, av))
-                if abs(math.sin(za / 2.0)) < 1e-12:
-                    raise ValueError(f"xi lies on a singular hyperplane for root {a}")
-                term *= cmath.sin(0.5 * (1j * s * g + za)) / math.sin(za / 2.0)
-            elif pairing > 1:
-                raise ValueError("weight is not minuscule for the dual system")
-        lhs += term
-        rhs += q ** float(np.dot(nu_vec, rho_g))
-    return abs(lhs - rhs)
+def _difference_coefficients(params: MacdonaldParams, pts: np.ndarray, orbit) -> np.ndarray:
+    """The coefficients c_nu(xi) of the Macdonald difference operator at the
+    points pts (N, dim), one column per weight nu of the dual orbit.
+
+    A row (row, factors, m) of hop_factors(params.dual(), nu) is a dual root
+    beta = alpha^vee with the coupling g of alpha and m = <nu, alpha>; it
+    contributes prod_{l < m} sin((i s (g + l) + z) / 2) / sin((z + i s l) / 2)
+    with z = <xi, alpha>, the pairing of xi with the coroot of beta.  This is
+    the dual rate continued to -i xi/s, kept in sin form because xi/s*s does
+    not round-trip.
+    """
+    dual = params.dual()
+    s = params.s
+    za = pts @ dual.rs.coroots_f.T
+    out = np.ones((len(pts), len(orbit)), dtype=complex)
+    for j, nu in enumerate(orbit):
+        for row, _, m in hop_factors(dual, nu):
+            den = _sin_pochhammer(za[:, row], m, s)
+            if np.any(np.abs(den) < 1e-12):
+                raise ValueError("xi lies on a singular hyperplane")
+            out[:, j] *= _sin_pochhammer(1j * s * dual.g_roots[row] + za[:, row], m, s) / den
+    return out
+
+
+def macdonald_identity_residual(params: MacdonaldParams, pi_dual, xi):
+    """Residual |sum_nu c_nu(xi) - sum_nu q^<nu, rho_g>| of the Macdonald
+    identity over the orbit of a minuscule weight pi_dual of R^vee, at the
+    spectral points xi: a float for one point of shape (dim,), N floats for
+    (N, dim)."""
+    dual = params.dual()
+    if any(m > 1 for _, _, m in hop_factors(dual, pi_dual)):
+        raise ValueError("weight is not minuscule for the dual system")
+    pts = _points(xi, params.rs.dim)
+    orbit = list(dual.rs.weyl_orbit(tuple(pi_dual)))
+    lhs = np.sum(_difference_coefficients(params, pts, orbit), axis=1)
+    rhs = np.sum(params.q ** (dual.rs.float_weights(orbit) @ params.rho_g()))
+    return _per_point(np.abs(lhs - rhs), xi)
 
 
 def difference_equation_residual(params: MacdonaldParams, system: OrthoPolySystem,
@@ -493,15 +488,7 @@ def difference_equation_residual(params: MacdonaldParams, system: OrthoPolySyste
     shifts = np.vstack([np.zeros(rs.dim), nu_vecs])
     values = system.pbold(params, lam).evaluate(pts[:, None, :] + 1j * s * shifts)
     p_at = values[:, 0]
-    coeffv = np.ones((len(pts), len(orbit)), dtype=complex)
-    za = pts @ rs.roots_f.T
-    pairings = rs.coweight_pairings() @ np.asarray(orbit, dtype=np.int64).T
-    for r, j in zip(*np.nonzero(pairings > 0)):
-        m = int(pairings[r, j])
-        den = _sin_pochhammer(za[:, r], m, s)
-        if np.any(np.abs(den) < 1e-12):
-            raise ValueError("xi lies on a singular hyperplane")
-        coeffv[:, j] *= _sin_pochhammer(1j * s * params.g_roots[r] + za[:, r], m, s) / den
+    coeffv = _difference_coefficients(params, pts, orbit)
     lhs = np.sum(coeffv * (values[:, 1:] - p_at[:, None]), axis=1)
     eigenvalue = np.sum(q ** (nu_vecs @ (lam_vec + rho_g)) - q ** (nu_vecs @ rho_g))
     return _per_point(np.abs(lhs - eigenvalue * p_at), xi)
@@ -510,7 +497,9 @@ def difference_equation_residual(params: MacdonaldParams, system: OrthoPolySyste
 def hop_factors(params: PolyParams, nu) -> tuple:
     """The factors of V_nu for the integer hop nu, one (row, factors, m) per
     root of rs.roots whose coroot carries one; built once per parameter
-    object and hop.
+    object and hop.  They serve the lattice rates of R (hopping_coefficient)
+    and, read on params.dual(), the difference coefficients of R's dual
+    (_difference_coefficients).
 
     Reduced case: every root with m = <nu, alpha^vee> > 0, in rs.roots
     order, with the Macdonald factor of its coupling.  Nonreduced case: the

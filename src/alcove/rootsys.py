@@ -16,10 +16,10 @@ fundamental weights as integer numerators over one common denominator
 (:meth:`RootSystem.float_weights`), the Q+ expansion as an integer
 matrix over a denominator (:meth:`RootSystem.qplus_expansion`), and the
 pairings of the fundamental weights with every coroot as an integer table
-(``coroot_pairings``, and :meth:`RootSystem.coweight_pairings` for the
-weights of the dual system).  A Weyl
-element carries integer matrices on fundamental-weight coordinates, so the
-Weyl action does no ``Fraction`` arithmetic.
+(``coroot_pairings``; read on :meth:`RootSystem.dual` it pairs the dual
+weights with every root).  A Weyl element carries integer matrices on
+fundamental-weight coordinates, so the Weyl action does no ``Fraction``
+arithmetic.
 
 For BC_N two simple systems coexist: the C_N-type basis (used for the
 fundamental-weight coordinates, so that the half-sum of the reduced
@@ -562,22 +562,6 @@ class RootSystem:
         return self._dual
 
     _dual = None
-
-    def coweight_pairings(self) -> np.ndarray:
-        """<nu, alpha> for each root alpha (rows, in roots order) and each
-        fundamental weight nu of dual() (columns), as integers.
-
-        A root is the coroot, in the dual system, of its own coroot, so this
-        is dual().coroot_pairings read at the row of each root's coroot.
-        """
-        if self._coweight_pairings is None:
-            dual = self.dual()
-            row = {b: k for k, b in enumerate(dual.roots)}
-            self._coweight_pairings = _frozen(
-                dual.coroot_pairings[[row[b] for b in self._coroots]])
-        return self._coweight_pairings
-
-    _coweight_pairings = None
 
     def saturated_weights(self, tops) -> list[Coords]:
         """All dominant mu with mu <= top for some top, dominance order."""

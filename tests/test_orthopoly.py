@@ -18,7 +18,7 @@ from alcove.orthopoly import (KoornwinderParams,
                               symmetry_residual)
 from alcove.qfun import qpochhammer_inf, unit_spec
 from alcove.rank1 import Rank1Params, askey_wilson
-from alcove.rootsys import build_root_system
+from alcove.rootsys import build_root_system, dot
 
 
 def _fvec(rs, mu):
@@ -105,9 +105,9 @@ def test_norm_constants(a2_macdonald, a2_system):
             assert abs(complex(pn.coeff(mu)) - complex(pg.coeff(mu))) < 1e-8
 
 
-def test_norm_constants_are_cached_per_parameter_object(a2, bc2):
+def test_norm_constants_follow_their_parameter_object(a2, bc2):
     # each pair differs in one coupling; the members are queried in turn, so
-    # data kept on the wrong object, or keyed by weight alone, would show
+    # data read from the wrong object, or keyed by weight alone, would show
     pairs = [(MacdonaldParams.create(a2, 1.3, 0.5),
               MacdonaldParams.create(a2, 1.1, 0.5)),
              (KoornwinderParams.create(bc2, 1.1, (0.9, 0.7, 0.6, 0.8), 0.45),
@@ -120,10 +120,9 @@ def test_norm_constants_are_cached_per_parameter_object(a2, bc2):
                 fresh = dataclasses.replace(par)
                 assert fresh == par and fresh is not par
                 assert norm_constants(fresh, lam) == nd
-                assert norm_constants(par, lam) is nd
     par = pairs[0][0]
     assert par.dual() is par.dual()
-    # invalid constants are raised again, never stored
+    # invalid constants are raised on every call
     for _ in range(2):
         with pytest.raises(ParameterError):
             norm_constants(par, (-3, 0))
@@ -217,6 +216,56 @@ def test_macdonald_identity(a1, a2):
     assert macdonald_identity_residual(tiny, (1, 0), np.array([0.7, 0.1, -0.4])) < 1e-10
 
 
+@pytest.mark.parametrize("label,rank", [("A", 2), ("B", 2), ("G", 2), ("A", 3)])
+def test_difference_coefficients_are_dual_hopping_rates(label, rank):
+    # c_nu(xi) of R is the hopping rate V_nu of R^vee continued to x = -i xi/s:
+    # each root alpha of R with m = <nu, alpha> > 0 contributes
+    # prod_{l < m} sinh(s(g + x_a + l)/2) / sinh(s(x_a + l)/2), x_a = <x, alpha>,
+    # with the coupling g of alpha; m comes from the exact vectors
+    from alcove.cli import _regular_point
+    from alcove.orthopoly import _difference_coefficients
+    rs = build_root_system(label, rank)
+    # one coupling per root length, so that a root read with another's shows
+    lens = sorted(set(rs.positive_len2.tolist()))
+    par = MacdonaldParams.create(rs, {l: 0.9 + 0.5 * i for i, l in enumerate(lens)}, 0.5)
+    s = par.s
+    dual = rs.dual()
+    rng = random.Random(label + str(rank))
+    xis = np.array([_regular_point(rs, rng) for _ in range(4)])
+    for pi in dual.minuscule_weights() + [dual.quasi_minuscule_weight()]:
+        orbit = list(dual.weyl_orbit(tuple(pi)))
+        got = _difference_coefficients(par, xis, orbit)
+        assert got.shape == (len(xis), len(orbit))
+        for j, nu in enumerate(orbit):
+            nu_exact = dual.weight_vector(nu)
+            for k, xi in enumerate(xis):
+                rate = 1.0 + 0j
+                for alpha, g in zip(rs.roots, par.g_roots):
+                    xa = -1j * sum(float(c) * x for c, x in zip(alpha, xi)) / s
+                    for l in range(max(int(dot(nu_exact, alpha)), 0)):
+                        rate *= cmath.sinh(0.5 * s * (g + xa + l)) / cmath.sinh(0.5 * s * (xa + l))
+                assert abs(got[k, j] - rate) <= 1e-13 * abs(rate)
+
+
+def test_identity_and_difference_equation_refusals(a2, a2_macdonald, a2_system):
+    # the highest root of A2 pairs to 2 with its own coroot
+    with pytest.raises(ValueError, match="not minuscule"):
+        macdonald_identity_residual(a2_macdonald, (1, 1), np.array([0.7, 0.1, -0.4]))
+    # <xi, e1 - e2> = 0
+    wall = np.array([0.7, 0.7, -0.4])
+    with pytest.raises(ValueError, match="singular hyperplane"):
+        macdonald_identity_residual(a2_macdonald, (1, 0), wall)
+    with pytest.raises(ValueError, match="singular hyperplane"):
+        difference_equation_residual(a2_macdonald, a2_system, (1, 1), wall, (1, 0))
+    # one point, or N in one call
+    xis = np.array([[0.7, 0.1, -0.4], [1.3, -0.2, 0.5]])
+    batch = macdonald_identity_residual(a2_macdonald, (1, 0), xis)
+    assert isinstance(batch, np.ndarray) and batch.shape == (2,)
+    for xi, batched in zip(xis, batch):
+        one = macdonald_identity_residual(a2_macdonald, (1, 0), xi)
+        assert isinstance(one, float) and abs(one - batched) <= 1e-14 and one < 1e-12
+
+
 def test_difference_equation(a2, a2_macdonald, a2_system):
     rng = np.random.default_rng(1)
     for lam in [(1, 1), (2, 0)]:
@@ -259,10 +308,11 @@ def _difference_reference(params, system, lam, xi, pi_dual):
     moduli = 0.0
     for nu in rs.dual().weyl_orbit(tuple(pi_dual)):
         nu_vec = rs.dual().float_weight(nu)
+        nu_exact = rs.dual().weight_vector(nu)
         a = 1.0 + 0j
-        for av, g, m in zip(rs.roots_f, params.g_roots, rs.coweight_pairings() @ nu):
+        for alpha, av, g in zip(rs.roots, rs.roots_f, params.g_roots):
             za = float(np.dot(xi, av))
-            for l in range(max(int(m), 0)):
+            for l in range(max(int(dot(nu_exact, alpha)), 0)):
                 a *= cmath.sin(0.5 * (1j * s * (g + l) + za)) / cmath.sin(0.5 * (za + 1j * s * l))
         shifted, shifted_mod = _terms_at(p, xi + 1j * s * nu_vec)
         e = q ** float(nu_vec @ (lam_vec + rho)) - q ** float(nu_vec @ rho)

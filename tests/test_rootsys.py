@@ -299,14 +299,10 @@ def test_integer_qplus_expansion_matches_fractions(case):
 
 @pytest.mark.parametrize("case", VIEW_TYPES, ids=_case_id)
 def test_integer_pairing_tables_match_fractions(case):
-    # <omega_j, alpha^vee> over every root, and <nu_j, alpha> for the
-    # fundamental weights nu_j of the dual system, both in rs.roots order
+    # <omega_j, alpha^vee> over every root, in rs.roots order
     rs = _view_system(case)
-    dual = rs.dual()
     assert rs.coroot_pairings.tolist() == [
         [dot(w, coroot(a)) for w in rs.fundamental_weights] for a in rs.roots]
-    assert rs.coweight_pairings().tolist() == [
-        [dot(nu, a) for nu in dual.fundamental_weights] for a in rs.roots]
     assert [rs.roots[k] for k in rs.positive_rows] == list(rs.positive_roots)
 
 
@@ -619,7 +615,8 @@ REMOVED_DUPLICATES = re.compile(
     r"|weyl_character_extended|index_of_root_lattice|minus_one_in_weyl_group|linear_extension"
     r"|_validate_order|functional_relation_residual|def _determinant|def normalized\b"
     r"|isinstance\(tops\[0\], int\)|laurent_divide|did not terminate|--tol|max_order"
-    r"|_check_gram_bytes|needs --ray or --evolve|unknown export target|unknown tolerance")
+    r"|_check_gram_bytes|needs --ray or --evolve|unknown export target|unknown tolerance"
+    r"|coweight_pairings|_norm_data")
 
 
 def test_one_orthonormalization_route():
