@@ -247,7 +247,7 @@ def test_difference_coefficients_are_dual_hopping_rates(label, rank):
                 assert abs(got[k, j] - rate) <= 1e-13 * abs(rate)
 
 
-def test_identity_and_difference_equation_refusals(a2, a2_macdonald, a2_system):
+def test_identity_and_difference_equation_refusals(a2_macdonald, a2_system):
     # the highest root of A2 pairs to 2 with its own coroot
     with pytest.raises(ValueError, match="not minuscule"):
         macdonald_identity_residual(a2_macdonald, (1, 1), np.array([0.7, 0.1, -0.4]))
